@@ -356,14 +356,14 @@ let do_check files checkers metal_files rank_mode fmt history_db update_history
     let flat = sg.Supergraph.flat in
     Format.printf
       "memory: flat tables %.1f KiB (%d blocks, %d functions)%s, id table \
-       %.1f KiB, analysis allocated %.1f MiB%s@."
+       %.1f KiB, analysis allocated %.1f MiB@."
       (float_of_int (Flat.table_bytes flat) /. 1024.)
       flat.Flat.n_blocks
       (Flat.n_functions flat)
       (if no_flat then " (flattening disabled)" else "")
       (float_of_int (Exprid.table_bytes sg.Supergraph.ids) /. 1024.)
-      ((alloc1 -. alloc0) /. (1024. *. 1024.))
-      (if effective_jobs jobs > 1 then " (main domain only)" else "");
+      ((alloc1 -. alloc0 +. float_of_int st.Engine.worker_alloc_bytes)
+       /. (1024. *. 1024.));
     let total =
       List.length (Ctyping.fundefs sg.Supergraph.typing)
     in

@@ -9,7 +9,7 @@ type value =
 type ctx = {
   typing : Ctyping.env;
   node : Cast.expr option;
-  annots : (int, string list) Hashtbl.t;
+  annots : int -> string list option;
 }
 
 type fn = ctx -> value list -> value
@@ -86,14 +86,14 @@ let install_builtins () =
         match args with
         | [ Vast e; Vstr tag ] ->
             Vbool
-              (match Hashtbl.find_opt ctx.annots e.eid with
+              (match ctx.annots e.eid with
               | Some tags -> List.mem tag tags
               | None -> false)
         | [ Vstr tag ] ->
             Vbool
               (match ctx.node with
               | Some n -> (
-                  match Hashtbl.find_opt ctx.annots n.eid with
+                  match ctx.annots n.eid with
                   | Some tags -> List.mem tag tags
                   | None -> false)
               | None -> false)

@@ -20,7 +20,8 @@ type value =
 type ctx = {
   typing : Ctyping.env;
   node : Cast.expr option;  (** the current program point, [mc_stmt] *)
-  annots : (int, string list) Hashtbl.t;  (** AST annotations, for composition *)
+  annots : int -> string list option;
+      (** AST annotations by node id (newest tag first), for composition *)
 }
 
 type fn = ctx -> value list -> value

@@ -113,6 +113,12 @@ type stats = {
           Steals and waits are timing noise and may differ between runs;
           [shared_published]/[shared_replayed]/[shared_recomputed] are
           deterministic for a given program, extension and option set. *)
+  mutable worker_alloc_bytes : int;
+      (** bytes allocated by pool tasks that ran on domains other than
+          the one that called {!run}. [Gc.allocated_bytes] counts only the
+          calling domain, so the run's total allocation is the caller's
+          own [Gc.allocated_bytes] delta plus this. Process-local: not
+          persisted in the summary store. *)
 }
 
 type degraded = { d_root : string; d_reason : string }

@@ -52,6 +52,7 @@ and actx = {
     ?annotations:string list -> ?rule:string -> ?var:Cast.expr -> string -> unit;
   a_count : [ `Example | `Counterexample ] -> string -> unit;
   a_annotate : Cast.expr -> string -> unit;
+  a_annots : int -> string list option;
   a_kill_path : unit -> unit;
 }
 

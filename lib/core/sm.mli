@@ -83,6 +83,9 @@ and actx = {
       (** statistical counters per rule (Sections 3.2, 9) *)
   a_annotate : Cast.expr -> string -> unit;
       (** attach an annotation to an AST node (composition) *)
+  a_annots : int -> string list option;
+      (** the engine's annotation lookup by node id, as patterns see it:
+          what callouts evaluated inside the action read *)
   a_kill_path : unit -> unit;
       (** stop traversing the current path (the path-kill idiom) *)
 }

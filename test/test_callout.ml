@@ -7,7 +7,7 @@ let typing =
   Ctyping.of_program
     [ Cparse.parse_tunit ~file:"<t>" "int i; int *ip; struct s { int f; } sv;" ]
 
-let ctx node = { Callout.typing; node; annots = Hashtbl.create 4 }
+let ctx ?(annots = fun _ -> None) node = { Callout.typing; node; annots }
 
 let call name args node =
   match Callout.lookup name with
@@ -80,8 +80,9 @@ let suite =
           (vb (call "mc_is_ident" [ Callout.Vast (e "x->f") ] None)));
     t "mc_annotated via explicit node and mc_stmt" `Quick (fun () ->
         let node = e "panic()" in
-        let c = ctx (Some node) in
-        Hashtbl.replace c.Callout.annots node.Cast.eid [ "sealed" ];
+        let tbl = Hashtbl.create 4 in
+        Hashtbl.replace tbl node.Cast.eid [ "sealed" ];
+        let c = ctx ~annots:(Hashtbl.find_opt tbl) (Some node) in
         let fn = Option.get (Callout.lookup "mc_annotated") in
         Alcotest.(check bool) "explicit" true
           (vb (fn c [ Callout.Vast node; Callout.Vstr "sealed" ]));

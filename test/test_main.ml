@@ -42,4 +42,5 @@ let () =
       ("flat", Test_flat.suite);
       ("state-ids", Test_state_ids.suite);
       ("serve", Test_serve.suite);
+      ("annotations", Test_annots.suite);
     ]
