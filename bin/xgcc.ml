@@ -815,13 +815,28 @@ let do_cache_stats dir =
       Format.printf "version %s (current build writes %s; old entries are orphaned)@."
         v Summary_store.store_version
   | None -> Format.printf "version (unstamped)@.");
-  let line name (k : Summary_store.disk_kind) =
-    Format.printf "%-9s %6d entries  %s@." name k.Summary_store.dk_files
+  let line ?(packs = false) name (k : Summary_store.disk_kind) =
+    Format.printf "%-9s %6d entries  %s%s@." name k.Summary_store.dk_entries
       (human_bytes k.Summary_store.dk_bytes)
+      (if not packs then ""
+       else
+         let n = k.Summary_store.dk_files in
+         Printf.sprintf " in %d pack%s" n (if n = 1 then "" else "s"))
   in
   line "ast" d.Summary_store.d_ast;
-  line "summary" d.Summary_store.d_sum;
-  line "root" d.Summary_store.d_root;
+  line ~packs:true "summary" d.Summary_store.d_sum;
+  line ~packs:true "root" d.Summary_store.d_root;
+  let strays f =
+    List.fold_left (fun n (k : Summary_store.disk_kind) -> n + f k) 0
+      [ d.Summary_store.d_ast; d.Summary_store.d_sum; d.Summary_store.d_root ]
+  in
+  (match strays (fun k -> k.Summary_store.dk_tmp) with
+  | 0 -> ()
+  | n -> Format.printf "stray temp files: %d (left by a killed writer; never read)@." n);
+  (match strays (fun k -> k.Summary_store.dk_legacy) with
+  | 0 -> ()
+  | n ->
+      Format.printf "orphaned sumstore-3 entry files: %d (one file per entry; never read)@." n);
   match Summary_store.load_last_run ~dir with
   | None -> Format.printf "last run: (none recorded)@."
   | Some kvs ->
@@ -832,10 +847,11 @@ let do_cache_dump files =
   let failed = ref false in
   List.iter
     (fun path ->
-      (* entry kind is recognised by magic: summary-store entries first,
-         then binary AST cache objects, then emitted sexp .mcast files *)
-      match Summary_store.dump_entry path with
-      | Ok sx -> Format.printf "%s@." (Sexp.to_string sx)
+      (* file kind is recognised by magic: summary-store packs (one sexp
+         per entry) first, then binary AST cache objects, then emitted
+         sexp .mcast files *)
+      match Summary_store.dump_pack path with
+      | Ok sxs -> List.iter (fun sx -> Format.printf "%s@." (Sexp.to_string sx)) sxs
       | Error store_err -> (
           match Cast_io.read_cached_file path with
           | Ok tu ->
@@ -859,11 +875,11 @@ let cache_stats_cmd =
     Term.(const do_cache_stats $ dir)
 
 let cache_dump_cmd =
-  let files = Arg.(non_empty & pos_all file [] & info [] ~docv:"ENTRY") in
+  let files = Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE") in
   Cmd.v
     (Cmd.info "dump"
-       ~doc:"Decode binary cache entry files (function summaries, root \
-             replay entries, AST objects) and print them as sexps")
+       ~doc:"Decode binary cache files (function-summary and root replay \
+             packs, AST objects) and print them as sexps, one per entry")
     Term.(const do_cache_dump $ files)
 
 let cache_cmd =

@@ -46,6 +46,10 @@ let string b s =
   uvarint b (String.length s);
   Buffer.add_string b s
 
+let substring b s off len =
+  uvarint b len;
+  Buffer.add_substring b s off len
+
 let option b enc = function
   | None -> u8 b 0
   | Some v ->
@@ -56,16 +60,17 @@ let list b enc xs =
   uvarint b (List.length xs);
   List.iter (enc b) xs
 
+let length = Buffer.length
 let contents = Buffer.contents
 
 (* ------------------------------------------------------------------ *)
 (* Reader                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type reader = { src : string; mutable pos : int }
+type reader = { src : string; mutable pos : int; lim : int }
 
 let reader ?magic src =
-  let r = { src; pos = 0 } in
+  let r = { src; pos = 0; lim = String.length src } in
   (match magic with
   | None -> ()
   | Some m ->
@@ -75,8 +80,13 @@ let reader ?magic src =
       r.pos <- n);
   r
 
+let sub_reader src ~off ~len =
+  if off < 0 || len < 0 || off + len > String.length src then
+    corrupt "slice %d+%d outside %d bytes" off len (String.length src);
+  { src; pos = off; lim = off + len }
+
 let ru8 r =
-  if r.pos >= String.length r.src then corrupt "truncated at byte %d" r.pos;
+  if r.pos >= r.lim then corrupt "truncated at byte %d" r.pos;
   let c = Char.code r.src.[r.pos] in
   r.pos <- r.pos + 1;
   c
@@ -108,13 +118,24 @@ let ri64 r =
 let rfloat r = Int64.float_of_bits (ri64 r)
 let rbool r = match ru8 r with 0 -> false | 1 -> true | n -> corrupt "bad bool %d" n
 
-let rstring r =
+(* the length prefix of a string field, checked against the input *)
+let rlength r =
   let n = ruvarint r in
-  if n < 0 || r.pos + n > String.length r.src then
+  if n < 0 || r.pos + n > r.lim then
     corrupt "truncated string (%d bytes) at byte %d" n r.pos;
+  n
+
+let rstring r =
+  let n = rlength r in
   let s = String.sub r.src r.pos n in
   r.pos <- r.pos + n;
   s
+
+let rslice r =
+  let n = rlength r in
+  let off = r.pos in
+  r.pos <- off + n;
+  (off, n)
 
 let roption r dec = match ru8 r with
   | 0 -> None
@@ -124,10 +145,10 @@ let roption r dec = match ru8 r with
 let rlist r dec =
   let n = ruvarint r in
   (* bound the preallocation by what the input could possibly hold *)
-  if n > String.length r.src - r.pos + 1 then corrupt "bad list length %d" n;
+  if n > r.lim - r.pos + 1 then corrupt "bad list length %d" n;
   List.init n (fun _ -> dec r)
 
-let at_end r = r.pos >= String.length r.src
+let at_end r = r.pos >= r.lim
 
 let read_file path =
   let ic = open_in_bin path in

@@ -27,8 +27,16 @@ val i64 : writer -> int64 -> unit
 val float : writer -> float -> unit
 val bool : writer -> bool -> unit
 val string : writer -> string -> unit
+
+val substring : writer -> string -> int -> int -> unit
+(** [substring b s off len] writes [String.sub s off len] as a {!string},
+    without copying it out first. *)
+
 val option : writer -> (writer -> 'a -> unit) -> 'a option -> unit
 val list : writer -> (writer -> 'a -> unit) -> 'a list -> unit
+val length : writer -> int
+(** Bytes written so far: the offset the next field starts at. *)
+
 val contents : writer -> string
 
 (** {1 Reading} *)
@@ -39,12 +47,22 @@ val reader : ?magic:string -> string -> reader
 (** Raises {!Corrupt} when [magic] is given and the input does not start
     with it. *)
 
+val sub_reader : string -> off:int -> len:int -> reader
+(** A reader over the [len] bytes of [src] from [off]: reads past them
+    raise {!Corrupt}, as at the end of a whole input. Raises {!Corrupt}
+    when the slice lies outside [src]. *)
+
 val ru8 : reader -> int
 val rint : reader -> int
 val ri64 : reader -> int64
 val rfloat : reader -> float
 val rbool : reader -> bool
 val rstring : reader -> string
+
+val rslice : reader -> int * int
+(** Skip a {!string} field without copying it: its offset and length in
+    the reader's source, for a later {!sub_reader}. *)
+
 val roption : reader -> (reader -> 'a) -> 'a option
 val rlist : reader -> (reader -> 'a) -> 'a list
 val at_end : reader -> bool

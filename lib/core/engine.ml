@@ -2914,8 +2914,12 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
   let content_of f =
     match Hashtbl.find_opt content f with Some c -> c | None -> body_hash f
   in
+  (* Canonical tables per function, the seeds of recomputed callers. A
+     stored entry's summaries stay encoded until a caller needs them:
+     usually none does, as only edited closures recompute. *)
   let canon :
-      (string, Summary.t array * Summary.t array * string list) Hashtbl.t =
+      (string, (Summary.t array * Summary.t array * string list) option Lazy.t)
+      Hashtbl.t =
     Hashtbl.create 64
   in
   let unchanged : (string, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -2946,7 +2950,9 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
         in
         List.iter
           (fun g ->
-            match (Hashtbl.find_opt canon g, Supergraph.cfg_of base.sg g) with
+            match
+              (Option.bind (Hashtbl.find_opt canon g) Lazy.force, Supergraph.cfg_of base.sg g)
+            with
             | Some (gbs, gsfx, grets), Some gcfg ->
                 let rets = Hashtbl.create (List.length grets + 1) in
                 List.iter (fun k -> Hashtbl.replace rets k ()) grets;
@@ -3033,11 +3039,13 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
         let callees = List.filter (fun g -> not (String.equal g f)) cl in
         let key = fn_key f callees cl in
         match Summary_store.probe_fn store ~ext:ext_key ~fname:f ~key with
-        | Summary_store.Hit e ->
-            Hashtbl.replace content f e.Summary_store.f_content;
+        | Summary_store.Hit h ->
+            Hashtbl.replace content f (Summary_store.hit_content h);
             Hashtbl.replace canon f
-              (e.Summary_store.f_bs, e.Summary_store.f_sfx,
-               e.Summary_store.f_rets)
+              (lazy
+                (Option.map
+                   (fun (e : Summary_store.fn_entry) -> (e.f_bs, e.f_sfx, e.f_rets))
+                   (Summary_store.hit_entry h)))
         | (Summary_store.Stale _ | Summary_store.Absent) as p -> (
             sst.Summary_store.fns_recomputed <-
               sst.Summary_store.fns_recomputed + 1;
@@ -3045,7 +3053,7 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
             | None -> Hashtbl.replace content f (body_hash f)
             | Some (bs, sfx, rets, c) ->
                 Hashtbl.replace content f c;
-                Hashtbl.replace canon f (bs, sfx, rets);
+                Hashtbl.replace canon f (Lazy.from_val (Some (bs, sfx, rets)));
                 (match p with
                 | Summary_store.Stale old when String.equal old c ->
                     (* the cutoff: recomputation reproduced the stored
@@ -3175,7 +3183,8 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
                         (Hashtbl.fold (fun f () acc -> f :: acc) w.traversed []);
                     r_stats = stats_to_list w.st;
                   }))
-    roots
+    roots;
+  Summary_store.flush store
 
 let run_cached ?options ~jobs store sg exts =
   let rctx = new_rctx ?options sg in
@@ -3188,8 +3197,9 @@ let run_cached ?options ~jobs store sg exts =
         let h =
           match Supergraph.cfg_of sg f with
           | Some (cfg : Cfg.t) ->
-              Fingerprint.of_string ~salt:Cast_io.format_version
-                (Sexp.to_string (Cast_io.global_to_sexp (Cast.Gfun cfg.func)))
+              let b = Wire.writer () in
+              Cast_io.global_to_bin b (Cast.Gfun cfg.func);
+              Fingerprint.of_string ~salt:Cast_io.cache_version (Wire.contents b)
           | None -> Fingerprint.of_string f
         in
         Hashtbl.replace body_hash_tbl f h;
@@ -3202,19 +3212,17 @@ let run_cached ?options ~jobs store sg exts =
      struct/union layouts, enum constants, prototypes and global-variable
      declarations all feed the typing environment (and file-scope statics
      drive sleep/wake partitioning), yet none of them appear in any Gfun
-     sexp. Hash every non-function global into every cache key so a
+     body. Hash every non-function global into every cache key so a
      declaration-level edit invalidates cached entries too. *)
   let decls_hash =
-    Fingerprint.of_string ~salt:Cast_io.format_version
-      (String.concat "\x00"
-         (List.concat_map
-            (fun (tu : Cast.tunit) ->
-              List.filter_map
-                (function
-                  | Cast.Gfun _ -> None
-                  | g -> Some (Sexp.to_string (Cast_io.global_to_sexp g)))
-                tu.tu_globals)
-            sg.Supergraph.tunits))
+    let b = Wire.writer () in
+    List.iter
+      (fun (tu : Cast.tunit) ->
+        List.iter
+          (function Cast.Gfun _ -> () | g -> Cast_io.global_to_bin b g)
+          tu.tu_globals)
+      sg.Supergraph.tunits;
+    Fingerprint.of_string ~salt:Cast_io.cache_version (Wire.contents b)
   in
   let ix = build_annot_index sg in
   List.iteri

@@ -9,6 +9,8 @@ type stats = {
   mutable fns_recomputed : int;
   mutable sums_unchanged : int;
   mutable roots_salvaged : int;
+  mutable packs_read : int;
+  mutable packs_written : int;
 }
 
 type fn_entry = {
@@ -30,38 +32,40 @@ type root_entry = {
   r_stats : int list;
 }
 
-(* In-memory overlay for long-lived processes (the serve daemon): decoded
-   entries keyed by their on-disk path, plus a negative cache of paths
-   known to be absent or unreadable. Warm probes hit the tables and skip
-   both the disk read and the binary decode; writes land in the tables
-   first and flow to disk only when [persist_] is also set. Decoded
-   entries are safe to share across runs: the engine seeds callers by
-   merging {e out of} a hit's summaries ([merge_fsum_into] only reads the
-   source side) and replays roots without mutating the entry. *)
-type memory = {
-  mem_fn : (string, fn_entry) Hashtbl.t;
-  mem_root : (string, root_entry) Hashtbl.t;
-  mem_absent : (string, unit) Hashtbl.t;
+(* One entry as the store holds it. The header (key, and for function
+   entries the summary content hash) is decoded when its pack is read;
+   the body stays encoded until something needs it. [frame] is the body's
+   bytes inside a pack (read from disk, or written by this process);
+   [value] is the decoded body, [Some] from the start for an entry stored
+   by this process — so a store that never writes a pack never encodes
+   anything. At least one of the two is always set. *)
+type 'v slot = {
+  key : Fingerprint.t;
+  content : Fingerprint.t;  (* "" for root entries *)
+  mutable frame : (string * int * int) option;  (* source, offset, length *)
+  mutable value : 'v option;
 }
 
-and t = {
+(* One extension's entries of one kind: the in-memory image of its pack,
+   plus whether an entry changed since the pack was read or written. *)
+type 'v index = { slots : (string, 'v slot) Hashtbl.t; mutable dirty : bool }
+
+type t = {
   dir : string;
   persist_ : bool;
-  mem : memory option;
+  memory : bool;
   ext_keys : Fingerprint.t array;
+  sums : (Fingerprint.t, fn_entry index) Hashtbl.t;
+  roots : (Fingerprint.t, root_entry index) Hashtbl.t;
   st : stats;
 }
 
-(* Bump on any change to the entry encodings below: the version is salted
-   into every extension key, so every stored entry becomes unreachable at
-   once (orphaned, never misdecoded) and a cold recompute rebuilds the
-   store in the new format alongside. sumstore-3: binary entries, two-level
-   keying (fn entries keyed by body+callee-content, with a summary content
-   hash for early cutoff). *)
-let store_version = "sumstore-3"
-
-let fn_magic = "XGFN1\n"
-let root_magic = "XGRT1\n"
+(* Bump on any change to the pack or entry encodings below: the version is
+   salted into every extension key, so every stored entry becomes
+   unreachable at once (orphaned, never misdecoded) and a cold recompute
+   rebuilds the store in the new format alongside. sumstore-4: one pack
+   file per (kind, extension) instead of one file per entry. *)
+let store_version = "sumstore-4"
 
 let mkdir_p dir =
   let rec go d =
@@ -71,6 +75,17 @@ let mkdir_p dir =
     end
   in
   go dir
+
+(* Every file the store writes goes through a temporary file in the target
+   directory and a rename, so a reader (or a concurrent writer) sees the
+   old file or the new one, never a torn one. *)
+let write_atomic path write =
+  let dir = Filename.dirname path in
+  mkdir_p dir;
+  let tmp = Filename.temp_file ~temp_dir:dir "xgcc" ".tmp" in
+  let oc = open_out_bin tmp in
+  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> write oc);
+  Sys.rename tmp path
 
 let version_path dir = Filename.concat dir "VERSION"
 
@@ -85,34 +100,22 @@ let read_version ~dir =
         (fun () -> Some (String.trim (input_line ic)))
     with Sys_error _ | End_of_file -> None
 
-let write_version dir =
-  if read_version ~dir <> Some store_version then begin
-    mkdir_p dir;
-    let tmp = Filename.temp_file ~temp_dir:dir "version" ".tmp" in
-    let oc = open_out_bin tmp in
-    output_string oc store_version;
-    output_char oc '\n';
-    close_out oc;
-    Sys.rename tmp (version_path dir)
-  end
-
 let create ~dir ?(persist = true) ?(memory = false) ~ext_keys () =
   (* Stamp the store version: entries of an older version are orphaned by
      the key salt below, and the stamp lets `cache stats` say so. *)
-  if persist then (try write_version dir with Sys_error _ -> ());
+  if persist && read_version ~dir <> Some store_version then
+    (try
+       write_atomic (version_path dir) (fun oc ->
+           output_string oc store_version;
+           output_char oc '\n')
+     with Sys_error _ -> ());
   {
     dir;
     persist_ = persist;
-    mem =
-      (if memory then
-         Some
-           {
-             mem_fn = Hashtbl.create 1024;
-             mem_root = Hashtbl.create 1024;
-             mem_absent = Hashtbl.create 1024;
-           }
-       else None);
+    memory;
     ext_keys = Array.of_list ext_keys;
+    sums = Hashtbl.create 16;
+    roots = Hashtbl.create 16;
     st =
       {
         ast_hits = 0;
@@ -125,6 +128,8 @@ let create ~dir ?(persist = true) ?(memory = false) ~ext_keys () =
         fns_recomputed = 0;
         sums_unchanged = 0;
         roots_salvaged = 0;
+        packs_read = 0;
+        packs_written = 0;
       };
   }
 
@@ -142,14 +147,15 @@ let ext_key t i = t.ext_keys.(i)
 
 (* "Accepts writes": a memory-backed store captures results even when it
    never writes them to disk, so the engine must still hand entries over. *)
-let persist t = t.persist_ || Option.is_some t.mem
+let persist t = t.persist_ || t.memory
 let disk_persist t = t.persist_
-let in_memory t = Option.is_some t.mem
+let in_memory t = t.memory
 
 let mem_entries t =
-  match t.mem with
-  | None -> 0
-  | Some m -> Hashtbl.length m.mem_fn + Hashtbl.length m.mem_root
+  if not t.memory then 0
+  else
+    let count tbl = Hashtbl.fold (fun _ idx n -> n + Hashtbl.length idx.slots) tbl 0 in
+    count t.sums + count t.roots
 
 let stats t = t.st
 
@@ -164,128 +170,49 @@ let reset_stats t =
   s.roots_recomputed <- 0;
   s.fns_recomputed <- 0;
   s.sums_unchanged <- 0;
-  s.roots_salvaged <- 0
+  s.roots_salvaged <- 0;
+  s.packs_read <- 0;
+  s.packs_written <- 0
 
 let pp_stats ppf t =
   Format.fprintf ppf
-    "cache: ast %d hit / %d miss; summaries %d hit / %d stale / %d absent; roots %d replayed / %d recomputed; cutoff %d fns recomputed / %d summaries unchanged / %d roots salvaged"
+    "cache: ast %d hit / %d miss; summaries %d hit / %d stale / %d absent; roots %d replayed / %d recomputed; cutoff %d fns recomputed / %d summaries unchanged / %d roots salvaged; packs %d read / %d written"
     t.st.ast_hits t.st.ast_misses t.st.fn_hits t.st.fn_stale t.st.fn_absent
     t.st.roots_replayed t.st.roots_recomputed t.st.fns_recomputed
-    t.st.sums_unchanged t.st.roots_salvaged
+    t.st.sums_unchanged t.st.roots_salvaged t.st.packs_read t.st.packs_written
 
 (* ------------------------------------------------------------------ *)
-(* Files                                                               *)
+(* Entry bodies                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let entry_path t ~kind ~ext ~name =
-  Filename.concat
-    (Filename.concat t.dir kind)
-    (Fingerprint.combine [ ext; Fingerprint.of_string name ] ^ ".bin")
+(* A kind of entry: where its packs live, their magic, and the codec of an
+   entry's body (everything but the name, key and content header). *)
+type 'v kind = {
+  subdir : string;
+  magic : string;
+  encode : Wire.writer -> 'v -> unit;
+  decode : name:string -> key:Fingerprint.t -> content:Fingerprint.t -> Wire.reader -> 'v;
+}
 
-let read_entry path =
-  if not (Sys.file_exists path) then None
-  else try Some (Wire.read_file path) with Sys_error _ -> None
-
-let write_entry t path data =
-  if t.persist_ then begin
-    mkdir_p (Filename.dirname path);
-    let tmp = Filename.temp_file ~temp_dir:(Filename.dirname path) "entry" ".tmp" in
-    let oc = open_out_bin tmp in
-    output_string oc data;
-    close_out oc;
-    Sys.rename tmp path
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Function-summary entries                                            *)
-(* ------------------------------------------------------------------ *)
-
-type probe = Hit of fn_entry | Stale of Fingerprint.t | Absent
-
-let fn_to_bin e =
-  let b = Wire.writer ~magic:fn_magic () in
-  Wire.string b e.f_name;
-  Wire.string b e.f_key;
-  Wire.string b e.f_content;
-  Wire.list b Wire.string e.f_rets;
-  Wire.int b (Array.length e.f_bs);
-  Array.iter (Summary.to_bin b) e.f_bs;
-  Array.iter (Summary.to_bin b) e.f_sfx;
-  Wire.contents b
-
-let fn_of_bin src =
-  let r = Wire.reader ~magic:fn_magic src in
-  let f_name = Wire.rstring r in
-  let f_key = Wire.rstring r in
-  let f_content = Wire.rstring r in
-  let f_rets = Wire.rlist r Wire.rstring in
-  let n = Wire.rint r in
-  if n < 0 then raise (Wire.Corrupt "bad block count");
-  let f_bs = Array.init n (fun _ -> Summary.of_bin r) in
-  let f_sfx = Array.init n (fun _ -> Summary.of_bin r) in
-  { f_name; f_key; f_content; f_bs; f_sfx; f_rets }
-
-let classify_fn ~fname ~key e =
-  if String.equal e.f_name fname then
-    if String.equal e.f_key key then Hit e else Stale e.f_content
-  else Absent
-
-let probe_fn_disk ~fname path =
-  match read_entry path with
-  | None -> None
-  | Some src -> (
-      (* a corrupt or truncated entry is a miss, never an error: the
-         decoder raises Wire.Corrupt on malformed frames and
-         Failure/Invalid_argument on nonsense payloads *)
-      match fn_of_bin src with
-      | e when String.equal e.f_name fname -> Some e
-      | _ -> None
-      | exception (Wire.Corrupt _ | Failure _ | Invalid_argument _) -> None)
-
-let probe_fn t ~ext ~fname ~key =
-  let path = entry_path t ~kind:"sum" ~ext ~name:fname in
-  let r =
-    match t.mem with
-    | None -> (
-        match probe_fn_disk ~fname path with
-        | Some e -> classify_fn ~fname ~key e
-        | None -> Absent)
-    | Some m -> (
-        match Hashtbl.find_opt m.mem_fn path with
-        | Some e -> classify_fn ~fname ~key e
-        | None ->
-            if Hashtbl.mem m.mem_absent path then Absent
-            else (
-              match probe_fn_disk ~fname path with
-              | Some e ->
-                  Hashtbl.replace m.mem_fn path e;
-                  classify_fn ~fname ~key e
-              | None ->
-                  Hashtbl.replace m.mem_absent path ();
-                  Absent))
-  in
-  (match r with
-  | Hit _ -> t.st.fn_hits <- t.st.fn_hits + 1
-  | Stale _ -> t.st.fn_stale <- t.st.fn_stale + 1
-  | Absent -> t.st.fn_absent <- t.st.fn_absent + 1);
-  r
-
-let store_fn t ~ext ~fname ~key ~content ~bs ~sfx ~rets =
-  let e =
-    { f_name = fname; f_key = key; f_content = content; f_bs = bs;
-      f_sfx = sfx; f_rets = rets }
-  in
-  let path = entry_path t ~kind:"sum" ~ext ~name:fname in
-  (match t.mem with
-  | Some m ->
-      Hashtbl.remove m.mem_absent path;
-      Hashtbl.replace m.mem_fn path e
-  | None -> ());
-  write_entry t path (fn_to_bin e)
-
-(* ------------------------------------------------------------------ *)
-(* Root replay entries                                                 *)
-(* ------------------------------------------------------------------ *)
+let fn_kind =
+  {
+    subdir = "sum";
+    magic = "XGSP1\n";
+    encode =
+      (fun b e ->
+        Wire.list b Wire.string e.f_rets;
+        Wire.int b (Array.length e.f_bs);
+        Array.iter (Summary.to_bin b) e.f_bs;
+        Array.iter (Summary.to_bin b) e.f_sfx);
+    decode =
+      (fun ~name ~key ~content r ->
+        let f_rets = Wire.rlist r Wire.rstring in
+        let n = Wire.rint r in
+        if n < 0 then raise (Wire.Corrupt "bad block count");
+        let f_bs = Array.init n (fun _ -> Summary.of_bin r) in
+        let f_sfx = Array.init n (fun _ -> Summary.of_bin r) in
+        { f_name = name; f_key = key; f_content = content; f_bs; f_sfx; f_rets });
+  }
 
 let counter_to_bin b (rule, e, c) =
   Wire.string b rule;
@@ -317,76 +244,212 @@ let annot_of_bin r =
   let tags = Wire.rlist r Wire.rstring in
   (Srcloc.make ~file ~line ~col, printed, ctx, occ, tags)
 
-let root_to_bin e =
-  let b = Wire.writer ~magic:root_magic () in
-  Wire.string b e.r_root;
-  Wire.string b e.r_key;
-  Wire.list b Report.to_bin e.r_reports;
-  Wire.list b counter_to_bin e.r_counters;
-  Wire.list b annot_to_bin e.r_annots;
-  Wire.list b Wire.string e.r_traversed;
-  Wire.list b Wire.int e.r_stats;
-  Wire.contents b
+let root_kind =
+  {
+    subdir = "root";
+    magic = "XGRP1\n";
+    encode =
+      (fun b e ->
+        Wire.list b Report.to_bin e.r_reports;
+        Wire.list b counter_to_bin e.r_counters;
+        Wire.list b annot_to_bin e.r_annots;
+        Wire.list b Wire.string e.r_traversed;
+        Wire.list b Wire.int e.r_stats);
+    decode =
+      (fun ~name ~key ~content:_ r ->
+        let r_reports = Wire.rlist r Report.of_bin in
+        let r_counters = Wire.rlist r counter_of_bin in
+        let r_annots = Wire.rlist r annot_of_bin in
+        let r_traversed = Wire.rlist r Wire.rstring in
+        let r_stats = Wire.rlist r Wire.rint in
+        { r_root = name; r_key = key; r_reports; r_counters; r_annots; r_traversed; r_stats });
+  }
 
-let root_of_bin src =
-  let r = Wire.reader ~magic:root_magic src in
-  let r_root = Wire.rstring r in
-  let r_key = Wire.rstring r in
-  let r_reports = Wire.rlist r Report.of_bin in
-  let r_counters = Wire.rlist r counter_of_bin in
-  let r_annots = Wire.rlist r annot_of_bin in
-  let r_traversed = Wire.rlist r Wire.rstring in
-  let r_stats = Wire.rlist r Wire.rint in
-  { r_root; r_key; r_reports; r_counters; r_annots; r_traversed; r_stats }
+(* ------------------------------------------------------------------ *)
+(* Packs                                                               *)
+(* ------------------------------------------------------------------ *)
 
-let load_root_disk ~root path =
-  match read_entry path with
-  | None -> None
-  | Some src -> (
+(* A pack is [magic | MD5 of the payload | payload], the payload an entry
+   count and then, sorted by name, one [name, key, content, body] record
+   per entry (Wire strings). Sorting makes a pack's bytes a function of its
+   entries alone, whatever order they were computed in. *)
+
+let pack_suffix = ".pack"
+let digest_len = 16
+
+let pack_path t kind ext =
+  Filename.concat (Filename.concat t.dir kind.subdir) (ext ^ pack_suffix)
+
+(* The payload of a pack file whose magic and digest check out. A missing
+   file, bad magic, bad digest or short read is [None]: every entry of the
+   pack is then a miss. *)
+let read_pack magic path =
+  match Wire.read_file path with
+  | exception Sys_error _ -> None
+  | src ->
+      let m = String.length magic in
+      let hdr = m + digest_len in
+      let len = String.length src - hdr in
+      if
+        len >= 0
+        && String.starts_with ~prefix:magic src
+        && String.equal (String.sub src m digest_len) (Digest.substring src hdr len)
+      then Some (src, Wire.sub_reader src ~off:hdr ~len)
+      else None
+
+(* Header-only parse: names, keys and content hashes are decoded, bodies
+   are recorded as slices of the pack's bytes. Raises [Wire.Corrupt]. *)
+let parse_pack src r =
+  let slots = Hashtbl.create 64 in
+  let n = Wire.rint r in
+  for _ = 1 to n do
+    let name = Wire.rstring r in
+    let key = Wire.rstring r in
+    let content = Wire.rstring r in
+    let off, len = Wire.rslice r in
+    Hashtbl.replace slots name { key; content; frame = Some (src, off, len); value = None }
+  done;
+  if not (Wire.at_end r) then raise (Wire.Corrupt "trailing bytes after the last entry");
+  slots
+
+(* The index of one (kind, extension), read from its pack on first use. *)
+let index t kind tbl ext =
+  match Hashtbl.find_opt tbl ext with
+  | Some idx -> idx
+  | None ->
+      let slots =
+        match read_pack kind.magic (pack_path t kind ext) with
+        | None -> Hashtbl.create 64
+        | Some (src, r) -> (
+            match parse_pack src r with
+            | slots ->
+                t.st.packs_read <- t.st.packs_read + 1;
+                slots
+            | exception Wire.Corrupt _ -> Hashtbl.create 64)
+      in
+      let idx = { slots; dirty = false } in
+      Hashtbl.replace tbl ext idx;
+      idx
+
+(* Decode a slot's body on first use. Only the calling domain gets here:
+   the canonical pass forces function seeds, the replay plan forces roots,
+   and pool workers never touch the store. A body that does not decode is
+   a miss. *)
+let force kind name s =
+  match (s.value, s.frame) with
+  | (Some _ as v), _ -> v
+  | None, None -> None
+  | None, Some (src, off, len) -> (
       match
-        try Some (root_of_bin src)
-        with Wire.Corrupt _ | Failure _ | Invalid_argument _ -> None
+        kind.decode ~name ~key:s.key ~content:s.content (Wire.sub_reader src ~off ~len)
       with
-      | Some e when String.equal e.r_root root -> Some e
-      | Some _ | None -> None)
+      | v ->
+          s.value <- Some v;
+          s.value
+      | exception (Wire.Corrupt _ | Failure _ | Invalid_argument _) -> None)
+
+let put t kind tbl ext name ~key ~content v =
+  let idx = index t kind tbl ext in
+  Hashtbl.replace idx.slots name { key; content; frame = None; value = Some v };
+  idx.dirty <- true
+
+(* Entries read from a pack are copied as raw frames; only entries stored
+   by this process are encoded. Afterwards every slot's frame points into
+   the new payload, so a later rewrite (a memory store keeps its index)
+   copies them too. *)
+let write_pack t kind ext idx =
+  let entries =
+    List.sort
+      (fun (a, _) (b, _) -> String.compare a b)
+      (Hashtbl.fold (fun name s acc -> (name, s) :: acc) idx.slots [])
+  in
+  let b = Wire.writer () in
+  Wire.int b (List.length entries);
+  let placed =
+    List.map
+      (fun (name, s) ->
+        Wire.string b name;
+        Wire.string b s.key;
+        Wire.string b s.content;
+        let len =
+          match s.frame with
+          | Some (src, off, len) ->
+              Wire.substring b src off len;
+              len
+          | None ->
+              let body = Wire.writer () in
+              kind.encode body (Option.get s.value);
+              Wire.string b (Wire.contents body);
+              Wire.length body
+        in
+        (s, Wire.length b - len, len))
+      entries
+  in
+  let payload = Wire.contents b in
+  write_atomic (pack_path t kind ext) (fun oc ->
+      output_string oc kind.magic;
+      output_string oc (Digest.string payload);
+      output_string oc payload);
+  t.st.packs_written <- t.st.packs_written + 1;
+  List.iter (fun (s, off, len) -> s.frame <- Some (payload, off, len)) placed
+
+let flush t =
+  let go kind tbl =
+    Hashtbl.iter
+      (fun ext idx ->
+        if idx.dirty then begin
+          if t.persist_ then write_pack t kind ext idx;
+          idx.dirty <- false
+        end)
+      tbl;
+    if not t.memory then Hashtbl.reset tbl
+  in
+  go fn_kind t.sums;
+  go root_kind t.roots
+
+(* ------------------------------------------------------------------ *)
+(* Function-summary entries                                            *)
+(* ------------------------------------------------------------------ *)
+
+type fn_hit = { h_name : string; h_slot : fn_entry slot }
+type probe = Hit of fn_hit | Stale of Fingerprint.t | Absent
+
+let hit_content h = h.h_slot.content
+let hit_entry h = force fn_kind h.h_name h.h_slot
+
+let probe_fn t ~ext ~fname ~key =
+  let r =
+    match Hashtbl.find_opt (index t fn_kind t.sums ext).slots fname with
+    | Some s when String.equal s.key key -> Hit { h_name = fname; h_slot = s }
+    | Some s -> Stale s.content
+    | None -> Absent
+  in
+  (match r with
+  | Hit _ -> t.st.fn_hits <- t.st.fn_hits + 1
+  | Stale _ -> t.st.fn_stale <- t.st.fn_stale + 1
+  | Absent -> t.st.fn_absent <- t.st.fn_absent + 1);
+  r
+
+let store_fn t ~ext ~fname ~key ~content ~bs ~sfx ~rets =
+  put t fn_kind t.sums ext fname ~key ~content
+    { f_name = fname; f_key = key; f_content = content; f_bs = bs; f_sfx = sfx; f_rets = rets }
+
+(* ------------------------------------------------------------------ *)
+(* Root replay entries                                                 *)
+(* ------------------------------------------------------------------ *)
 
 let load_root t ~ext ~root ~key =
-  let path = entry_path t ~kind:"root" ~ext ~name:root in
-  let validate = function
-    | Some e when String.equal e.r_root root && String.equal e.r_key key ->
-        Some e
-    | Some _ | None -> None
-  in
   let r =
-    match t.mem with
-    | None -> validate (load_root_disk ~root path)
-    | Some m -> (
-        match Hashtbl.find_opt m.mem_root path with
-        | Some e -> validate (Some e)
-        | None ->
-            if Hashtbl.mem m.mem_absent path then None
-            else (
-              match load_root_disk ~root path with
-              | Some e ->
-                  Hashtbl.replace m.mem_root path e;
-                  validate (Some e)
-              | None ->
-                  Hashtbl.replace m.mem_absent path ();
-                  None))
+    match Hashtbl.find_opt (index t root_kind t.roots ext).slots root with
+    | Some s when String.equal s.key key -> force root_kind root s
+    | Some _ | None -> None
   in
   (match r with
   | Some _ -> t.st.roots_replayed <- t.st.roots_replayed + 1
   | None -> t.st.roots_recomputed <- t.st.roots_recomputed + 1);
   r
 
-let store_root t ~ext e =
-  let path = entry_path t ~kind:"root" ~ext ~name:e.r_root in
-  (match t.mem with
-  | Some m ->
-      Hashtbl.remove m.mem_absent path;
-      Hashtbl.replace m.mem_root path e
-  | None -> ());
-  write_entry t path (root_to_bin e)
+let store_root t ~ext e = put t root_kind t.roots ext e.r_root ~key:e.r_key ~content:"" e
 
 (* ------------------------------------------------------------------ *)
 (* Last-run counters                                                   *)
@@ -407,6 +470,8 @@ let last_run_fields st =
     ("fns_recomputed", st.fns_recomputed);
     ("sums_unchanged", st.sums_unchanged);
     ("roots_salvaged", st.roots_salvaged);
+    ("packs_read", st.packs_read);
+    ("packs_written", st.packs_written);
   ]
 
 let last_run_path dir = Filename.concat dir "last-run"
@@ -414,14 +479,10 @@ let last_run_path dir = Filename.concat dir "last-run"
 let save_last_run t =
   if t.persist_ then
     try
-      mkdir_p t.dir;
-      let tmp = Filename.temp_file ~temp_dir:t.dir "lastrun" ".tmp" in
-      let oc = open_out_bin tmp in
-      List.iter
-        (fun (k, v) -> Printf.fprintf oc "%s %d\n" k v)
-        (last_run_fields t.st);
-      close_out oc;
-      Sys.rename tmp (last_run_path t.dir)
+      write_atomic (last_run_path t.dir) (fun oc ->
+          List.iter
+            (fun (k, v) -> Printf.fprintf oc "%s %d\n" k v)
+            (last_run_fields t.st))
     with Sys_error _ -> ()
 
 let load_last_run ~dir =
@@ -448,35 +509,58 @@ let load_last_run ~dir =
 (* Disk inspection and dumping (the `cache stats` / `cache dump` CLI)  *)
 (* ------------------------------------------------------------------ *)
 
-type disk_kind = { dk_files : int; dk_bytes : int }
+type disk_kind = {
+  dk_files : int;
+  dk_bytes : int;
+  dk_entries : int;
+  dk_tmp : int;
+  dk_legacy : int;
+}
+
 type disk = { d_version : string option; d_ast : disk_kind; d_sum : disk_kind; d_root : disk_kind }
 
-let scan_kind dir kind =
-  let d = Filename.concat dir kind in
-  if not (Sys.file_exists d) then { dk_files = 0; dk_bytes = 0 }
-  else
-    try
+(* The entry count of a pack whose magic and digest hold, else 0. *)
+let pack_entries kind path =
+  match read_pack kind.magic path with
+  | Some (_, r) -> ( try Wire.rint r with Wire.Corrupt _ -> 0)
+  | None -> 0
+
+(* Files under [dir/sub]: live ones (named [*suffix], [count]ed for their
+   entries), temporary files a killed writer left behind, and per-entry
+   [*.bin] files of sumstore-3 and earlier, which nothing reads any more. *)
+let scan dir sub ~suffix ~count =
+  let empty = { dk_files = 0; dk_bytes = 0; dk_entries = 0; dk_tmp = 0; dk_legacy = 0 } in
+  let d = Filename.concat dir sub in
+  match Sys.readdir d with
+  | exception Sys_error _ -> empty
+  | names ->
       Array.fold_left
         (fun acc f ->
           let path = Filename.concat d f in
-          match (Unix.stat path).Unix.st_kind with
-          | Unix.S_REG ->
-              {
-                dk_files = acc.dk_files + 1;
-                dk_bytes = acc.dk_bytes + (Unix.stat path).Unix.st_size;
-              }
+          match Unix.stat path with
+          | { Unix.st_kind = Unix.S_REG; st_size; _ } ->
+              if Filename.check_suffix f ".tmp" then { acc with dk_tmp = acc.dk_tmp + 1 }
+              else if Filename.check_suffix f ".bin" then
+                { acc with dk_legacy = acc.dk_legacy + 1 }
+              else if Filename.check_suffix f suffix then
+                {
+                  acc with
+                  dk_files = acc.dk_files + 1;
+                  dk_bytes = acc.dk_bytes + st_size;
+                  dk_entries = acc.dk_entries + count path;
+                }
+              else acc
           | _ -> acc
           | exception Unix.Unix_error _ -> acc)
-        { dk_files = 0; dk_bytes = 0 }
-        (Sys.readdir d)
-    with Sys_error _ -> { dk_files = 0; dk_bytes = 0 }
+        empty names
 
 let disk_stats ~dir =
+  let packs kind = scan dir kind.subdir ~suffix:pack_suffix ~count:(pack_entries kind) in
   {
     d_version = read_version ~dir;
-    d_ast = scan_kind dir "ast";
-    d_sum = scan_kind dir "sum";
-    d_root = scan_kind dir "root";
+    d_ast = scan dir "ast" ~suffix:".mcast" ~count:(fun _ -> 1);
+    d_sum = packs fn_kind;
+    d_root = packs root_kind;
   }
 
 (* Sexp renderings of the binary entries, for `cache dump` — debugging
@@ -528,19 +612,27 @@ let root_to_sexp e =
       Sexp.list (List.map (fun i -> Sexp.atom (string_of_int i)) e.r_stats);
     ]
 
-let dump_entry path =
-  match Wire.read_file path with
-  | exception Sys_error e -> Error e
-  | src -> (
-      let starts m =
-        String.length src >= String.length m
-        && String.equal (String.sub src 0 (String.length m)) m
-      in
-      try
-        if starts fn_magic then Ok (fn_to_sexp (fn_of_bin src))
-        else if starts root_magic then Ok (root_to_sexp (root_of_bin src))
-        else Error "unrecognised entry magic"
-      with
-      | Wire.Corrupt m -> Error ("corrupt entry: " ^ m)
-      | Failure m -> Error ("corrupt entry: " ^ m)
-      | Invalid_argument m -> Error ("corrupt entry: " ^ m))
+let dump_pack path =
+  let dump kind to_sexp (src, r) =
+    match parse_pack src r with
+    | exception Wire.Corrupt m -> Error ("corrupt pack: " ^ m)
+    | slots ->
+        let names =
+          List.sort String.compare (Hashtbl.fold (fun n _ acc -> n :: acc) slots [])
+        in
+        let sexps =
+          List.filter_map
+            (fun n -> Option.map to_sexp (force kind n (Hashtbl.find slots n)))
+            names
+        in
+        if List.compare_lengths sexps names = 0 then Ok sexps
+        else Error "corrupt entry body"
+  in
+  if not (Sys.file_exists path) then Error "no such file"
+  else
+    match read_pack fn_kind.magic path with
+    | Some p -> dump fn_kind fn_to_sexp p
+    | None -> (
+        match read_pack root_kind.magic path with
+        | Some p -> dump root_kind root_to_sexp p
+        | None -> Error "not a summary-store pack (bad magic, bad digest or truncated)")

@@ -25,11 +25,18 @@
       traversal would take summary hits that suppress exactly the
       re-traversals that emit reports.
 
-    Entries are versioned, length-prefixed binary frames ({!Wire}); the
-    sexp renderings survive only as the [cache dump] debugging view. All
-    writes are atomic (tmp + rename in the target directory), so a store
-    may be shared by concurrent runs. Unreadable, truncated, or
-    mismatched entries degrade to misses, never to errors. *)
+    Each kind keeps one {e pack} file per extension ([sum/<ext-key>.pack],
+    [root/<ext-key>.pack]): a magic string, an MD5 digest of the payload,
+    then every entry sorted by name as a header (name, key, content hash)
+    and a length-prefixed {!Wire} body. Reading a pack decodes headers
+    only; a function entry's summaries are decoded when the engine seeds a
+    recomputed caller from them, a root entry when it replays. Entries
+    live in one in-memory index per (kind, extension), and {!flush} writes
+    the packs whose entries changed, copying unchanged bodies as raw bytes.
+    Writes are atomic (tmp + rename in the target directory): concurrent
+    writers race with last-rename-wins, which costs the loser's entries a
+    recompute but never yields a wrong one. A bad magic, bad digest or
+    short read makes every entry of that pack a miss, never an error. *)
 
 type t
 
@@ -49,6 +56,8 @@ type stats = {
   mutable roots_salvaged : int;
       (** replayed roots whose closure intersects the recomputed set —
           roots that only replay because cutoff fired *)
+  mutable packs_read : int;  (** pack files read whose magic and digest held *)
+  mutable packs_written : int;  (** pack files written by {!flush} *)
 }
 
 val store_version : string
@@ -60,15 +69,17 @@ val create :
   dir:string -> ?persist:bool -> ?memory:bool -> ext_keys:Fingerprint.t list -> unit -> t
 (** [persist] (default true): when false nothing is written to disk —
     warm hits still replay but on-disk entries are never updated.
-    [memory] (default false): keep every entry that passes through the
-    store decoded in process memory, so repeat probes skip both the disk
-    read and the binary decode. A long-lived daemon opens its store with
-    [memory:true]; combined with [persist:false] this yields a fully
-    in-memory incremental store that never touches disk (the first probe
-    of each entry still consults [dir], so an existing on-disk store
-    warms the tables). [ext_keys] must align positionally with the
-    extension list handed to [Engine.run]. When persisting, stamps
-    [dir/VERSION] with {!store_version}. *)
+    [memory] (default false): keep the in-memory indexes (and every body
+    decoded into them) across runs, so repeat probes skip both the disk
+    read and the binary decode; without it {!flush} drops them and the
+    next run reads the packs again. A long-lived daemon opens its store
+    with [memory:true]; combined with [persist:false] this yields a fully
+    in-memory incremental store that never touches disk and never encodes
+    an entry (the first probe of each extension still reads its packs
+    under [dir], so an existing on-disk store warms the indexes).
+    [ext_keys] must align positionally with the extension list handed to
+    [Engine.run]. When persisting, stamps [dir/VERSION] with
+    {!store_version}. *)
 
 val ext_keys_of : options_digest:string -> sources:string list -> Fingerprint.t list
 (** The chain-prefix keys: the key for extension [i] digests the store
@@ -88,8 +99,8 @@ val disk_persist : t -> bool
 val in_memory : t -> bool
 
 val mem_entries : t -> int
-(** Decoded entries currently held by the in-memory overlay (0 for a
-    disk-only store) — observability for the daemon's [stats] reply. *)
+(** Entries the in-memory indexes hold between runs (0 for a store opened
+    without [memory]) — observability for the daemon's [stats] reply. *)
 
 val stats : t -> stats
 
@@ -99,7 +110,15 @@ val reset_stats : t -> unit
     lifetime. *)
 
 val pp_stats : Format.formatter -> t -> unit
-(** One [--stats] line: AST, function-summary, root, and cutoff counters. *)
+(** One [--stats] line: AST, function-summary, root, cutoff and pack
+    counters. *)
+
+val flush : t -> unit
+(** Write every pack one of whose entries was stored since it was read or
+    last written (nothing when the store does not persist), then — unless
+    the store was opened with [memory] — drop the in-memory indexes.
+    [Engine.run] calls it at the end of each extension's merge, so a run
+    whose entries all replayed writes no file. *)
 
 (** {1 Function-summary entries} *)
 
@@ -112,15 +131,24 @@ type fn_entry = {
   f_rets : string list;
 }
 
-type probe = Hit of fn_entry | Stale of Fingerprint.t | Absent
-(** [Hit] carries the decoded entry (the canonical pass seeds callers
-    from it without re-reading). [Stale] carries the {e old} content
-    hash, so after recomputation the engine can detect that the content
-    did not actually change and count the cutoff. *)
+type fn_hit
+(** A valid entry whose header alone has been decoded. *)
+
+type probe = Hit of fn_hit | Stale of Fingerprint.t | Absent
+(** [Stale] carries the {e old} content hash, so after recomputation the
+    engine can detect that the content did not actually change and count
+    the cutoff. *)
 
 val probe_fn : t -> ext:Fingerprint.t -> fname:string -> key:Fingerprint.t -> probe
-(** Decode the stored entry for [fname] and validate its key (bumps
-    [fn_*] stats). Corrupt or mismatched-name entries are [Absent]. *)
+(** Validate [fname]'s stored key against [key] (bumps [fn_*] stats),
+    decoding no summaries. Entries of an unreadable pack are [Absent]. *)
+
+val hit_content : fn_hit -> Fingerprint.t
+
+val hit_entry : fn_hit -> fn_entry option
+(** The full entry, decoded on first use and kept in the index. [None]
+    when the body does not decode. Not domain-safe: call it from the
+    domain that runs the store's probes. *)
 
 val store_fn :
   t ->
@@ -158,7 +186,8 @@ val load_root :
 (** Bumps [roots_replayed] on a hit, [roots_recomputed] otherwise. *)
 
 val store_root : t -> ext:Fingerprint.t -> root_entry -> unit
-(** No-op when the store was opened with [persist:false]. *)
+(** [store_fn] and [store_root] update the in-memory index; {!flush}
+    writes the pack. *)
 
 (** {1 Inspection (the [cache stats] / [cache dump] CLI)} *)
 
@@ -169,7 +198,13 @@ val save_last_run : t -> unit
 
 val load_last_run : dir:string -> (string * int) list option
 
-type disk_kind = { dk_files : int; dk_bytes : int }
+type disk_kind = {
+  dk_files : int;  (** pack files ([sum], [root]) or AST objects ([ast]) *)
+  dk_bytes : int;  (** their total size *)
+  dk_entries : int;  (** entries inside them (0 for a pack that fails its digest) *)
+  dk_tmp : int;  (** [*.tmp] files a killed writer left behind *)
+  dk_legacy : int;  (** per-entry [*.bin] files of sumstore-3, never read *)
+}
 
 type disk = {
   d_version : string option;  (** the [VERSION] stamp, if readable *)
@@ -179,8 +214,8 @@ type disk = {
 }
 
 val disk_stats : dir:string -> disk
-(** Count entry files and bytes per kind without decoding anything. *)
+(** Count files, bytes and entries per kind, decoding no entry. *)
 
-val dump_entry : string -> (Sexp.t, string) result
-(** Decode one entry file (kind recognised by magic) and render it as a
-    sexp for human inspection. *)
+val dump_pack : string -> (Sexp.t list, string) result
+(** Decode one pack file (kind recognised by magic, digest checked) and
+    render each entry as a sexp, in name order, for human inspection. *)

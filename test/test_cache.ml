@@ -26,6 +26,48 @@ let store_over dir =
          ~sources:[ "free" ])
     ()
 
+let read_bytes path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let write_bytes path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+(* the pack files of one kind ("sum" or "root"), sorted *)
+let packs dir kind =
+  let d = Filename.concat dir kind in
+  Sys.readdir d |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".pack")
+  |> List.sort String.compare
+  |> List.map (Filename.concat d)
+
+let the_pack dir kind =
+  match packs dir kind with
+  | [ p ] -> p
+  | ps -> Alcotest.failf "expected one %s pack, found %d" kind (List.length ps)
+
+(* A pack is [6-byte magic | 16-byte digest | payload]. Each of these must
+   turn every entry of the pack into a miss. *)
+let flip i d = String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 0x01) else c) d
+
+let manglings =
+  [
+    ("truncated", fun d -> String.sub d 0 (String.length d / 2));
+    ("payload byte flipped", fun d -> flip (String.length d - 1) d);
+    ("digest byte flipped", flip 10);
+    ("bad magic", fun d -> "XGXX1\n" ^ String.sub d 6 (String.length d - 6));
+    ("sexp garbage", fun _ -> "(fn f c () ())\n");
+  ]
+
+(* inode and mtime: a rewrite renames a new file into place *)
+let identity path =
+  let st = Unix.stat path in
+  (st.Unix.st_ino, st.Unix.st_mtime)
+
 (* emission-order report lines: the byte-identity contract is about output
    order, so no sorting here *)
 let report_lines (r : Engine.result) = List.map Report.to_string r.Engine.reports
@@ -172,7 +214,19 @@ let suite =
           "stale key misses" true
           (Summary_store.load_root store ~ext ~root:"caller"
              ~key:(Fingerprint.of_string "other")
-          = None));
+          = None);
+        (* written to its pack and read back through a fresh handle *)
+        Summary_store.flush store;
+        match
+          Summary_store.load_root (store_over dir) ~ext ~root:"caller"
+            ~key:(Fingerprint.of_string "key")
+        with
+        | None -> Alcotest.fail "expected a root hit from the pack"
+        | Some e ->
+            Alcotest.(check (list string))
+              "reports round-trip through the pack"
+              (List.map Report.to_string entry.Summary_store.r_reports)
+              (List.map Report.to_string e.Summary_store.r_reports));
     t "warm run is byte-identical to cold, including -j" `Quick (fun () ->
         let files =
           Gen.generate_files ~seed:31 ~n_files:3 ~funcs_per_file:8 ~bug_rate:0.5
@@ -363,67 +417,256 @@ let suite =
         let sg = sg_of_files [ ("c.c", leaf_v1) ] in
         let uncached = Engine.run sg (free ()) in
         let _ = Engine.run ~cache:(store_over dir) sg (free ()) in
-        (* tamper: still a well-formed sexp of the right shape, but with a
-           non-numeric stat atom — decoding raises Failure, which must read
-           as a miss rather than abort the run *)
-        let rootdir = Filename.concat dir "root" in
-        Array.iter
-          (fun f ->
-            let oc = open_out (Filename.concat rootdir f) in
-            output_string oc "(root caller x () () () () (zz))\n";
-            close_out oc)
-          (Sys.readdir rootdir);
-        let store = store_over dir in
-        let warm = Engine.run ~cache:store sg (free ()) in
-        Alcotest.(check int)
-          "all roots recompute" 0 (Summary_store.stats store).Summary_store.roots_replayed;
-        Alcotest.(check (list string))
-          "reports unaffected" (report_lines uncached) (report_lines warm));
+        let pack = the_pack dir "root" in
+        let intact = read_bytes pack in
+        (* each mangling of the intact pack must read as a miss for every
+           root rather than abort the run *)
+        List.iter
+          (fun (what, mangle) ->
+            write_bytes pack (mangle intact);
+            let store = store_over dir in
+            let warm = Engine.run ~cache:store sg (free ()) in
+            Alcotest.(check int)
+              (what ^ ": all roots recompute") 0
+              (Summary_store.stats store).Summary_store.roots_replayed;
+            Alcotest.(check (list string))
+              (what ^ ": reports unaffected") (report_lines uncached) (report_lines warm))
+          manglings);
     t "truncated and corrupt summary entries degrade to misses" `Quick
       (fun () ->
         let dir = temp_dir () in
         let store = store_over dir in
         let ext = Summary_store.ext_key store 0 in
         let key = Fingerprint.of_string "k" in
-        Summary_store.store_fn store ~ext ~fname:"f" ~key
-          ~content:(Fingerprint.of_string "c")
-          ~bs:[| Summary.create () |]
-          ~sfx:[| Summary.create () |]
-          ~rets:[ "rs" ];
-        (match Summary_store.probe_fn store ~ext ~fname:"f" ~key with
-        | Summary_store.Hit e ->
-            Alcotest.(check string) "name round-trips" "f" e.Summary_store.f_name;
-            Alcotest.(check (list string))
-              "rets round-trip" [ "rs" ] e.Summary_store.f_rets
+        let names = [ "f"; "g" ] in
+        List.iter
+          (fun fname ->
+            Summary_store.store_fn store ~ext ~fname ~key
+              ~content:(Fingerprint.of_string "c")
+              ~bs:[| Summary.create () |]
+              ~sfx:[| Summary.create () |]
+              ~rets:[ "rs" ])
+          names;
+        Summary_store.flush store;
+        (match Summary_store.probe_fn (store_over dir) ~ext ~fname:"f" ~key with
+        | Summary_store.Hit h -> (
+            match Summary_store.hit_entry h with
+            | Some e ->
+                Alcotest.(check string) "name round-trips" "f" e.Summary_store.f_name;
+                Alcotest.(check (list string))
+                  "rets round-trip" [ "rs" ] e.Summary_store.f_rets
+            | None -> Alcotest.fail "the intact entry must decode")
         | _ -> Alcotest.fail "expected a hit on the intact entry");
-        let sumdir = Filename.concat dir "sum" in
-        let mangle f =
-          let path = Filename.concat sumdir f in
-          let ic = open_in_bin path in
-          let len = in_channel_length ic in
-          let data = really_input_string ic len in
-          close_in ic;
-          path, data
+        let pack = the_pack dir "sum" in
+        let intact = read_bytes pack in
+        List.iter
+          (fun (what, mangle) ->
+            write_bytes pack (mangle intact);
+            let reopened = store_over dir in
+            List.iter
+              (fun fname ->
+                match Summary_store.probe_fn reopened ~ext ~fname ~key with
+                | Summary_store.Absent -> ()
+                | _ -> Alcotest.failf "%s pack: %s must probe Absent" what fname)
+              names)
+          manglings);
+    t "a bad-digest pack is a miss and the next run rewrites it" `Quick
+      (fun () ->
+        let dir = temp_dir () in
+        let sg = sg_of_files [ ("d.c", leaf_v1) ] in
+        let uncached = Engine.run sg (free ()) in
+        let _ = Engine.run ~cache:(store_over dir) sg (free ()) in
+        let pack = the_pack dir "sum" in
+        let intact = read_bytes pack in
+        write_bytes pack (flip 10 intact);
+        let store = store_over dir in
+        let run = Engine.run ~cache:store sg (free ()) in
+        let st = Summary_store.stats store in
+        Alcotest.(check int) "no summary hits from the bad pack" 0 st.Summary_store.fn_hits;
+        Alcotest.(check (list string))
+          "reports = uncached" (report_lines uncached) (report_lines run);
+        Alcotest.(check int) "only the bad pack is written" 1
+          st.Summary_store.packs_written;
+        Alcotest.(check bool) "rewritten byte-identically" true
+          (String.equal intact (read_bytes pack));
+        let store = store_over dir in
+        let _ = Engine.run ~cache:store sg (free ()) in
+        let st = Summary_store.stats store in
+        Alcotest.(check int) "the rewritten pack serves every probe" 0
+          (st.Summary_store.fn_stale + st.Summary_store.fn_absent);
+        Alcotest.(check int) "and is not written again" 0 st.Summary_store.packs_written);
+    t "only packs whose entries changed are rewritten" `Quick (fun () ->
+        (* free and lock: the leaf edit below changes free's summaries,
+           while lock's analysis of the leaf is the same before and after *)
+        let exts () = [ Free_checker.checker (); Lock_checker.checker () ] in
+        let store2 dir =
+          Summary_store.create ~dir
+            ~ext_keys:
+              (Summary_store.ext_keys_of
+                 ~options_digest:(Engine.options_digest Engine.default_options)
+                 ~sources:[ "free"; "lock" ])
+            ()
         in
-        Array.iter
+        let v1 =
+          "static void leaf(int *p) { (void)p; }\n\
+           int top(int n) { int *x = kmalloc(n); leaf(x); return *x; }\n\
+           int unrelated(int n) { int *y = kmalloc(n); kfree(y); return *y; }\n"
+        in
+        let v2 =
+          "static void leaf(int *p) { kfree(p); }\n\
+           int top(int n) { int *x = kmalloc(n); leaf(x); return *x; }\n\
+           int unrelated(int n) { int *y = kmalloc(n); kfree(y); return *y; }\n"
+        in
+        let dir = temp_dir () in
+        let _ = Engine.run ~cache:(store2 dir) (sg_of_files [ ("p.c", v1) ]) (exts ()) in
+        let all () = packs dir "sum" @ packs dir "root" in
+        Alcotest.(check int) "one pack per kind and extension" 4 (List.length (all ()));
+        let snapshot () =
+          List.map
+            (fun p ->
+              match Summary_store.dump_pack p with
+              | Ok sxs -> (p, (identity p, List.map Sexp.to_string sxs))
+              | Error e -> Alcotest.failf "%s: %s" p e)
+            (all ())
+        in
+        let before = snapshot () in
+        (* comment-only: no entry changes, so no pack is written *)
+        let store = store2 dir in
+        let _ =
+          Engine.run ~cache:store
+            (sg_of_files [ ("p.c", v1 ^ "/* reviewed */\n") ])
+            (exts ())
+        in
+        Alcotest.(check int) "comment edit writes no pack" 0
+          (Summary_store.stats store).Summary_store.packs_written;
+        List.iter2
+          (fun (p, (id, _)) (_, (id', _)) ->
+            Alcotest.(check bool) (p ^ ": inode and mtime unchanged") true (id = id'))
+          before (snapshot ());
+        (* summary-changing: a pack is rewritten exactly when its entries
+           changed *)
+        let store = store2 dir in
+        let _ = Engine.run ~cache:store (sg_of_files [ ("p.c", v2) ]) (exts ()) in
+        let after = snapshot () in
+        let changed =
+          List.map2
+            (fun (p, ((ino, _), entries)) (_, ((ino', _), entries')) ->
+              let rewritten = ino <> ino' in
+              Alcotest.(check bool)
+                (p ^ ": rewritten iff its entries changed")
+                (entries <> entries') rewritten;
+              rewritten)
+            before after
+        in
+        Alcotest.(check int) "packs written = packs changed"
+          (List.length (List.filter Fun.id changed))
+          (Summary_store.stats store).Summary_store.packs_written;
+        Alcotest.(check bool) "some pack rewritten" true (List.mem true changed);
+        Alcotest.(check bool) "some pack untouched" true (List.mem false changed));
+    t "cold populates at -j 1 and -j 4 write byte-identical packs" `Quick
+      (fun () ->
+        let files =
+          Gen.generate_files ~seed:31 ~n_files:3 ~funcs_per_file:8 ~bug_rate:0.5
+          |> List.map (fun (file, g) -> (file, g.Gen.source))
+        in
+        let sg = sg_of_files files in
+        let d1 = temp_dir () and d4 = temp_dir () in
+        let _ = Engine.run ~jobs:1 ~cache:(store_over d1) sg (free ()) in
+        let _ = Engine.run ~jobs:4 ~cache:(store_over d4) sg (free ()) in
+        List.iter
+          (fun kind ->
+            let p1 = packs d1 kind and p4 = packs d4 kind in
+            Alcotest.(check (list string))
+              (kind ^ ": same pack names") (List.map Filename.basename p1)
+              (List.map Filename.basename p4);
+            List.iter2
+              (fun a b ->
+                Alcotest.(check bool)
+                  (Filename.basename a ^ " byte-identical") true
+                  (String.equal (read_bytes a) (read_bytes b)))
+              p1 p4)
+          [ "sum"; "root" ]);
+    t "sumstore-3 per-entry files are never read" `Quick (fun () ->
+        (* a store directory as the per-entry format left it: one .bin file
+           per entry, at the paths the old format derived from its own
+           extension key. The root entry claims no reports, so misreading
+           it would drop caller's report. *)
+        let dir = temp_dir () in
+        write_bytes (Filename.concat dir "VERSION") "sumstore-3\n";
+        let old_ext =
+          Fingerprint.combine
+            [
+              Fingerprint.of_string ~salt:"sumstore-3"
+                (Engine.options_digest Engine.default_options);
+              Fingerprint.of_string "free";
+            ]
+        in
+        let old_entry kind name magic fields =
+          let d = Filename.concat dir kind in
+          if not (Sys.file_exists d) then Sys.mkdir d 0o755;
+          let b = Wire.writer ~magic () in
+          Wire.string b name;
+          Wire.string b (Fingerprint.of_string "old-key");
+          fields b;
+          write_bytes
+            (Filename.concat d
+               (Fingerprint.combine [ old_ext; Fingerprint.of_string name ] ^ ".bin"))
+            (Wire.contents b)
+        in
+        List.iter
           (fun f ->
-            let path, data = mangle f in
-            (* truncated mid-frame: the length-prefixed decoder must raise
-               Corrupt, which probes as a miss *)
-            let oc = open_out_bin path in
-            output_string oc (String.sub data 0 (String.length data / 2));
-            close_out oc;
-            (match Summary_store.probe_fn store ~ext ~fname:"f" ~key with
-            | Summary_store.Absent -> ()
-            | _ -> Alcotest.fail "truncated entry must probe Absent");
-            (* wrong magic / non-binary garbage *)
-            let oc = open_out_bin path in
-            output_string oc "(fn f c () ())\n";
-            close_out oc;
-            match Summary_store.probe_fn store ~ext ~fname:"f" ~key with
-            | Summary_store.Absent -> ()
-            | _ -> Alcotest.fail "garbage entry must probe Absent")
-          (Sys.readdir sumdir));
+            old_entry "sum" f "XGFN1\n" (fun b ->
+                Wire.string b (Fingerprint.of_string "old-content");
+                Wire.list b Wire.string [];
+                Wire.int b 0))
+          [ "leaf"; "caller"; "unrelated" ];
+        List.iter
+          (fun r ->
+            old_entry "root" r "XGRT1\n" (fun b ->
+                for _ = 1 to 5 do
+                  Wire.list b Wire.int []
+                done))
+          [ "caller"; "unrelated" ];
+        let sg = sg_of_files [ ("o.c", leaf_v1) ] in
+        let uncached = Engine.run sg (free ()) in
+        let store = store_over dir in
+        let run = Engine.run ~cache:store sg (free ()) in
+        let st = Summary_store.stats store in
+        Alcotest.(check int) "no summary read" 0
+          (st.Summary_store.fn_hits + st.Summary_store.fn_stale);
+        Alcotest.(check int) "no root replayed" 0 st.Summary_store.roots_replayed;
+        Alcotest.(check int) "no pack read" 0 st.Summary_store.packs_read;
+        Alcotest.(check (list string))
+          "reports = uncached" (report_lines uncached) (report_lines run);
+        let d = Summary_store.disk_stats ~dir in
+        Alcotest.(check int) "old summary files left alone" 3
+          d.Summary_store.d_sum.Summary_store.dk_legacy;
+        Alcotest.(check int) "old root files left alone" 2
+          d.Summary_store.d_root.Summary_store.dk_legacy;
+        Alcotest.(check (option string))
+          "VERSION restamped" (Some Summary_store.store_version)
+          d.Summary_store.d_version);
+    t "cache stats counts packs, stray temp files and legacy files apart"
+      `Quick (fun () ->
+        let dir = temp_dir () in
+        let _ = Engine.run ~cache:(store_over dir) (sg_of_files [ ("s.c", leaf_v1) ]) (free ()) in
+        (* a writer killed between creating its temp file and renaming it,
+           and a leftover per-entry file of the previous format *)
+        write_bytes (Filename.concat dir "sum/xgcc1a2b3c.tmp") "XGSP1\ntorn";
+        write_bytes (Filename.concat dir "sum/0123abcd.bin") "XGFN1\nold";
+        let d = Summary_store.disk_stats ~dir in
+        let sum = d.Summary_store.d_sum and root = d.Summary_store.d_root in
+        Alcotest.(check int) "one summary pack" 1 sum.Summary_store.dk_files;
+        Alcotest.(check int) "its three entries" 3 sum.Summary_store.dk_entries;
+        Alcotest.(check int) "one stray temp file" 1 sum.Summary_store.dk_tmp;
+        Alcotest.(check int) "one legacy file" 1 sum.Summary_store.dk_legacy;
+        Alcotest.(check int) "pack bytes only" (String.length (read_bytes (the_pack dir "sum")))
+          sum.Summary_store.dk_bytes;
+        Alcotest.(check (list int)) "root: one pack, two entries, no strays" [ 1; 2; 0; 0 ]
+          Summary_store.[ root.dk_files; root.dk_entries; root.dk_tmp; root.dk_legacy ];
+        match Summary_store.dump_pack (the_pack dir "sum") with
+        | Ok sxs -> Alcotest.(check int) "dump prints one sexp per entry" 3 (List.length sxs)
+        | Error e -> Alcotest.fail e);
     t "binary summary round-trip is lossless" `Quick (fun () ->
         let src =
           "int use(int *p, int c) { if (c) { kfree(p); } return *p; }\n\
