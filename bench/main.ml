@@ -471,14 +471,6 @@ let table_parallel () =
 (* State interning: cold-path wall clock and allocation                 *)
 (* ------------------------------------------------------------------ *)
 
-(* A/B label for the representation under test, settable from the
-   environment so the same harness can measure two builds (the
-   BENCH_results.json trajectory then shows before/after lines):
-   XGCC_BENCH_IMPL=strings ./bench   # string-keyed state (pre-interning)
-   default: "interned"               # interned-id state *)
-let bench_impl =
-  match Sys.getenv_opt "XGCC_BENCH_IMPL" with Some s -> s | None -> "interned"
-
 let table_interning ?(reps = 5) () =
   header "I  | State representation: cold analysis wall clock + allocation";
   (* Path-heavy synthetic workloads: deep diamond chains and many tracked
@@ -519,15 +511,15 @@ let table_interning ?(reps = 5) () =
   let ns_bigminor, _ = measure () in
   Gc.set g0;
   Printf.printf "%-14s %18s %20s\n" "IMPL" "ns/cold-run" "bytes alloc/run";
-  Printf.printf "%-14s %18.0f %20.0f\n" bench_impl ns alloc;
+  Printf.printf "%-14s %18.0f %20.0f\n" "interned" ns alloc;
   Printf.printf "with 4M-word minor heap: %18.0f ns/run (%.2fx)\n" ns_bigminor
     (ns /. ns_bigminor);
   bench_out
     (Printf.sprintf
-       "{\"experiment\": \"state_interning\", \"impl\": \"%s\", \"reps\": %d, \
-        \"ns_per_run\": %.0f, \"alloc_bytes_per_run\": %.0f, \
+       "{\"experiment\": \"state_interning\", \"impl\": \"interned\", \
+        \"reps\": %d, \"ns_per_run\": %.0f, \"alloc_bytes_per_run\": %.0f, \
         \"ns_per_run_4Mw_minor\": %.0f}"
-       bench_impl reps ns alloc ns_bigminor);
+       reps ns alloc ns_bigminor);
   Printf.printf
     "workloads: %s\n"
     (String.concat ", " (List.map fst srcs))
@@ -826,256 +818,6 @@ let table_cache () =
      with early cutoff (a summary-neutral edit stops at the edited function)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Compiled transition dispatch: indexed vs naive scan                  *)
-(* ------------------------------------------------------------------ *)
-
-let table_dispatch ?(reps = 3) () =
-  header "D  | Compiled transition dispatch (head index + block skip sets)";
-  let naive = { Engine.default_options with Engine.dispatch = false } in
-  let indexed = Engine.default_options in
-  (* a bug-bearing whole-program corpus, a no-match-heavy corpus where
-     every node is a non-match (the case the index exists for), and a
-     summary-heavy call tree *)
-  let srcs =
-    [
-      ("workload60", (Gen.generate ~seed:31 ~n_funcs:60 ~bug_rate:0.3).Gen.source);
-      ("nomatch40x24", Synth.no_match_heavy ~n_funcs:40 ~stmts:24);
-      ("calltree3^4", Synth.call_tree ~depth:4 ~fanout:3);
-    ]
-  in
-  let sgs = List.map (fun (name, src) -> (name, sg_of src)) srcs in
-  let checkers = List.map (fun e -> e.Registry.e_make ()) (Registry.all ()) in
-  (* one measured pass: stats and reports per configuration *)
-  let sweep options =
-    List.fold_left
-      (fun (attempts, hits, skipped, reports) (_, sg) ->
-        let r = Engine.run ~options sg checkers in
-        let st = r.Engine.stats in
-        ( attempts + st.Engine.match_attempts,
-          hits + st.Engine.index_hits,
-          skipped + st.Engine.blocks_skipped,
-          reports @ List.map Report.to_string r.Engine.reports ))
-      (0, 0, 0, []) sgs
-  in
-  let a_naive, _, _, reps_naive = sweep naive in
-  let a_idx, hits, skipped, reps_idx = sweep indexed in
-  let identical = List.equal String.equal reps_naive reps_idx in
-  let measure options =
-    ignore (sweep options) (* warm-up *);
-    Gc.minor ();
-    let a0 = Gc.allocated_bytes () in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (sweep options)
-    done;
-    let dt = (Unix.gettimeofday () -. t0) /. float_of_int reps in
-    let da = (Gc.allocated_bytes () -. a0) /. float_of_int reps in
-    (dt *. 1e9, da)
-  in
-  let ns_naive, alloc_naive = measure naive in
-  let ns_idx, alloc_idx = measure indexed in
-  let ratio = float_of_int a_naive /. float_of_int (max 1 a_idx) in
-  Printf.printf "%-10s %16s %16s %16s\n" "MODE" "match attempts" "ns/run"
-    "bytes alloc/run";
-  Printf.printf "%-10s %16d %16.0f %16.0f\n" "naive" a_naive ns_naive alloc_naive;
-  Printf.printf "%-10s %16d %16.0f %16.0f\n" "indexed" a_idx ns_idx alloc_idx;
-  Printf.printf
-    "attempt reduction: %.1fx; speedup: %.2fx; index hits: %d; blocks skipped: \
-     %d; identical reports: %b\n"
-    ratio (ns_naive /. ns_idx) hits skipped identical;
-  bench_out
-    (Printf.sprintf
-       "{\"experiment\": \"pattern_dispatch\", \"reps\": %d, \
-        \"attempts_naive\": %d, \"attempts_indexed\": %d, \"attempt_ratio\": \
-        %.2f, \"ns_naive\": %.0f, \"ns_indexed\": %.0f, \"speedup\": %.3f, \
-        \"alloc_naive\": %.0f, \"alloc_indexed\": %.0f, \"index_hits\": %d, \
-        \"blocks_skipped\": %d, \"identical_reports\": %b}"
-       reps a_naive a_idx ratio ns_naive ns_idx (ns_naive /. ns_idx) alloc_naive
-       alloc_idx hits skipped identical);
-  Printf.printf
-    "workloads: %s\npaper note: xgcc matched patterns at every node; compiling \
-     each extension's\ntransitions to a head-constructor index makes non-match \
-     nodes near-free\n"
-    (String.concat ", " (List.map fst srcs))
-
-(* ------------------------------------------------------------------ *)
-(* Hot-path memory flattening: flat event tables vs boxed rebuilding    *)
-(* ------------------------------------------------------------------ *)
-
-let table_memory_flattening ?(reps = 3) () =
-  header "M  | Hot-path memory flattening (flat event tables vs boxed lists)";
-  let boxed = { Engine.default_options with Engine.flatten = false } in
-  let flat = Engine.default_options in
-  (* the state_interning corpus: the allocation target the flattening is
-     judged against rides on exactly these workloads *)
-  let srcs =
-    [
-      ("diamond14", Synth.diamond_chain ~n:14);
-      ("tracked32", Synth.many_tracked ~n:32);
-      ("calltree3^4", Synth.call_tree ~depth:4 ~fanout:3);
-      ("correlated6", Synth.correlated_branches ~n:6);
-      ("workload120", (Gen.generate ~seed:99 ~n_funcs:120 ~bug_rate:0.3).Gen.source);
-    ]
-  in
-  let sgs = List.map (fun (name, src) -> (name, sg_of src)) srcs in
-  let checkers = List.map (fun e -> e.Registry.e_make ()) (Registry.all ()) in
-  let sweep options =
-    List.concat_map
-      (fun (_, sg) ->
-        let r = Engine.run ~options sg checkers in
-        List.map Report.to_string r.Engine.reports)
-      sgs
-  in
-  let reps_boxed = sweep boxed in
-  let reps_flat = sweep flat in
-  let identical = List.equal String.equal reps_boxed reps_flat in
-  (* parallel byte-identity across the flattening boundary, both modes *)
-  let identical_j2 =
-    List.equal String.equal
-      (List.concat_map
-         (fun (_, sg) ->
-           List.map Report.to_string
-             (Engine.run ~options:boxed ~jobs:2 sg checkers).Engine.reports)
-         sgs)
-      (List.concat_map
-         (fun (_, sg) ->
-           List.map Report.to_string
-             (Engine.run ~options:flat ~jobs:2 sg checkers).Engine.reports)
-         sgs)
-  in
-  let measure options =
-    ignore (sweep options) (* warm-up *);
-    Gc.minor ();
-    let a0 = Gc.allocated_bytes () in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (sweep options)
-    done;
-    let dt = (Unix.gettimeofday () -. t0) /. float_of_int reps in
-    let da = (Gc.allocated_bytes () -. a0) /. float_of_int reps in
-    (dt *. 1e9, da)
-  in
-  let ns_boxed, alloc_boxed = measure boxed in
-  let ns_flat, alloc_flat = measure flat in
-  let flat_bytes =
-    List.fold_left
-      (fun n (_, sg) -> n + Flat.table_bytes sg.Supergraph.flat)
-      0 sgs
-  in
-  Printf.printf "%-10s %16s %20s\n" "MODE" "ns/cold-run" "bytes alloc/run";
-  Printf.printf "%-10s %16.0f %20.0f\n" "boxed" ns_boxed alloc_boxed;
-  Printf.printf "%-10s %16.0f %20.0f\n" "flat" ns_flat alloc_flat;
-  Printf.printf
-    "alloc reduction: %.2fx; speedup: %.2fx; flat tables: %.1f KiB; identical \
-     reports: %b (with -j2: %b)\n"
-    (alloc_boxed /. Float.max 1. alloc_flat)
-    (ns_boxed /. ns_flat)
-    (float_of_int flat_bytes /. 1024.)
-    identical identical_j2;
-  bench_out
-    (Printf.sprintf
-       "{\"experiment\": \"memory_flattening\", \"impl\": \"%s\", \"reps\": %d, \
-        \"ns_boxed\": %.0f, \"ns_flat\": %.0f, \"speedup\": %.3f, \
-        \"alloc_boxed\": %.0f, \"alloc_flat\": %.0f, \"alloc_ratio\": %.3f, \
-        \"flat_table_bytes\": %d, \"identical_reports\": %b, \
-        \"identical_reports_j2\": %b}"
-       bench_impl reps ns_boxed ns_flat (ns_boxed /. ns_flat) alloc_boxed
-       alloc_flat
-       (alloc_boxed /. Float.max 1. alloc_flat)
-       flat_bytes identical identical_j2);
-  Printf.printf "workloads: %s\n" (String.concat ", " (List.map fst srcs))
-
-(* ------------------------------------------------------------------ *)
-(* Hash-consed state identity: int-coded tuple state vs rendered keys   *)
-(* ------------------------------------------------------------------ *)
-
-let table_state_ids ?(reps = 3) () =
-  header "S  | Hash-consed state identity (int ids vs rendered key strings)";
-  let strings = { Engine.default_options with Engine.state_ids = false } in
-  let ids = Engine.default_options in
-  (* same corpus the flattening target is judged against *)
-  let srcs =
-    [
-      ("diamond14", Synth.diamond_chain ~n:14);
-      ("tracked32", Synth.many_tracked ~n:32);
-      ("calltree3^4", Synth.call_tree ~depth:4 ~fanout:3);
-      ("correlated6", Synth.correlated_branches ~n:6);
-      ("workload120", (Gen.generate ~seed:99 ~n_funcs:120 ~bug_rate:0.3).Gen.source);
-    ]
-  in
-  let sgs = List.map (fun (name, src) -> (name, sg_of src)) srcs in
-  let checkers = List.map (fun e -> e.Registry.e_make ()) (Registry.all ()) in
-  let sweep options =
-    List.concat_map
-      (fun (_, sg) ->
-        let r = Engine.run ~options sg checkers in
-        List.map Report.to_string r.Engine.reports)
-      sgs
-  in
-  let reps_strings = sweep strings in
-  let reps_ids = sweep ids in
-  let identical = List.equal String.equal reps_strings reps_ids in
-  (* parallel byte-identity across the representation boundary, both modes *)
-  let identical_j2 =
-    List.equal String.equal
-      (List.concat_map
-         (fun (_, sg) ->
-           List.map Report.to_string
-             (Engine.run ~options:strings ~jobs:2 sg checkers).Engine.reports)
-         sgs)
-      (List.concat_map
-         (fun (_, sg) ->
-           List.map Report.to_string
-             (Engine.run ~options:ids ~jobs:2 sg checkers).Engine.reports)
-         sgs)
-  in
-  let measure options =
-    ignore (sweep options) (* warm-up *);
-    Gc.minor ();
-    let a0 = Gc.allocated_bytes () in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (sweep options)
-    done;
-    let dt = (Unix.gettimeofday () -. t0) /. float_of_int reps in
-    let da = (Gc.allocated_bytes () -. a0) /. float_of_int reps in
-    (dt *. 1e9, da)
-  in
-  let ns_strings, alloc_strings = measure strings in
-  let ns_ids, alloc_ids = measure ids in
-  let id_bytes =
-    List.fold_left
-      (fun n (_, sg) -> n + Exprid.table_bytes sg.Supergraph.ids)
-      0 sgs
-  in
-  let id_count =
-    List.fold_left (fun n (_, sg) -> n + Exprid.n sg.Supergraph.ids) 0 sgs
-  in
-  Printf.printf "%-10s %16s %20s\n" "MODE" "ns/cold-run" "bytes alloc/run";
-  Printf.printf "%-10s %16.0f %20.0f\n" "strings" ns_strings alloc_strings;
-  Printf.printf "%-10s %16.0f %20.0f\n" "ids" ns_ids alloc_ids;
-  Printf.printf
-    "alloc reduction: %.2fx; speedup: %.2fx; id table: %d ids, %.1f KiB; \
-     identical reports: %b (with -j2: %b)\n"
-    (alloc_strings /. Float.max 1. alloc_ids)
-    (ns_strings /. ns_ids)
-    id_count
-    (float_of_int id_bytes /. 1024.)
-    identical identical_j2;
-  bench_out
-    (Printf.sprintf
-       "{\"experiment\": \"state_ids\", \"impl\": \"%s\", \"reps\": %d, \
-        \"ns_strings\": %.0f, \"ns_ids\": %.0f, \"speedup\": %.3f, \
-        \"alloc_strings\": %.0f, \"alloc_ids\": %.0f, \"alloc_ratio\": %.3f, \
-        \"id_table_bytes\": %d, \"id_count\": %d, \"identical_reports\": %b, \
-        \"identical_reports_j2\": %b}"
-       bench_impl reps ns_strings ns_ids (ns_strings /. ns_ids) alloc_strings
-       alloc_ids
-       (alloc_strings /. Float.max 1. alloc_ids)
-       id_bytes id_count identical identical_j2);
-  Printf.printf "workloads: %s\n" (String.concat ", " (List.map fst srcs))
-
-(* ------------------------------------------------------------------ *)
 (* Fault containment: per-root budgets and degraded-root isolation      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1192,9 +934,6 @@ let () =
      else "(one experiment per table/figure/claim; see DESIGN.md index)");
   if smoke then begin
     table_interning ~reps:2 ();
-    table_dispatch ~reps:2 ();
-    table_memory_flattening ~reps:2 ();
-    table_state_ids ~reps:2 ();
     table_containment ~reps:2 ();
     table_parallel ();
     table_cache ()
@@ -1213,9 +952,6 @@ let () =
     table_p10 ();
     table_scale ();
     table_interning ();
-    table_dispatch ();
-    table_memory_flattening ();
-    table_state_ids ();
     table_containment ();
     table_parallel ();
     table_cache ();

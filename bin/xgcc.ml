@@ -146,21 +146,44 @@ let open_store ~cache_dir ~persist ~options sources =
       Summary_store.create ~dir ~persist ~ext_keys ())
     cache_dir
 
-let options_of ~no_cache ~no_prune ~no_interproc ~no_kill ~no_synonyms
-    ~no_dispatch ~no_flat ~no_state_ids ~max_nodes ~timeout =
-  {
-    Engine.default_options with
-    Engine.caching = not no_cache;
-    pruning = not no_prune;
-    interproc = not no_interproc;
-    auto_kill = not no_kill;
-    synonyms = not no_synonyms;
-    dispatch = not no_dispatch;
-    flatten = not no_flat;
-    state_ids = not no_state_ids;
-    max_nodes_per_root = max max_nodes 0;
-    timeout_per_root = Float.max timeout 0.;
-  }
+(* The engine-option flags, shared by [check] and [serve]. *)
+let engine_options =
+  let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
+  let max_nodes =
+    Arg.(value & opt int 0 & info [ "max-nodes-per-root" ] ~docv:"N"
+           ~doc:"Analysis budget per callgraph root: abandon a root after \
+                 $(docv) nodes visited plus state instances created, keep it \
+                 out of every cache, and continue with the remaining roots \
+                 (0 = unlimited). Reports from unaffected roots are \
+                 byte-identical to an unbudgeted run.")
+  in
+  let timeout =
+    Arg.(value & opt float 0. & info [ "timeout-per-root" ] ~docv:"SECONDS"
+           ~doc:"Wall-clock deadline per callgraph root; a root past the \
+                 deadline is abandoned like a --max-nodes-per-root blow-up. \
+                 Inherently timing-dependent — prefer the node budget when \
+                 reproducibility matters (0 = none).")
+  in
+  let make no_cache no_prune no_interproc no_kill no_synonyms max_nodes timeout =
+    {
+      Engine.default_options with
+      Engine.caching = not no_cache;
+      pruning = not no_prune;
+      interproc = not no_interproc;
+      auto_kill = not no_kill;
+      synonyms = not no_synonyms;
+      max_nodes_per_root = max max_nodes 0;
+      timeout_per_root = Float.max timeout 0.;
+    }
+  in
+  Term.(
+    const make
+    $ flag "no-cache" "Disable block caching."
+    $ flag "no-prune" "Disable false-path pruning."
+    $ flag "no-interproc" "Do not follow function calls."
+    $ flag "no-kill" "Disable kill-on-redefinition."
+    $ flag "no-synonyms" "Disable synonym tracking."
+    $ max_nodes $ timeout)
 
 (* ------------------------------------------------------------------ *)
 (* check                                                               *)
@@ -175,10 +198,8 @@ let effective_jobs jobs =
   if jobs = 0 then Pool.recommended_jobs () else max 1 jobs
 
 let do_check files checkers metal_files rank_mode fmt history_db update_history
-    no_cache no_prune no_interproc no_kill no_synonyms no_dispatch no_flat
-    no_state_ids stats
-    verbose use_cpp defines incdirs jobs cache_dir no_cache_persist max_nodes
-    timeout keep_going =
+    options stats verbose use_cpp defines incdirs jobs cache_dir
+    no_cache_persist keep_going =
   setup_logs verbose;
   set_cpp ~use_cpp ~defines ~incdirs;
   set_ast_cache ~cache_dir ~persist:(not no_cache_persist);
@@ -188,10 +209,6 @@ let do_check files checkers metal_files rank_mode fmt history_db update_history
   end;
   let exts_src = resolve_checkers checkers metal_files in
   let exts = List.map fst exts_src in
-  let options =
-    options_of ~no_cache ~no_prune ~no_interproc ~no_kill ~no_synonyms
-      ~no_dispatch ~no_flat ~no_state_ids ~max_nodes ~timeout
-  in
   let store =
     open_store ~cache_dir ~persist:(not no_cache_persist) ~options
       (List.map snd exts_src)
@@ -333,7 +350,7 @@ let do_check files checkers metal_files rank_mode fmt history_db update_history
       st.Engine.pruned_branches;
     Format.printf
       "interning: %d cache probes (%.1f%% hit), %d atoms, %d tuples interned, \
-       %d expression ids%s@."
+       %d expression ids@."
       st.Engine.cache_probes
       (if st.Engine.cache_probes = 0 then 0.
        else
@@ -341,12 +358,9 @@ let do_check files checkers metal_files rank_mode fmt history_db update_history
          *. float_of_int st.Engine.cache_hits
          /. float_of_int st.Engine.cache_probes)
       st.Engine.intern_atoms st.Engine.intern_tuples
-      (Exprid.n sg.Supergraph.ids)
-      (if no_state_ids then " (state ids disabled)" else "");
-    Format.printf
-      "dispatch: %d match attempts, %d index hits, %d blocks skipped%s@."
-      st.Engine.match_attempts st.Engine.index_hits st.Engine.blocks_skipped
-      (if no_dispatch then " (index disabled)" else "");
+      (Exprid.n sg.Supergraph.ids);
+    Format.printf "dispatch: %d match attempts, %d index hits, %d blocks skipped@."
+      st.Engine.match_attempts st.Engine.index_hits st.Engine.blocks_skipped;
     if effective_jobs jobs > 1 then
       Format.printf
         "scheduler: %d summary units published, %d replayed, %d recomputed, %d steals, %d waits@."
@@ -355,12 +369,11 @@ let do_check files checkers metal_files rank_mode fmt history_db update_history
         st.Engine.sched_waits;
     let flat = sg.Supergraph.flat in
     Format.printf
-      "memory: flat tables %.1f KiB (%d blocks, %d functions)%s, id table \
+      "memory: flat tables %.1f KiB (%d blocks, %d functions), id table \
        %.1f KiB, analysis allocated %.1f MiB@."
       (float_of_int (Flat.table_bytes flat) /. 1024.)
       flat.Flat.n_blocks
       (Flat.n_functions flat)
-      (if no_flat then " (flattening disabled)" else "")
       (float_of_int (Exprid.table_bytes sg.Supergraph.ids) /. 1024.)
       ((alloc1 -. alloc0 +. float_of_int st.Engine.worker_alloc_bytes)
        /. (1024. *. 1024.));
@@ -416,39 +429,6 @@ let check_cmd =
     Arg.(value & flag & info [ "update-history" ]
            ~doc:"Record this run's reports into the history database.")
   in
-  let no_cache = Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable block caching.") in
-  let no_prune =
-    Arg.(value & flag & info [ "no-prune" ] ~doc:"Disable false-path pruning.")
-  in
-  let no_interproc =
-    Arg.(value & flag & info [ "no-interproc" ] ~doc:"Do not follow function calls.")
-  in
-  let no_kill =
-    Arg.(value & flag & info [ "no-kill" ] ~doc:"Disable kill-on-redefinition.")
-  in
-  let no_synonyms =
-    Arg.(value & flag & info [ "no-synonyms" ] ~doc:"Disable synonym tracking.")
-  in
-  let no_dispatch =
-    Arg.(value & flag & info [ "no-dispatch-index" ]
-           ~doc:"Disable the compiled transition-dispatch index (head-constructor \
-                 candidate lists and block skip sets) and scan every transition \
-                 at every node. Reports are identical; only speed changes.")
-  in
-  let no_flat =
-    Arg.(value & flag & info [ "no-flat" ]
-           ~doc:"Serve block events from per-run boxed lists instead of the \
-                 supergraph's flat tables (the A/B baseline for the flattened \
-                 hot path). Reports are identical; only speed and allocation \
-                 change.")
-  in
-  let no_state_ids =
-    Arg.(value & flag & info [ "no-state-ids" ]
-           ~doc:"Resolve tracked-object identity by rendering key strings on \
-                 every probe instead of through the supergraph's hash-cons \
-                 id table (the A/B baseline for integer-coded state). \
-                 Reports are identical; only speed and allocation change.")
-  in
   let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Print engine statistics.") in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Trace the analysis (debug logs).")
@@ -481,21 +461,6 @@ let check_cmd =
     Arg.(value & flag & info [ "no-cache-persist" ]
            ~doc:"Read from --cache-dir but do not write new entries back.")
   in
-  let max_nodes =
-    Arg.(value & opt int 0 & info [ "max-nodes-per-root" ] ~docv:"N"
-           ~doc:"Analysis budget per callgraph root: abandon a root after \
-                 $(docv) nodes visited plus state instances created, keep it \
-                 out of every cache, and continue with the remaining roots \
-                 (0 = unlimited). Reports from unaffected roots are \
-                 byte-identical to an unbudgeted run.")
-  in
-  let timeout =
-    Arg.(value & opt float 0. & info [ "timeout-per-root" ] ~docv:"SECONDS"
-           ~doc:"Wall-clock deadline per callgraph root; a root past the \
-                 deadline is abandoned like a --max-nodes-per-root blow-up. \
-                 Inherently timing-dependent — prefer the node budget when \
-                 reproducibility matters (0 = none).")
-  in
   let keep_going =
     Arg.(value & flag & info [ "k"; "keep-going" ]
            ~doc:"Do not signal skipped or degraded units in the exit code: \
@@ -506,9 +471,8 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Run checkers over C files")
     Term.(
       const do_check $ files $ checkers $ metal_files $ rank $ fmt $ history $ update
-      $ no_cache $ no_prune $ no_interproc $ no_kill $ no_synonyms $ no_dispatch
-      $ no_flat $ no_state_ids $ stats $ verbose $ use_cpp $ defines $ incdirs $ jobs $ cache_dir
-      $ no_cache_persist $ max_nodes $ timeout $ keep_going)
+      $ engine_options $ stats $ verbose $ use_cpp $ defines $ incdirs $ jobs
+      $ cache_dir $ no_cache_persist $ keep_going)
 
 (* ------------------------------------------------------------------ *)
 (* list-checkers / show-checker                                        *)
@@ -994,9 +958,7 @@ let parse_source ~path ~source =
     | exception Sys_error msg -> Error msg
 
 let do_serve files checkers metal_files rank verbose use_cpp defines incdirs
-    jobs cache_dir no_cache_persist socket debounce no_cache no_prune
-    no_interproc no_kill no_synonyms no_dispatch no_flat no_state_ids max_nodes
-    timeout =
+    jobs cache_dir no_cache_persist socket debounce options =
   setup_logs verbose;
   set_cpp ~use_cpp ~defines ~incdirs;
   set_ast_cache ~cache_dir ~persist:(not no_cache_persist);
@@ -1007,10 +969,6 @@ let do_serve files checkers metal_files rank verbose use_cpp defines incdirs
   (* a client vanishing mid-reply must surface as EPIPE, not kill us *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let exts_src = resolve_checkers checkers metal_files in
-  let options =
-    options_of ~no_cache ~no_prune ~no_interproc ~no_kill ~no_synonyms
-      ~no_dispatch ~no_flat ~no_state_ids ~max_nodes ~timeout
-  in
   let ext_keys =
     Summary_store.ext_keys_of
       ~options_digest:(Engine.options_digest options)
@@ -1115,39 +1073,6 @@ let serve_cmd =
            ~doc:"How long a didChange waits for a follow-up request before \
                  committing to a re-check (edit-storm coalescing).")
   in
-  let no_cache = Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable block caching.") in
-  let no_prune =
-    Arg.(value & flag & info [ "no-prune" ] ~doc:"Disable false-path pruning.")
-  in
-  let no_interproc =
-    Arg.(value & flag & info [ "no-interproc" ] ~doc:"Do not follow function calls.")
-  in
-  let no_kill =
-    Arg.(value & flag & info [ "no-kill" ] ~doc:"Disable kill-on-redefinition.")
-  in
-  let no_synonyms =
-    Arg.(value & flag & info [ "no-synonyms" ] ~doc:"Disable synonym tracking.")
-  in
-  let no_dispatch =
-    Arg.(value & flag & info [ "no-dispatch-index" ]
-           ~doc:"Disable the compiled transition-dispatch index.")
-  in
-  let no_flat =
-    Arg.(value & flag & info [ "no-flat" ]
-           ~doc:"Serve block events from boxed lists instead of flat tables.")
-  in
-  let no_state_ids =
-    Arg.(value & flag & info [ "no-state-ids" ]
-           ~doc:"Resolve tracked-object identity by string keys, not ids.")
-  in
-  let max_nodes =
-    Arg.(value & opt int 0 & info [ "max-nodes-per-root" ] ~docv:"N"
-           ~doc:"Analysis budget per callgraph root (0 = unlimited).")
-  in
-  let timeout =
-    Arg.(value & opt float 0. & info [ "timeout-per-root" ] ~docv:"SECONDS"
-           ~doc:"Wall-clock deadline per callgraph root (0 = none).")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Long-lived analysis daemon: load once, re-check edits warm \
@@ -1155,9 +1080,7 @@ let serve_cmd =
     Term.(
       const do_serve $ files $ checkers $ metal_files $ rank $ verbose
       $ use_cpp $ defines $ incdirs $ jobs $ cache_dir $ no_cache_persist
-      $ socket $ debounce $ no_cache $ no_prune $ no_interproc $ no_kill
-      $ no_synonyms $ no_dispatch $ no_flat $ no_state_ids $ max_nodes
-      $ timeout)
+      $ socket $ debounce $ engine_options)
 
 (* ------------------------------------------------------------------ *)
 

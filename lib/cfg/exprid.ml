@@ -7,15 +7,10 @@
    shared read-only across engine worker domains, like Flat.t.
 
    Identity is *key* identity: two expressions get the same id exactly
-   when their Cast.key_of_expr renderings are equal, in both lookup
-   modes. The id-mode fast path never renders for program nodes — a
-   per-node eid memo resolves them with one integer hash lookup — and
-   renders at most once per distinct synthesized tree (refine/restore
-   substitutions), memoised by eid thereafter. The string mode
-   (--no-state-ids) deliberately renders the key on every lookup and
-   resolves it through the string tables, reproducing the pre-hash-cons
-   allocation profile over the *same* id space, so reports are identical
-   across modes by construction.
+   when their Cast.key_of_expr renderings are equal. Lookups never render
+   program nodes — a per-node eid memo resolves them with one integer
+   hash lookup — and render at most once per distinct synthesized tree
+   (refine/restore substitutions), memoised by eid thereafter.
 
    Overflow ids (expressions absent from the program text) are minted
    from a process-global counter so ids from different contexts never
@@ -30,7 +25,6 @@ type t = {
 
 type ctx = {
   base : t;
-  strings : bool;
   o_by_key : (string, int) Hashtbl.t;
   o_by_eid : (int, int) Hashtbl.t;
   o_keys : (int, string) Hashtbl.t;
@@ -52,7 +46,6 @@ let create () =
   }
 
 let n t = t.n
-let key_of_base t id = t.keys.(id)
 
 (* Insert one node (not its children): id by rendered key, eid memoised. *)
 let insert_node t (e : Cast.expr) =
@@ -125,17 +118,13 @@ let build ~tunits ~cfgs =
 
 let empty = create
 
-let make_ctx ?(strings = false) base =
+let make_ctx base =
   {
     base;
-    strings;
     o_by_key = Hashtbl.create 64;
     o_by_eid = Hashtbl.create 64;
     o_keys = Hashtbl.create 64;
   }
-
-let base ctx = ctx.base
-let strings_mode ctx = ctx.strings
 
 let mint ctx k =
   let id = ctx.base.n + Atomic.fetch_and_add overflow_counter 1 in
@@ -143,7 +132,8 @@ let mint ctx k =
   Hashtbl.replace ctx.o_keys id k;
   id
 
-(* The deliberate A/B baseline: render every time, resolve by string. *)
+(* Resolve by rendered key: the path for trees [Supergraph.build] never
+   saw (their eids miss the base memo), memoised by eid in [id]. *)
 let id_by_string ctx (e : Cast.expr) =
   let k = Cast.key_of_expr e in
   match Hashtbl.find_opt ctx.base.by_key k with
@@ -154,17 +144,15 @@ let id_by_string ctx (e : Cast.expr) =
       | None -> mint ctx k)
 
 let id ctx (e : Cast.expr) =
-  if ctx.strings then id_by_string ctx e
-  else
-    match Hashtbl.find_opt ctx.base.by_eid e.Cast.eid with
-    | Some id -> id
-    | None -> (
-        match Hashtbl.find_opt ctx.o_by_eid e.Cast.eid with
-        | Some id -> id
-        | None ->
-            let id = id_by_string ctx e in
-            Hashtbl.replace ctx.o_by_eid e.Cast.eid id;
-            id)
+  match Hashtbl.find_opt ctx.base.by_eid e.Cast.eid with
+  | Some id -> id
+  | None -> (
+      match Hashtbl.find_opt ctx.o_by_eid e.Cast.eid with
+      | Some id -> id
+      | None ->
+          let id = id_by_string ctx e in
+          Hashtbl.replace ctx.o_by_eid e.Cast.eid id;
+          id)
 
 let find_key ctx id =
   if id < ctx.base.n then Some ctx.base.keys.(id)

@@ -8,7 +8,7 @@
     table on top for synthesized trees (refine/restore substitutions).
 
     Identity is key identity: [id ctx a = id ctx b] iff
-    [Cast.key_of_expr a = Cast.key_of_expr b], in both modes. Ids are
+    [Cast.key_of_expr a = Cast.key_of_expr b]. Ids are
     equality tokens only — never compare them for order (overflow minting
     order is scheduling-dependent); order observable output by rendered
     {!key} instead. *)
@@ -28,25 +28,17 @@ val empty : unit -> t
 val n : t -> int
 (** Number of base ids; base ids are dense in [\[0, n)]. *)
 
-val key_of_base : t -> int -> string
-(** Rendered key of a base id (callers with a {!ctx} use {!key}). *)
-
 val table_bytes : t -> int
 (** Approximate live size of the base table, for the --stats memory line. *)
 
-val make_ctx : ?strings:bool -> t -> ctx
-(** [strings:true] is the [--no-state-ids] A/B baseline: every lookup
-    renders the key and resolves through the string tables (the
-    pre-hash-cons cost model) over the same id space, so analysis
-    behaviour is identical across modes by construction. *)
-
-val base : ctx -> t
-val strings_mode : ctx -> bool
+val make_ctx : t -> ctx
+(** A fresh view over a frozen base table, with an empty overflow. *)
 
 val id : ctx -> Cast.expr -> int
-(** The id of an expression. Id mode: one integer hash lookup for program
-    nodes (eid memo), at most one key rendering per distinct synthesized
-    tree. String mode: renders on every call. *)
+(** The id of an expression: one integer hash lookup for program nodes
+    (eid memo), at most one key rendering per distinct synthesized tree.
+    [test/test_state_ids.ml] checks id equality against
+    {!Cast.key_of_expr} equality directly, over both kinds. *)
 
 val key : ctx -> int -> string
 (** Rendered key of an id known to this context (base or own overflow).

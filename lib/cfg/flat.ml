@@ -13,25 +13,22 @@
    - head-constructor summaries ([head_mask] plus a callee-name CSR),
      the same data as {!Block_heads.of_cfg} — dispatch builds its
      per-block skip sets from these without a string-keyed lookup;
-   - the block's node-event sequence ([events]), precomputed once
-     globally instead of once per root context: the engine used to
-     rebuild each block's event list (and re-synthesise declaration-
-     initialiser assignments) behind a [sprintf]-keyed cache in every
-     root, which was a measurable share of per-run allocation;
+   - the block's node-event sequence ([events]), built once globally
+     (declaration-initialiser assignments are synthesised here, once),
+     so no root context builds an event list;
    - terminator annotations ([annots]): the [mc_branch]/[mc_return]
-     tags the engine lays down when it first materialises a block's
-     events. They are recorded here and applied by the engine on the
-     first visit per root context (tracked by a per-context bitset), so
-     annotation timing matches the per-root cache it replaces.
+     tags of a block's terminator expression. They are recorded here and
+     applied by the engine on the block's first visit per root context
+     (tracked by a per-context bitset).
 
    Everything here is immutable after [build] and shared read-only
    across engine worker domains, like the rest of the supergraph. *)
 
-(* Must stay in lockstep with the engine's event generation (the engine
-   aliases this type): a declaration with an initialiser is visited as a
-   fresh-variable event followed by the nodes of a synthesised assignment
-   [x = init]; branch conditions, switch scrutinees and returned
-   expressions are visited like any block element. *)
+(* The engine aliases this type: a declaration with an initialiser is
+   visited as a fresh-variable event followed by the nodes of a
+   synthesised assignment [x = init]; branch conditions, switch
+   scrutinees and returned expressions are visited like any block
+   element. *)
 type ev =
   | Ev_node of Cast.expr
   | Ev_fresh of string
@@ -56,9 +53,9 @@ type t = {
       (* flat id -> terminator annotations to lay down on first visit *)
 }
 
-(* Mirrors [Block_heads.of_block]'s walk and the engine's event builder:
-   one pass computes both the event array and the terminator annotations
-   so they cannot drift apart. *)
+(* One pass computes both the event array and the terminator annotations
+   so they cannot drift apart; test/test_flat.ml checks both, for every
+   block, against a rebuild from the [Block.t]. *)
 let events_of_block (b : Block.t) =
   let of_elem = function
     | Block.Tree e -> List.map (fun n -> Ev_node n) (Cast.exec_order e)

@@ -3,7 +3,6 @@ type t = {
   callgraph : Callgraph.t;
   typing : Ctyping.env;
   tunits : Cast.tunit list;
-  heads : (string, Block_heads.t array) Hashtbl.t;
   flat : Flat.t;
   ids : Exprid.t;
 }
@@ -60,32 +59,19 @@ let build tunits =
       funcs
   in
   (* One CFG per surviving definition, lowered once and shared by the
-     name-keyed table, the flat tables and the head summaries below. *)
+     name-keyed table and the flat tables below. *)
   let cfg_list = List.map Cfg.of_fundef funcs in
   let cfgs = Hashtbl.create 64 in
   List.iter (fun (cfg : Cfg.t) -> Hashtbl.replace cfgs cfg.Cfg.fname cfg) cfg_list;
-  (* The flat tables and head summaries are computed eagerly so the
-     supergraph stays immutable once built — parallel engine workers
-     share it across domains. Heads are views over the flat tables (one
-     expression walk covers both). *)
+  (* The flat tables are computed eagerly so the supergraph stays
+     immutable once built — parallel engine workers share it across
+     domains. *)
   let flat = Flat.build cfg_list in
-  let heads = Hashtbl.create (Hashtbl.length cfgs) in
-  List.iter
-    (fun (cfg : Cfg.t) ->
-      let base = Flat.fbase flat cfg.Cfg.fname in
-      Hashtbl.replace heads cfg.Cfg.fname
-        (Array.init (Cfg.n_blocks cfg) (fun bid ->
-             {
-               Block_heads.mask = flat.Flat.head_mask.(base + bid);
-               calls = Flat.calls flat (base + bid);
-             })))
-    cfg_list;
   {
     cfgs;
     callgraph = Callgraph.build funcs;
     typing = Ctyping.of_program tunits;
     tunits;
-    heads;
     flat;
     (* like [flat]: computed eagerly, frozen, shared across domains — the
        hash-cons table every traversal resolves instance targets against *)
@@ -93,7 +79,6 @@ let build tunits =
   }
 
 let cfg_of t name = Hashtbl.find_opt t.cfgs name
-let heads_of t name = Hashtbl.find_opt t.heads name
 
 let fundef_of t name =
   match Hashtbl.find_opt t.cfgs name with

@@ -14,10 +14,6 @@ type t = {
   callgraph : Callgraph.t;
   typing : Ctyping.env;
   tunits : Cast.tunit list;
-  heads : (string, Block_heads.t array) Hashtbl.t;
-      (** per-function, per-block head-constructor summaries, computed
-          eagerly at build time (the supergraph is shared immutably across
-          engine worker domains) *)
   flat : Flat.t;
       (** flat int-indexed tables over every block of every function —
           dense flat block ids, CSR successors, head masks and
@@ -45,9 +41,6 @@ val build : Cast.tunit list -> t
     {!Diag.warnf} here, the chokepoint every driver path shares. *)
 
 val cfg_of : t -> string -> Cfg.t option
-
-val heads_of : t -> string -> Block_heads.t array option
-(** Block head summaries of a defined function, indexed by block id. *)
 
 val fundef_of : t -> string -> Cast.fundef option
 val roots : t -> string list

@@ -22,7 +22,7 @@
    fallback list that is appended to every bucket; callout-only patterns
    are unknowable statically and stay wildcards too. Candidate lists are
    sorted by declaration index, so first-match-wins semantics are
-   bit-for-bit those of the naive scan over the full transition list. *)
+   bit-for-bit those of a scan over the full transition list. *)
 
 module Sset = Set.Make (String)
 
@@ -213,7 +213,6 @@ type bucket = {
 type t = {
   ext : Sm.t;
   sg : Supergraph.t;
-  indexed : bool;
   states : string array;
       (* the extension's statically known state values in declaration
          order: code 0 is [Sm.stop_value], then the start state, then
@@ -222,7 +221,7 @@ type t = {
          and [state_code] resolves them by content (possibly to -1). *)
   state_codes : (string, int) Hashtbl.t;
   trs : ctr array;
-  all_node : bucket;
+  all_node : int array;
   eop_var : int array;
   eop_global : int array;
   by_call : (string, bucket) Hashtbl.t;
@@ -235,13 +234,12 @@ type t = {
          and shared read-only across worker domains. *)
 }
 
-let indexed t = t.indexed
 let transitions t = t.trs
 let states t = t.states
 
 let state_code t s =
   match Hashtbl.find_opt t.state_codes s with Some c -> c | None -> -1
-let all_node t = t.all_node.b_trs
+let all_node t = t.all_node
 let eop_var t = t.eop_var
 let eop_global t = t.eop_global
 
@@ -299,7 +297,7 @@ let collect_states (ext : Sm.t) =
     ext.Sm.transitions;
   (Array.of_list (List.rev !order), codes)
 
-let compile ?(indexed = true) ~sg (ext : Sm.t) : t =
+let compile ~sg (ext : Sm.t) : t =
   let states, state_codes = collect_states ext in
   let trs =
     Array.of_list
@@ -346,38 +344,37 @@ let compile ?(indexed = true) ~sg (ext : Sm.t) : t =
   let ext_any_call = ref false in
   let ext_wild = ref false in
   let ext_calls = Hashtbl.create 8 in
-  if indexed then
-    Array.iteri
-      (fun i c ->
-        if c.c_matches_node then
-          match pattern_heads ext.Sm.holes c.c_tr.Sm.tr_pattern with
-          | Any ->
-              fallback := i :: !fallback;
-              ext_wild := true
-          | Heads { mask; calls; any_call = ac } ->
-              for s = 0 to Block_heads.n_shapes - 1 do
-                if mask land (1 lsl s) <> 0 then
-                  shape_lists.(s) <- i :: shape_lists.(s)
-              done;
-              ext_mask := !ext_mask lor mask;
-              if ac then begin
-                any_call := i :: !any_call;
-                ext_any_call := true
-              end;
-              Sset.iter
-                (fun f ->
-                  Hashtbl.replace ext_calls f ();
-                  let r =
-                    match Hashtbl.find_opt named f with
-                    | Some r -> r
-                    | None ->
-                        let r = ref [] in
-                        Hashtbl.add named f r;
-                        r
-                  in
-                  r := i :: !r)
-                calls)
-      trs;
+  Array.iteri
+    (fun i c ->
+      if c.c_matches_node then
+        match pattern_heads ext.Sm.holes c.c_tr.Sm.tr_pattern with
+        | Any ->
+            fallback := i :: !fallback;
+            ext_wild := true
+        | Heads { mask; calls; any_call = ac } ->
+            for s = 0 to Block_heads.n_shapes - 1 do
+              if mask land (1 lsl s) <> 0 then
+                shape_lists.(s) <- i :: shape_lists.(s)
+            done;
+            ext_mask := !ext_mask lor mask;
+            if ac then begin
+              any_call := i :: !any_call;
+              ext_any_call := true
+            end;
+            Sset.iter
+              (fun f ->
+                Hashtbl.replace ext_calls f ();
+                let r =
+                  match Hashtbl.find_opt named f with
+                  | Some r -> r
+                  | None ->
+                      let r = ref [] in
+                      Hashtbl.add named f r;
+                      r
+                in
+                r := i :: !r)
+              calls)
+    trs;
   let generic_call = mk_bucket trs (merge [ !any_call; !fallback ]) in
   let by_call = Hashtbl.create (Hashtbl.length named) in
   Hashtbl.iter
@@ -392,40 +389,37 @@ let compile ?(indexed = true) ~sg (ext : Sm.t) : t =
   (* Per-block skip set over flat ids, filled once here so the compiled
      form never writes afterwards and can be shared read-only across
      engine worker domains (one compile per extension instead of one per
-     worker context). Unindexed dispatch marks everything live. *)
+     worker context). *)
   let flat = sg.Supergraph.flat in
   let nb = flat.Flat.n_blocks in
-  let live = Bytes.make nb (if indexed then '\000' else '\001') in
-  if indexed then begin
-    let ext_wild = !ext_wild
-    and ext_mask = !ext_mask
-    and ext_any_call = !ext_any_call in
-    let call_bit = 1 lsl Block_heads.shape_code Block_heads.Scall_other in
-    let co = flat.Flat.call_off in
-    for fb = 0 to nb - 1 do
-      let m = flat.Flat.head_mask.(fb) in
-      let lv =
-        ext_wild
-        || ext_mask land m <> 0
-        || (ext_any_call && (co.(fb + 1) > co.(fb) || m land call_bit <> 0))
-        ||
-        let rec scan i =
-          i < co.(fb + 1)
-          && (Hashtbl.mem ext_calls flat.Flat.call_names.(i) || scan (i + 1))
-        in
-        scan co.(fb)
+  let live = Bytes.make nb '\000' in
+  let ext_wild = !ext_wild
+  and ext_mask = !ext_mask
+  and ext_any_call = !ext_any_call in
+  let call_bit = 1 lsl Block_heads.shape_code Block_heads.Scall_other in
+  let co = flat.Flat.call_off in
+  for fb = 0 to nb - 1 do
+    let m = flat.Flat.head_mask.(fb) in
+    let lv =
+      ext_wild
+      || ext_mask land m <> 0
+      || (ext_any_call && (co.(fb + 1) > co.(fb) || m land call_bit <> 0))
+      ||
+      let rec scan i =
+        i < co.(fb + 1)
+        && (Hashtbl.mem ext_calls flat.Flat.call_names.(i) || scan (i + 1))
       in
-      if lv then Bytes.set live fb '\001'
-    done
-  end;
+      scan co.(fb)
+    in
+    if lv then Bytes.set live fb '\001'
+  done;
   {
     ext;
     sg;
-    indexed;
     states;
     state_codes;
     trs;
-    all_node = mk_bucket trs (Array.of_list all_node_l);
+    all_node = Array.of_list all_node_l;
     eop_var = Array.of_list eop_var;
     eop_global = Array.of_list eop_global;
     by_call;
@@ -438,17 +432,11 @@ let compile ?(indexed = true) ~sg (ext : Sm.t) : t =
    option — named calls probe [by_call] with [Not_found] as the miss
    path, everything else indexes [by_shape] by code. *)
 let candidates t (node : Cast.expr) =
-  if not t.indexed then t.all_node
-  else
-    match node.Cast.enode with
-    | Cast.Ecall ({ enode = Cast.Eident f; _ }, _) -> (
-        match Hashtbl.find t.by_call f with
-        | b -> b
-        | exception Not_found -> t.generic_call)
-    | _ -> t.by_shape.(Block_heads.shape_code_of node)
+  match node.Cast.enode with
+  | Cast.Ecall ({ enode = Cast.Eident f; _ }, _) -> (
+      match Hashtbl.find t.by_call f with
+      | b -> b
+      | exception Not_found -> t.generic_call)
+  | _ -> t.by_shape.(Block_heads.shape_code_of node)
 
-(* Out-of-range flat ids (a function the supergraph does not know has
-   fbase -1, making every fb negative) answer [true] — conservative, the
-   engine then consults the per-node candidate buckets as before. *)
-let block_live_flat t fb =
-  fb < 0 || fb >= Bytes.length t.live || Bytes.unsafe_get t.live fb = '\001'
+let block_live_flat t fb = Bytes.get t.live fb = '\001'

@@ -15,10 +15,10 @@
     match anything and live in a wildcard fallback list appended to every
     bucket. Candidate lists preserve declaration order, so
     first-match-wins semantics — and therefore reports — are identical to
-    the naive full scan. Compiling with [~indexed:false] keeps the
-    metadata but makes every candidate query return the full
-    node-matching list and every block live (the engine's
-    [--no-dispatch-index] A/B mode). *)
+    a scan of the full transition list. [test/test_dispatch.ml] checks
+    the soundness half of that claim directly on every test corpus:
+    every transition whose pattern matches a node is among the node's
+    {!candidates}, and the node's block is {!block_live_flat}. *)
 
 type ctr = {
   c_tr : Sm.transition;
@@ -55,16 +55,14 @@ type bucket = {
 
 type t
 
-val compile : ?indexed:bool -> sg:Supergraph.t -> Sm.t -> t
-(** Compile an extension against a supergraph. [indexed] (default true)
-    enables the head index and block skip sets; the metadata is computed
-    either way. The block skip set is computed eagerly over the
-    supergraph's flat block table, so the returned value is immutable and
-    safe to share read-only across engine worker domains — the parallel
-    scheduler compiles each extension once and hands every worker the
-    same [t]. *)
+val compile : sg:Supergraph.t -> Sm.t -> t
+(** Compile an extension against a supergraph: per-transition metadata,
+    the head index and the block skip set. The skip set is computed
+    eagerly over the supergraph's flat block table, so the returned value
+    is immutable and safe to share read-only across engine worker
+    domains — the parallel scheduler compiles each extension once and
+    hands every worker the same [t]. *)
 
-val indexed : t -> bool
 val transitions : t -> ctr array
 
 val states : t -> string array
@@ -83,13 +81,13 @@ val state_code : t -> string -> int
 
 val all_node : t -> int array
 (** Indices (in declaration order) of transitions that can match node
-    events at all — the candidate list of the unindexed mode. *)
+    events at all. The engine counts an [index hits] event whenever a
+    node's candidate list is strictly shorter. *)
 
 val candidates : t -> Cast.expr -> bucket
 (** The bucket whose [b_trs] holds indices of transitions whose pattern
     root could match this node, sorted in declaration order; a superset
-    of the transitions that actually match, a subset of [all_node].
-    Without the index this is the [all_node] bucket itself. *)
+    of the transitions that actually match, a subset of [all_node]. *)
 
 val eop_var : t -> int array
 (** Variable-source transitions that can match end-of-path events. *)
@@ -101,8 +99,9 @@ val block_live_flat : t -> int -> bool
 (** Could any transition of this extension match any node of the block
     with this flat id ({!Supergraph}[.flat])? [false] lets the engine
     skip [apply_transitions] for the whole block; end-of-path and write
-    handling are unaffected. Always [true] without the index and for
-    out-of-range ids (unknown functions). *)
+    handling are unaffected. The id must be in range: every function the
+    engine traverses has a flat base.
+    @raise Invalid_argument on an out-of-range id. *)
 
 (** {1 Callsite modelling} *)
 

@@ -14,13 +14,6 @@ type options = {
   synonyms : bool;
   max_call_depth : int;
   max_instances : int;
-  dispatch : bool;
-  flatten : bool;
-  state_ids : bool;
-      (* resolve instance identity through the supergraph's hash-cons table
-         ([Exprid]); off ([--no-state-ids]), every lookup renders the key
-         string and resolves it through the same id space — the A/B
-         allocation baseline, observably identical by construction *)
   max_nodes_per_root : int;
   timeout_per_root : float;
 }
@@ -34,9 +27,6 @@ let default_options =
     synonyms = true;
     max_call_depth = 40;
     max_instances = 64;
-    dispatch = true;
-    flatten = true;
-    state_ids = true;
     max_nodes_per_root = 0;
     timeout_per_root = 0.;
   }
@@ -190,7 +180,7 @@ type shared_ctx = {
 }
 
 (* Alias of the flat table's event type, so [events_of_block] can return
-   the prebuilt global arrays directly in flat mode. *)
+   the prebuilt global arrays directly. *)
 type ev = Flat.ev =
   | Ev_node of Cast.expr
   | Ev_fresh of string
@@ -244,10 +234,9 @@ type rctx = {
          the allocation profile *)
   annots_done : Bytes.t;
       (* per flat block id: terminator annotations ([mc_branch]/[mc_return])
-         already laid down in this context — the flat events path applies
-         them on first visit instead of at event-list build time *)
+         already laid down in this context — [events_of_block] applies
+         them on the block's first visit *)
   fsums : (string, fsum) Hashtbl.t;
-  events_cache : (string, ev array) Hashtbl.t;
   dedup : (int, unit) Hashtbl.t;
       (* emitted-report identity keys, interned through [intern] — probes
          and journal cells are int-sized; the merge-time dedup tables stay
@@ -289,8 +278,9 @@ type fctx = {
   fname : string;
   ffile : string;
   fbase : int;
-      (* flat id of this function's block 0 ([Flat.fbase]); -1 for
-         functions the supergraph's flat table does not know *)
+      (* flat id of this function's block 0 ([Flat.fbase]). Every frame's
+         CFG comes from [Supergraph.cfg_of], and [Flat.build] ran over
+         exactly those CFGs, so the base is always a valid id *)
   fsum : fsum;
       (* this function's summary tables, resolved once per frame instead
          of per block visit (fsums entries are never replaced while a
@@ -384,17 +374,14 @@ let new_rctx_in ?(options = default_options) ?ids ?(store0 = Store.create ())
   let ids =
     match ids with
     | Some ids -> ids
-    | None -> Exprid.make_ctx ~strings:(not options.state_ids) sg.Supergraph.ids
+    | None -> Exprid.make_ctx sg.Supergraph.ids
   in
   let annots = Hashtbl.create 64 in
   {
     sg;
     opts = options;
     ids;
-    intern =
-      Intern.create
-        ~strings:(not options.state_ids)
-        ~n_exprs:(Exprid.n sg.Supergraph.ids) ();
+    intern = Intern.create ~n_exprs:(Exprid.n sg.Supergraph.ids) ();
     store0;
     collector = Report.new_collector ();
     counters = Hashtbl.create 16;
@@ -403,7 +390,6 @@ let new_rctx_in ?(options = default_options) ?ids ?(store0 = Store.create ())
     annots_lookup = lookup_annot ~delta:annots ~base:annots_base;
     annots_done = Bytes.make (max 1 sg.Supergraph.flat.Flat.n_blocks) '\000';
     fsums = Hashtbl.create 64;
-    events_cache = Hashtbl.create 256;
     dedup = Hashtbl.create 64;
     traversed = Hashtbl.create 64;
     demanded = Hashtbl.create 16;
@@ -422,9 +408,7 @@ let new_rctx_in ?(options = default_options) ?ids ?(store0 = Store.create ())
 
 let new_rctx ?(options = default_options) sg =
   let none = Sm.make ~name:"<none>" [] in
-  new_rctx_in ~options ~ext:none
-    ~dsp:(Dispatch.compile ~indexed:options.dispatch ~sg none)
-    sg
+  new_rctx_in ~options ~ext:none ~dsp:(Dispatch.compile ~sg none) sg
 
 let get_fsum rctx (cfg : Cfg.t) =
   match Hashtbl.find_opt rctx.fsums cfg.fname with
@@ -487,7 +471,7 @@ let make_fctx rctx ~depth ~stack (cfg : Cfg.t) =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Events of a block (memoised: trees keep stable eids across visits)  *)
+(* Events of a block (prebuilt once per supergraph by [Flat.build])   *)
 (* ------------------------------------------------------------------ *)
 
 let find_annot rctx eid =
@@ -525,62 +509,20 @@ let fresh_annots rctx eid tags =
   in
   List.rev (List.filteri (fun i _ -> i < n) tags)
 
-(* Flat mode returns the supergraph's prebuilt global event arrays (no
-   per-context list building at all) and lays the terminator annotations
-   down on the block's first visit in this context, tracked by the
+(* A block's events are the supergraph's prebuilt global event array
+   (no per-context list building at all). Its terminator annotations are
+   laid down on the block's first visit in this context, tracked by the
    [annots_done] bitset (idempotent anyway — [annotate_node] dedups — but
-   the bitset keeps repeat visits allocation- and probe-free). Boxed mode
-   rebuilds per-context event arrays exactly as before, annotating at
-   build time; it exists as the A/B baseline ([--no-flat]) and its
-   synthesised decl-initialiser trees get per-context node ids. *)
+   the bitset keeps repeat visits allocation- and probe-free). *)
 let events_of_block rctx fctx (block : Block.t) =
   let flat = rctx.sg.Supergraph.flat in
   let fb = fctx.fbase + block.bid in
-  if rctx.opts.flatten && fctx.fbase >= 0 then begin
-    if Bytes.get rctx.annots_done fb = '\000' then begin
-      j_push rctx (U_adone fb);
-      Bytes.set rctx.annots_done fb '\001';
-      Array.iter
-        (fun (e, tag) -> annotate_node rctx e tag)
-        (Flat.annots flat fb)
-    end;
-    Flat.events flat fb
-  end
-  else
-    let key = Printf.sprintf "%s#%d" fctx.fname block.bid in
-    match Hashtbl.find_opt rctx.events_cache key with
-    | Some evs -> evs
-    | None ->
-        let of_elem = function
-          | Block.Tree e -> List.map (fun n -> Ev_node n) (Cast.exec_order e)
-          | Block.Decl d -> (
-              match d.Cast.dinit with
-              | Some init ->
-                  let synth =
-                    Cast.mk_expr ~loc:init.eloc
-                      (Cast.Eassign (None, Cast.ident ~loc:init.eloc d.Cast.dname, init))
-                  in
-                  Ev_fresh d.Cast.dname
-                  :: List.map (fun n -> Ev_node n) (Cast.exec_order synth)
-              | None -> [ Ev_fresh d.Cast.dname ])
-          | Block.End_of_scope vars -> [ Ev_scope_end vars ]
-        in
-        let term_evs =
-          match block.term with
-          | Block.Branch (c, _, _) ->
-              annotate_node rctx c "mc_branch";
-              List.map (fun n -> Ev_node n) (Cast.exec_order c)
-          | Block.Switch (e, _) ->
-              annotate_node rctx e "mc_branch";
-              List.map (fun n -> Ev_node n) (Cast.exec_order e)
-          | Block.Return (Some e) ->
-              annotate_node rctx e "mc_return";
-              List.map (fun n -> Ev_node n) (Cast.exec_order e)
-          | Block.Jump _ | Block.Return None | Block.Exit -> []
-        in
-        let evs = Array.of_list (List.concat_map of_elem block.elems @ term_evs) in
-        Hashtbl.replace rctx.events_cache key evs;
-        evs
+  if Bytes.get rctx.annots_done fb = '\000' then begin
+    j_push rctx (U_adone fb);
+    Bytes.set rctx.annots_done fb '\001';
+    Array.iter (fun (e, tag) -> annotate_node rctx e tag) (Flat.annots flat fb)
+  end;
+  Flat.events flat fb
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
@@ -818,10 +760,8 @@ let apply_transitions rctx fctx walk (node : Cast.expr) =
   let trs = Dispatch.transitions dsp in
   let bucket = Dispatch.candidates dsp node in
   let cand = bucket.Dispatch.b_trs in
-  if
-    Dispatch.indexed dsp
-    && Array.length cand < Array.length (Dispatch.all_node dsp)
-  then rctx.st.index_hits <- rctx.st.index_hits + 1;
+  if Array.length cand < Array.length (Dispatch.all_node dsp) then
+    rctx.st.index_hits <- rctx.st.index_hits + 1;
   (* Short-circuit prepass: decide from the bucket's precompiled facts
      alone whether any loop below could do anything, before allocating
      the callout context or the entry-state tables. No per-transition
@@ -1896,9 +1836,7 @@ let rec traverse rctx fctx walk (backtrace : int list) (bid : int) : unit =
        node of this block, apply_transitions is a provable no-op for every
        node event and is skipped wholesale; scope ends, fresh-variable
        kills and write handling still run *)
-    let live =
-      fctx.fbase < 0 || Dispatch.block_live_flat rctx.dsp (fctx.fbase + bid)
-    in
+    let live = Dispatch.block_live_flat rctx.dsp (fctx.fbase + bid) in
     if not live then rctx.st.blocks_skipped <- rctx.st.blocks_skipped + 1;
     let evs = events_of_block rctx fctx block in
     process_events rctx fctx ~live evs 0 walk (fun walk' ->
@@ -2336,17 +2274,16 @@ let run_root rctx (ext : Sm.t) root =
    - stats: restored wholesale (one small record copy) so accounting
      matches a run without the degraded root.
 
-   Function summaries and the events cache are different: a snapshot
-   would have to deep-copy every Summary, so instead they are RESET on
-   failure. A truncated summary records source tuples whose paths never
+   Function summaries are different: a snapshot would have to deep-copy
+   every Summary, so instead they are RESET on failure. A truncated summary records source tuples whose paths never
    ran to completion — a later root trusting it as complete would take a
    cache hit that suppresses exactly the re-traversal that reports, so a
    degraded root's summaries are unusable by construction. Resetting also
    discards summaries healthy earlier roots computed, but summaries are
    pure caches ("trade repeated work for nothing observable"), so the
-   cost is re-traversal, never output. The events cache is reset with the
-   annotations it lays down ([mc_branch]/[mc_return]) so both stay in
-   lockstep. *)
+   cost is re-traversal, never output. The first-visit annotation bits
+   ([annots_done]) are journaled like the annotations they guard
+   ([mc_branch]/[mc_return]), so both roll back in lockstep. *)
 
 type root_snapshot = { sn_reports : int; sn_stats : stats }
 
@@ -2394,8 +2331,7 @@ let rollback_root rctx sn =
   Report.truncate rctx.collector sn.sn_reports;
   List.iter (apply_undo rctx) rctx.journal;
   assign_stats rctx.st sn.sn_stats;
-  Hashtbl.reset rctx.fsums;
-  Hashtbl.reset rctx.events_cache
+  Hashtbl.reset rctx.fsums
 
 (* The root boundary: run one root under its budget, catching budget
    exhaustion and arbitrary crashes (a checker action raising, a stack
@@ -2425,7 +2361,7 @@ let run_root_contained rctx (ext : Sm.t) root =
    either is assigned. *)
 let set_extension rctx (ext : Sm.t) =
   rctx.cur_ext <- ext;
-  rctx.dsp <- Dispatch.compile ~indexed:rctx.opts.dispatch ~sg:rctx.sg ext
+  rctx.dsp <- Dispatch.compile ~sg:rctx.sg ext
 
 let run_extension rctx (ext : Sm.t) =
   set_extension rctx ext;
@@ -2460,7 +2396,7 @@ let collect_result rctx =
    sequential engine is through caches (function summaries, block src
    tuples, report dedup) that trade repeated work for nothing observable.
    So the parallel mode gives every root task a private [rctx] (collector,
-   counters, stats, fsums, events cache, dedup) and folds the results back
+   counters, stats, fsums, dedup) and folds the results back
    in root order, which makes the output independent of how the pool
    schedules roots onto domains. *)
 
@@ -2512,7 +2448,7 @@ let run_worker ~caller ?shared base (ext : Sm.t) root =
 
 (* Parallel execution is a work-stealing schedule over individual roots.
    Each root runs in a private context (fresh collector, counters, stats,
-   summaries, events cache, dedup) reading the base annotation table,
+   summaries, dedup) reading the base annotation table,
    so its output is independent of which domain ran it and of every other
    root — the merge below, in root order, is therefore byte-identical at
    any [-j]. What the old static chunking could NOT avoid — a hot callee
@@ -2554,10 +2490,9 @@ let run_extension_parallel ~jobs base (ext : Sm.t) =
   let tasks, sched =
     Pool.run_sched ~jobs ~order n (fun ~worker:_ i ->
         let rctx = run_worker ~caller ?shared:sh base ext roots.(i) in
-        (* summaries and block events are per-root scratch state; the
-           merge reads only deltas, so release them with the task *)
+        (* summaries are per-root scratch state; the merge reads only
+           deltas, so release them with the task *)
         Hashtbl.reset rctx.fsums;
-        Hashtbl.reset rctx.events_cache;
         rctx)
   in
   (* Deterministic merge, in root order. The dedup table is fresh per
@@ -2681,9 +2616,7 @@ let analysis_version = "xgcc-analysis-4"
 let options_digest (o : options) =
   (* budgets are part of the digest: a budget-limited run can legitimately
      produce fewer reports, so its cache entries must not be replayed by
-     an unlimited run (or vice versa). Representation switches ([flatten],
-     [dispatch], [state_ids]) are deliberately absent: they cannot change
-     output, so warm caches replay across those modes *)
+     an unlimited run (or vice versa) *)
   Printf.sprintf "%s c%b p%b i%b k%b s%b d%d m%d n%d t%g" analysis_version
     o.caching o.pruning o.interproc o.auto_kill o.synonyms o.max_call_depth
     o.max_instances o.max_nodes_per_root o.timeout_per_root

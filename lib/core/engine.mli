@@ -25,29 +25,6 @@ type options = {
   synonyms : bool;  (** synonym tracking (Section 8) *)
   max_call_depth : int;
   max_instances : int;  (** cap on simultaneously tracked objects per SM *)
-  dispatch : bool;
-      (** head-constructor transition indexing and block skip sets
-          ({!Dispatch}). Purely an execution strategy: reports are
-          byte-identical either way, so the flag is deliberately {e not}
-          part of {!options_digest}. Default on; [--no-dispatch-index]
-          turns it off for A/B comparison. *)
-  flatten : bool;
-      (** serve block events from the supergraph's prebuilt flat tables
-          ({!Flat}) instead of rebuilding per-context event lists. Like
-          [dispatch], purely an execution strategy — reports are
-          byte-identical either way and the flag is {e not} part of
-          {!options_digest}, so warm caches replay across modes. Default
-          on; [--no-flat] turns it off for A/B comparison. *)
-  state_ids : bool;
-      (** resolve tracked-object identity through the supergraph's
-          hash-cons table ({!Exprid}): instance lookups, seen-tuple probes
-          and summary keys compare dense int ids and keys render at most
-          once per distinct expression per root. Off, every probe renders
-          the key string and resolves it through the same id space — the
-          A/B allocation baseline. Like [flatten]/[dispatch], purely a
-          representation switch: reports are byte-identical either way and
-          the flag is {e not} part of {!options_digest}, so warm caches
-          replay across modes. Default on; [--no-state-ids] turns it off. *)
   max_nodes_per_root : int;
       (** per-root fuel: nodes visited plus instances created before the
           root is abandoned as {!degraded}. [0] (the default) means
@@ -59,6 +36,10 @@ type options = {
           backstop, while [max_nodes_per_root] gives reproducible
           containment. Part of {!options_digest}. *)
 }
+(** Every field can change what the analysis reports, so every field is
+    part of {!options_digest}. How the engine executes — flat block
+    tables ({!Flat}), hash-consed state identity ({!Exprid}), compiled
+    dispatch ({!Dispatch}) — is not an option: there is one traversal. *)
 
 val default_options : options
 

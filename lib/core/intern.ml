@@ -22,9 +22,8 @@
 
    Tables are per root context and never shared across domains. Each is
    paired 1:1 with the root's Exprid context: [eatom] caches the
-   expression-id -> atom mapping on the interner itself (instances carry
-   only the int id; the old scheme cached the atom on the instance and
-   validated it against [stamp]). *)
+   expression-id -> atom mapping on the interner itself, so instances
+   carry only the int id. *)
 
 type t = {
   mutable names : string array; (* atom id -> string *)
@@ -43,17 +42,9 @@ type t = {
          context by the engine, so the mapping never goes stale) *)
   eatoms_over : (int, int) Hashtbl.t;
       (* same cache for sparse overflow expression ids *)
-  strings : bool;
-      (* [--no-state-ids]: resolve tuple identity by rendering the tuple
-         key and hashing the string on every call — the string-keyed
-         baseline the packed-triple cache replaces *)
-  stamp : int;
 }
 
-(* Atomic: stamps must stay unique across engine worker domains. *)
-let stamp_counter = Atomic.make 0
-
-let create ?(strings = false) ?(n_exprs = 0) () =
+let create ?(n_exprs = 0) () =
   {
     names = Array.make 64 "";
     n = 0;
@@ -62,12 +53,8 @@ let create ?(strings = false) ?(n_exprs = 0) () =
     triples = Hashtbl.create 8;
     eatoms = Array.make (max 1 n_exprs) (-1);
     eatoms_over = Hashtbl.create 16;
-    strings;
-    stamp = 1 + Atomic.fetch_and_add stamp_counter 1;
   }
 
-let strings_mode t = t.strings
-let stamp t = t.stamp
 let n_atoms t = t.n
 let n_tuples t = Hashtbl.length t.packed + Hashtbl.length t.triples
 
@@ -117,11 +104,7 @@ let render t ~g ~vkey ~vval =
 let spill_lim = (1 lsl 20) - 1
 
 let tuple t ~g ~vkey ~vval =
-  if t.strings then
-    (* string-keyed baseline: pay the render and the string hash on every
-       probe, exactly as the rendered-key caches did *)
-    atom t (render t ~g ~vkey ~vval)
-  else if g < spill_lim && vkey < spill_lim && vval < spill_lim then begin
+  if g < spill_lim && vkey < spill_lim && vval < spill_lim then begin
     (* 3 x 20 bits + the bias fit in 61 bits: always a positive OCaml
        int, and building the key allocates nothing (unlike the boxed
        triple the spill path hashes) *)

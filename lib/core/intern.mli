@@ -18,20 +18,9 @@
 
 type t
 
-val create : ?strings:bool -> ?n_exprs:int -> unit -> t
+val create : ?n_exprs:int -> unit -> t
 (** [n_exprs] sizes the dense expression-id cache behind {!eatom} (pass
-    the supergraph's [Exprid.n]; overflow ids hash into a side table).
-    [strings] (default [false]) puts the interner in string-keyed
-    baseline mode ([--no-state-ids]): {!tuple} renders the tuple key and
-    hashes the string on every call instead of probing the packed-triple
-    cache. Ids are identical in both modes — only their cost differs. *)
-
-val strings_mode : t -> bool
-(** Whether this interner was created with [~strings:true]. *)
-
-val stamp : t -> int
-(** Unique (process-wide) identity of this interner, for diagnostics and
-    tests. *)
+    the supergraph's [Exprid.n]; overflow ids hash into a side table). *)
 
 val atom : t -> string -> int
 (** Intern a string, returning its dense id (stable for the life of the

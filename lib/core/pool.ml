@@ -1,19 +1,5 @@
 let recommended_jobs () = max 1 (Domain.recommended_domain_count ())
 
-(* ~4 chunks per worker: enough slack for the queue to balance uneven task
-   costs, while per-task fixed costs (context setup, result merge) are paid
-   per chunk rather than per item. *)
-let chunks ~jobs n =
-  if n <= 0 then [||]
-  else begin
-    let k = min n (max 1 (jobs * 4)) in
-    let base = n / k and rem = n mod k in
-    Array.init k (fun c ->
-        let start = (c * base) + min c rem in
-        let len = base + if c < rem then 1 else 0 in
-        (start, len))
-  end
-
 (* Spawn up to [k] worker domains, degrading instead of crashing when
    [Domain.spawn] itself raises (thread or fd exhaustion): the queue
    drains on whatever was spawned plus the calling domain. Stop at the

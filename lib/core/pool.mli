@@ -17,13 +17,6 @@ val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], clamped to at least 1 — the
     default worker count for [-j 0]. *)
 
-val chunks : jobs:int -> int -> (int * int) array
-(** [chunks ~jobs n] partitions [0 .. n-1] into contiguous [(start, length)]
-    ranges, about four per worker (never more than [n], never empty).
-    Batching items into chunked tasks amortises per-task fixed costs that
-    dominated one-task-per-item scheduling; contiguity keeps a chunk-order
-    merge identical to an item-order merge. *)
-
 val run_results :
   ?spawn:((unit -> unit) -> unit Domain.t) ->
   jobs:int ->
@@ -33,8 +26,8 @@ val run_results :
 (** Fault-isolating [run]: each task's outcome is recorded individually
     as [Ok] or [Error] and every task runs — one crashing task never
     aborts the queue or discards another task's result. This is the
-    worker-isolation primitive: the engine converts an [Error] chunk into
-    [Degraded] roots and keeps going. Same inline guarantee for
+    worker-isolation primitive: the engine converts a task's [Error]
+    into a degraded root and keeps going. Same inline guarantee for
     [jobs <= 1] / [n <= 1] as {!run}. [?spawn] substitutes for
     [Domain.spawn] in tests of spawn-failure degradation. *)
 

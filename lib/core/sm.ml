@@ -152,15 +152,11 @@ let retargeted ?value ~ids i ~target =
   }
 
 let instance_key ids i =
-  (* strings mode ([--no-state-ids]) renders the key on every call — the
-     honest A/B baseline for what the engine paid before hash-consing *)
-  if Exprid.strings_mode ids then Cast.key_of_expr i.target
-  else
-    (* an instance seeded from another context may carry an overflow id this
-       context cannot resolve; render its target directly in that case *)
-    match Exprid.find_key ids i.target_id with
-    | Some k -> k
-    | None -> Cast.key_of_expr i.target
+  (* an instance seeded from another context may carry an overflow id this
+     context cannot resolve; render its target directly in that case *)
+  match Exprid.find_key ids i.target_id with
+  | Some k -> k
+  | None -> Cast.key_of_expr i.target
 
 let find_instance sm ~id =
   List.find_opt (fun i -> (not i.inactive) && i.target_id = id) sm.actives

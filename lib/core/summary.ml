@@ -147,11 +147,7 @@ let tuple_id t tup =
    interner itself ([Intern.eatom]), so the key renders at most once per
    distinct expression id per root. *)
 let instance_key_atom ids it (i : Sm.instance) =
-  (* strings mode resolves through the rendered key's string hash on every
-     probe (the pre-hash-cons behaviour); ids mode renders at most once
-     per distinct expression per interner via the id -> atom cache *)
-  if Exprid.strings_mode ids then Intern.atom it (Sm.instance_key ids i)
-  else Intern.eatom it i.Sm.target_id (fun () -> Sm.instance_key ids i)
+  Intern.eatom it i.Sm.target_id (fun () -> Sm.instance_key ids i)
 
 let instance_tuple_id t ~ids ~gstate (i : Sm.instance) =
   Intern.tuple t.it
@@ -176,10 +172,8 @@ let edge_ids t e =
    The engine's block-edge recording computes src/dst tuple ids from
    component atoms and probes [mem_edge_ids] before constructing any
    tuple or edge record; records are built only on a miss (the first
-   sighting). With ids the probe is a packed-int hash lookup allocating
-   nothing; in strings mode every [Intern.tuple] call re-renders the
-   tuple key, so probes cost exactly what the string-keyed caches
-   paid. *)
+   sighting). The probe is a packed-int hash lookup allocating
+   nothing. *)
 let key_atom t s = Intern.atom t.it s
 let tuple_id_atoms t ~g ~vkey ~vval = Intern.tuple t.it ~g ~vkey ~vval
 

@@ -50,20 +50,10 @@ let identity_key r =
 
 let opt_to_sexp = function None -> Sexp.atom "_" | Some v -> Sexp.list [ Sexp.atom v ]
 
-let opt_of_sexp = function
-  | Sexp.Atom "_" -> None
-  | Sexp.List [ Sexp.Atom v ] -> Some v
-  | _ -> raise (Sexp.Decode_error "bad option")
-
 let loc_to_sexp (loc : Srcloc.t) =
   Sexp.list
     [ Sexp.atom loc.file; Sexp.atom (string_of_int loc.line);
       Sexp.atom (string_of_int loc.col) ]
-
-let loc_of_sexp = function
-  | Sexp.List [ Sexp.Atom file; Sexp.Atom line; Sexp.Atom col ] ->
-      Srcloc.make ~file ~line:(int_of_string line) ~col:(int_of_string col)
-  | _ -> raise (Sexp.Decode_error "bad report location")
 
 let to_sexp r =
   Sexp.list
@@ -82,32 +72,6 @@ let to_sexp r =
       Sexp.atom (string_of_int r.call_depth);
       Sexp.list (List.map Sexp.atom r.annotations);
     ]
-
-let of_sexp = function
-  | Sexp.List
-      [ Sexp.Atom "report"; Sexp.Atom checker; Sexp.Atom message; loc; start_loc;
-        Sexp.Atom func; Sexp.Atom file; var; rule; Sexp.Atom conditionals;
-        Sexp.Atom syn_chain; Sexp.Atom call_depth; Sexp.List annotations ] ->
-      {
-        checker;
-        message;
-        loc = loc_of_sexp loc;
-        start_loc = loc_of_sexp start_loc;
-        func;
-        file;
-        var = opt_of_sexp var;
-        rule = opt_of_sexp rule;
-        conditionals = int_of_string conditionals;
-        syn_chain = int_of_string syn_chain;
-        call_depth = int_of_string call_depth;
-        annotations =
-          List.map
-            (function
-              | Sexp.Atom a -> a
-              | _ -> raise (Sexp.Decode_error "bad annotation"))
-            annotations;
-      }
-  | other -> raise (Sexp.Decode_error ("bad report " ^ Sexp.to_string other))
 
 (* Binary form for the persistent root-replay entries; mirrors [to_sexp]
    field for field (the sexp form stays the `cache dump` rendering). *)

@@ -47,9 +47,7 @@ val identity_key : t -> string
     that are "relatively invariant under edits (unlike line numbers)". *)
 
 val to_sexp : t -> Sexp.t
-val of_sexp : Sexp.t -> t
-(** Lossless round-trip; the [cache dump] rendering. Raises
-    [Sexp.Decode_error] on malformed input. *)
+(** The [cache dump] rendering. *)
 
 val to_bin : Wire.writer -> t -> unit
 val of_bin : Wire.reader -> t

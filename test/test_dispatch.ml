@@ -1,7 +1,8 @@
 (* Compiled transition dispatch: head-constructor classification, the
-   pruned callsite model, and the A/B oracle — the indexed engine must
-   produce byte-identical output to the naive full scan on every corpus,
-   at any job count, and through a warm persistent cache. *)
+   pruned callsite model, and soundness of the compiled form — on every
+   corpus, every transition whose pattern matches a node is among the
+   node's candidates and the node's block is live — plus byte-identical
+   output at any job count and through a warm persistent cache. *)
 
 let t = Alcotest.test_case
 
@@ -19,8 +20,6 @@ let temp_dir () =
 let sg_of src = Supergraph.build [ Cparse.parse_tunit ~file:"dispatch.c" src ]
 
 let all_checkers () = List.map (fun ex -> ex.Registry.e_make ()) (Registry.all ())
-
-let naive = { Engine.default_options with Engine.dispatch = false }
 
 (* emission-order lines: the contract is byte-identical output, not
    merely same-set *)
@@ -163,13 +162,9 @@ let regression_tests =
           | [ sm ] -> sm
           | _ -> Alcotest.fail "expected one sm"
         in
-        let run options =
-          (Engine.run ~options (sg_of bare_hole_code) [ ext ]).Engine.stats
-            .Engine.calls_followed
-        in
-        Alcotest.(check int) "indexed follows helper2" 1
-          (run Engine.default_options);
-        Alcotest.(check int) "naive scan agrees" 1 (run naive));
+        Alcotest.(check int) "follows helper2" 1
+          (Engine.run (sg_of bare_hole_code) [ ext ]).Engine.stats
+            .Engine.calls_followed);
     t "skip sets leave end-of-path transitions alone" `Quick (fun () ->
         (* the leak checker's report fires at end of scope inside a block
            with no matchable node; skipping apply_transitions for such
@@ -178,19 +173,16 @@ let regression_tests =
           "int leaky(int n) { int *p = kmalloc(n); if (n) { return 0; } \
            kfree(p); return 1; }"
         in
-        let with_idx =
-          Engine.run (sg_of src) [ Leak_checker.checker () ]
-        in
-        let without =
-          Engine.run ~options:naive (sg_of src) [ Leak_checker.checker () ]
-        in
+        let r = Engine.run (sg_of src) [ Leak_checker.checker () ] in
         Alcotest.(check (list string))
-          "same reports" (output_lines without) (output_lines with_idx);
-        Alcotest.(check bool) "leak found" true (with_idx.Engine.reports <> []));
+          "the leak report"
+          [
+            "dispatch.c:1:36: [leak_checker] allocation stored in p is never \
+             freed (leak) (in leaky)";
+          ]
+          (List.map Report.to_string r.Engine.reports));
   ]
 
-(* A/B oracle: every corpus, indexed vs naive, -j 1 vs -j 2, and warm
-   cache replay — output must be byte-identical in every cell. *)
 let corpora () =
   [
     ("fixture driver", Fixture_driver.files);
@@ -208,65 +200,118 @@ let sg_of_files files =
   Supergraph.build
     (List.map (fun (file, src) -> Cparse.parse_tunit ~file src) files)
 
+(* The engine's match over-approximated: callouts (statically unknowable,
+   compiled as wildcards) count as true, and no hole is pre-bound to an
+   instance's target — the engine binds the state variable before
+   matching a variable-source transition, which only narrows the match. *)
+let rec without_callouts = function
+  | Pattern.Pcallout _ -> Pattern.Palways
+  | Pattern.Pand (a, b) -> Pattern.Pand (without_callouts a, without_callouts b)
+  | Pattern.Por (a, b) -> Pattern.Por (without_callouts a, without_callouts b)
+  | (Pattern.Pexpr _ | Pattern.Pend_of_path | Pattern.Pnever | Pattern.Palways)
+    as p ->
+      p
+
+(* Soundness of the compiled form, checked against the pattern matcher
+   directly: for every node event of every flat block, every transition
+   that can match the node is among [Dispatch.candidates], and the block
+   is not in the skip set. Returns the number of matches seen, so a
+   corpus on which nothing matches cannot pass vacuously. *)
+let check_candidates_cover ~corpus sg (ext : Sm.t) =
+  let dsp = Dispatch.compile ~sg ext in
+  let trs = Dispatch.transitions dsp in
+  let flat = sg.Supergraph.flat in
+  let matches = ref 0 in
+  Hashtbl.iter
+    (fun fname (cfg : Cfg.t) ->
+      let typing = Ctyping.enter_function sg.Supergraph.typing cfg.Cfg.func in
+      let base = Flat.fbase flat fname in
+      for bid = 0 to Cfg.n_blocks cfg - 1 do
+        let fb = base + bid in
+        Array.iter
+          (function
+            | Flat.Ev_node node ->
+                let ctx =
+                  { Callout.typing; node = Some node; annots = (fun _ -> None) }
+                in
+                let cand = (Dispatch.candidates dsp node).Dispatch.b_trs in
+                Array.iteri
+                  (fun i (c : Dispatch.ctr) ->
+                    if
+                      c.Dispatch.c_matches_node
+                      && Pattern.match_event ~ctx ~holes:c.Dispatch.c_holes
+                           (without_callouts c.Dispatch.c_tr.Sm.tr_pattern)
+                           (Pattern.At_node node)
+                         <> None
+                    then begin
+                      incr matches;
+                      let what =
+                        Printf.sprintf "%s: %s transition %d at %s#%d (%s)"
+                          corpus ext.Sm.sm_name i fname bid
+                          (Cast.key_of_expr node)
+                      in
+                      Alcotest.(check bool) (what ^ " is a candidate") true
+                        (Array.mem i cand);
+                      Alcotest.(check bool) (what ^ ": block live") true
+                        (Dispatch.block_live_flat dsp fb)
+                    end)
+                  trs
+            | Flat.Ev_fresh _ | Flat.Ev_scope_end _ -> ())
+          (Flat.events flat fb)
+      done)
+    sg.Supergraph.cfgs;
+  !matches
+
 let oracle_tests =
   [
-    t "indexed equals naive on every corpus (all checkers)" `Quick (fun () ->
+    t "candidates cover every matching transition (all checkers)" `Quick
+      (fun () ->
         List.iter
           (fun (name, files) ->
             let sg = sg_of_files files in
-            let idx = Engine.run sg (all_checkers ()) in
-            let nv = Engine.run ~options:naive sg (all_checkers ()) in
-            Alcotest.(check (list string))
-              (name ^ ": byte-identical output")
-              (output_lines nv) (output_lines idx);
-            Alcotest.(check int)
-              (name ^ ": same transitions fired")
-              nv.Engine.stats.Engine.transitions_fired
-              idx.Engine.stats.Engine.transitions_fired)
+            let matches =
+              List.fold_left
+                (fun n ext -> n + check_candidates_cover ~corpus:name sg ext)
+                0 (all_checkers ())
+            in
+            Alcotest.(check bool) (name ^ ": some node matched") true
+              (matches > 0))
           (corpora ()));
-    t "indexed equals naive at -j 2" `Quick (fun () ->
-        let sg = sg_of_files Fixture_driver.files in
-        let idx = Engine.run ~jobs:2 sg (all_checkers ()) in
-        let nv = Engine.run ~options:naive ~jobs:2 sg (all_checkers ()) in
-        Alcotest.(check (list string))
-          "byte-identical output" (output_lines nv) (output_lines idx));
-    t "index reduces match attempts without losing fires" `Quick (fun () ->
-        let sg = sg_of_files (List.assoc "no-match heavy" (corpora ())) in
-        let idx = Engine.run sg (all_checkers ()) in
-        let nv = Engine.run ~options:naive sg (all_checkers ()) in
-        let ai = idx.Engine.stats.Engine.match_attempts in
-        let an = nv.Engine.stats.Engine.match_attempts in
-        Alcotest.(check bool)
-          (Printf.sprintf "fewer attempts (%d < %d)" ai an)
-          true (ai < an);
-        Alcotest.(check bool) "blocks skipped" true
-          (idx.Engine.stats.Engine.blocks_skipped > 0);
-        Alcotest.(check bool) "naive skips nothing" true
-          (nv.Engine.stats.Engine.blocks_skipped = 0));
-    t "warm cache replay is identical with and without the index" `Quick
+    t "parallel output equals sequential output (all checkers)" `Quick
       (fun () ->
+        let sg = sg_of_files Fixture_driver.files in
+        let j1 = Engine.run sg (all_checkers ()) in
+        let j2 = Engine.run ~jobs:2 sg (all_checkers ()) in
+        Alcotest.(check (list string))
+          "byte-identical output" (output_lines j1) (output_lines j2));
+    t "index reduces match attempts on a no-match-heavy corpus" `Quick
+      (fun () ->
+        let sg = sg_of_files (List.assoc "no-match heavy" (corpora ())) in
+        let st = (Engine.run sg (all_checkers ())).Engine.stats in
+        Alcotest.(check bool)
+          "some node's candidates narrower than a full scan" true
+          (st.Engine.index_hits > 0);
+        Alcotest.(check bool) "blocks skipped" true
+          (st.Engine.blocks_skipped > 0));
+    t "warm cache replay is identical to the cold run" `Quick (fun () ->
         let files = List.assoc "generated 30" (corpora ()) in
         let dir = temp_dir () in
-        let store options =
-          Summary_store.create ~dir
-            ~ext_keys:
-              (Summary_store.ext_keys_of
-                 ~options_digest:(Engine.options_digest options)
-                 ~sources:[ "free" ])
-            ()
-        in
-        let run options =
+        let run () =
+          let cache =
+            Summary_store.create ~dir
+              ~ext_keys:
+                (Summary_store.ext_keys_of
+                   ~options_digest:
+                     (Engine.options_digest Engine.default_options)
+                   ~sources:[ "free" ])
+              ()
+          in
           output_lines
-            (Engine.run ~options ~cache:(store options) (sg_of_files files)
-               [ Free_checker.checker () ])
+            (Engine.run ~cache (sg_of_files files) [ Free_checker.checker () ])
         in
-        let cold = run Engine.default_options in
-        (* the dispatch flag is not part of the options digest, so the
-           naive warm run replays entries written by the indexed run *)
-        let warm_naive = run naive in
-        let warm_idx = run Engine.default_options in
-        Alcotest.(check (list string)) "warm naive = cold" cold warm_naive;
-        Alcotest.(check (list string)) "warm indexed = cold" cold warm_idx);
+        let cold = run () in
+        let warm = run () in
+        Alcotest.(check (list string)) "warm = cold" cold warm);
   ]
 
 let suite =

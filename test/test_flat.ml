@@ -1,10 +1,11 @@
-(* The flat supergraph tables ([Flat]) and the engine's flat events mode:
-   flat block ids must round-trip to (function, block) pairs and replicate
-   the boxed CFG views exactly, and flat mode is a pure execution
-   strategy — reports are byte-identical to boxed mode at any job count,
-   warm caches replay across the mode boundary (the flag is excluded from
-   the options digest), and per-root fault containment rolls back flat
-   state (first-visit annotation bits) exactly like boxed state. *)
+(* The flat supergraph tables ([Flat]) the engine traverses: flat block
+   ids must round-trip to (function, block) pairs and replicate the boxed
+   CFG views exactly — successors, head summaries, and the per-block
+   events and terminator annotations, checked against a rebuild from the
+   [Cfg] blocks. Reports are byte-identical at any job count, the default
+   options digest that keys every store entry is pinned and a store
+   written under it replays, and per-root fault containment rolls back
+   the first-visit annotation bits. *)
 
 let t = Alcotest.test_case
 
@@ -16,8 +17,6 @@ let temp_dir () =
 
 let free () = [ Free_checker.checker () ]
 let report_lines (r : Engine.result) = List.map Report.to_string r.Engine.reports
-
-let boxed_options = { Engine.default_options with flatten = false }
 
 let sg_of src = Supergraph.build [ Cparse.parse_tunit ~file:"flat.c" src ]
 
@@ -39,6 +38,46 @@ let shapes_src =
   \  return *p + x;\n\
    }\n\
    int g(void (*fp)(int)) { fp(1); return 0; }\n"
+
+(* The oracle for [Flat.events]/[Flat.annots], rebuilt from a [Block.t]
+   on its own: a declaration with an initialiser is a fresh-variable
+   event followed by the nodes of a synthesised [x = init]; a branch
+   condition, switch scrutinee or returned expression comes last and is
+   the block's one annotated node. Also returns the eids of the
+   synthesised nodes, which the flat table necessarily built separately. *)
+let rebuild_events (b : Block.t) =
+  let synth = Hashtbl.create 4 in
+  let nodes e = List.map (fun n -> Flat.Ev_node n) (Cast.exec_order e) in
+  let of_elem = function
+    | Block.Tree e -> nodes e
+    | Block.Decl d -> (
+        match d.Cast.dinit with
+        | Some init ->
+            let lhs = Cast.ident ~loc:init.Cast.eloc d.Cast.dname in
+            let asg =
+              Cast.mk_expr ~loc:init.Cast.eloc (Cast.Eassign (None, lhs, init))
+            in
+            Hashtbl.replace synth lhs.Cast.eid ();
+            Hashtbl.replace synth asg.Cast.eid ();
+            Flat.Ev_fresh d.Cast.dname :: nodes asg
+        | None -> [ Flat.Ev_fresh d.Cast.dname ])
+    | Block.End_of_scope vars -> [ Flat.Ev_scope_end vars ]
+  in
+  let term_evs, annots =
+    match b.Block.term with
+    | Block.Branch (c, _, _) -> (nodes c, [ (c, "mc_branch") ])
+    | Block.Switch (e, _) -> (nodes e, [ (e, "mc_branch") ])
+    | Block.Return (Some e) -> (nodes e, [ (e, "mc_return") ])
+    | Block.Jump _ | Block.Return None | Block.Exit -> ([], [])
+  in
+  (List.concat_map of_elem b.Block.elems @ term_evs, annots, synth)
+
+let ev_repr = function
+  | Flat.Ev_node e ->
+      Printf.sprintf "node %s @%s" (Cast.key_of_expr e)
+        (Srcloc.to_string e.Cast.eloc)
+  | Flat.Ev_fresh v -> "fresh " ^ v
+  | Flat.Ev_scope_end vs -> "scope_end " ^ String.concat "," vs
 
 let table_tests =
   [
@@ -96,6 +135,43 @@ let table_tests =
                   (Flat.calls flat (base + bid)))
               heads)
           sg.Supergraph.cfgs);
+    t "flat events and terminator annotations replicate a rebuild from Cfg \
+       blocks" `Quick (fun () ->
+        List.iter
+          (fun (corpus, sg) ->
+            let flat = sg.Supergraph.flat in
+            Hashtbl.iter
+              (fun fname (cfg : Cfg.t) ->
+                let base = Flat.fbase flat fname in
+                Array.iter
+                  (fun (b : Block.t) ->
+                    let fb = base + b.Block.bid in
+                    let what = Printf.sprintf "%s %s#%d" corpus fname b.Block.bid in
+                    let evs, annots, synth = rebuild_events b in
+                    let flat_evs = Array.to_list (Flat.events flat fb) in
+                    Alcotest.(check (list string))
+                      ("events " ^ what) (List.map ev_repr evs)
+                      (List.map ev_repr flat_evs);
+                    (* program nodes are shared, not copied: annotations
+                       and the id table key them by eid *)
+                    List.iter2
+                      (fun rebuilt flat_ev ->
+                        match (rebuilt, flat_ev) with
+                        | Flat.Ev_node r, Flat.Ev_node f
+                          when not (Hashtbl.mem synth r.Cast.eid) ->
+                            Alcotest.(check bool)
+                              ("program node shared " ^ what) true (r == f)
+                        | _ -> ())
+                      evs flat_evs;
+                    Alcotest.(check (list (pair int string)))
+                      ("annots " ^ what)
+                      (List.map (fun ((e : Cast.expr), tag) -> (e.eid, tag)) annots)
+                      (List.map
+                         (fun ((e : Cast.expr), tag) -> (e.eid, tag))
+                         (Array.to_list (Flat.annots flat fb))))
+                  cfg.Cfg.blocks)
+              sg.Supergraph.cfgs)
+          [ ("shapes", sg_of shapes_src); ("gen7", gen_sg ~seed:7) ]);
     t "entry/exit ids and table size are sane" `Quick (fun () ->
         let sg = sg_of shapes_src in
         let flat = sg.Supergraph.flat in
@@ -113,33 +189,25 @@ let table_tests =
 
 let identity_tests =
   [
-    t "flat and boxed reports byte-identical at -j1/-j2" `Quick (fun () ->
+    t "flat reports byte-identical at -j1/-j2" `Quick (fun () ->
         let sg = gen_sg ~seed:11 in
-        let flat_r = Engine.run sg (free ()) in
-        List.iter
-          (fun jobs ->
-            let boxed_r =
-              Engine.run ~options:boxed_options ~jobs sg (free ())
-            in
-            Alcotest.(check (list string))
-              (Printf.sprintf "reports (boxed j=%d)" jobs)
-              (report_lines flat_r) (report_lines boxed_r);
-            Alcotest.(check (list (triple string int int)))
-              (Printf.sprintf "counters (boxed j=%d)" jobs)
-              flat_r.Engine.counters boxed_r.Engine.counters)
-          [ 1; 2 ];
-        let flat_j2 = Engine.run ~jobs:2 sg (free ()) in
+        let j1 = Engine.run sg (free ()) in
+        let j2 = Engine.run ~jobs:2 sg (free ()) in
         Alcotest.(check (list string))
-          "flat -j2 = flat -j1" (report_lines flat_r) (report_lines flat_j2));
-    t "warm cache replays across the flatten boundary" `Quick (fun () ->
-        (* [flatten] is an execution strategy, not an analysis option: it
-           is excluded from the options digest, so summaries written by a
-           flat run must be replayed verbatim by a boxed run (and vice
-           versa) instead of being orphaned. *)
+          "reports -j2 = -j1" (report_lines j1) (report_lines j2);
+        Alcotest.(check (list (triple string int int)))
+          "counters -j2 = -j1" j1.Engine.counters j2.Engine.counters);
+    t "warm cache replays across the build boundary (digest pinned)" `Quick
+      (fun () ->
+        (* Every store entry is keyed on the options digest, so a store is
+           replayed by another build exactly when both compute the same
+           digest. Pinning the literal makes any change to it deliberate
+           (bump [Engine.analysis_version] when output can change) rather
+           than a silent orphaning of every existing store. *)
         Alcotest.(check string)
-          "digest ignores flatten"
-          (Engine.options_digest Engine.default_options)
-          (Engine.options_digest boxed_options);
+          "default options digest"
+          "xgcc-analysis-4 ctrue ptrue itrue ktrue strue d40 m64 n0 t0"
+          (Engine.options_digest Engine.default_options);
         let sg = gen_sg ~seed:13 in
         let store_over dir =
           Summary_store.create ~dir
@@ -153,19 +221,16 @@ let identity_tests =
         let uncached = Engine.run sg (free ()) in
         let cold = Engine.run ~cache:(store_over dir) sg (free ()) in
         let warm_store = store_over dir in
-        let warm =
-          Engine.run ~options:boxed_options ~cache:warm_store sg (free ())
-        in
+        let warm = Engine.run ~cache:warm_store sg (free ()) in
         Alcotest.(check (list string))
-          "cold flat = uncached" (report_lines uncached) (report_lines cold);
+          "cold = uncached" (report_lines uncached) (report_lines cold);
         Alcotest.(check (list string))
-          "warm boxed = uncached" (report_lines uncached) (report_lines warm);
+          "warm = uncached" (report_lines uncached) (report_lines warm);
         let st = Summary_store.stats warm_store in
         Alcotest.(check int)
-          "boxed warm run recomputes nothing" 0
-          st.Summary_store.roots_recomputed;
+          "warm run recomputes nothing" 0 st.Summary_store.roots_recomputed;
         Alcotest.(check bool)
-          "boxed warm run replays flat-written roots" true
+          "warm run replays stored roots" true
           (st.Summary_store.roots_replayed > 0));
   ]
 
@@ -186,12 +251,12 @@ let explode_fn =
 
 let rollback_tests =
   [
-    t "degraded root rolls back flat-mode state at -j1/-j2" `Quick (fun () ->
-        (* flat mode tracks first-visit terminator annotations in a
+    t "degraded root rolls back flat state at -j1/-j2" `Quick (fun () ->
+        (* the engine tracks first-visit terminator annotations in a
            per-context bitset; rollback must clear the degraded root's
            bits (and annotations) so healthy roots' output is identical
-           to a run that never had the bad root, in both modes *)
-        let budgeted =
+           to a run that never had the bad root *)
+        let options =
           { Engine.default_options with max_nodes_per_root = 40 }
         in
         let healthy = Engine.run (sg_of explosion_src) (free ()) in
@@ -199,25 +264,18 @@ let rollback_tests =
           (List.length healthy.Engine.degraded);
         let faulty_sg = sg_of (explosion_src ^ explode_fn) in
         List.iter
-          (fun (options, mode) ->
-            List.iter
-              (fun jobs ->
-                let r = Engine.run ~options ~jobs faulty_sg (free ()) in
-                Alcotest.(check (list string))
-                  (Printf.sprintf "degraded root only (%s j=%d)" mode jobs)
-                  [ "explode" ]
-                  (List.map
-                     (fun (d : Engine.degraded) -> d.Engine.d_root)
-                     r.Engine.degraded);
-                Alcotest.(check (list string))
-                  (Printf.sprintf "healthy roots identical (%s j=%d)" mode
-                     jobs)
-                  (report_lines healthy) (report_lines r))
-              [ 1; 2 ])
-          [
-            ({ budgeted with flatten = true }, "flat");
-            ({ budgeted with flatten = false }, "boxed");
-          ]);
+          (fun jobs ->
+            let r = Engine.run ~options ~jobs faulty_sg (free ()) in
+            Alcotest.(check (list string))
+              (Printf.sprintf "degraded root only (j=%d)" jobs)
+              [ "explode" ]
+              (List.map
+                 (fun (d : Engine.degraded) -> d.Engine.d_root)
+                 r.Engine.degraded);
+            Alcotest.(check (list string))
+              (Printf.sprintf "healthy roots identical (j=%d)" jobs)
+              (report_lines healthy) (report_lines r))
+          [ 1; 2 ]);
   ]
 
 let suite =

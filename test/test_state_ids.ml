@@ -1,11 +1,10 @@
 (* Hash-consed expression identity ([Exprid]) and integer-coded tuple
    state: ids are equality tokens for rendered keys (same id iff same
-   key, in both modes), the base table is shared read-only across
-   domains, and [--no-state-ids] (the string-keyed A/B baseline) is a
-   pure cost model — reports are byte-identical to id mode at any job
-   count, warm caches replay across the mode boundary (the flag is
-   excluded from the options digest), and per-root fault containment
-   rolls back int-keyed journal state exactly like string state. *)
+   [Cast.key_of_expr], for program and synthesized trees alike), the base
+   table is shared read-only across domains, reports are byte-identical
+   at any job count, warm caches replay across id numberings (stored
+   summaries carry keys, not ids), and per-root fault containment rolls
+   back int-keyed journal state. *)
 
 let t = Alcotest.test_case
 let e s = Cparse.expr_of_string ~file:"<t>" s
@@ -18,13 +17,13 @@ let temp_dir () =
 
 let free () = [ Free_checker.checker () ]
 let report_lines (r : Engine.result) = List.map Report.to_string r.Engine.reports
-let strings_options = { Engine.default_options with state_ids = false }
 let sg_of src = Supergraph.build [ Cparse.parse_tunit ~file:"ids.c" src ]
 
-let gen_sg ~seed =
-  Supergraph.build
-    (Gen.generate_files ~seed ~n_files:3 ~funcs_per_file:8 ~bug_rate:0.5
-    |> List.map (fun (file, g) -> Cparse.parse_tunit ~file g.Gen.source))
+let gen_tunits ~seed =
+  Gen.generate_files ~seed ~n_files:3 ~funcs_per_file:8 ~bug_rate:0.5
+  |> List.map (fun (file, g) -> Cparse.parse_tunit ~file g.Gen.source)
+
+let gen_sg ~seed = Supergraph.build (gen_tunits ~seed)
 
 let src =
   "int f(int *p, int a) {\n\
@@ -41,25 +40,28 @@ let pool =
 
 let table_tests =
   [
-    t "ids are key identity in both modes" `Quick (fun () ->
+    t "ids are key identity in both base and overflow ranges" `Quick
+      (fun () ->
+        (* the pool mixes keys of the program (base ids) with keys it
+           never contains (overflow ids); each tree is freshly parsed, so
+           every lookup goes through the rendered key, not the eid memo *)
         let sg = sg_of src in
+        let ctx = Exprid.make_ctx sg.Supergraph.ids in
+        let base = Exprid.n sg.Supergraph.ids in
+        Alcotest.(check bool) "both ranges exercised" true
+          (List.exists (fun s -> Exprid.id ctx (e s) < base) pool
+          && List.exists (fun s -> Exprid.id ctx (e s) >= base) pool);
         List.iter
-          (fun strings ->
-            let ctx = Exprid.make_ctx ~strings sg.Supergraph.ids in
-            let mode = if strings then "strings" else "ids" in
+          (fun s1 ->
             List.iter
-              (fun s1 ->
-                List.iter
-                  (fun s2 ->
-                    let e1 = e s1 and e2 = e s2 in
-                    Alcotest.(check bool)
-                      (Printf.sprintf "id eq iff key eq (%s): %s / %s" mode s1
-                         s2)
-                      (String.equal (Cast.key_of_expr e1) (Cast.key_of_expr e2))
-                      (Exprid.id ctx e1 = Exprid.id ctx e2))
-                  pool)
+              (fun s2 ->
+                let e1 = e s1 and e2 = e s2 in
+                Alcotest.(check bool)
+                  (Printf.sprintf "id eq iff key eq: %s / %s" s1 s2)
+                  (String.equal (Cast.key_of_expr e1) (Cast.key_of_expr e2))
+                  (Exprid.id ctx e1 = Exprid.id ctx e2))
               pool)
-          [ false; true ]);
+          pool);
     t "ids round-trip to rendered keys" `Quick (fun () ->
         let sg = sg_of src in
         let ctx = Exprid.make_ctx sg.Supergraph.ids in
@@ -108,32 +110,33 @@ let table_tests =
 
 let identity_tests =
   [
-    t "strings and ids reports byte-identical at -j1/-j2" `Quick (fun () ->
+    t "ids reports byte-identical at -j1/-j2" `Quick (fun () ->
         let sg = gen_sg ~seed:17 in
-        let ids_r = Engine.run sg (free ()) in
-        List.iter
-          (fun jobs ->
-            let str_r = Engine.run ~options:strings_options ~jobs sg (free ()) in
-            Alcotest.(check (list string))
-              (Printf.sprintf "reports (strings j=%d)" jobs)
-              (report_lines ids_r) (report_lines str_r);
-            Alcotest.(check (list (triple string int int)))
-              (Printf.sprintf "counters (strings j=%d)" jobs)
-              ids_r.Engine.counters str_r.Engine.counters)
-          [ 1; 2 ];
-        let ids_j2 = Engine.run ~jobs:2 sg (free ()) in
+        let j1 = Engine.run sg (free ()) in
+        let j2 = Engine.run ~jobs:2 sg (free ()) in
         Alcotest.(check (list string))
-          "ids -j2 = ids -j1" (report_lines ids_r) (report_lines ids_j2));
-    t "warm cache replays across the state-ids boundary" `Quick (fun () ->
-        (* [state_ids] is a representation choice, not an analysis
-           option: it is excluded from the options digest, so summaries
-           written by an id-mode run must be replayed verbatim by a
-           strings-mode run (and vice versa) instead of being orphaned. *)
-        Alcotest.(check string)
-          "digest ignores state_ids"
-          (Engine.options_digest Engine.default_options)
-          (Engine.options_digest strings_options);
-        let sg = gen_sg ~seed:19 in
+          "reports -j2 = -j1" (report_lines j1) (report_lines j2);
+        Alcotest.(check (list (triple string int int)))
+          "counters -j2 = -j1" j1.Engine.counters j2.Engine.counters);
+    t "warm cache replays across the id-table boundary" `Quick (fun () ->
+        (* base ids are private to one supergraph, so stored summaries
+           must carry rendered keys, never ids: a store written over one
+           id numbering has to replay verbatim over another numbering of
+           the same program (here, the files in reverse order) *)
+        let tunits = gen_tunits ~seed:19 in
+        let sg = Supergraph.build tunits in
+        let sg_rev = Supergraph.build (List.rev tunits) in
+        let keys (sg : Supergraph.t) =
+          let ctx = Exprid.make_ctx sg.Supergraph.ids in
+          List.init (Exprid.n sg.Supergraph.ids) (Exprid.key ctx)
+        in
+        Alcotest.(check bool)
+          "numberings differ" true
+          (keys sg <> keys sg_rev);
+        Alcotest.(check (list string))
+          "same key set"
+          (List.sort compare (keys sg))
+          (List.sort compare (keys sg_rev));
         let store_over dir =
           Summary_store.create ~dir
             ~ext_keys:
@@ -143,22 +146,19 @@ let identity_tests =
             ()
         in
         let dir = temp_dir () in
-        let uncached = Engine.run sg (free ()) in
+        let uncached = Engine.run sg_rev (free ()) in
         let cold = Engine.run ~cache:(store_over dir) sg (free ()) in
         let warm_store = store_over dir in
-        let warm =
-          Engine.run ~options:strings_options ~cache:warm_store sg (free ())
-        in
+        let warm = Engine.run ~cache:warm_store sg_rev (free ()) in
         Alcotest.(check (list string))
-          "cold ids = uncached" (report_lines uncached) (report_lines cold);
+          "cold = uncached" (report_lines uncached) (report_lines cold);
         Alcotest.(check (list string))
-          "warm strings = uncached" (report_lines uncached) (report_lines warm);
+          "warm = uncached" (report_lines uncached) (report_lines warm);
         let st = Summary_store.stats warm_store in
         Alcotest.(check int)
-          "strings warm run recomputes nothing" 0
-          st.Summary_store.roots_recomputed;
+          "warm run recomputes nothing" 0 st.Summary_store.roots_recomputed;
         Alcotest.(check bool)
-          "strings warm run replays id-written roots" true
+          "warm run replays roots written under the other numbering" true
           (st.Summary_store.roots_replayed > 0));
   ]
 
@@ -181,32 +181,25 @@ let rollback_tests =
       (fun () ->
         (* report dedup and summary sources are keyed by interned ints;
            rollback must unwind those journal entries so healthy roots'
-           output matches a run that never had the bad root, in both
-           representation modes *)
-        let budgeted = { Engine.default_options with max_nodes_per_root = 40 } in
+           output matches a run that never had the bad root *)
+        let options = { Engine.default_options with max_nodes_per_root = 40 } in
         let healthy = Engine.run (sg_of explosion_src) (free ()) in
         Alcotest.(check int) "baseline sanity" 0
           (List.length healthy.Engine.degraded);
         let faulty_sg = sg_of (explosion_src ^ explode_fn) in
         List.iter
-          (fun (options, mode) ->
-            List.iter
-              (fun jobs ->
-                let r = Engine.run ~options ~jobs faulty_sg (free ()) in
-                Alcotest.(check (list string))
-                  (Printf.sprintf "degraded root only (%s j=%d)" mode jobs)
-                  [ "explode" ]
-                  (List.map
-                     (fun (d : Engine.degraded) -> d.Engine.d_root)
-                     r.Engine.degraded);
-                Alcotest.(check (list string))
-                  (Printf.sprintf "healthy roots identical (%s j=%d)" mode jobs)
-                  (report_lines healthy) (report_lines r))
-              [ 1; 2 ])
-          [
-            ({ budgeted with state_ids = true }, "ids");
-            ({ budgeted with state_ids = false }, "strings");
-          ]);
+          (fun jobs ->
+            let r = Engine.run ~options ~jobs faulty_sg (free ()) in
+            Alcotest.(check (list string))
+              (Printf.sprintf "degraded root only (j=%d)" jobs)
+              [ "explode" ]
+              (List.map
+                 (fun (d : Engine.degraded) -> d.Engine.d_root)
+                 r.Engine.degraded);
+            Alcotest.(check (list string))
+              (Printf.sprintf "healthy roots identical (j=%d)" jobs)
+              (report_lines healthy) (report_lines r))
+          [ 1; 2 ]);
   ]
 
 let suite = table_tests @ identity_tests @ rollback_tests
