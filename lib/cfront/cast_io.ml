@@ -974,14 +974,16 @@ let tunit_of_bin r : Cast.tunit =
 (* ------------------------------------------------------------------ *)
 
 (* Bump whenever the sexp encoding above (or the parser semantics that
-   feed it) change: every cached object becomes unreachable at once.
-   This version also salts the engine's body hashes, so it doubles as
-   the semantic version of the AST encoding. *)
-let format_version = "mcast-2"
+   feed it) change: it salts every AST object's fingerprint, so every
+   cached object becomes unreachable at once. (The engine's body and
+   declaration hashes are salted with [cache_version], not this.)
+   mcast-3: the lexer reads octal and hex escapes in literals. *)
+let format_version = "mcast-3"
 
 (* Version of the *binary* cache object layout; salted into the
    fingerprint (together with [format_version]) so a layout change
-   orphans every on-disk object instead of tripping over it. *)
+   orphans every on-disk object instead of tripping over it, and into the
+   engine's body and declaration hashes, which digest this layout. *)
 let cache_version = "mcast-bin-1"
 let ast_magic = "XGAST1\n"
 

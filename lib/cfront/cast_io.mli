@@ -64,12 +64,15 @@ val tunit_of_bin : Wire.reader -> Cast.tunit
     binary form with an {!ast_magic} header. *)
 
 val format_version : string
-(** Semantic version of the AST encoding; salts {!ast_fingerprint} and
-    the engine's body hashes. Bump on any sexp-encoding change. *)
+(** Semantic version of the AST encoding; salts {!ast_fingerprint}. Bump
+    on any sexp-encoding change, or a parser change that can give the same
+    text a different AST. *)
 
 val cache_version : string
 (** Version of the binary cache-object layout; also salted into
-    {!ast_fingerprint} so a layout change orphans on-disk objects. *)
+    {!ast_fingerprint} so a layout change orphans on-disk objects, and
+    into the engine's body and declaration hashes, which digest this
+    layout. *)
 
 val ast_magic : string
 (** Magic prefix of every binary cache object. *)

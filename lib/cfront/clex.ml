@@ -160,6 +160,17 @@ let lex_number st =
     end
   end
 
+let is_octal c = c >= '0' && c <= '7'
+
+let hex_value c =
+  if is_digit c then Char.code c - Char.code '0'
+  else Char.code (Char.lowercase_ascii c) - Char.code 'a' + 10
+
+(* One escape sequence, from the backslash. Octal escapes take one to
+   three digits and hex escapes every hex digit that follows [\x], as in
+   C; a value past 255 keeps its low byte (gcc warns and does the same).
+   [\x] with no hex digit, and unknown escapes, stand for the character
+   itself. *)
 let lex_escape st =
   advance st;
   (* past backslash *)
@@ -169,7 +180,6 @@ let lex_escape st =
   | 'n' -> '\n'
   | 't' -> '\t'
   | 'r' -> '\r'
-  | '0' -> '\000'
   | '\\' -> '\\'
   | '\'' -> '\''
   | '"' -> '"'
@@ -177,6 +187,22 @@ let lex_escape st =
   | 'b' -> '\b'
   | 'f' -> '\012'
   | 'v' -> '\011'
+  | '0' .. '7' ->
+      let v = ref (Char.code c - Char.code '0') in
+      for _ = 1 to 2 do
+        if is_octal (peek st) then begin
+          v := (!v * 8) + Char.code (peek st) - Char.code '0';
+          advance st
+        end
+      done;
+      Char.chr (!v land 0xff)
+  | 'x' when is_hex (peek st) ->
+      let v = ref 0 in
+      while is_hex (peek st) do
+        v := ((!v * 16) + hex_value (peek st)) land 0xff;
+        advance st
+      done;
+      Char.chr !v
   | c -> c
 
 let lex_string st =

@@ -47,6 +47,29 @@ let rec pp_decl_like ppf (t, name) =
       pp_decl_like ppf (r, Printf.sprintf "%s(%s)" name params)
   | t -> Format.fprintf ppf "%a %s" Ctyp.pp t name
 
+(* A char or string literal as C spells it: the named escapes C shares
+   with OCaml, and a 3-digit octal escape for any other byte outside
+   printable ASCII (OCaml's own [\ddd] is decimal, which C reads as
+   octal), so printing and reparsing gives back the same bytes. *)
+let c_literal quote s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b quote;
+  String.iter
+    (function
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\b' -> Buffer.add_string b "\\b"
+      | '\\' -> Buffer.add_string b "\\\\"
+      | c when Char.equal c quote ->
+          Buffer.add_char b '\\';
+          Buffer.add_char b c
+      | ' ' .. '~' as c -> Buffer.add_char b c
+      | c -> Printf.bprintf b "\\%03o" (Char.code c))
+    s;
+  Buffer.add_char b quote;
+  Buffer.contents b
+
 let rec pp_expr_prec min_prec ppf e =
   let p = prec e in
   let parens = p < min_prec in
@@ -54,8 +77,8 @@ let rec pp_expr_prec min_prec ppf e =
   (match e.enode with
   | Eint n -> Format.pp_print_string ppf (Int64.to_string n)
   | Efloat f -> Format.fprintf ppf "%g" f
-  | Echar c -> Format.fprintf ppf "'%s'" (Char.escaped c)
-  | Estr s -> Format.fprintf ppf "%S" s
+  | Echar c -> Format.pp_print_string ppf (c_literal '\'' (String.make 1 c))
+  | Estr s -> Format.pp_print_string ppf (c_literal '"' s)
   | Eident x -> Format.pp_print_string ppf x
   | Eunary (Postinc, e1) -> Format.fprintf ppf "%a++" (pp_expr_prec 15) e1
   | Eunary (Postdec, e1) -> Format.fprintf ppf "%a--" (pp_expr_prec 15) e1

@@ -1,0 +1,240 @@
+type pos = {
+  loc : Srcloc.t;
+  printed : string;
+  def : string;
+  occ : int;
+  key : string;
+}
+
+(* A spot is one (location, definition) pair. Its nodes are ranked — and
+   printed — together, the first time any of them is asked for. *)
+type node = { expr : Cast.expr; spot : spot; mutable pos : pos option }
+and spot = { def : string; mutable rev_nodes : node list; mutable ranked : bool }
+
+type t = {
+  nodes : (int, node) Hashtbl.t;
+  spots : (Srcloc.t * string, spot) Hashtbl.t;
+}
+
+let rec iter_expr f (e : Cast.expr) =
+  f e;
+  match e.enode with
+  | Cast.Eunary (_, e1)
+  | Cast.Ecast (_, e1)
+  | Cast.Esizeof_expr e1
+  | Cast.Efield (e1, _)
+  | Cast.Earrow (e1, _) ->
+      iter_expr f e1
+  | Cast.Ebinary (_, l, r)
+  | Cast.Eassign (_, l, r)
+  | Cast.Eindex (l, r)
+  | Cast.Ecomma (l, r) ->
+      iter_expr f l;
+      iter_expr f r
+  | Cast.Econd (c, t, fe) ->
+      iter_expr f c;
+      iter_expr f t;
+      iter_expr f fe
+  | Cast.Ecall (fn, args) ->
+      iter_expr f fn;
+      List.iter (iter_expr f) args
+  | Cast.Einit_list es -> List.iter (iter_expr f) es
+  | Cast.Eint _ | Cast.Efloat _ | Cast.Echar _ | Cast.Estr _ | Cast.Eident _
+  | Cast.Esizeof_type _ ->
+      ()
+
+let rec iter_stmt f (s : Cast.stmt) =
+  match s.snode with
+  | Cast.Sexpr e -> iter_expr f e
+  | Cast.Sdecl ds ->
+      List.iter (fun (d : Cast.decl) -> Option.iter (iter_expr f) d.dinit) ds
+  | Cast.Sif (c, t, e) ->
+      iter_expr f c;
+      iter_stmt f t;
+      Option.iter (iter_stmt f) e
+  | Cast.Swhile (c, b) ->
+      iter_expr f c;
+      iter_stmt f b
+  | Cast.Sdo (b, c) ->
+      iter_stmt f b;
+      iter_expr f c
+  | Cast.Sfor (init, c, step, b) ->
+      Option.iter (iter_stmt f) init;
+      Option.iter (iter_expr f) c;
+      Option.iter (iter_expr f) step;
+      iter_stmt f b
+  | Cast.Sreturn e -> Option.iter (iter_expr f) e
+  | Cast.Sblock ss -> List.iter (iter_stmt f) ss
+  | Cast.Sswitch (e, cases) ->
+      iter_expr f e;
+      List.iter (fun (c : Cast.case) -> List.iter (iter_stmt f) c.case_body) cases
+  | Cast.Slabel (_, s1) -> iter_stmt f s1
+  | Cast.Sbreak | Cast.Scontinue | Cast.Sgoto _ | Cast.Snull -> ()
+
+let build tunits =
+  let ix = { nodes = Hashtbl.create 4096; spots = Hashtbl.create 4096 } in
+  let visit def (e : Cast.expr) =
+    if not (Hashtbl.mem ix.nodes e.eid) then begin
+      let k = (e.eloc, def) in
+      let spot =
+        match Hashtbl.find_opt ix.spots k with
+        | Some s -> s
+        | None ->
+            let s = { def; rev_nodes = []; ranked = false } in
+            Hashtbl.add ix.spots k s;
+            s
+      in
+      let n = { expr = e; spot; pos = None } in
+      spot.rev_nodes <- n :: spot.rev_nodes;
+      Hashtbl.add ix.nodes e.eid n
+    end
+  in
+  List.iter
+    (fun (tu : Cast.tunit) ->
+      List.iter
+        (function
+          | Cast.Gfun fd -> iter_stmt (visit fd.fname) fd.fbody
+          | Cast.Gvar { gdecl = { dname; dinit = Some e; _ }; _ } ->
+              iter_expr (visit dname) e
+          | _ -> ())
+        tu.tu_globals)
+    tunits;
+  ix
+
+let rank spot =
+  if not spot.ranked then begin
+    spot.ranked <- true;
+    let seen : (string, int) Hashtbl.t = Hashtbl.create 4 in
+    List.iter
+      (fun n ->
+        let loc = n.expr.Cast.eloc in
+        let printed = Cprint.expr_to_string n.expr in
+        let occ = Option.value (Hashtbl.find_opt seen printed) ~default:0 in
+        Hashtbl.replace seen printed (occ + 1);
+        let key =
+          Printf.sprintf "%s:%d:%d|%s|%s#%d" loc.file loc.line loc.col printed
+            spot.def occ
+        in
+        n.pos <- Some { loc; printed; def = spot.def; occ; key })
+      (List.rev spot.rev_nodes)
+  end
+
+let position ix eid =
+  match Hashtbl.find_opt ix.nodes eid with
+  | None -> None
+  | Some n ->
+      rank n.spot;
+      n.pos
+
+let resolve ix loc ~printed ~def ~occ =
+  match Hashtbl.find_opt ix.spots (loc, def) with
+  | None -> None
+  | Some spot ->
+      rank spot;
+      List.find_map
+        (fun n ->
+          match n.pos with
+          | Some p when p.occ = occ && String.equal p.printed printed ->
+              Some n.expr.Cast.eid
+          | _ -> None)
+        spot.rev_nodes
+
+(* ------------------------------------------------------------------ *)
+(* Annotation groups                                                   *)
+(* ------------------------------------------------------------------ *)
+
+type hashes = { misc : Fingerprint.t; by_def : (string * Fingerprint.t) list }
+
+let entry (p : pos) tags = p.key ^ "=" ^ String.concat "," (List.rev tags)
+
+let hash_entries entries =
+  Fingerprint.of_string ~salt:"annot-1"
+    (String.concat "\x00" (List.sort String.compare entries))
+
+(* One group's rendered entries, by node id, and their hash. *)
+type group = {
+  entries : (int, string) Hashtbl.t;
+  mutable hash : Fingerprint.t;
+  mutable dirty : bool;
+}
+
+type groups = {
+  ix : t;
+  is_group : string -> bool;
+  table : (int, string list) Hashtbl.t;
+  by_def : (string, group) Hashtbl.t;
+  misc_group : group;
+  touched : (int, unit) Hashtbl.t;
+}
+
+let new_group () = { entries = Hashtbl.create 8; hash = hash_entries []; dirty = false }
+
+let touch g eid = Hashtbl.replace g.touched eid ()
+
+let groups ix ~is_group table =
+  let g =
+    {
+      ix;
+      is_group;
+      table;
+      by_def = Hashtbl.create 16;
+      misc_group = new_group ();
+      touched = Hashtbl.create 64;
+    }
+  in
+  Hashtbl.iter (fun eid _ -> touch g eid) table;
+  g
+
+let refresh g =
+  let dirty = ref [] in
+  Hashtbl.iter
+    (fun eid () ->
+      match (position g.ix eid, Hashtbl.find_opt g.table eid) with
+      | Some p, Some tags ->
+          let grp =
+            if not (g.is_group p.def) then g.misc_group
+            else
+              match Hashtbl.find_opt g.by_def p.def with
+              | Some grp -> grp
+              | None ->
+                  let grp = new_group () in
+                  Hashtbl.replace g.by_def p.def grp;
+                  grp
+          in
+          Hashtbl.replace grp.entries eid (entry p tags);
+          if not grp.dirty then begin
+            grp.dirty <- true;
+            dirty := grp :: !dirty
+          end
+      | _ -> ())
+    g.touched;
+  Hashtbl.reset g.touched;
+  List.iter
+    (fun grp ->
+      grp.hash <- hash_entries (Hashtbl.fold (fun _ e acc -> e :: acc) grp.entries []);
+      grp.dirty <- false)
+    !dirty
+
+let current g =
+  {
+    misc = g.misc_group.hash;
+    by_def =
+      List.sort compare
+        (Hashtbl.fold (fun d grp acc -> (d, grp.hash) :: acc) g.by_def []);
+  }
+
+let closure_key g cl =
+  Fingerprint.combine
+    [
+      g.misc_group.hash;
+      Fingerprint.combine_pairs
+        (List.filter_map
+           (fun d ->
+             Option.map (fun grp -> (d, grp.hash)) (Hashtbl.find_opt g.by_def d))
+           cl);
+    ]
+
+let group_hashes ix ~is_group table =
+  let g = groups ix ~is_group table in
+  refresh g;
+  current g

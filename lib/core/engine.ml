@@ -479,7 +479,7 @@ let find_annot rctx eid =
 
 (* Lay [tags] (oldest first) on node [eid], skipping those it already
    carries; the one write path into the delta, journaled like any table
-   write inside a contained root. *)
+   write inside a contained root. True iff the node's tags changed. *)
 let add_annots rctx eid tags =
   let prev = Hashtbl.find_opt rctx.annots eid in
   let old =
@@ -492,12 +492,14 @@ let add_annots rctx eid tags =
       (fun cur t -> if List.mem t cur then cur else t :: cur)
       old tags
   in
-  if cur != old then begin
+  if cur == old then false
+  else begin
     j_push rctx (U_annot (eid, prev));
-    Hashtbl.replace rctx.annots eid cur
+    Hashtbl.replace rctx.annots eid cur;
+    true
   end
 
-let annotate_node rctx (e : Cast.expr) tag = add_annots rctx e.eid [ tag ]
+let annotate_node rctx (e : Cast.expr) tag = ignore (add_annots rctx e.eid [ tag ])
 
 (* The tags a delta entry adds beyond the base, oldest first (annotations
    prepend, so they are the list's prefix). *)
@@ -2124,7 +2126,7 @@ and replay_pub rctx (p : pub) : unit =
         Report.emit rctx.collector r
       end)
     p.p_reports;
-  List.iter (fun (eid, tags) -> add_annots rctx eid tags) p.p_annots;
+  List.iter (fun (eid, tags) -> ignore (add_annots rctx eid tags)) p.p_annots;
   List.iter
     (fun f ->
       if not (Hashtbl.mem rctx.traversed f) then begin
@@ -2401,9 +2403,12 @@ let collect_result rctx =
    schedules roots onto domains. *)
 
 (* Fold a worker's annotation delta into [base], preserving each node's
-   tag insertion order (annotate_node prepends). *)
-let merge_annots base (w : rctx) =
-  Hashtbl.iter (fun eid tags -> add_annots base eid (List.rev tags)) w.annots
+   tag insertion order (annotate_node prepends); [touched] hears of every
+   node whose tags in [base] changed. *)
+let merge_annots ?(touched = ignore) base (w : rctx) =
+  Hashtbl.iter
+    (fun eid tags -> if add_annots base eid (List.rev tags) then touched eid)
+    w.annots
 
 let add_stats (acc : stats) (s : stats) =
   acc.blocks_visited <- acc.blocks_visited + s.blocks_visited;
@@ -2641,128 +2646,22 @@ let add_stats_list (acc : stats) = function
       acc.instances_created <- acc.instances_created + ic
   | _ -> ()
 
-let rec iter_exprs_expr f (e : Cast.expr) =
-  f e;
-  let children =
-    match e.enode with
-    | Cast.Eunary (_, e1)
-    | Cast.Ecast (_, e1)
-    | Cast.Esizeof_expr e1
-    | Cast.Efield (e1, _)
-    | Cast.Earrow (e1, _) ->
-        [ e1 ]
-    | Cast.Ebinary (_, l, r)
-    | Cast.Eassign (_, l, r)
-    | Cast.Eindex (l, r)
-    | Cast.Ecomma (l, r) ->
-        [ l; r ]
-    | Cast.Econd (c, t, fe) -> [ c; t; fe ]
-    | Cast.Ecall (fn, args) -> fn :: args
-    | Cast.Einit_list es -> es
-    | Cast.Eint _ | Cast.Efloat _ | Cast.Echar _ | Cast.Estr _ | Cast.Eident _
-    | Cast.Esizeof_type _ ->
-        []
-  in
-  List.iter (iter_exprs_expr f) children
-
-let rec iter_exprs_stmt f (s : Cast.stmt) =
-  match s.snode with
-  | Cast.Sexpr e -> iter_exprs_expr f e
-  | Cast.Sdecl ds ->
-      List.iter
-        (fun (d : Cast.decl) -> Option.iter (iter_exprs_expr f) d.dinit)
-        ds
-  | Cast.Sif (c, t, e) ->
-      iter_exprs_expr f c;
-      iter_exprs_stmt f t;
-      Option.iter (iter_exprs_stmt f) e
-  | Cast.Swhile (c, b) ->
-      iter_exprs_expr f c;
-      iter_exprs_stmt f b
-  | Cast.Sdo (b, c) ->
-      iter_exprs_stmt f b;
-      iter_exprs_expr f c
-  | Cast.Sfor (init, c, step, b) ->
-      Option.iter (iter_exprs_stmt f) init;
-      Option.iter (iter_exprs_expr f) c;
-      Option.iter (iter_exprs_expr f) step;
-      iter_exprs_stmt f b
-  | Cast.Sreturn e -> Option.iter (iter_exprs_expr f) e
-  | Cast.Sblock ss -> List.iter (iter_exprs_stmt f) ss
-  | Cast.Sswitch (e, cases) ->
-      iter_exprs_expr f e;
-      List.iter
-        (fun (c : Cast.case) -> List.iter (iter_exprs_stmt f) c.case_body)
-        cases
-  | Cast.Slabel (_, s1) -> iter_exprs_stmt f s1
-  | Cast.Sbreak | Cast.Scontinue | Cast.Sgoto _ | Cast.Snull -> ()
-
-(* Node ids are not stable across runs (decoding allocates fresh ids), so
-   persisted annotation deltas are positional and re-resolved against the
-   current program here. (location, printed expression) alone is
-   ambiguous — the same header parsed into two translation units, or
-   macro expansion duplicating an expression at one location, gives
-   distinct nodes the same key — so the key also carries the enclosing
-   global definition's name and the node's occurrence rank under that
-   (location, printed, definition) triple, assigned in the deterministic
-   index-traversal order below. Replay then targets exactly the node the
-   worker annotated, never a positional twin. *)
-let annot_base (loc : Srcloc.t) ~printed ~ctx =
-  Printf.sprintf "%s:%d:%d|%s|%s" loc.file loc.line loc.col printed ctx
-
-type annot_index = {
-  ai_exprs : (int, Cast.expr) Hashtbl.t;  (* eid -> node *)
-  ai_pos : (int, string * int) Hashtbl.t;  (* eid -> (enclosing def, occurrence) *)
-  ai_ids : (string, int) Hashtbl.t;  (* full positional key -> eid *)
-}
-
-let build_annot_index (sg : Supergraph.t) =
-  let ix =
-    {
-      ai_exprs = Hashtbl.create 1024;
-      ai_pos = Hashtbl.create 1024;
-      ai_ids = Hashtbl.create 1024;
-    }
-  in
-  let occs : (string, int) Hashtbl.t = Hashtbl.create 1024 in
-  let visit ctx (e : Cast.expr) =
-    if not (Hashtbl.mem ix.ai_exprs e.Cast.eid) then begin
-      Hashtbl.replace ix.ai_exprs e.Cast.eid e;
-      let base = annot_base e.eloc ~printed:(Cprint.expr_to_string e) ~ctx in
-      let occ = Option.value (Hashtbl.find_opt occs base) ~default:0 in
-      Hashtbl.replace occs base (occ + 1);
-      Hashtbl.replace ix.ai_pos e.Cast.eid (ctx, occ);
-      Hashtbl.replace ix.ai_ids (base ^ "#" ^ string_of_int occ) e.Cast.eid
-    end
-  in
-  List.iter
-    (fun (tu : Cast.tunit) ->
-      List.iter
-        (function
-          | Cast.Gfun fd -> iter_exprs_stmt (visit fd.fname) fd.fbody
-          | Cast.Gvar { gdecl = { dname; dinit = Some e; _ }; _ } ->
-              iter_exprs_expr (visit dname) e
-          | _ -> ())
-        tu.tu_globals)
-    sg.Supergraph.tunits;
-  ix
-
-(* The tags a worker added beyond its base, oldest-first, attached to the
-   worker's expression node. Tags on nodes absent from the program index
-   (per-rctx synthesised nodes, e.g. declaration initialisers) are
-   dropped — matching parallel mode, where their ids are meaningless to
-   other workers anyway. Read against the base, so it must be taken
-   before the merge folds anything into that base. *)
+(* The tags a worker added beyond its base, oldest-first, at the
+   position of the worker's expression node (see {!Annot_pos}: node ids
+   are not stable across runs, so persisted deltas are positional and
+   re-resolved against the current program on replay). Tags on nodes
+   outside the program (per-rctx synthesised nodes, e.g. declaration
+   initialisers) are dropped — matching parallel mode, where their ids
+   are meaningless to other workers anyway. Read against the base, so it
+   must be taken before the merge folds anything into that base. *)
 let annot_delta ~ix (w : rctx) =
   let deltas =
     Hashtbl.fold
       (fun eid tags acc ->
-        match Hashtbl.find_opt ix.ai_exprs eid with
+        match Annot_pos.position ix eid with
         | None -> acc
-        | Some e ->
-            let ctx, occ = Hashtbl.find ix.ai_pos eid in
-            let fresh = fresh_annots w eid tags in
-            (e.Cast.eloc, Cprint.expr_to_string e, ctx, occ, fresh) :: acc)
+        | Some (p : Annot_pos.pos) ->
+            (p.loc, p.printed, p.def, p.occ, fresh_annots w eid tags) :: acc)
       w.annots []
   in
   List.sort
@@ -2770,70 +2669,37 @@ let annot_delta ~ix (w : rctx) =
       compare (a.file, a.line, a.col, pa, ca, oa) (b.file, b.line, b.col, pb, cb, ob))
     deltas
 
-let inject_annots base ~ix annots =
-  List.iter
-    (fun ((loc : Srcloc.t), printed, ctx, occ, tags) ->
-      let k = annot_base loc ~printed ~ctx ^ "#" ^ string_of_int occ in
-      match Hashtbl.find_opt ix.ai_ids k with
-      | None -> ()
-      | Some eid -> add_annots base eid tags)
-    annots
+(* A stored delta against the current program, or [None] when some
+   position no longer resolves: the entry was written over a program
+   this key cannot tell apart from the current one (e.g. by a build
+   whose printer spelt a literal differently), so it must not replay. *)
+let resolve_annots ~ix annots =
+  let rec go acc = function
+    | [] -> Some (List.rev acc)
+    | (loc, printed, def, occ, tags) :: rest -> (
+        match Annot_pos.resolve ix loc ~printed ~def ~occ with
+        | None -> None
+        | Some eid -> go ((eid, tags) :: acc) rest)
+  in
+  go [] annots
 
 let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
-    ~closures ~heights ~ix base (ext : Sm.t) =
+    ~closures ~heights ~ix ~groups base (ext : Sm.t) =
   set_extension base ext;
   let cg = base.sg.Supergraph.callgraph in
   let sst = Summary_store.stats store in
-  (* Annotation-state hashes, one per enclosing definition: extensions
-     after the first see the tags earlier extensions left anywhere in the
-     program, so cache keys must cover them — but hashing the whole table
-     into every key would re-invalidate everything downstream of any
-     annotation. Grouping by the annotated node's enclosing definition
-     lets a key fold exactly the groups its closure can observe. Tags on
-     nodes outside the program index are dropped, matching [annot_delta];
-     tags in non-function contexts (global initialisers) land in one
-     shared misc group, folded into every key (conservative, tiny). *)
-  let annot_groups : (string, string list ref) Hashtbl.t = Hashtbl.create 16 in
-  let annot_misc = ref [] in
-  Hashtbl.iter
-    (fun eid tags ->
-      match Hashtbl.find_opt ix.ai_exprs eid with
-      | None -> ()
-      | Some e ->
-          let ctx, occ = Hashtbl.find ix.ai_pos eid in
-          let entry =
-            annot_base e.Cast.eloc ~printed:(Cprint.expr_to_string e) ~ctx
-            ^ "#" ^ string_of_int occ ^ "="
-            ^ String.concat "," (List.rev tags)
-          in
-          if Callgraph.is_defined cg ctx then begin
-            match Hashtbl.find_opt annot_groups ctx with
-            | Some r -> r := entry :: !r
-            | None -> Hashtbl.replace annot_groups ctx (ref [ entry ])
-          end
-          else annot_misc := entry :: !annot_misc)
-    base.annots;
-  let group_hash entries =
-    Fingerprint.of_string ~salt:"annot-1"
-      (String.concat "\x00" (List.sort String.compare entries))
-  in
-  let annot_misc_h = group_hash !annot_misc in
-  let annot_hashes : (string, Fingerprint.t) Hashtbl.t =
-    Hashtbl.create (Hashtbl.length annot_groups)
-  in
-  Hashtbl.iter
-    (fun ctx entries -> Hashtbl.replace annot_hashes ctx (group_hash !entries))
-    annot_groups;
-  let annot_key_of cl =
-    Fingerprint.combine
-      [
-        annot_misc_h;
-        Fingerprint.combine_pairs
-          (List.filter_map
-             (fun g ->
-               Option.map (fun h -> (g, h)) (Hashtbl.find_opt annot_hashes g))
-             cl);
-      ]
+  (* The annotation component of a function's keys: the hashes of the
+     annotation groups its closure can observe ({!Annot_pos}), brought up
+     to date at the extension boundary. A function's function and root
+     keys fold the same one, so it is computed once per extension. *)
+  let annot_keys : (string, Fingerprint.t) Hashtbl.t = Hashtbl.create 64 in
+  let annot_key f =
+    match Hashtbl.find_opt annot_keys f with
+    | Some k -> k
+    | None ->
+        let k = Annot_pos.closure_key groups (closures f) in
+        Hashtbl.replace annot_keys f k;
+        k
   in
   (* Early cutoff needs the canonical traversal to terminate and to be
      timing-independent, so it requires the summary caches on and per-root
@@ -2856,13 +2722,13 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
     Hashtbl.create 64
   in
   let unchanged : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let fn_key f callees cl =
+  let fn_key f callees =
     Fingerprint.combine
       [
         body_hash f;
         decls_hash;
         Fingerprint.combine_pairs (List.map (fun g -> (g, content_of g)) callees);
-        annot_key_of cl;
+        annot_key f;
       ]
   in
   (* Canonical recomputation: traverse [f] alone from its entry under the
@@ -2968,9 +2834,8 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
     in
     List.iter
       (fun f ->
-        let cl = closures f in
-        let callees = List.filter (fun g -> not (String.equal g f)) cl in
-        let key = fn_key f callees cl in
+        let callees = List.filter (fun g -> not (String.equal g f)) (closures f) in
+        let key = fn_key f callees in
         match Summary_store.probe_fn store ~ext:ext_key ~fname:f ~key with
         | Summary_store.Hit h ->
             Hashtbl.replace content f (Summary_store.hit_content h);
@@ -3000,32 +2865,40 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
       ordered
   end;
   let root_key r =
-    let cl = closures r in
     Fingerprint.combine
       [
         decls_hash;
-        Fingerprint.combine_pairs (List.map (fun g -> (g, content_of g)) cl);
-        annot_key_of cl;
+        Fingerprint.combine_pairs (List.map (fun g -> (g, content_of g)) (closures r));
+        annot_key r;
       ]
   in
   let roots = Array.of_list (Supergraph.roots base.sg) in
   let plans =
     Array.map
       (fun r ->
+        let key = root_key r in
+        let annots = ref [] in
+        let resolves (e : Summary_store.root_entry) =
+          match resolve_annots ~ix e.r_annots with
+          | Some a ->
+              annots := a;
+              true
+          | None -> false
+        in
         match
-          Summary_store.load_root store ~ext:ext_key ~root:r ~key:(root_key r)
+          Summary_store.load_root ~valid:resolves store ~ext:ext_key ~root:r ~key
         with
         | Some e ->
             if List.exists (Hashtbl.mem unchanged) (closures r) then
               sst.Summary_store.roots_salvaged <-
                 sst.Summary_store.roots_salvaged + 1;
-            `Replay e
-        | None -> `Compute)
+            `Replay (e, !annots)
+        | None -> `Compute key)
       roots
   in
   let invalid = ref [] in
   Array.iteri
-    (fun i p -> match p with `Compute -> invalid := i :: !invalid | `Replay _ -> ())
+    (fun i p -> match p with `Compute _ -> invalid := i :: !invalid | `Replay _ -> ())
     plans;
   let invalid = Array.of_list (List.rev !invalid) in
   Log.debug (fun m ->
@@ -3059,16 +2932,21 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
     let e0, c0 = Option.value (Hashtbl.find_opt base.counters rule) ~default:(0, 0) in
     Hashtbl.replace base.counters rule (e0 + e, c0 + c)
   in
+  (* the merge is the only writer of [base.annots] in a cached run: every
+     node whose tags it changes is re-hashed at the next boundary *)
+  let touched = Annot_pos.touch groups in
   Array.iteri
     (fun idx root ->
       match plans.(idx) with
-      | `Replay (e : Summary_store.root_entry) ->
+      | `Replay ((e : Summary_store.root_entry), annots) ->
           List.iter emit_merged e.r_reports;
           List.iter (fun (rule, ex, cx) -> add_counter rule ex cx) e.r_counters;
-          inject_annots base ~ix e.r_annots;
+          List.iter
+            (fun (eid, tags) -> if add_annots base eid tags then touched eid)
+            annots;
           List.iter (fun f -> Hashtbl.replace base.traversed f ()) e.r_traversed;
           add_stats_list base.st e.r_stats
-      | `Compute -> (
+      | `Compute key -> (
           match workers.(Hashtbl.find worker_of idx) with
           | Error e ->
               (* worker crashed outside the root boundary: degrade this
@@ -3093,7 +2971,7 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
           | Ok w ->
               List.iter emit_merged (Report.reports w.collector);
               Hashtbl.iter (fun rule (e, c) -> add_counter rule e c) w.counters;
-              merge_annots base w;
+              merge_annots ~touched base w;
               Hashtbl.iter
                 (fun f () -> Hashtbl.replace base.traversed f ())
                 w.traversed;
@@ -3102,7 +2980,7 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
                 Summary_store.store_root store ~ext:ext_key
                   {
                     Summary_store.r_root = root;
-                    r_key = root_key root;
+                    r_key = key;
                     r_reports = Report.reports w.collector;
                     r_counters =
                       List.sort
@@ -3119,7 +2997,7 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
     roots;
   Summary_store.flush store
 
-let run_cached ?options ~jobs store sg exts =
+let run_cached ?options ?observe ~jobs store sg exts =
   let rctx = new_rctx ?options sg in
   Callout.install_builtins ();
   let body_hash_tbl = Hashtbl.create 64 in
@@ -3157,7 +3035,13 @@ let run_cached ?options ~jobs store sg exts =
       sg.Supergraph.tunits;
     Fingerprint.of_string ~salt:Cast_io.cache_version (Wire.contents b)
   in
-  let ix = build_annot_index sg in
+  (* positions and annotation-group hashes, kept for the whole run: each
+     merge reports the nodes it re-tags, and each boundary re-hashes only
+     their groups *)
+  let ix = Annot_pos.build sg.Supergraph.tunits in
+  let groups =
+    Annot_pos.groups ix ~is_group:(Callgraph.is_defined cg) rctx.annots
+  in
   List.iteri
     (fun i ext ->
       Hashtbl.reset rctx.fsums;
@@ -3166,8 +3050,10 @@ let run_cached ?options ~jobs store sg exts =
          boundary lets the next extension's entries die young: on a warm
          12-file run, promoted words fall from ~21M to ~0.7M. *)
       Gc.minor ();
+      Annot_pos.refresh groups;
+      Option.iter (fun f -> f (Annot_pos.current groups) rctx.annots) observe;
       run_extension_cached ~jobs ~store ~ext_key:(Summary_store.ext_key store i)
-        ~body_hash ~decls_hash ~closures ~heights ~ix rctx ext)
+        ~body_hash ~decls_hash ~closures ~heights ~ix ~groups rctx ext)
     exts;
   Summary_store.save_last_run store;
   collect_result rctx
@@ -3188,6 +3074,9 @@ let run ?options ?(jobs = 1) ?cache sg exts =
           else run_extension rctx ext)
         exts;
       collect_result rctx
+
+let run_observing_groups ?options ?(jobs = 1) ~cache ~observe sg exts =
+  run_cached ?options ~observe ~jobs cache sg exts
 
 let run_with_summaries ?options sg exts =
   let rctx = new_rctx ?options sg in

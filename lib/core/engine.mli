@@ -201,6 +201,20 @@ type summaries := (string, Summary.t array * Summary.t array) Hashtbl.t
 (** function name -> (block summaries, suffix summaries), indexed by block
     id. *)
 
+val run_observing_groups :
+  ?options:options ->
+  ?jobs:int ->
+  cache:Summary_store.t ->
+  observe:(Annot_pos.hashes -> (int, string list) Hashtbl.t -> unit) ->
+  Supergraph.t ->
+  Sm.t list ->
+  result
+(** {!run} with [cache], calling [observe] at the start of every extension
+    with the annotation-group hashes that extension's cache keys fold and
+    the run's annotation table (node id -> tags, newest first; read it,
+    never write it). The hashes are kept incrementally across extensions;
+    tests check them against {!Annot_pos.group_hashes} of the table. *)
+
 val run_with_summaries :
   ?options:options -> Supergraph.t -> Sm.t list -> result * (string * summaries) list
 (** Like {!run} (sequential), also returning each extension's summary

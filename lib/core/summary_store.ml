@@ -438,10 +438,11 @@ let store_fn t ~ext ~fname ~key ~content ~bs ~sfx ~rets =
 (* Root replay entries                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let load_root t ~ext ~root ~key =
+let load_root ?(valid = fun _ -> true) t ~ext ~root ~key =
   let r =
     match Hashtbl.find_opt (index t root_kind t.roots ext).slots root with
-    | Some s when String.equal s.key key -> force root_kind root s
+    | Some s when String.equal s.key key ->
+        Option.bind (force root_kind root s) (fun e -> if valid e then Some e else None)
     | Some _ | None -> None
   in
   (match r with

@@ -175,15 +175,21 @@ type root_entry = {
           positionally and re-resolved against the current ASTs at replay
           time; the definition name and occurrence rank disambiguate
           positional twins (the same header parsed into two translation
-          units, macro expansion repeating an expression at one location)
-          so replay targets exactly the node the worker annotated *)
+          units, one file built in two configurations) so replay targets
+          exactly the node the worker annotated; see {!Annot_pos} *)
   r_traversed : string list;
   r_stats : int list;  (** engine stat counters, in [Engine]'s field order *)
 }
 
 val load_root :
-  t -> ext:Fingerprint.t -> root:string -> key:Fingerprint.t -> root_entry option
-(** Bumps [roots_replayed] on a hit, [roots_recomputed] otherwise. *)
+  ?valid:(root_entry -> bool) ->
+  t ->
+  ext:Fingerprint.t ->
+  root:string ->
+  key:Fingerprint.t ->
+  root_entry option
+(** Bumps [roots_replayed] on a hit, [roots_recomputed] otherwise. An
+    entry that [valid] (default: always) rejects is a miss. *)
 
 val store_root : t -> ext:Fingerprint.t -> root_entry -> unit
 (** [store_fn] and [store_root] update the in-memory index; {!flush}

@@ -25,6 +25,24 @@ let suite =
     check_toks "char literals" "'a' '\\n' '\\0'"
       [ Tok.CHAR_LIT 'a'; Tok.CHAR_LIT '\n'; Tok.CHAR_LIT '\000' ];
     check_toks "string with escapes" {|"a\tb"|} [ Tok.STR_LIT "a\tb" ];
+    check_toks "octal char escapes" {|'\177' '\0' '\7' '\101'|}
+      [ Tok.CHAR_LIT '\127'; Tok.CHAR_LIT '\000'; Tok.CHAR_LIT '\007'; Tok.CHAR_LIT 'A' ];
+    check_toks "hex char escapes" {|'\x41' '\xff' '\x7'|}
+      [ Tok.CHAR_LIT 'A'; Tok.CHAR_LIT '\255'; Tok.CHAR_LIT '\007' ];
+    (* at most three octal digits: the fourth is a plain character *)
+    check_toks "octal string escapes" {|"\033[0m" "\1234" "a\0b"|}
+      [ Tok.STR_LIT "\027[0m"; Tok.STR_LIT "S4"; Tok.STR_LIT "a\000b" ];
+    (* a hex escape takes every hex digit after it, as in C; a value past
+       255 keeps its low byte *)
+    check_toks "hex string escapes" {|"a\x41-b" "\x41b" "\x"|}
+      [ Tok.STR_LIT "aA-b"; Tok.STR_LIT "\027"; Tok.STR_LIT "x" ];
+    t "a file with escaped char literals is analysed, not dropped" `Quick (fun () ->
+        let r =
+          Engine.check_source ~file:"esc.c"
+            "int c = '\\x41';\nint d = '\\177';\nint f(int *p) { kfree(p); return *p; }\n"
+            [ Free_checker.checker () ]
+        in
+        Alcotest.(check int) "the use-after-free is reported" 1 (List.length r.Engine.reports));
     check_toks "operators two-char" "== != <= >= && || << >> -> ++ --"
       [
         Tok.EQEQ; Tok.NEQ; Tok.LE; Tok.GE; Tok.ANDAND; Tok.OROR; Tok.SHL; Tok.SHR;

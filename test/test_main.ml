@@ -43,4 +43,5 @@ let () =
       ("state-ids", Test_state_ids.suite);
       ("serve", Test_serve.suite);
       ("annotations", Test_annots.suite);
+      ("annot-pos", Test_annot_pos.suite);
     ]

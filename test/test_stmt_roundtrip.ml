@@ -6,11 +6,18 @@ module G = QCheck2.Gen
 
 let var_gen = G.map (fun c -> Printf.sprintf "v%c" c) (G.char_range 'a' 'e')
 
+(* Char and string literals draw from every byte, so the printer's
+   escapes (named, and octal for the rest) must reparse to the same
+   bytes. *)
 let leaf_expr_gen =
   G.oneof
     [
       G.map (fun n -> Cast.intlit (Int64.of_int (abs n mod 100))) G.small_int;
       G.map Cast.ident var_gen;
+      G.map (fun c -> Cast.mk_expr (Cast.Echar c)) G.char;
+      G.map
+        (fun s -> Cast.mk_expr (Cast.Estr s))
+        (G.string_size ~gen:G.char (G.int_range 0 6));
     ]
 
 let expr_gen =
