@@ -368,15 +368,19 @@ let do_check files checkers metal_files rank_mode fmt history_db update_history
         st.Engine.shared_recomputed st.Engine.sched_steals
         st.Engine.sched_waits;
     let flat = sg.Supergraph.flat in
+    let mib words = float_of_int (words * (Sys.word_size / 8)) /. (1024. *. 1024.) in
     Format.printf
       "memory: flat tables %.1f KiB (%d blocks, %d functions), id table \
-       %.1f KiB, analysis allocated %.1f MiB@."
+       %.1f KiB, analysis allocated %.1f MiB, major heap peak %.1f MiB@."
       (float_of_int (Flat.table_bytes flat) /. 1024.)
       flat.Flat.n_blocks
       (Flat.n_functions flat)
       (float_of_int (Exprid.table_bytes sg.Supergraph.ids) /. 1024.)
       ((alloc1 -. alloc0 +. float_of_int st.Engine.worker_alloc_bytes)
-       /. (1024. *. 1024.));
+       /. (1024. *. 1024.))
+      (* the runtime's own figure, summed over domains, as OCAMLRUNPARAM=v=0x400
+         reports it at exit *)
+      (mib (Gc.quick_stat ()).Gc.top_heap_words);
     let total =
       List.length (Ctyping.fundefs sg.Supergraph.typing)
     in
@@ -531,45 +535,11 @@ let dump_cfg_cmd =
     (Cmd.info "dump-cfg" ~doc:"Print control-flow graphs")
     Term.(const do_dump_cfg $ files $ fname)
 
-let print_summary_tables sg summaries =
-  Hashtbl.iter
-    (fun fname (bs, sfx) ->
-      match Supergraph.cfg_of sg fname with
-      | None -> ()
-      | Some cfg ->
-          Format.printf "@[<v>=== %s ===@," fname;
-          Array.iteri
-            (fun bid (block_sum : Summary.t) ->
-              let b = Cfg.block cfg bid in
-              Format.printf "@[<v 2>B%d%s:@," bid
-                (if bid = cfg.Cfg.entry then " (entry)"
-                 else if bid = cfg.Cfg.exit_ then " (exit)"
-                 else "");
-              Format.printf "block summary:  @[%a@]@," Summary.pp block_sum;
-              Format.printf "suffix summary: @[%a@]@," Summary.pp sfx.(bid);
-              List.iter (fun e -> Format.printf "%a@," Block.pp_elem e) b.Block.elems;
-              Format.printf "%a@]@," Block.pp_terminator b.Block.term)
-            bs;
-          Format.printf "@]@.")
-    summaries
-
-(* Summaries are per-extension: print each extension's tables under its
-   own banner (a single extension keeps the old flat layout). *)
-let print_summaries sg per_ext =
-  match per_ext with
-  | [ (_, summaries) ] -> print_summary_tables sg summaries
-  | _ ->
-      List.iter
-        (fun (ext_name, summaries) ->
-          Format.printf "##### extension %s #####@.@." ext_name;
-          print_summary_tables sg summaries)
-        per_ext
-
 let do_dump_summaries files checkers metal_files =
   let sg = load_program files in
   let exts = List.map fst (resolve_checkers checkers metal_files) in
   let _result, per_ext = Engine.run_with_summaries sg exts in
-  print_summaries sg per_ext
+  Engine.pp_summaries sg Format.std_formatter per_ext
 
 let dump_summaries_cmd =
   let files = Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE") in
@@ -583,7 +553,8 @@ let dump_summaries_cmd =
   in
   Cmd.v
     (Cmd.info "dump-summaries"
-       ~doc:"Print block and suffix summaries after a run (Figure 5)")
+       ~doc:"Print block and suffix summaries after a run (Figure 5), one \
+             section per function in name order")
     Term.(const do_dump_summaries $ files $ checker $ metal_files)
 
 (* ------------------------------------------------------------------ *)
@@ -622,7 +593,7 @@ let do_demo what =
       Format.printf "reports:@.";
       List.iter (fun r -> Format.printf "  %a@." Report.pp r) result.Engine.reports;
       Format.printf "@.supergraph summaries (cf. Figure 5):@.@.";
-      print_summaries sg summaries
+      Engine.pp_summaries sg Format.std_formatter summaries
   | "fig3" ->
       Format.printf "Figure 3 lock checker:@.%s@." Lock_checker.source;
       let code =
@@ -1096,7 +1067,10 @@ let main_cmd =
 (* The traversal allocates short-lived state clones at a rate that keeps the
    default 256Kw minor heap promoting live data; a 4Mw nursery lets most
    per-path state die young (measured in the gc_minor_heap bench line). An
-   explicit s=... in OCAMLRUNPARAM/CAMLRUNPARAM still wins. *)
+   explicit s=... in OCAMLRUNPARAM/CAMLRUNPARAM still wins. [Gc.set] sizes
+   only the calling (main) domain's nursery: under OCaml 5.1 the worker
+   domains that -j N spawns start with the default 256Kw, or with s=...
+   when the environment sets it. *)
 let () =
   let user_set_minor_heap v =
     match Sys.getenv_opt v with

@@ -182,6 +182,27 @@ let closures t =
   fun f ->
     match Hashtbl.find_opt tbl f with Some c -> c | None -> [ f ]
 
+(* Roots from last to first, with one claimed set: the DFS from root [i]
+   claims every function of its closure not claimed yet. A function that
+   is already claimed lies in a later root's closure, and so does every
+   function it calls, so the walk stops there and visits each function and
+   call edge once. *)
+let release_schedule t =
+  let roots = Array.of_list t.roots_ in
+  let slots = Array.make (Array.length roots) [] in
+  let claimed = Hashtbl.create 64 in
+  for i = Array.length roots - 1 downto 0 do
+    let rec claim f =
+      if not (Hashtbl.mem claimed f) then begin
+        Hashtbl.replace claimed f ();
+        slots.(i) <- f :: slots.(i);
+        List.iter claim (callees t f)
+      end
+    in
+    claim roots.(i)
+  done;
+  slots
+
 let pp ppf t =
   Format.fprintf ppf "@[<v>roots: %s" (String.concat ", " t.roots_);
   Smap.iter

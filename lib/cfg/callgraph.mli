@@ -43,4 +43,12 @@ val closures : t -> string -> string list
     member and its transitive callers. The returned lookup falls back to
     the singleton [[f]] for undefined names. *)
 
+val release_schedule : t -> string list array
+(** [release_schedule t] assigns every defined function to the last root,
+    in {!roots} order, whose transitive callee closure contains it: slot
+    [i] lists the functions that no traversal entered at a root after the
+    [i]-th can reach, so a driver that runs the roots in order can drop
+    their per-function state as soon as root [i] finishes. One walk over
+    the graph, linear in its functions and call edges. *)
+
 val pp : Format.formatter -> t -> unit

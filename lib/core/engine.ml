@@ -284,8 +284,8 @@ type fctx = {
   fsum : fsum;
       (* this function's summary tables, resolved once per frame instead
          of per block visit (fsums entries are never replaced while a
-         frame is live: resets happen only at extension boundaries and
-         root rollback) *)
+         frame is live: they are removed only between roots, by the
+         release schedule and by rollback) *)
   depth : int;
   stack : string list;
   locals : string list;  (* declared locals, not params: filtered from suffix summaries *)
@@ -428,7 +428,7 @@ let get_fsum rctx (cfg : Cfg.t) =
 
 (* Content-level union of one function's summary tables: edges and src
    keys are re-added through [dst]'s interner, so tables from different
-   contexts (worker write-back merge, shared-unit replay) combine no
+   contexts (shared-unit replay, canonical seeding) combine no
    matter whose interner produced them. *)
 let merge_fsum_into (dst : fsum) (src : fsum) =
   let union (d : Summary.t option array) (s : Summary.t option array) =
@@ -501,13 +501,12 @@ let add_annots rctx eid tags =
 
 let annotate_node rctx (e : Cast.expr) tag = ignore (add_annots rctx e.eid [ tag ])
 
-(* The tags a delta entry adds beyond the base, oldest first (annotations
+(* The tags a delta entry adds beyond [base], oldest first (annotations
    prepend, so they are the list's prefix). *)
-let fresh_annots rctx eid tags =
+let fresh_annots ~base eid tags =
   let n =
     List.length tags
-    - List.length
-        (Option.value (Hashtbl.find_opt rctx.annots_base eid) ~default:[])
+    - List.length (Option.value (Hashtbl.find_opt base eid) ~default:[])
   in
   List.rev (List.filteri (fun i _ -> i < n) tags)
 
@@ -2103,7 +2102,7 @@ and compute_pub sh rctx fname (callee_cfg : Cfg.t) gstate : pub =
     p_counters = sorted_fold scratch.counters (fun rule (e, c) -> (rule, e, c));
     p_annots =
       sorted_fold scratch.annots (fun eid tags ->
-          (eid, fresh_annots scratch eid tags));
+          (eid, fresh_annots ~base:scratch.annots_base eid tags));
     p_traversed = sorted_fold scratch.traversed (fun f () -> f);
     p_deps = sorted_fold scratch.demanded (fun k () -> k);
     p_stats = scratch.st;
@@ -2365,13 +2364,36 @@ let set_extension rctx (ext : Sm.t) =
   rctx.cur_ext <- ext;
   rctx.dsp <- Dispatch.compile ~sg:rctx.sg ext
 
-let run_extension rctx (ext : Sm.t) =
+(* The sequential driver runs every root in one context, so a function's
+   summary tables serve every later root that reaches the function. They
+   are worth keeping only that long: [release] (from
+   {!Callgraph.release_schedule}, computed once per run) lists, per root,
+   the functions whose last reader it is, and their tables are dropped —
+   handed to [on_release] first — as soon as that root finishes. That is
+   exact. Only [get_fsum] reads [fsums], and a root's traversal enters
+   only functions of its callgraph closure ([call_target] follows only
+   [Ecall (Eident f)] calls, each of which [Callgraph.build] records as
+   an edge), so no released table is read again, and the last root
+   leaves the table empty for the next extension. *)
+let run_extension ?on_release ~release rctx (ext : Sm.t) =
   set_extension rctx ext;
   let roots = Supergraph.roots rctx.sg in
   Log.debug (fun m ->
       m "running extension %s over roots: %s" ext.Sm.sm_name
         (String.concat ", " roots));
-  List.iter (run_root_contained rctx ext) roots
+  List.iteri
+    (fun i root ->
+      run_root_contained rctx ext root;
+      List.iter
+        (fun f ->
+          match Hashtbl.find_opt rctx.fsums f with
+          | None -> ()
+          | Some s ->
+              Hashtbl.remove rctx.fsums f;
+              Option.iter (fun k -> k f s) on_release)
+        release.(i))
+    roots;
+  assert (Hashtbl.length rctx.fsums = 0)
 
 let collect_result rctx =
   rctx.st.functions_traversed <- Hashtbl.length rctx.traversed;
@@ -2405,10 +2427,10 @@ let collect_result rctx =
 (* Fold a worker's annotation delta into [base], preserving each node's
    tag insertion order (annotate_node prepends); [touched] hears of every
    node whose tags in [base] changed. *)
-let merge_annots ?(touched = ignore) base (w : rctx) =
+let merge_annots ?(touched = ignore) base annots =
   Hashtbl.iter
     (fun eid tags -> if add_annots base eid (List.rev tags) then touched eid)
-    w.annots
+    annots
 
 let add_stats (acc : stats) (s : stats) =
   acc.blocks_visited <- acc.blocks_visited + s.blocks_visited;
@@ -2433,6 +2455,20 @@ let add_stats (acc : stats) (s : stats) =
   acc.sched_waits <- acc.sched_waits + s.sched_waits;
   acc.worker_alloc_bytes <- acc.worker_alloc_bytes + s.worker_alloc_bytes
 
+(* What the root-order merges read of one worker's run. The rest of its
+   context — intern and id tables, the [annots_done] bitset, the dedup
+   table, the store family, the summaries — dies with the task instead of
+   waiting in the pool's result array for the merge. *)
+type root_out = {
+  o_reports : Report.t list;  (* emission order *)
+  o_counters : (string, int * int) Hashtbl.t;
+  o_annots : (int, string list) Hashtbl.t;  (* delta over the extension base *)
+  o_traversed : (string, unit) Hashtbl.t;
+  o_demanded : (string, unit) Hashtbl.t;
+  o_stats : stats;
+  o_degraded : degraded list;  (* the root's note if it was rolled back *)
+}
+
 (* Run one root in a fresh worker context on a pool domain. Its
    intern-table sizes and, when it ran off the [caller]'s domain, its
    allocation are stamped into its stats so the root-order merge can fold
@@ -2449,7 +2485,15 @@ let run_worker ~caller ?shared base (ext : Sm.t) root =
   if Domain.self () <> caller then
     w.st.worker_alloc_bytes <-
       int_of_float (Gc.allocated_bytes () -. alloc0);
-  w
+  {
+    o_reports = Report.reports w.collector;
+    o_counters = w.counters;
+    o_annots = w.annots;
+    o_traversed = w.traversed;
+    o_demanded = w.demanded;
+    o_stats = w.st;
+    o_degraded = List.rev w.degraded_roots;
+  }
 
 (* Parallel execution is a work-stealing schedule over individual roots.
    Each root runs in a private context (fresh collector, counters, stats,
@@ -2494,11 +2538,7 @@ let run_extension_parallel ~jobs base (ext : Sm.t) =
   let caller = Domain.self () in
   let tasks, sched =
     Pool.run_sched ~jobs ~order n (fun ~worker:_ i ->
-        let rctx = run_worker ~caller ?shared:sh base ext roots.(i) in
-        (* summaries are per-root scratch state; the merge reads only
-           deltas, so release them with the task *)
-        Hashtbl.reset rctx.fsums;
-        rctx)
+        run_worker ~caller ?shared:sh base ext roots.(i))
   in
   (* Deterministic merge, in root order. The dedup table is fresh per
      extension rather than shared across extensions the way one mutable
@@ -2510,7 +2550,7 @@ let run_extension_parallel ~jobs base (ext : Sm.t) =
   Array.iteri
     (fun i task ->
       match task with
-      | Ok (w : rctx) ->
+      | Ok o ->
           List.iter
             (fun r ->
               let key = report_key r in
@@ -2518,21 +2558,21 @@ let run_extension_parallel ~jobs base (ext : Sm.t) =
                 Hashtbl.replace dedup key ();
                 Report.emit base.collector r
               end)
-            (Report.reports w.collector);
+            o.o_reports;
           Hashtbl.iter
             (fun rule (e, c) ->
               let e0, c0 =
                 Option.value (Hashtbl.find_opt base.counters rule) ~default:(0, 0)
               in
               Hashtbl.replace base.counters rule (e0 + e, c0 + c))
-            w.counters;
-          merge_annots base w;
-          Hashtbl.iter (fun f () -> Hashtbl.replace base.traversed f ()) w.traversed;
-          Hashtbl.iter (fun k () -> Hashtbl.replace demanded k ()) w.demanded;
-          add_stats base.st w.st;
+            o.o_counters;
+          merge_annots base o.o_annots;
+          Hashtbl.iter (fun f () -> Hashtbl.replace base.traversed f ()) o.o_traversed;
+          Hashtbl.iter (fun k () -> Hashtbl.replace demanded k ()) o.o_demanded;
+          add_stats base.st o.o_stats;
           List.iter
             (fun d -> base.degraded_roots <- d :: base.degraded_roots)
-            (List.rev w.degraded_roots)
+            o.o_degraded
       | Error e ->
           (* the task failed outside the root boundary (worker setup) —
              degrade this root, keep the rest *)
@@ -2654,15 +2694,15 @@ let add_stats_list (acc : stats) = function
    initialisers) are dropped — matching parallel mode, where their ids
    are meaningless to other workers anyway. Read against the base, so it
    must be taken before the merge folds anything into that base. *)
-let annot_delta ~ix (w : rctx) =
+let annot_delta ~ix ~base annots =
   let deltas =
     Hashtbl.fold
       (fun eid tags acc ->
         match Annot_pos.position ix eid with
         | None -> acc
         | Some (p : Annot_pos.pos) ->
-            (p.loc, p.printed, p.def, p.occ, fresh_annots w eid tags) :: acc)
-      w.annots []
+            (p.loc, p.printed, p.def, p.occ, fresh_annots ~base eid tags) :: acc)
+      annots []
   in
   List.sort
     (fun ((a : Srcloc.t), pa, ca, oa, _) ((b : Srcloc.t), pb, cb, ob, _) ->
@@ -2808,7 +2848,7 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
                 Wire.string b actx;
                 Wire.int b occ;
                 Wire.list b Wire.string tags)
-              (annot_delta ~ix scratch);
+              (annot_delta ~ix ~base:scratch.annots_base scratch.annots);
             Some
               (bs, sfx, rets, Fingerprint.of_string ~salt:"canon-1" (Wire.contents b)))
   in
@@ -2913,7 +2953,8 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
   let r_annots =
     Array.map
       (function
-        | Ok w when Summary_store.persist store -> annot_delta ~ix w
+        | Ok o when Summary_store.persist store ->
+            annot_delta ~ix ~base:base.annots o.o_annots
         | _ -> [])
       workers
   in
@@ -2957,42 +2998,40 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
                   d_reason = "worker failed: " ^ Printexc.to_string e;
                 }
                 :: base.degraded_roots
-          | Ok w when w.degraded_roots <> [] ->
+          | Ok o when o.o_degraded <> [] ->
               (* the root blew its budget (or crashed) and was rolled
                  back: record the degraded note and — critically — do NOT
                  store a root entry. An empty entry would replay as "this
-                 root is clean" on the next warm run. Its fsums were reset
-                 by the rollback, so the function-summary write-back below
-                 gets nothing from it either. *)
+                 root is clean" on the next warm run. *)
               List.iter
                 (fun d -> base.degraded_roots <- d :: base.degraded_roots)
-                (List.rev w.degraded_roots);
-              add_stats base.st w.st
-          | Ok w ->
-              List.iter emit_merged (Report.reports w.collector);
-              Hashtbl.iter (fun rule (e, c) -> add_counter rule e c) w.counters;
-              merge_annots ~touched base w;
+                o.o_degraded;
+              add_stats base.st o.o_stats
+          | Ok o ->
+              List.iter emit_merged o.o_reports;
+              Hashtbl.iter (fun rule (e, c) -> add_counter rule e c) o.o_counters;
+              merge_annots ~touched base o.o_annots;
               Hashtbl.iter
                 (fun f () -> Hashtbl.replace base.traversed f ())
-                w.traversed;
-              add_stats base.st w.st;
+                o.o_traversed;
+              add_stats base.st o.o_stats;
               if Summary_store.persist store then
                 Summary_store.store_root store ~ext:ext_key
                   {
                     Summary_store.r_root = root;
                     r_key = key;
-                    r_reports = Report.reports w.collector;
+                    r_reports = o.o_reports;
                     r_counters =
                       List.sort
                         (fun (a, _, _) (b, _, _) -> String.compare a b)
                         (Hashtbl.fold
                            (fun rule (e, c) acc -> (rule, e, c) :: acc)
-                           w.counters []);
+                           o.o_counters []);
                     r_annots = r_annots.(Hashtbl.find worker_of idx);
                     r_traversed =
                       List.sort String.compare
-                        (Hashtbl.fold (fun f () acc -> f :: acc) w.traversed []);
-                    r_stats = stats_to_list w.st;
+                        (Hashtbl.fold (fun f () acc -> f :: acc) o.o_traversed []);
+                    r_stats = stats_to_list o.o_stats;
                   }))
     roots;
   Summary_store.flush store
@@ -3044,7 +3083,6 @@ let run_cached ?options ?observe ~jobs store sg exts =
   in
   List.iteri
     (fun i ext ->
-      Hashtbl.reset rctx.fsums;
       (* An extension holds every store entry it decodes until its merge
          ends, and they all die then. Emptying the minor heap at the
          boundary lets the next extension's entries die young: on a warm
@@ -3063,16 +3101,16 @@ let run ?options ?(jobs = 1) ?cache sg exts =
   | Some store -> run_cached ?options ~jobs store sg exts
   | None ->
       let rctx = new_rctx ?options sg in
-      (* callout registration mutates a global table: force it before domains
-         race on first lookup *)
-      if jobs > 1 then Callout.install_builtins ();
-      List.iter
-        (fun ext ->
-          (* summaries are per-extension *)
-          Hashtbl.reset rctx.fsums;
-          if jobs > 1 then run_extension_parallel ~jobs rctx ext
-          else run_extension rctx ext)
-        exts;
+      if jobs > 1 then begin
+        (* callout registration mutates a global table: force it before
+           domains race on first lookup *)
+        Callout.install_builtins ();
+        List.iter (run_extension_parallel ~jobs rctx) exts
+      end
+      else begin
+        let release = Callgraph.release_schedule sg.Supergraph.callgraph in
+        List.iter (run_extension ~release rctx) exts
+      end;
       collect_result rctx
 
 let run_observing_groups ?options ?(jobs = 1) ~cache ~observe sg exts =
@@ -3080,21 +3118,56 @@ let run_observing_groups ?options ?(jobs = 1) ~cache ~observe sg exts =
 
 let run_with_summaries ?options sg exts =
   let rctx = new_rctx ?options sg in
+  let release = Callgraph.release_schedule sg.Supergraph.callgraph in
   let per_ext =
     List.map
       (fun ext ->
-        Hashtbl.reset rctx.fsums;
-        run_extension rctx ext;
         let summaries = Hashtbl.create 16 in
-        Hashtbl.iter
-          (fun fname (s : fsum) ->
+        run_extension ~release rctx ext ~on_release:(fun fname (s : fsum) ->
             Hashtbl.replace summaries fname
-              (densify s.f_it s.bs, densify s.f_it s.sfx))
-          rctx.fsums;
+              (densify s.f_it s.bs, densify s.f_it s.sfx));
         (ext.Sm.sm_name, summaries))
       exts
   in
   (collect_result rctx, per_ext)
+
+(* Sections in function-name order: a table's own order follows the
+   release schedule's history, which no reader can predict. *)
+let pp_summary_tables sg ppf summaries =
+  List.iter
+    (fun (fname, (bs, sfx)) ->
+      match Supergraph.cfg_of sg fname with
+      | None -> ()
+      | Some cfg ->
+          Format.fprintf ppf "@[<v>=== %s ===@," fname;
+          Array.iteri
+            (fun bid (block_sum : Summary.t) ->
+              let b = Cfg.block cfg bid in
+              Format.fprintf ppf "@[<v 2>B%d%s:@," bid
+                (if bid = cfg.Cfg.entry then " (entry)"
+                 else if bid = cfg.Cfg.exit_ then " (exit)"
+                 else "");
+              Format.fprintf ppf "block summary:  @[%a@]@," Summary.pp block_sum;
+              Format.fprintf ppf "suffix summary: @[%a@]@," Summary.pp sfx.(bid);
+              List.iter (fun e -> Format.fprintf ppf "%a@," Block.pp_elem e) b.Block.elems;
+              Format.fprintf ppf "%a@]@," Block.pp_terminator b.Block.term)
+            bs;
+          Format.fprintf ppf "@]@.")
+    (List.sort
+       (fun (a, _) (b, _) -> String.compare a b)
+       (Hashtbl.fold (fun f s acc -> (f, s) :: acc) summaries []))
+
+(* Summaries are per-extension: each extension's tables print under its
+   own banner (a single extension keeps the flat layout). *)
+let pp_summaries sg ppf per_ext =
+  match per_ext with
+  | [ (_, summaries) ] -> pp_summary_tables sg ppf summaries
+  | _ ->
+      List.iter
+        (fun (ext_name, summaries) ->
+          Format.fprintf ppf "##### extension %s #####@.@." ext_name;
+          pp_summary_tables sg ppf summaries)
+        per_ext
 
 let run_function ?options sg (sm : Sm.sm_inst) ~fname =
   let rctx = new_rctx ?options sg in

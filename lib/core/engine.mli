@@ -146,8 +146,10 @@ val run :
     callgraph root.
 
     [jobs] (default 1) is the number of worker domains. With [jobs = 1]
-    the engine runs exactly as before — one root context shared by every
-    root, function summaries reused across roots. With [jobs > 1] each
+    one root context is shared by every root, and a function's summaries
+    are reused across roots until the last root that can reach the
+    function ({!Callgraph.release_schedule}) has run; then they are
+    dropped. With [jobs > 1] each
     callgraph root is an individual task on a work-stealing scheduler
     ({!Pool.run_sched}), dispatched bottom-up by acyclic callgraph height
     and analysed in a private root context over the shared supergraph.
@@ -220,4 +222,14 @@ val run_with_summaries :
 (** Like {!run} (sequential), also returning each extension's summary
     tables, keyed by extension name in run order (Figure 5 material).
     Summaries are per-extension: running two extensions returns two
-    entries, not just the last extension's tables. *)
+    entries, not just the last extension's tables. The run is {!run}'s own
+    sequential driver: each function's tables are collected when that
+    driver releases them, after the last root that can reach the function
+    (a table's iteration order therefore follows that schedule). *)
+
+val pp_summaries :
+  Supergraph.t -> Format.formatter -> (string * summaries) list -> unit
+(** Print {!run_with_summaries} tables: per function, in name order, each
+    block's summary, suffix summary, elements and terminator; with more
+    than one extension, each extension's functions under its own banner
+    ([dump-summaries], [demo fig2]). *)

@@ -44,4 +44,5 @@ let () =
       ("serve", Test_serve.suite);
       ("annotations", Test_annots.suite);
       ("annot-pos", Test_annot_pos.suite);
+      ("release", Test_release.suite);
     ]
