@@ -53,50 +53,59 @@ let ast_misses = Atomic.make 0
 let set_ast_cache ~cache_dir ~persist =
   ast_cache_conf := Option.map (fun dir -> (dir, persist)) cache_dir
 
-(* Pass 2 (Section 6): .mcast files are pre-parsed ASTs emitted by pass 1
-   ('xgcc emit'); anything else is (optionally preprocessed and) parsed
-   from C source — via the content-addressed object cache when
-   --cache-dir is given, so a warm run skips lexing and parsing. *)
-let load_tunit f =
-  if Filename.check_suffix f ".mcast" then Cast_io.read_file f
-  else begin
-    let src = read_file f in
-    let src =
-      match !cpp_conf with
-      | None -> src
-      | Some (defines, incdirs) ->
-          Cpp.preprocess ~defines ~resolve_include:(resolve_include incdirs) ~file:f src
-    in
-    match !ast_cache_conf with
-    | None -> Cparse.parse_tunit ~file:f src
-    | Some (cache_dir, persist) -> (
-        let fp = Cast_io.ast_fingerprint ~file:f ~source:src in
-        match Cast_io.read_cached ~cache_dir fp with
-        | Some tu ->
-            Atomic.incr ast_hits;
-            tu
-        | None ->
-            Atomic.incr ast_misses;
-            let tu = Cparse.parse_tunit ~file:f src in
-            if persist then Cast_io.write_cached ~cache_dir fp tu;
-            tu)
-  end
-
-(* Fault-contained loading for 'check': a file that cannot be loaded at
-   all — corrupt .mcast, lexical error, structural cpp error, I/O error —
-   is skipped with a diagnostic instead of aborting the whole run.
-   Definition-level parse errors never reach here: the parser recovers
-   in-place and records Gskipped stubs (warned about by Supergraph.build). *)
-let load_tunit_result f =
-  if Filename.check_suffix f ".mcast" then Cast_io.read_file_result f
+(* Load one translation unit from its path and text. Pass 2 (Section 6):
+   a .mcast is an AST object emitted by pass 1 ('xgcc emit'); anything
+   else is (optionally preprocessed and) parsed from C source — via the
+   content-addressed object cache when --cache-dir is given, so a warm
+   run skips lexing and parsing. A unit that cannot be loaded at all —
+   corrupt .mcast, lexical error, structural cpp error — is an [Error],
+   which 'check' and 'serve' skip with a diagnostic instead of aborting
+   the whole run. Definition-level parse errors never reach here: the
+   parser recovers in-place and records Gskipped stubs (warned about by
+   Supergraph.build). The daemon passes editor-buffer overlays as
+   [source], so nothing here reads [path] itself. *)
+let parse_source ~path ~source =
+  if Filename.check_suffix path ".mcast" then Cast_io.read_string source
   else
-    match load_tunit f with
+    match
+      let src =
+        match !cpp_conf with
+        | None -> source
+        | Some (defines, incdirs) ->
+            Cpp.preprocess ~defines
+              ~resolve_include:(resolve_include incdirs)
+              ~file:path source
+      in
+      match !ast_cache_conf with
+      | None -> Cparse.parse_tunit ~file:path src
+      | Some (cache_dir, persist) -> (
+          let fp = Cast_io.ast_fingerprint ~file:path ~source:src in
+          match Cast_io.read_cached ~cache_dir fp with
+          | Some tu ->
+              Atomic.incr ast_hits;
+              tu
+          | None ->
+              Atomic.incr ast_misses;
+              let tu = Cparse.parse_tunit ~file:path src in
+              if persist then Cast_io.write_cached ~cache_dir fp tu;
+              tu)
+    with
     | tu -> Ok tu
     | exception Clex.Lex_error (loc, msg) ->
         Error (Printf.sprintf "%s: lexical error: %s" (Srcloc.to_string loc) msg)
     | exception Cpp.Cpp_error (loc, msg) ->
         Error (Printf.sprintf "%s: preprocessor error: %s" (Srcloc.to_string loc) msg)
     | exception Sys_error msg -> Error msg
+
+let load_tunit_result f =
+  match read_file f with
+  | source -> parse_source ~path:f ~source
+  | exception Sys_error msg -> Error msg
+
+(* emit, dump-cfg, dump-summaries and triage stop at a file they cannot
+   load *)
+let load_tunit f =
+  match load_tunit_result f with Ok tu -> tu | Error msg -> failwith (f ^ ": " ^ msg)
 
 let load_program files = Supergraph.build (List.map load_tunit files)
 
@@ -782,22 +791,17 @@ let do_cache_dump files =
   let failed = ref false in
   List.iter
     (fun path ->
-      (* file kind is recognised by magic: summary-store packs (one sexp
-         per entry) first, then binary AST cache objects, then emitted
-         sexp .mcast files *)
+      (* file kind is recognised by magic: summary-store packs (one line
+         per entry) first, then AST objects (cache objects and emitted
+         .mcast files alike), printed as C *)
       match Summary_store.dump_pack path with
-      | Ok sxs -> List.iter (fun sx -> Format.printf "%s@." (Sexp.to_string sx)) sxs
+      | Ok d -> Summary_store.pp_dump Format.std_formatter d
       | Error store_err -> (
-          match Cast_io.read_cached_file path with
-          | Ok tu ->
-              Format.printf "%s@." (Sexp.to_string (Cast_io.tunit_to_sexp tu))
-          | Error _ -> (
-              match Cast_io.read_file_result path with
-              | Ok tu ->
-                  Format.printf "%s@." (Sexp.to_string (Cast_io.tunit_to_sexp tu))
-              | Error _ ->
-                  Format.eprintf "%s: %s@." path store_err;
-                  failed := true)))
+          match Cast_io.read_file path with
+          | Ok tu -> Cprint.pp_tunit Format.std_formatter tu
+          | Error _ ->
+              Format.eprintf "%s: %s@." path store_err;
+              failed := true))
     files;
   if !failed then exit 2
 
@@ -813,8 +817,11 @@ let cache_dump_cmd =
   let files = Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE") in
   Cmd.v
     (Cmd.info "dump"
-       ~doc:"Decode binary cache files (function-summary and root replay \
-             packs, AST objects) and print them as sexps, one per entry")
+       ~doc:"Decode binary cache files and print them: function-summary \
+             and root replay packs one line per entry, in name order \
+             ($(b,fn) or $(b,root), the name and key, then the summaries or \
+             the reports); AST objects (cache objects and emitted .mcast \
+             files) as C")
     Term.(const do_cache_dump $ files)
 
 let cache_cmd =
@@ -885,48 +892,6 @@ let triage_cmd =
 (* ------------------------------------------------------------------ *)
 (* serve (long-lived analysis daemon)                                  *)
 (* ------------------------------------------------------------------ *)
-
-(* Parse one in-memory source the way load_tunit would load it from disk.
-   The daemon substitutes editor-buffer overlays for file contents, so
-   the front end must never re-read the path itself. *)
-let parse_source ~path ~source =
-  if Filename.check_suffix path ".mcast" then
-    match Cast_io.read_string source with
-    | tu -> Ok tu
-    | exception
-        (( Sexp.Parse_error _ | Sexp.Decode_error _ | Failure _
-         | Invalid_argument _ | End_of_file ) as e) ->
-        Error (Printexc.to_string e)
-  else
-    match
-      let src =
-        match !cpp_conf with
-        | None -> source
-        | Some (defines, incdirs) ->
-            Cpp.preprocess ~defines
-              ~resolve_include:(resolve_include incdirs)
-              ~file:path source
-      in
-      match !ast_cache_conf with
-      | None -> Cparse.parse_tunit ~file:path src
-      | Some (cache_dir, persist) -> (
-          let fp = Cast_io.ast_fingerprint ~file:path ~source:src in
-          match Cast_io.read_cached ~cache_dir fp with
-          | Some tu ->
-              Atomic.incr ast_hits;
-              tu
-          | None ->
-              Atomic.incr ast_misses;
-              let tu = Cparse.parse_tunit ~file:path src in
-              if persist then Cast_io.write_cached ~cache_dir fp tu;
-              tu)
-    with
-    | tu -> Ok tu
-    | exception Clex.Lex_error (loc, msg) ->
-        Error (Printf.sprintf "%s: lexical error: %s" (Srcloc.to_string loc) msg)
-    | exception Cpp.Cpp_error (loc, msg) ->
-        Error (Printf.sprintf "%s: preprocessor error: %s" (Srcloc.to_string loc) msg)
-    | exception Sys_error msg -> Error msg
 
 let do_serve files checkers metal_files rank verbose use_cpp defines incdirs
     jobs cache_dir no_cache_persist socket debounce options =

@@ -30,7 +30,12 @@ let () =
   in
 
   (* pass 2: reassemble ASTs, build the supergraph *)
-  let tus = List.map Cast_io.read_file ast_files in
+  let tus =
+    List.map
+      (fun path ->
+        match Cast_io.read_file path with Ok tu -> tu | Error msg -> failwith msg)
+      ast_files
+  in
   let sg = Supergraph.build tus in
   Format.printf "@.pass 2: %d translation units, roots: %s@." (List.length tus)
     (String.concat ", " (Supergraph.roots sg));

@@ -1,481 +1,8 @@
-let s = Sexp.atom
-let l = Sexp.list
-
-let loc_to_sexp (loc : Srcloc.t) =
-  l [ s "@"; s loc.file; s (string_of_int loc.line); s (string_of_int loc.col) ]
-
-let loc_of_sexp sx =
-  match sx with
-  | Sexp.List [ Sexp.Atom "@"; Sexp.Atom file; Sexp.Atom line; Sexp.Atom col ] ->
-      Srcloc.make ~file ~line:(int_of_string line) ~col:(int_of_string col)
-  | _ -> raise (Sexp.Decode_error "bad location")
-
-(* ------------------------------------------------------------------ *)
-(* Types                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let int_size_to_string = function
-  | Ctyp.Ichar -> "char"
-  | Ctyp.Ishort -> "short"
-  | Ctyp.Iint -> "int"
-  | Ctyp.Ilong -> "long"
-  | Ctyp.Ilonglong -> "llong"
-
-let int_size_of_string = function
-  | "char" -> Ctyp.Ichar
-  | "short" -> Ctyp.Ishort
-  | "int" -> Ctyp.Iint
-  | "long" -> Ctyp.Ilong
-  | "llong" -> Ctyp.Ilonglong
-  | other -> raise (Sexp.Decode_error ("bad int size " ^ other))
-
-let rec ctyp_to_sexp = function
-  | Ctyp.Void -> s "void"
-  | Ctyp.Unknown -> s "?"
-  | Ctyp.Int { signed; size } ->
-      l [ s "int"; s (if signed then "s" else "u"); s (int_size_to_string size) ]
-  | Ctyp.Float Ctyp.Ffloat -> s "float"
-  | Ctyp.Float Ctyp.Fdouble -> s "double"
-  | Ctyp.Ptr t -> l [ s "ptr"; ctyp_to_sexp t ]
-  | Ctyp.Array (t, None) -> l [ s "arr"; ctyp_to_sexp t ]
-  | Ctyp.Array (t, Some n) -> l [ s "arr"; ctyp_to_sexp t; s (string_of_int n) ]
-  | Ctyp.Func (r, ps, variadic) ->
-      l
-        (s (if variadic then "vfunc" else "func")
-        :: ctyp_to_sexp r :: List.map ctyp_to_sexp ps)
-  | Ctyp.Struct name -> l [ s "struct"; s name ]
-  | Ctyp.Union name -> l [ s "union"; s name ]
-  | Ctyp.Enum name -> l [ s "enum"; s name ]
-  | Ctyp.Named name -> l [ s "named"; s name ]
-
-let rec ctyp_of_sexp sx =
-  match sx with
-  | Sexp.Atom "void" -> Ctyp.Void
-  | Sexp.Atom "?" -> Ctyp.Unknown
-  | Sexp.Atom "float" -> Ctyp.Float Ctyp.Ffloat
-  | Sexp.Atom "double" -> Ctyp.Float Ctyp.Fdouble
-  | Sexp.List [ Sexp.Atom "int"; Sexp.Atom sign; Sexp.Atom size ] ->
-      Ctyp.Int { signed = String.equal sign "s"; size = int_size_of_string size }
-  | Sexp.List [ Sexp.Atom "ptr"; t ] -> Ctyp.Ptr (ctyp_of_sexp t)
-  | Sexp.List [ Sexp.Atom "arr"; t ] -> Ctyp.Array (ctyp_of_sexp t, None)
-  | Sexp.List [ Sexp.Atom "arr"; t; Sexp.Atom n ] ->
-      Ctyp.Array (ctyp_of_sexp t, Some (int_of_string n))
-  | Sexp.List (Sexp.Atom "func" :: r :: ps) ->
-      Ctyp.Func (ctyp_of_sexp r, List.map ctyp_of_sexp ps, false)
-  | Sexp.List (Sexp.Atom "vfunc" :: r :: ps) ->
-      Ctyp.Func (ctyp_of_sexp r, List.map ctyp_of_sexp ps, true)
-  | Sexp.List [ Sexp.Atom "struct"; Sexp.Atom n ] -> Ctyp.Struct n
-  | Sexp.List [ Sexp.Atom "union"; Sexp.Atom n ] -> Ctyp.Union n
-  | Sexp.List [ Sexp.Atom "enum"; Sexp.Atom n ] -> Ctyp.Enum n
-  | Sexp.List [ Sexp.Atom "named"; Sexp.Atom n ] -> Ctyp.Named n
-  | other -> raise (Sexp.Decode_error ("bad type " ^ Sexp.to_string other))
-
-(* ------------------------------------------------------------------ *)
-(* Expressions                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let unop_to_string = function
-  | Cast.Neg -> "neg"
-  | Cast.Lognot -> "not"
-  | Cast.Bitnot -> "bnot"
-  | Cast.Deref -> "deref"
-  | Cast.Addrof -> "addr"
-  | Cast.Preinc -> "preinc"
-  | Cast.Predec -> "predec"
-  | Cast.Postinc -> "postinc"
-  | Cast.Postdec -> "postdec"
-
-let unop_of_string = function
-  | "neg" -> Cast.Neg
-  | "not" -> Cast.Lognot
-  | "bnot" -> Cast.Bitnot
-  | "deref" -> Cast.Deref
-  | "addr" -> Cast.Addrof
-  | "preinc" -> Cast.Preinc
-  | "predec" -> Cast.Predec
-  | "postinc" -> Cast.Postinc
-  | "postdec" -> Cast.Postdec
-  | other -> raise (Sexp.Decode_error ("bad unop " ^ other))
-
-let binop_to_string = function
-  | Cast.Add -> "add"
-  | Cast.Sub -> "sub"
-  | Cast.Mul -> "mul"
-  | Cast.Div -> "div"
-  | Cast.Mod -> "mod"
-  | Cast.Shl -> "shl"
-  | Cast.Shr -> "shr"
-  | Cast.Lt -> "lt"
-  | Cast.Gt -> "gt"
-  | Cast.Le -> "le"
-  | Cast.Ge -> "ge"
-  | Cast.Eq -> "eq"
-  | Cast.Ne -> "ne"
-  | Cast.Band -> "band"
-  | Cast.Bor -> "bor"
-  | Cast.Bxor -> "bxor"
-  | Cast.Land -> "land"
-  | Cast.Lor -> "lor"
-
-let binop_of_string = function
-  | "add" -> Cast.Add
-  | "sub" -> Cast.Sub
-  | "mul" -> Cast.Mul
-  | "div" -> Cast.Div
-  | "mod" -> Cast.Mod
-  | "shl" -> Cast.Shl
-  | "shr" -> Cast.Shr
-  | "lt" -> Cast.Lt
-  | "gt" -> Cast.Gt
-  | "le" -> Cast.Le
-  | "ge" -> Cast.Ge
-  | "eq" -> Cast.Eq
-  | "ne" -> Cast.Ne
-  | "band" -> Cast.Band
-  | "bor" -> Cast.Bor
-  | "bxor" -> Cast.Bxor
-  | "land" -> Cast.Land
-  | "lor" -> Cast.Lor
-  | other -> raise (Sexp.Decode_error ("bad binop " ^ other))
-
-let rec expr_to_sexp (e : Cast.expr) =
-  let node =
-    match e.enode with
-    | Cast.Eint n -> l [ s "i"; s (Int64.to_string n) ]
-    | Cast.Efloat f -> l [ s "f"; s (Float.to_string f) ]
-    | Cast.Echar c -> l [ s "c"; s (string_of_int (Char.code c)) ]
-    | Cast.Estr str -> l [ s "str"; s str ]
-    | Cast.Eident x -> l [ s "v"; s x ]
-    | Cast.Eunary (u, e1) -> l [ s "u"; s (unop_to_string u); expr_to_sexp e1 ]
-    | Cast.Ebinary (o, a, b) ->
-        l [ s "b"; s (binop_to_string o); expr_to_sexp a; expr_to_sexp b ]
-    | Cast.Eassign (None, a, b) -> l [ s "set"; expr_to_sexp a; expr_to_sexp b ]
-    | Cast.Eassign (Some o, a, b) ->
-        l [ s "setop"; s (binop_to_string o); expr_to_sexp a; expr_to_sexp b ]
-    | Cast.Ecall (f, args) -> l (s "call" :: expr_to_sexp f :: List.map expr_to_sexp args)
-    | Cast.Efield (e1, f) -> l [ s "fld"; expr_to_sexp e1; s f ]
-    | Cast.Earrow (e1, f) -> l [ s "arw"; expr_to_sexp e1; s f ]
-    | Cast.Eindex (a, i) -> l [ s "idx"; expr_to_sexp a; expr_to_sexp i ]
-    | Cast.Ecast (t, e1) -> l [ s "cast"; ctyp_to_sexp t; expr_to_sexp e1 ]
-    | Cast.Econd (c, t, f) ->
-        l [ s "cond"; expr_to_sexp c; expr_to_sexp t; expr_to_sexp f ]
-    | Cast.Ecomma (a, b) -> l [ s "comma"; expr_to_sexp a; expr_to_sexp b ]
-    | Cast.Esizeof_type t -> l [ s "szt"; ctyp_to_sexp t ]
-    | Cast.Esizeof_expr e1 -> l [ s "sze"; expr_to_sexp e1 ]
-    | Cast.Einit_list es -> l (s "init" :: List.map expr_to_sexp es)
-  in
-  l [ node; loc_to_sexp e.eloc ]
-
-let rec expr_of_sexp sx =
-  match sx with
-  | Sexp.List [ node; locx ] ->
-      let loc = loc_of_sexp locx in
-      let enode =
-        match node with
-        | Sexp.List [ Sexp.Atom "i"; Sexp.Atom n ] -> Cast.Eint (Int64.of_string n)
-        | Sexp.List [ Sexp.Atom "f"; Sexp.Atom f ] -> Cast.Efloat (float_of_string f)
-        | Sexp.List [ Sexp.Atom "c"; Sexp.Atom n ] -> Cast.Echar (Char.chr (int_of_string n))
-        | Sexp.List [ Sexp.Atom "str"; Sexp.Atom str ] -> Cast.Estr str
-        | Sexp.List [ Sexp.Atom "v"; Sexp.Atom x ] -> Cast.Eident x
-        | Sexp.List [ Sexp.Atom "u"; Sexp.Atom u; e1 ] ->
-            Cast.Eunary (unop_of_string u, expr_of_sexp e1)
-        | Sexp.List [ Sexp.Atom "b"; Sexp.Atom o; a; b ] ->
-            Cast.Ebinary (binop_of_string o, expr_of_sexp a, expr_of_sexp b)
-        | Sexp.List [ Sexp.Atom "set"; a; b ] ->
-            Cast.Eassign (None, expr_of_sexp a, expr_of_sexp b)
-        | Sexp.List [ Sexp.Atom "setop"; Sexp.Atom o; a; b ] ->
-            Cast.Eassign (Some (binop_of_string o), expr_of_sexp a, expr_of_sexp b)
-        | Sexp.List (Sexp.Atom "call" :: f :: args) ->
-            Cast.Ecall (expr_of_sexp f, List.map expr_of_sexp args)
-        | Sexp.List [ Sexp.Atom "fld"; e1; Sexp.Atom f ] -> Cast.Efield (expr_of_sexp e1, f)
-        | Sexp.List [ Sexp.Atom "arw"; e1; Sexp.Atom f ] -> Cast.Earrow (expr_of_sexp e1, f)
-        | Sexp.List [ Sexp.Atom "idx"; a; i ] ->
-            Cast.Eindex (expr_of_sexp a, expr_of_sexp i)
-        | Sexp.List [ Sexp.Atom "cast"; t; e1 ] ->
-            Cast.Ecast (ctyp_of_sexp t, expr_of_sexp e1)
-        | Sexp.List [ Sexp.Atom "cond"; c; t; f ] ->
-            Cast.Econd (expr_of_sexp c, expr_of_sexp t, expr_of_sexp f)
-        | Sexp.List [ Sexp.Atom "comma"; a; b ] ->
-            Cast.Ecomma (expr_of_sexp a, expr_of_sexp b)
-        | Sexp.List [ Sexp.Atom "szt"; t ] -> Cast.Esizeof_type (ctyp_of_sexp t)
-        | Sexp.List [ Sexp.Atom "sze"; e1 ] -> Cast.Esizeof_expr (expr_of_sexp e1)
-        | Sexp.List (Sexp.Atom "init" :: es) -> Cast.Einit_list (List.map expr_of_sexp es)
-        | other -> raise (Sexp.Decode_error ("bad expr " ^ Sexp.to_string other))
-      in
-      Cast.mk_expr ~loc enode
-  | other -> raise (Sexp.Decode_error ("bad expr wrapper " ^ Sexp.to_string other))
-
-(* ------------------------------------------------------------------ *)
-(* Statements                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let decl_to_sexp (d : Cast.decl) =
-  l
-    (s "d" :: s d.dname :: ctyp_to_sexp d.dtyp
-    :: (match d.dinit with None -> [] | Some e -> [ expr_to_sexp e ]))
-
-let decl_of_sexp = function
-  | Sexp.List [ Sexp.Atom "d"; Sexp.Atom name; t ] ->
-      { Cast.dname = name; dtyp = ctyp_of_sexp t; dinit = None }
-  | Sexp.List [ Sexp.Atom "d"; Sexp.Atom name; t; init ] ->
-      { Cast.dname = name; dtyp = ctyp_of_sexp t; dinit = Some (expr_of_sexp init) }
-  | other -> raise (Sexp.Decode_error ("bad decl " ^ Sexp.to_string other))
-
-let rec stmt_to_sexp (st : Cast.stmt) =
-  let node =
-    match st.snode with
-    | Cast.Sexpr e -> l [ s "expr"; expr_to_sexp e ]
-    | Cast.Sdecl ds -> l (s "decl" :: List.map decl_to_sexp ds)
-    | Cast.Sif (c, t, None) -> l [ s "if"; expr_to_sexp c; stmt_to_sexp t ]
-    | Cast.Sif (c, t, Some e) ->
-        l [ s "ife"; expr_to_sexp c; stmt_to_sexp t; stmt_to_sexp e ]
-    | Cast.Swhile (c, b) -> l [ s "while"; expr_to_sexp c; stmt_to_sexp b ]
-    | Cast.Sdo (b, c) -> l [ s "do"; stmt_to_sexp b; expr_to_sexp c ]
-    | Cast.Sfor (init, c, step, b) ->
-        l
-          [
-            s "for";
-            (match init with None -> s "_" | Some st -> stmt_to_sexp st);
-            (match c with None -> s "_" | Some e -> expr_to_sexp e);
-            (match step with None -> s "_" | Some e -> expr_to_sexp e);
-            stmt_to_sexp b;
-          ]
-    | Cast.Sreturn None -> s "ret"
-    | Cast.Sreturn (Some e) -> l [ s "rete"; expr_to_sexp e ]
-    | Cast.Sblock ss -> l (s "block" :: List.map stmt_to_sexp ss)
-    | Cast.Sbreak -> s "break"
-    | Cast.Scontinue -> s "continue"
-    | Cast.Sswitch (e, cases) ->
-        l
-          (s "switch" :: expr_to_sexp e
-          :: List.map
-               (fun (c : Cast.case) ->
-                 l
-                   ((match c.case_guard with
-                    | None -> s "default"
-                    | Some v -> s (Int64.to_string v))
-                   :: List.map stmt_to_sexp c.case_body))
-               cases)
-    | Cast.Sgoto label -> l [ s "goto"; s label ]
-    | Cast.Slabel (label, st1) -> l [ s "label"; s label; stmt_to_sexp st1 ]
-    | Cast.Snull -> s "skip"
-  in
-  l [ node; loc_to_sexp st.sloc ]
-
-and stmt_of_sexp sx =
-  match sx with
-  | Sexp.List [ node; locx ] ->
-      let loc = loc_of_sexp locx in
-      let snode =
-        match node with
-        | Sexp.List [ Sexp.Atom "expr"; e ] -> Cast.Sexpr (expr_of_sexp e)
-        | Sexp.List (Sexp.Atom "decl" :: ds) -> Cast.Sdecl (List.map decl_of_sexp ds)
-        | Sexp.List [ Sexp.Atom "if"; c; t ] ->
-            Cast.Sif (expr_of_sexp c, stmt_of_sexp t, None)
-        | Sexp.List [ Sexp.Atom "ife"; c; t; e ] ->
-            Cast.Sif (expr_of_sexp c, stmt_of_sexp t, Some (stmt_of_sexp e))
-        | Sexp.List [ Sexp.Atom "while"; c; b ] ->
-            Cast.Swhile (expr_of_sexp c, stmt_of_sexp b)
-        | Sexp.List [ Sexp.Atom "do"; b; c ] -> Cast.Sdo (stmt_of_sexp b, expr_of_sexp c)
-        | Sexp.List [ Sexp.Atom "for"; init; c; step; b ] ->
-            let opt_stmt = function Sexp.Atom "_" -> None | sx -> Some (stmt_of_sexp sx) in
-            let opt_expr = function Sexp.Atom "_" -> None | sx -> Some (expr_of_sexp sx) in
-            Cast.Sfor (opt_stmt init, opt_expr c, opt_expr step, stmt_of_sexp b)
-        | Sexp.Atom "ret" -> Cast.Sreturn None
-        | Sexp.List [ Sexp.Atom "rete"; e ] -> Cast.Sreturn (Some (expr_of_sexp e))
-        | Sexp.List (Sexp.Atom "block" :: ss) -> Cast.Sblock (List.map stmt_of_sexp ss)
-        | Sexp.Atom "break" -> Cast.Sbreak
-        | Sexp.Atom "continue" -> Cast.Scontinue
-        | Sexp.List (Sexp.Atom "switch" :: e :: cases) ->
-            Cast.Sswitch
-              ( expr_of_sexp e,
-                List.map
-                  (function
-                    | Sexp.List (guard :: body) ->
-                        let case_guard =
-                          match guard with
-                          | Sexp.Atom "default" -> None
-                          | Sexp.Atom v -> Some (Int64.of_string v)
-                          | _ -> raise (Sexp.Decode_error "bad case guard")
-                        in
-                        { Cast.case_guard; case_body = List.map stmt_of_sexp body }
-                    | _ -> raise (Sexp.Decode_error "bad case"))
-                  cases )
-        | Sexp.List [ Sexp.Atom "goto"; Sexp.Atom label ] -> Cast.Sgoto label
-        | Sexp.List [ Sexp.Atom "label"; Sexp.Atom label; st1 ] ->
-            Cast.Slabel (label, stmt_of_sexp st1)
-        | Sexp.Atom "skip" -> Cast.Snull
-        | other -> raise (Sexp.Decode_error ("bad stmt " ^ Sexp.to_string other))
-      in
-      Cast.mk_stmt ~loc snode
-  | other -> raise (Sexp.Decode_error ("bad stmt wrapper " ^ Sexp.to_string other))
-
-(* ------------------------------------------------------------------ *)
-(* Globals and translation units                                       *)
-(* ------------------------------------------------------------------ *)
-
-let global_to_sexp = function
-  | Cast.Gfun f ->
-      l
-        [
-          s "fun";
-          s f.fname;
-          ctyp_to_sexp f.freturn;
-          l
-            (List.map
-               (fun (n, t) -> l [ s n; ctyp_to_sexp t ])
-               f.fparams);
-          s (if f.fvariadic then "variadic" else "fixed");
-          s (if f.fstatic then "static" else "extern");
-          loc_to_sexp f.floc;
-          s f.ffile;
-          stmt_to_sexp f.fbody;
-        ]
-  | Cast.Gvar { gdecl; gloc; gfile; gstatic } ->
-      l
-        [
-          s "var";
-          decl_to_sexp gdecl;
-          loc_to_sexp gloc;
-          s gfile;
-          s (if gstatic then "static" else "extern");
-        ]
-  | Cast.Gtypedef (name, t) -> l [ s "typedef"; s name; ctyp_to_sexp t ]
-  | Cast.Gcomposite { ckind; cname; cfields } ->
-      l
-        (s (match ckind with `Struct -> "structdef" | `Union -> "uniondef")
-        :: s cname
-        :: List.map (fun (n, t) -> l [ s n; ctyp_to_sexp t ]) cfields)
-  | Cast.Genum { ename; eitems } ->
-      l
-        (s "enumdef" :: s ename
-        :: List.map (fun (n, v) -> l [ s n; s (Int64.to_string v) ]) eitems)
-  | Cast.Gproto { pname; ptyp } -> l [ s "proto"; s pname; ctyp_to_sexp ptyp ]
-  | Cast.Gskipped { sk_name; sk_from; sk_to; sk_msg } ->
-      l
-        [
-          s "skipped";
-          (match sk_name with Some n -> l [ s n ] | None -> l []);
-          loc_to_sexp sk_from;
-          loc_to_sexp sk_to;
-          s sk_msg;
-        ]
-
-let named_typ_of_sexp = function
-  | Sexp.List [ Sexp.Atom n; t ] -> (n, ctyp_of_sexp t)
-  | _ -> raise (Sexp.Decode_error "bad named type")
-
-let global_of_sexp = function
-  | Sexp.List
-      [ Sexp.Atom "fun"; Sexp.Atom fname; ret; Sexp.List params; Sexp.Atom va;
-        Sexp.Atom st; locx; Sexp.Atom ffile; body ] ->
-      Cast.Gfun
-        {
-          fname;
-          freturn = ctyp_of_sexp ret;
-          fparams = List.map named_typ_of_sexp params;
-          fvariadic = String.equal va "variadic";
-          fstatic = String.equal st "static";
-          floc = loc_of_sexp locx;
-          ffile;
-          fbody = stmt_of_sexp body;
-        }
-  | Sexp.List [ Sexp.Atom "var"; d; locx; Sexp.Atom gfile; Sexp.Atom st ] ->
-      Cast.Gvar
-        {
-          gdecl = decl_of_sexp d;
-          gloc = loc_of_sexp locx;
-          gfile;
-          gstatic = String.equal st "static";
-        }
-  | Sexp.List [ Sexp.Atom "typedef"; Sexp.Atom name; t ] ->
-      Cast.Gtypedef (name, ctyp_of_sexp t)
-  | Sexp.List (Sexp.Atom "structdef" :: Sexp.Atom cname :: fields) ->
-      Cast.Gcomposite
-        { ckind = `Struct; cname; cfields = List.map named_typ_of_sexp fields }
-  | Sexp.List (Sexp.Atom "uniondef" :: Sexp.Atom cname :: fields) ->
-      Cast.Gcomposite
-        { ckind = `Union; cname; cfields = List.map named_typ_of_sexp fields }
-  | Sexp.List (Sexp.Atom "enumdef" :: Sexp.Atom ename :: items) ->
-      Cast.Genum
-        {
-          ename;
-          eitems =
-            List.map
-              (function
-                | Sexp.List [ Sexp.Atom n; Sexp.Atom v ] -> (n, Int64.of_string v)
-                | _ -> raise (Sexp.Decode_error "bad enum item"))
-              items;
-        }
-  | Sexp.List [ Sexp.Atom "proto"; Sexp.Atom pname; t ] ->
-      Cast.Gproto { pname; ptyp = ctyp_of_sexp t }
-  | Sexp.List [ Sexp.Atom "skipped"; name; from_x; to_x; Sexp.Atom sk_msg ] ->
-      let sk_name =
-        match name with
-        | Sexp.List [ Sexp.Atom n ] -> Some n
-        | Sexp.List [] -> None
-        | _ -> raise (Sexp.Decode_error "bad skipped name")
-      in
-      Cast.Gskipped
-        { sk_name; sk_from = loc_of_sexp from_x; sk_to = loc_of_sexp to_x; sk_msg }
-  | other -> raise (Sexp.Decode_error ("bad global " ^ Sexp.to_string other))
-
-let tunit_to_sexp (tu : Cast.tunit) =
-  l (s "tunit" :: s tu.tu_file :: List.map global_to_sexp tu.tu_globals)
-
-let tunit_of_sexp = function
-  | Sexp.List (Sexp.Atom "tunit" :: Sexp.Atom tu_file :: globals) ->
-      { Cast.tu_file; tu_globals = List.map global_of_sexp globals }
-  | other -> raise (Sexp.Decode_error ("bad tunit " ^ Sexp.to_string other))
-
-let emit_string tu = Sexp.to_string (tunit_to_sexp tu)
-let read_string src = tunit_of_sexp (Sexp.of_string src)
-
-(* Tmp-then-rename: a crash mid-emit must not leave a truncated .mcast
-   that a later pass-2 reassembly reads as corrupt. *)
-let emit_file path tu =
-  let tmp = Filename.temp_file ~temp_dir:(Filename.dirname path) ".mcast" ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc (emit_string tu);
-     output_char oc '\n'
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  close_out oc;
-  Sys.rename tmp path
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  read_string src
-
-(* Fault-contained variant for pass-2 reassembly: a truncated or corrupt
-   [.mcast] becomes a diagnosable [Error], mirroring the cache policy of
-   [read_cached] below (same exception set — literal atoms decode with
-   int_of_string/Int64.of_string/Char.chr, which raise
-   Failure/Invalid_argument on tampered input). *)
-let read_file_result path =
-  match read_file path with
-  | tu -> Ok tu
-  | exception
-      (( Sexp.Parse_error _ | Sexp.Decode_error _ | Failure _
-       | Invalid_argument _ | Sys_error _ | End_of_file ) as e) ->
-      Error (Printexc.to_string e)
-
-(* ------------------------------------------------------------------ *)
-(* Binary codec                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* The sexp form above stays the interchange format (emit/read, cache
-   dumps, body hashing); the cache hot path uses this length-prefixed
-   binary encoding instead — decoding it is a single forward scan with
-   no tokenising, which is what makes warm probes cheap. Corruption
-   surfaces as [Wire.Corrupt] (or a codec exception on a valid frame
-   with nonsense contents) and every caller degrades it to a miss. *)
+(* One encoding of the AST: a length-prefixed binary form, decoded by a
+   single forward scan with no tokenising, which is what makes warm
+   probes cheap. Corruption surfaces as [Wire.Corrupt] (or a codec
+   exception on a valid frame with nonsense contents) and every reader
+   turns it into an [Error] or a cache miss. *)
 
 let bad fmt = Printf.ksprintf (fun m -> raise (Wire.Corrupt m)) fmt
 
@@ -970,22 +497,47 @@ let tunit_of_bin r : Cast.tunit =
   { tu_file; tu_globals = Wire.rlist r global_of_bin }
 
 (* ------------------------------------------------------------------ *)
-(* Content-addressed AST object cache                                   *)
+(* AST objects: emitted .mcast files and the content-addressed cache    *)
 (* ------------------------------------------------------------------ *)
 
-(* Bump whenever the sexp encoding above (or the parser semantics that
-   feed it) change: it salts every AST object's fingerprint, so every
-   cached object becomes unreachable at once. (The engine's body and
-   declaration hashes are salted with [cache_version], not this.)
+(* Bump whenever the parser can give the same text a different AST: it
+   salts every AST object's fingerprint, so every cached object becomes
+   unreachable at once. (The engine's body and declaration hashes are
+   salted with [cache_version], not this.)
    mcast-3: the lexer reads octal and hex escapes in literals. *)
 let format_version = "mcast-3"
 
-(* Version of the *binary* cache object layout; salted into the
-   fingerprint (together with [format_version]) so a layout change
-   orphans every on-disk object instead of tripping over it, and into the
-   engine's body and declaration hashes, which digest this layout. *)
+(* Version of the binary object layout; salted into the fingerprint
+   (together with [format_version]) so a layout change orphans every
+   on-disk object instead of tripping over it, and into the engine's body
+   and declaration hashes, which digest this layout. *)
 let cache_version = "mcast-bin-1"
 let ast_magic = "XGAST1\n"
+
+let emit_string tu =
+  let b = Wire.writer ~magic:ast_magic () in
+  tunit_to_bin b tu;
+  Wire.contents b
+
+(* a codec exception on a well-framed object (an out-of-range char code,
+   say) is corruption too *)
+let read_string src =
+  match
+    let r = Wire.reader ~magic:ast_magic src in
+    let tu = tunit_of_bin r in
+    if not (Wire.at_end r) then bad "trailing bytes in AST object";
+    tu
+  with
+  | tu -> Ok tu
+  | exception ((Wire.Corrupt _ | Failure _ | Invalid_argument _) as e) ->
+      Error (Printexc.to_string e)
+
+let emit_file path tu = Wire.write_file path (fun oc -> output_string oc (emit_string tu))
+
+let read_file path =
+  match Wire.read_file path with
+  | src -> read_string src
+  | exception Sys_error msg -> Error msg
 
 let ast_fingerprint ~file ~source =
   (* The file name is part of the key: source locations ([ffile], locs)
@@ -995,52 +547,17 @@ let ast_fingerprint ~file ~source =
     ~salt:(format_version ^ "+" ^ cache_version)
     (file ^ "\x00" ^ source)
 
-let mkdir_p dir =
-  let rec go d =
-    if not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      try Sys.mkdir d 0o755 with Sys_error _ when Sys.file_exists d -> ()
-    end
-  in
-  go dir
-
 let cached_path ~cache_dir fp = Filename.concat (Filename.concat cache_dir "ast") (fp ^ ".mcast")
-
-let decode_cached_string src =
-  let r = Wire.reader ~magic:ast_magic src in
-  let tu = tunit_of_bin r in
-  if not (Wire.at_end r) then bad "trailing bytes in cache object";
-  tu
-
-let read_cached_file path =
-  match decode_cached_string (Wire.read_file path) with
-  | tu -> Ok tu
-  | exception
-      ((Wire.Corrupt _ | Failure _ | Invalid_argument _ | Sys_error _) as e) ->
-      Error (Printexc.to_string e)
 
 let read_cached ~cache_dir fp =
   let path = cached_path ~cache_dir fp in
-  if Sys.file_exists path then
-    (* a corrupt, truncated, or vanished object is a miss, never an
-       error: the binary decoder raises [Wire.Corrupt] on malformed
-       frames (and Failure/Invalid_argument on nonsense payloads such
-       as out-of-range char codes) *)
-    match read_cached_file path with Ok tu -> Some tu | Error _ -> None
-  else None
+  (* a corrupt, truncated, or vanished object is a miss, never an error *)
+  if Sys.file_exists path then Result.to_option (read_file path) else None
 
 let write_cached ~cache_dir fp tu =
   let path = cached_path ~cache_dir fp in
-  mkdir_p (Filename.dirname path);
-  let b = Wire.writer ~magic:ast_magic () in
-  tunit_to_bin b tu;
-  (* tmp + rename in the same directory so concurrent writers (e.g. two
-     [-j] runs sharing a cache) never expose a torn object. *)
-  let tmp = Filename.temp_file ~temp_dir:(Filename.dirname path) "obj" ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc (Wire.contents b);
-  close_out oc;
-  Sys.rename tmp path
+  Wire.mkdir_p (Filename.dirname path);
+  emit_file path tu
 
 (* ------------------------------------------------------------------ *)
 (* Emit output naming                                                   *)

@@ -1,49 +1,18 @@
 (** AST (de)serialisation — the paper's two-pass architecture (Section 6).
 
     Pass 1 parses each translation unit in isolation and emits its AST to a
-    temporary file; pass 2 reads the emitted files back, "reassembles their
-    ASTs, and constructs the CFG and call graph". The emitted form is a
-    textual s-expression; the paper notes its AST files are "typically four
-    or five times larger than the text representation", and ours land in
-    the same ballpark (see the tests).
+    file; pass 2 reads the emitted files back, "reassembles their ASTs, and
+    constructs the CFG and call graph". The emitted file is an AST object:
+    {!ast_magic} followed by the length-prefixed binary frame of
+    {!tunit_to_bin}, the same bytes the content-addressed AST cache stores.
+    The paper notes its AST files are "typically four or five times larger
+    than the text representation"; ours are two to three times the source
+    (see the tests and EXPERIMENTS.md P9).
 
     Node ids are not serialised: decoding allocates fresh ids, which is all
-    the engine needs (ids only key per-run caches). *)
-
-val expr_to_sexp : Cast.expr -> Sexp.t
-val expr_of_sexp : Sexp.t -> Cast.expr
-val stmt_to_sexp : Cast.stmt -> Sexp.t
-val stmt_of_sexp : Sexp.t -> Cast.stmt
-val ctyp_to_sexp : Ctyp.t -> Sexp.t
-val ctyp_of_sexp : Sexp.t -> Ctyp.t
-val global_to_sexp : Cast.global -> Sexp.t
-val global_of_sexp : Sexp.t -> Cast.global
-val tunit_to_sexp : Cast.tunit -> Sexp.t
-val tunit_of_sexp : Sexp.t -> Cast.tunit
-
-val emit_file : string -> Cast.tunit -> unit
-(** Pass 1: write the AST file. *)
-
-val read_file : string -> Cast.tunit
-(** Pass 2: read it back. Raises {!Sexp.Parse_error} / {!Sexp.Decode_error}
-    on malformed input. *)
-
-val read_file_result : string -> (Cast.tunit, string) result
-(** Fault-contained {!read_file}: a truncated or corrupt [.mcast] file
-    yields [Error description] instead of raising, so a driver can skip
-    just that unit with a diagnostic. I/O errors ([Sys_error]) are
-    folded in too. *)
-
-val emit_string : Cast.tunit -> string
-val read_string : string -> Cast.tunit
-
-(** {1 Binary codec}
-
-    The cache hot path: a length-prefixed binary form of the same AST,
-    decoded by a single forward scan (no tokenising). The sexp form
-    above remains the interchange format — [.mcast] emit/read, body
-    hashing, and [xgcc cache dump] all speak sexp. Malformed binary
-    input raises {!Wire.Corrupt}; cache readers degrade it to a miss. *)
+    the engine needs (ids only key per-run caches). Malformed input raises
+    {!Wire.Corrupt} in the [*_of_bin] decoders; the object readers below
+    return it as an [Error]. *)
 
 val expr_to_bin : Wire.writer -> Cast.expr -> unit
 val expr_of_bin : Wire.reader -> Cast.expr
@@ -56,26 +25,41 @@ val global_of_bin : Wire.reader -> Cast.global
 val tunit_to_bin : Wire.writer -> Cast.tunit -> unit
 val tunit_of_bin : Wire.reader -> Cast.tunit
 
-(** {1 Content-addressed AST object cache}
-
-    Pass 1 results keyed by post-preprocess content: a warm run whose
-    fingerprint matches reuses the emitted object instead of re-lexing
-    and re-parsing the translation unit. Objects are stored in the
-    binary form with an {!ast_magic} header. *)
+(** {1 AST objects} *)
 
 val format_version : string
-(** Semantic version of the AST encoding; salts {!ast_fingerprint}. Bump
-    on any sexp-encoding change, or a parser change that can give the same
-    text a different AST. *)
+(** Version of the parser's semantics; salts {!ast_fingerprint}. Bump on
+    a parser change that can give the same text a different AST. *)
 
 val cache_version : string
-(** Version of the binary cache-object layout; also salted into
+(** Version of the binary object layout; also salted into
     {!ast_fingerprint} so a layout change orphans on-disk objects, and
     into the engine's body and declaration hashes, which digest this
     layout. *)
 
 val ast_magic : string
-(** Magic prefix of every binary cache object. *)
+(** Magic prefix of every AST object. *)
+
+val emit_string : Cast.tunit -> string
+(** The AST object of one translation unit. *)
+
+val read_string : string -> (Cast.tunit, string) result
+(** Decode an AST object. Corrupt or truncated input, trailing bytes, and
+    anything else that lacks {!ast_magic} (such as the s-expression
+    [.mcast] files of older builds) yield [Error description]. *)
+
+val emit_file : string -> Cast.tunit -> unit
+(** Pass 1: write the AST object atomically ({!Wire.write_file}). *)
+
+val read_file : string -> (Cast.tunit, string) result
+(** Pass 2: {!read_string} on a file's contents; an I/O error is an
+    [Error] too, so a driver can skip just that unit with a diagnostic. *)
+
+(** {1 Content-addressed AST object cache}
+
+    Pass 1 results keyed by post-preprocess content: a warm run whose
+    fingerprint matches reuses the object instead of re-lexing and
+    re-parsing the translation unit. *)
 
 val ast_fingerprint : file:string -> source:string -> Fingerprint.t
 (** Key for one translation unit: the input file name plus its
@@ -88,12 +72,8 @@ val cached_path : cache_dir:string -> Fingerprint.t -> string
 val read_cached : cache_dir:string -> Fingerprint.t -> Cast.tunit option
 (** [None] on a miss or an unreadable (torn / stale-format) object. *)
 
-val read_cached_file : string -> (Cast.tunit, string) result
-(** Decode one binary cache object by path — the [cache dump] entry
-    point. [Error description] on corrupt or unreadable input. *)
-
 val write_cached : cache_dir:string -> Fingerprint.t -> Cast.tunit -> unit
-(** Atomic (tmp + rename) write; creates the directory as needed. *)
+(** {!emit_file} to {!cached_path}; creates the directory as needed. *)
 
 val emit_targets : string list -> (string * string) list
 (** Map each input file to a unique [.mcast] output basename: the plain

@@ -155,3 +155,32 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+let mkdir_p dir =
+  let rec go d =
+    if not (Sys.file_exists d) then begin
+      go (Filename.dirname d);
+      try Sys.mkdir d 0o755 with Sys_error _ when Sys.file_exists d -> ()
+    end
+  in
+  go dir
+
+(* [Filename.temp_file] would create the file 0600; asking for 0666 lets
+   the umask decide, as [open_out] does. [close_out] before the rename:
+   it is the final flush, and a failed one must not put a torn file in
+   place. *)
+let write_file path write =
+  let tmp, oc =
+    Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o666
+      ~temp_dir:(Filename.dirname path)
+      ("." ^ Filename.basename path)
+      ".tmp"
+  in
+  try
+    write oc;
+    close_out oc;
+    Sys.rename tmp path
+  with e ->
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e

@@ -1,12 +1,12 @@
-(** Length-prefixed binary encoding for the persistent caches.
+(** Length-prefixed binary encoding: the one serialisation of pass-1 AST
+    objects ([.mcast] files and the AST cache), function-summary and root
+    replay entries, and the atomic file writer they (and the triage and
+    history files) share.
 
-    The hot cache paths (pass-1 AST objects, function-summary and root
-    replay entries) used to round-trip through sexps; parsing them back
-    dominated warm-run time. This module is the shared wire layer for the
-    binary replacements: varint ints (zigzag, so negatives stay short),
-    length-prefixed strings, and a magic prefix per entry kind so a file
-    of the wrong kind or version reads as {!Corrupt} — which every cache
-    treats as a miss, never an error.
+    Varint ints (zigzag, so negatives stay short), length-prefixed
+    strings, and a magic prefix per entry kind so a file of the wrong
+    kind or version reads as {!Corrupt} — which every cache treats as a
+    miss, never an error.
 
     The encoding is deliberately not self-describing: each consumer owns
     its layout and versions it through the magic string plus the
@@ -69,3 +69,16 @@ val at_end : reader -> bool
 
 val read_file : string -> string
 (** Whole-file read; raises [Sys_error] like [open_in]. *)
+
+val write_file : string -> (out_channel -> unit) -> unit
+(** [write_file path write] replaces [path] atomically: [write] fills a
+    temporary file in the same directory, which is renamed over [path]
+    only once it is completely written and closed, so a reader (or a
+    concurrent writer) sees the old file or the new one, never a torn
+    one. The file gets mode [0666] less the umask. If [write], the final
+    flush or the rename raises, the temporary file is removed and the
+    exception re-raised, leaving [path] as it was. *)
+
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents (mode [0755] less the
+    umask); a directory created concurrently is not an error. *)

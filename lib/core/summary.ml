@@ -277,87 +277,11 @@ let srcs_list t =
    entries land in the same id space. *)
 let add_src_key t k = Hashtbl.replace t.srcs (Intern.atom t.it k) ()
 
-(* --- sexp (de)serialisation, for the persistent summary store ---------
-   The on-disk format is unchanged from the string-keyed representation
-   (edges in insertion order, sorted rendered src keys): interning is a
-   purely in-memory encoding, so sumstore-2 entries stay valid. *)
-
-let tuple_to_sexp tup =
-  match tup.t_v with
-  | None -> Sexp.list [ Sexp.atom tup.t_g ]
-  | Some v ->
-      Sexp.list
-        [
-          Sexp.atom tup.t_g;
-          Sexp.atom v.v_key;
-          Cast_io.expr_to_sexp v.v_tree;
-          Sexp.atom v.v_value;
-          Sexp.atom (string_of_int v.v_depth);
-        ]
-
-let tuple_of_sexp = function
-  | Sexp.List [ Sexp.Atom g ] -> { t_g = g; t_v = None }
-  | Sexp.List [ Sexp.Atom g; Sexp.Atom v_key; tree; Sexp.Atom v_value; Sexp.Atom d ] ->
-      {
-        t_g = g;
-        t_v =
-          Some
-            {
-              v_key;
-              v_tree = Cast_io.expr_of_sexp tree;
-              v_value;
-              v_depth = int_of_string d;
-            };
-      }
-  | other -> raise (Sexp.Decode_error ("bad tuple " ^ Sexp.to_string other))
-
-let edge_to_sexp e =
-  Sexp.list
-    [
-      Sexp.atom (match e.e_kind with Transition -> "t" | Add -> "a");
-      tuple_to_sexp e.e_src;
-      tuple_to_sexp e.e_dst;
-    ]
-
-let edge_of_sexp = function
-  | Sexp.List [ Sexp.Atom kind; src; dst ] ->
-      {
-        e_src = tuple_of_sexp src;
-        e_dst = tuple_of_sexp dst;
-        e_kind =
-          (match kind with
-          | "t" -> Transition
-          | "a" -> Add
-          | k -> raise (Sexp.Decode_error ("bad edge kind " ^ k)));
-      }
-  | other -> raise (Sexp.Decode_error ("bad edge " ^ Sexp.to_string other))
-
-let to_sexp t =
-  Sexp.list
-    [
-      Sexp.atom "sum";
-      Sexp.list (List.map edge_to_sexp (edges t));
-      Sexp.list (List.map Sexp.atom (srcs_list t));
-    ]
-
-let of_sexp = function
-  | Sexp.List [ Sexp.Atom "sum"; Sexp.List edges; Sexp.List srcs ] ->
-      let t = create () in
-      List.iter (fun e -> ignore (add_edge t (edge_of_sexp e))) edges;
-      List.iter
-        (function
-          | Sexp.Atom k -> add_src_key t k
-          | _ -> raise (Sexp.Decode_error "bad src key"))
-        srcs;
-      t
-  | other -> raise (Sexp.Decode_error ("bad summary " ^ Sexp.to_string other))
-
-(* --- binary (de)serialisation, the store's hot path -------------------
-   Mirrors the sexp form content for content (edges in insertion order,
-   sorted rendered src keys), so replaying a binary entry reconstructs
-   the exact summary a sexp entry would — and so the serialized bytes
-   are a deterministic function of the summary's content, which is what
-   lets the engine use them as the cutoff content hash. *)
+(* --- binary (de)serialisation, for the persistent summary store -------
+   Edges in insertion order and sorted rendered src keys: interning is a
+   purely in-memory encoding, so the bytes are a deterministic function
+   of the summary's content, which is what lets the engine use them as
+   the cutoff content hash. *)
 
 let tuple_to_bin b tup =
   match tup.t_v with

@@ -144,17 +144,13 @@ val srcs_list : t -> string list
 val add_src_key : t -> string -> unit
 (** Re-record a persisted source-tuple key verbatim. *)
 
-val to_sexp : t -> Sexp.t
-val of_sexp : Sexp.t -> t
-(** Summary persistence: edges (in insertion order) plus src-tuple keys.
-    Round-trips everything the engine's caches consult; expression trees
-    are re-decoded with fresh node ids. Raises [Sexp.Decode_error]. *)
-
 val to_bin : Wire.writer -> t -> unit
 val of_bin : Wire.reader -> t
-(** Binary form of the same content (edges in insertion order, sorted
-    src keys) — the store's hot path, and the bytes the engine hashes as
-    a summary's cutoff content hash. Raises [Wire.Corrupt]. *)
+(** Summary persistence: edges (in insertion order) plus sorted src-tuple
+    keys. Round-trips everything the engine's caches consult; expression
+    trees are re-decoded with fresh node ids. The bytes are also what the
+    engine hashes as a summary's cutoff content hash. Raises
+    [Wire.Corrupt]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints the summary the way Figure 5 does: [<>]→[<>] edges are omitted

@@ -67,25 +67,11 @@ type t = {
    file per (kind, extension) instead of one file per entry. *)
 let store_version = "sumstore-4"
 
-let mkdir_p dir =
-  let rec go d =
-    if not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      try Sys.mkdir d 0o755 with Sys_error _ when Sys.file_exists d -> ()
-    end
-  in
-  go dir
-
-(* Every file the store writes goes through a temporary file in the target
-   directory and a rename, so a reader (or a concurrent writer) sees the
-   old file or the new one, never a torn one. *)
-let write_atomic path write =
-  let dir = Filename.dirname path in
-  mkdir_p dir;
-  let tmp = Filename.temp_file ~temp_dir:dir "xgcc" ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> write oc);
-  Sys.rename tmp path
+(* Every file the store writes is replaced atomically, its directory
+   created on first use. *)
+let write_file path write =
+  Wire.mkdir_p (Filename.dirname path);
+  Wire.write_file path write
 
 let version_path dir = Filename.concat dir "VERSION"
 
@@ -105,7 +91,7 @@ let create ~dir ?(persist = true) ?(memory = false) ~ext_keys () =
      the key salt below, and the stamp lets `cache stats` say so. *)
   if persist && read_version ~dir <> Some store_version then
     (try
-       write_atomic (version_path dir) (fun oc ->
+       write_file (version_path dir) (fun oc ->
            output_string oc store_version;
            output_char oc '\n')
      with Sys_error _ -> ());
@@ -386,7 +372,7 @@ let write_pack t kind ext idx =
       entries
   in
   let payload = Wire.contents b in
-  write_atomic (pack_path t kind ext) (fun oc ->
+  write_file (pack_path t kind ext) (fun oc ->
       output_string oc kind.magic;
       output_string oc (Digest.string payload);
       output_string oc payload);
@@ -480,7 +466,7 @@ let last_run_path dir = Filename.concat dir "last-run"
 let save_last_run t =
   if t.persist_ then
     try
-      write_atomic (last_run_path t.dir) (fun oc ->
+      write_file (last_run_path t.dir) (fun oc ->
           List.iter
             (fun (k, v) -> Printf.fprintf oc "%s %d\n" k v)
             (last_run_fields t.st))
@@ -564,76 +550,67 @@ let disk_stats ~dir =
     d_root = packs root_kind;
   }
 
-(* Sexp renderings of the binary entries, for `cache dump` — debugging
-   reads sexps, the hot path never does. *)
-
-let fn_to_sexp (e : fn_entry) =
-  Sexp.list
-    [
-      Sexp.atom "fn";
-      Sexp.atom e.f_name;
-      Sexp.atom e.f_key;
-      Sexp.atom e.f_content;
-      Sexp.list (List.map Sexp.atom e.f_rets);
-      Sexp.list
-        (Array.to_list
-           (Array.mapi
-              (fun i b -> Sexp.list [ Summary.to_sexp b; Summary.to_sexp e.f_sfx.(i) ])
-              e.f_bs));
-    ]
-
-let root_to_sexp e =
-  let annot_to_sexp ((loc : Srcloc.t), printed, ctx, occ, tags) =
-    Sexp.list
-      [
-        Sexp.atom loc.file;
-        Sexp.atom (string_of_int loc.line);
-        Sexp.atom (string_of_int loc.col);
-        Sexp.atom printed;
-        Sexp.atom ctx;
-        Sexp.atom (string_of_int occ);
-        Sexp.list (List.map Sexp.atom tags);
-      ]
-  in
-  Sexp.list
-    [
-      Sexp.atom "root";
-      Sexp.atom e.r_root;
-      Sexp.atom e.r_key;
-      Sexp.list (List.map Report.to_sexp e.r_reports);
-      Sexp.list
-        (List.map
-           (fun (rule, ex, c) ->
-             Sexp.list
-               [ Sexp.atom rule; Sexp.atom (string_of_int ex);
-                 Sexp.atom (string_of_int c) ])
-           e.r_counters);
-      Sexp.list (List.map annot_to_sexp e.r_annots);
-      Sexp.list (List.map Sexp.atom e.r_traversed);
-      Sexp.list (List.map (fun i -> Sexp.atom (string_of_int i)) e.r_stats);
-    ]
+type dump = Fn_entries of fn_entry list | Root_entries of root_entry list
 
 let dump_pack path =
-  let dump kind to_sexp (src, r) =
+  let dump kind (src, r) =
     match parse_pack src r with
     | exception Wire.Corrupt m -> Error ("corrupt pack: " ^ m)
     | slots ->
         let names =
           List.sort String.compare (Hashtbl.fold (fun n _ acc -> n :: acc) slots [])
         in
-        let sexps =
-          List.filter_map
-            (fun n -> Option.map to_sexp (force kind n (Hashtbl.find slots n)))
-            names
+        let entries =
+          List.filter_map (fun n -> force kind n (Hashtbl.find slots n)) names
         in
-        if List.compare_lengths sexps names = 0 then Ok sexps
+        if List.compare_lengths entries names = 0 then Ok entries
         else Error "corrupt entry body"
   in
   if not (Sys.file_exists path) then Error "no such file"
   else
     match read_pack fn_kind.magic path with
-    | Some p -> dump fn_kind fn_to_sexp p
+    | Some p -> Result.map (fun es -> Fn_entries es) (dump fn_kind p)
     | None -> (
         match read_pack root_kind.magic path with
-        | Some p -> dump root_kind root_to_sexp p
+        | Some p -> Result.map (fun es -> Root_entries es) (dump root_kind p)
         | None -> Error "not a summary-store pack (bad magic, bad digest or truncated)")
+
+(* The `cache dump` rendering: one line per entry, so every separator is
+   a plain string and no printer below has a break hint. *)
+
+let pp_items ?(sep = "; ") pp =
+  Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf sep) pp
+
+let pp_summary ppf s =
+  let pp_edge ppf (e : Summary.edge) =
+    Format.fprintf ppf "%s %a"
+      (match e.e_kind with Summary.Transition -> "t" | Add -> "a")
+      Summary.pp_edge e
+  in
+  Format.fprintf ppf "{%a | srcs %a}" (pp_items pp_edge) (Summary.edges s)
+    (pp_items Format.pp_print_string) (Summary.srcs_list s)
+
+let pp_fn_entry ppf e =
+  Format.fprintf ppf "fn %s %s content %s rets [%a]" e.f_name e.f_key e.f_content
+    (pp_items ~sep:" " Format.pp_print_string) e.f_rets;
+  Array.iteri
+    (fun i b ->
+      Format.fprintf ppf " | block %d %a suffix %a" i pp_summary b pp_summary e.f_sfx.(i))
+    e.f_bs
+
+let pp_root_entry ppf e =
+  let pp_counter ppf (rule, ex, c) = Format.fprintf ppf "%s %d/%d" rule ex c in
+  let pp_annot ppf (loc, printed, ctx, occ, tags) =
+    Format.fprintf ppf "%a %s in %s #%d {%s}" Srcloc.pp loc printed ctx occ
+      (String.concat "," tags)
+  in
+  Format.fprintf ppf
+    "root %s %s reports [%a] counters [%a] annots [%a] traversed [%a] stats [%a]"
+    e.r_root e.r_key (pp_items Report.pp) e.r_reports (pp_items pp_counter) e.r_counters
+    (pp_items pp_annot) e.r_annots
+    (pp_items ~sep:" " Format.pp_print_string) e.r_traversed
+    (pp_items ~sep:" " Format.pp_print_int) e.r_stats
+
+let pp_dump ppf = function
+  | Fn_entries es -> List.iter (Format.fprintf ppf "%a@." pp_fn_entry) es
+  | Root_entries es -> List.iter (Format.fprintf ppf "%a@." pp_root_entry) es

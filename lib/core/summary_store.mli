@@ -222,6 +222,16 @@ type disk = {
 val disk_stats : dir:string -> disk
 (** Count files, bytes and entries per kind, decoding no entry. *)
 
-val dump_pack : string -> (Sexp.t list, string) result
-(** Decode one pack file (kind recognised by magic, digest checked) and
-    render each entry as a sexp, in name order, for human inspection. *)
+type dump = Fn_entries of fn_entry list | Root_entries of root_entry list
+
+val dump_pack : string -> (dump, string) result
+(** Decode every entry of one pack file (kind recognised by magic, digest
+    checked), in name order. *)
+
+val pp_dump : Format.formatter -> dump -> unit
+(** The [cache dump] rendering, one line per entry, in the given order:
+    [fn NAME KEY content HASH rets [...]] and then each block's and
+    suffix's summary edges ({!Summary.pp_edge}, kind [t] or [a]) and
+    source keys; or [root NAME KEY reports [...]] with each report's
+    {!Report.pp} text, then counters, annotation delta, traversed
+    functions and stats. *)

@@ -26,16 +26,8 @@ let load path =
     db
   end
 
-(* Write-then-rename so a crash mid-save (or a concurrent reader) never
-   sees a truncated suppression DB — a torn file would silently stop
-   suppressing half the known reports. *)
+(* Atomic, so a crash mid-save (or a concurrent reader) never sees a
+   truncated suppression DB — a torn file would silently stop suppressing
+   half the known reports. *)
 let save path db =
-  let tmp = Filename.temp_file ~temp_dir:(Filename.dirname path) ".history" ".tmp" in
-  let oc = open_out tmp in
-  (try Sset.iter (fun k -> output_string oc (k ^ "\n")) db
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  close_out oc;
-  Sys.rename tmp path
+  Wire.write_file path (fun oc -> Sset.iter (fun k -> output_string oc (k ^ "\n")) db)

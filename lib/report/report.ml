@@ -48,33 +48,8 @@ let identity_key r =
     (Option.value r.var ~default:"")
     r.message
 
-let opt_to_sexp = function None -> Sexp.atom "_" | Some v -> Sexp.list [ Sexp.atom v ]
-
-let loc_to_sexp (loc : Srcloc.t) =
-  Sexp.list
-    [ Sexp.atom loc.file; Sexp.atom (string_of_int loc.line);
-      Sexp.atom (string_of_int loc.col) ]
-
-let to_sexp r =
-  Sexp.list
-    [
-      Sexp.atom "report";
-      Sexp.atom r.checker;
-      Sexp.atom r.message;
-      loc_to_sexp r.loc;
-      loc_to_sexp r.start_loc;
-      Sexp.atom r.func;
-      Sexp.atom r.file;
-      opt_to_sexp r.var;
-      opt_to_sexp r.rule;
-      Sexp.atom (string_of_int r.conditionals);
-      Sexp.atom (string_of_int r.syn_chain);
-      Sexp.atom (string_of_int r.call_depth);
-      Sexp.list (List.map Sexp.atom r.annotations);
-    ]
-
-(* Binary form for the persistent root-replay entries; mirrors [to_sexp]
-   field for field (the sexp form stays the `cache dump` rendering). *)
+(* Binary form for the persistent root-replay entries: every field, in
+   declaration order. *)
 
 let bin_loc b (loc : Srcloc.t) =
   Wire.string b loc.file;

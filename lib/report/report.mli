@@ -46,9 +46,6 @@ val identity_key : t -> string
     file name, function name, variable names and the error text — fields
     that are "relatively invariant under edits (unlike line numbers)". *)
 
-val to_sexp : t -> Sexp.t
-(** The [cache dump] rendering. *)
-
 val to_bin : Wire.writer -> t -> unit
 val of_bin : Wire.reader -> t
 (** Binary form used by the persistent result cache's hot path. Raises

@@ -27,15 +27,7 @@ let export reports =
   Buffer.contents buf
 
 let export_file path reports =
-  let tmp = Filename.temp_file ~temp_dir:(Filename.dirname path) ".triage" ".tmp" in
-  let oc = open_out tmp in
-  (try output_string oc (export reports)
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  close_out oc;
-  Sys.rename tmp path
+  Wire.write_file path (fun oc -> output_string oc (export reports))
 
 exception Malformed of int * string
 

@@ -477,18 +477,12 @@ let suite =
         let root, key =
           match Summary_store.dump_pack pack with
           | Error m -> Alcotest.fail m
-          | Ok sexps -> (
+          | Ok (Fn_entries _) -> Alcotest.fail "root pack dumped as fn entries"
+          | Ok (Root_entries es) -> (
               match
-                List.find_map
-                  (function
-                    | Sexp.List
-                        (Sexp.Atom "root" :: Sexp.Atom name :: Sexp.Atom key :: _ :: _
-                         :: Sexp.List (_ :: _) :: _) ->
-                        Some (name, key)
-                    | _ -> None)
-                  sexps
+                List.find_opt (fun (e : Summary_store.root_entry) -> e.r_annots <> []) es
               with
-              | Some rk -> rk
+              | Some e -> (e.r_root, e.r_key)
               | None -> Alcotest.fail "no tagger root entry with annotations")
         in
         (match Summary_store.load_root store ~ext ~root ~key with

@@ -1,45 +1,27 @@
-(* S-expressions and AST serialisation (the two-pass architecture). *)
+(* AST serialisation (the two-pass architecture): the binary frame that
+   [xgcc emit] writes and the AST cache stores, and the [cache dump]
+   rendering of summary-store packs. *)
 
 let t = Alcotest.test_case
 
+(* one value through a [Wire] encoder and back *)
+let bin_rt enc dec v =
+  let b = Wire.writer () in
+  enc b v;
+  dec (Wire.reader (Wire.contents b))
+
+let read_back tu =
+  match Cast_io.read_string (Cast_io.emit_string tu) with
+  | Ok tu -> tu
+  | Error e -> Alcotest.failf "emitted object does not decode: %s" e
+
 let suite =
   [
-    t "sexp atom round trip" `Quick (fun () ->
-        let t1 = Sexp.atom "hello" in
-        Alcotest.(check string) "plain" "hello" (Sexp.to_string t1);
-        let back = Sexp.of_string "hello" in
-        Alcotest.(check bool) "eq" true (back = t1));
-    t "sexp quoting round trip" `Quick (fun () ->
-        let tricky = [ "has space"; "par(en"; "qu\"ote"; "tab\there"; "nl\nthere"; "" ] in
-        List.iter
-          (fun s ->
-            let printed = Sexp.to_string (Sexp.atom s) in
-            match Sexp.of_string printed with
-            | Sexp.Atom s' -> Alcotest.(check string) ("rt " ^ String.escaped s) s s'
-            | Sexp.List _ -> Alcotest.fail "expected atom")
-          tricky);
-    t "sexp nested lists" `Quick (fun () ->
-        let src = "(a (b c) (d (e f)) g)" in
-        let parsed = Sexp.of_string src in
-        Alcotest.(check string) "print" src (Sexp.to_string parsed));
-    t "sexp comments skipped" `Quick (fun () ->
-        match Sexp.of_string "; header\n(a b) ; trailer" with
-        | Sexp.List [ Sexp.Atom "a"; Sexp.Atom "b" ] -> ()
-        | _ -> Alcotest.fail "bad parse");
-    t "sexp errors carry offsets" `Quick (fun () ->
-        (match Sexp.of_string "(a b" with
-        | exception Sexp.Parse_error (_, _) -> ()
-        | _ -> Alcotest.fail "unterminated should fail");
-        match Sexp.of_string "(a) b" with
-        | exception Sexp.Parse_error (_, _) -> ()
-        | _ -> Alcotest.fail "trailing should fail");
-    t "of_string_many" `Quick (fun () ->
-        Alcotest.(check int) "three" 3 (List.length (Sexp.of_string_many "(a) b (c d)")));
     t "expr serialisation round trip" `Quick (fun () ->
         List.iter
           (fun src ->
             let e = Cparse.expr_of_string ~file:"t.c" src in
-            let back = Cast_io.expr_of_sexp (Cast_io.expr_to_sexp e) in
+            let back = bin_rt Cast_io.expr_to_bin Cast_io.expr_of_bin e in
             Alcotest.(check bool) ("rt " ^ src) true (Cast.equal_expr e back))
           [
             "a + b * 2"; "f(x, y[i])"; "*p->next"; "(char *)buf"; "a ? b : c";
@@ -49,7 +31,7 @@ let suite =
     t "ctyp serialisation round trip" `Quick (fun () ->
         List.iter
           (fun ty ->
-            let back = Cast_io.ctyp_of_sexp (Cast_io.ctyp_to_sexp ty) in
+            let back = bin_rt Cast_io.ctyp_to_bin Cast_io.ctyp_of_bin ty in
             Alcotest.(check bool) (Ctyp.to_string ty) true (Ctyp.equal ty back))
           [
             Ctyp.Void; Ctyp.int_; Ctyp.unsigned_int; Ctyp.char_;
@@ -78,7 +60,7 @@ let suite =
            }"
         in
         let tu = Cparse.parse_tunit ~file:"orig.c" src in
-        let tu2 = Cast_io.read_string (Cast_io.emit_string tu) in
+        let tu2 = read_back tu in
         Alcotest.(check int) "globals" (List.length tu.Cast.tu_globals)
           (List.length tu2.Cast.tu_globals);
         let run tu = Engine.run (Supergraph.build [ tu ]) [ Free_checker.checker () ] in
@@ -91,7 +73,9 @@ let suite =
         let tu = Cparse.parse_tunit ~file:"g.c" src in
         let path = Filename.temp_file "mc_ast" ".mcast" in
         Cast_io.emit_file path tu;
-        let tu2 = Cast_io.read_file path in
+        let tu2 =
+          match Cast_io.read_file path with Ok tu -> tu | Error e -> Alcotest.fail e
+        in
         Sys.remove path;
         let r = Engine.run (Supergraph.build [ tu2 ]) [ Free_checker.checker () ] in
         Alcotest.(check int) "error survives round trip" 1
@@ -114,7 +98,7 @@ let suite =
          (fun seed ->
            let g = Gen.generate ~seed ~n_funcs:6 ~bug_rate:0.5 in
            let tu = Cparse.parse_tunit ~file:"g.c" g.Gen.source in
-           let tu2 = Cast_io.read_string (Cast_io.emit_string tu) in
+           let tu2 = read_back tu in
            let reports tu =
              List.map
                (fun (r : Report.t) -> (r.Report.func, r.Report.message))
@@ -123,4 +107,71 @@ let suite =
                  .Engine.reports
            in
            reports tu = reports tu2));
+    t "emitted .mcast equals the ast/ cache object" `Quick (fun () ->
+        let dir = Test_cache.temp_dir () in
+        let file = "drivers/e.c" and src = "int g(int *p) { kfree(p); return *p; }\n" in
+        let tu = Cparse.parse_tunit ~file src in
+        let emitted = Filename.concat dir "e.mcast" in
+        Cast_io.emit_file emitted tu;
+        let fp = Cast_io.ast_fingerprint ~file ~source:src in
+        Cast_io.write_cached ~cache_dir:dir fp tu;
+        let bytes = Test_cache.read_bytes emitted in
+        Alcotest.(check string) "same bytes"
+          (Test_cache.read_bytes (Cast_io.cached_path ~cache_dir:dir fp)) bytes;
+        (* pass 2 reads back the unit it was emitted from *)
+        match Cast_io.read_file emitted with
+        | Ok tu' ->
+            Alcotest.(check string) "re-emits identically" bytes (Cast_io.emit_string tu')
+        | Error e -> Alcotest.fail e);
+    t "cache dump renders one line per pack entry" `Quick (fun () ->
+        let dir = Test_cache.temp_dir () in
+        let sg = Test_cache.sg_of_files [ ("d.c", Test_cache.leaf_v1) ] in
+        let run =
+          Engine.run ~cache:(Test_cache.store_over dir) sg (Test_cache.free ())
+        in
+        let dump kind =
+          match Summary_store.dump_pack (Test_cache.the_pack dir kind) with
+          | Ok d -> d
+          | Error e -> Alcotest.fail e
+        in
+        (* [entries]: (name, key, reports) in the order dump_pack gives *)
+        let check_lines kind d names entries =
+          let out = Format.asprintf "%a" Summary_store.pp_dump d in
+          let lines = String.split_on_char '\n' out in
+          Alcotest.(check int) (kind ^ ": one line per entry") (List.length entries + 1)
+            (List.length lines);
+          Alcotest.(check string) (kind ^ ": newline-terminated") ""
+            (List.nth lines (List.length entries));
+          Alcotest.(check (list string)) (kind ^ ": name order") names
+            (List.map (fun (n, _, _) -> n) entries);
+          List.iteri
+            (fun i (name, key, reports) ->
+              let line = List.nth lines i in
+              let prefix = Printf.sprintf "%s %s %s " kind name key in
+              Alcotest.(check bool) (prefix ^ "starts its line") true
+                (String.starts_with ~prefix line);
+              List.iter
+                (fun r ->
+                  Alcotest.(check bool) (r ^ " on its line") true (Test_faults.contains line r))
+                reports)
+            entries
+        in
+        (match dump "sum" with
+        | Summary_store.Fn_entries es as d ->
+            check_lines "fn" d [ "caller"; "leaf"; "unrelated" ]
+              (List.map (fun (e : Summary_store.fn_entry) -> (e.f_name, e.f_key, [])) es)
+        | Root_entries _ -> Alcotest.fail "sum/ pack dumps as root entries");
+        match dump "root" with
+        | Summary_store.Root_entries es as d ->
+            let reports (e : Summary_store.root_entry) =
+              List.map Report.to_string e.r_reports
+            in
+            check_lines "root" d [ "caller"; "unrelated" ]
+              (List.map
+                 (fun (e : Summary_store.root_entry) -> (e.r_root, e.r_key, reports e))
+                 es);
+            Alcotest.(check (list string)) "every report of the run is dumped"
+              (List.sort compare (Test_cache.report_lines run))
+              (List.sort compare (List.concat_map reports es))
+        | Fn_entries _ -> Alcotest.fail "root/ pack dumps as fn entries");
   ]

@@ -135,8 +135,12 @@ let suite =
         let tus =
           List.map
             (fun (name, src) ->
-              Cast_io.read_string
-                (Cast_io.emit_string (Cparse.parse_tunit ~file:name src)))
+              match
+                Cast_io.read_string
+                  (Cast_io.emit_string (Cparse.parse_tunit ~file:name src))
+              with
+              | Ok tu -> tu
+              | Error e -> Alcotest.fail e)
             Fixture_driver.files
         in
         let sg = Supergraph.build tus in

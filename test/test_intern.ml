@@ -91,16 +91,19 @@ let summary_tests =
           (Summary.mem_src_global s "unlocked");
         Alcotest.(check (list string))
           "srcs_list renders the key" [ "(locked,<>)" ] (Summary.srcs_list s));
-    t "interned summary round-trips through sexp unchanged" `Quick (fun () ->
+    t "interned summary round-trips through the binary codec unchanged" `Quick
+      (fun () ->
         let s = Summary.create () in
         ignore (Summary.add_edge s (edge (unk "p") (g "stop")));
         ignore (Summary.add_edge s (edge (g "a") (g "b")));
         Summary.add_src s (g "a");
-        let sx = Summary.to_sexp s in
-        let s' = Summary.of_sexp sx in
-        Alcotest.(check string)
-          "sexp stable" (Sexp.to_string sx)
-          (Sexp.to_string (Summary.to_sexp s'));
+        let bin s =
+          let b = Wire.writer () in
+          Summary.to_bin b s;
+          Wire.contents b
+        in
+        let s' = Summary.of_bin (Wire.reader (bin s)) in
+        Alcotest.(check string) "bytes stable" (bin s) (bin s');
         Alcotest.(check (list string))
           "edges preserved in order"
           (List.map Summary.edge_key (Summary.edges s))
