@@ -236,6 +236,13 @@ type rctx = {
       (* per flat block id: terminator annotations ([mc_branch]/[mc_return])
          already laid down in this context — [events_of_block] applies
          them on the block's first visit *)
+  mutable kill_seen : bool;
+      (* false only while no node in [annots_base] or [annots] carries
+         [kill_path_tag]: [add_annots] sets it when it lays that tag, a
+         context built over another's table starts from the other's flag,
+         and nothing clears it (a rollback leaves it set, which only costs
+         probes). While it is false, [process_events] skips the per-node
+         kill-path probe. *)
   fsums : (string, fsum) Hashtbl.t;
   dedup : (int, unit) Hashtbl.t;
       (* emitted-report identity keys, interned through [intern] — probes
@@ -367,10 +374,13 @@ let lookup_annot ~delta ~base eid =
    so one compile (in the base context) serves every per-root context.
    [annots_base] is the read-only annotation view the context starts from
    (empty for a run's own context, whose delta is therefore the whole
-   table); [ids] and [store0] default to fresh per-context instances and
-   are shared only by a same-domain scratch. *)
+   table), and [kill_seen] must be true if that table may hold
+   [kill_path_tag]: callers pass the flag of a context that reads it;
+   [ids] and [store0] default to fresh per-context instances and are
+   shared only by a same-domain scratch. *)
 let new_rctx_in ?(options = default_options) ?ids ?(store0 = Store.create ())
-    ?(annots_base = Hashtbl.create 1) ?shared ~ext ~dsp sg =
+    ?(annots_base = Hashtbl.create 1) ?(kill_seen = false) ?shared ~ext ~dsp
+    sg =
   let ids =
     match ids with
     | Some ids -> ids
@@ -389,6 +399,7 @@ let new_rctx_in ?(options = default_options) ?ids ?(store0 = Store.create ())
     annots;
     annots_lookup = lookup_annot ~delta:annots ~base:annots_base;
     annots_done = Bytes.make (max 1 sg.Supergraph.flat.Flat.n_blocks) '\000';
+    kill_seen;
     fsums = Hashtbl.create 64;
     dedup = Hashtbl.create 64;
     traversed = Hashtbl.create 64;
@@ -477,9 +488,23 @@ let make_fctx rctx ~depth ~stack (cfg : Cfg.t) =
 let find_annot rctx eid =
   lookup_annot ~delta:rctx.annots ~base:rctx.annots_base eid
 
+(* The tag [pathkill] lays on a call to a terminating function: a path
+   reaching a node that carries it ends there ([process_events]). *)
+let kill_path_tag = "mc_kill_path"
+
+(* Whether [kill_path_tag] is among the tags prepended to [old] to make
+   [cur]; only that prefix is compared. *)
+let rec adds_kill cur old =
+  cur != old
+  &&
+  match cur with
+  | t :: rest -> String.equal t kill_path_tag || adds_kill rest old
+  | [] -> false
+
 (* Lay [tags] (oldest first) on node [eid], skipping those it already
    carries; the one write path into the delta, journaled like any table
-   write inside a contained root. True iff the node's tags changed. *)
+   write inside a contained root. True iff the node's tags changed.
+   Laying [kill_path_tag] sets [kill_seen]. *)
 let add_annots rctx eid tags =
   let prev = Hashtbl.find_opt rctx.annots eid in
   let old =
@@ -494,6 +519,7 @@ let add_annots rctx eid tags =
   in
   if cur == old then false
   else begin
+    if adds_kill cur old then rctx.kill_seen <- true;
     j_push rctx (U_annot (eid, prev));
     Hashtbl.replace rctx.annots eid cur;
     true
@@ -540,8 +566,6 @@ let node_annotated rctx (e : Cast.expr) tag =
   match find_annot rctx e.eid with
   | Some tags -> List.mem tag tags
   | None -> false
-
-let kill_path_tag = "mc_kill_path"
 
 (* Severity annotations left on AST nodes by previously-run extensions
    (the SECURITY/ERROR/MINOR composition idiom of Section 9) are folded
@@ -1887,7 +1911,7 @@ and process_events rctx fctx ~live (evs : ev array) (i : int) walk
     | Ev_node node ->
         rctx.st.nodes_visited <- rctx.st.nodes_visited + 1;
         charge_budget rctx;
-        if node_annotated rctx node kill_path_tag then begin
+        if rctx.kill_seen && node_annotated rctx node kill_path_tag then begin
           walk.sm.killed_path <- true;
           k walk
         end
@@ -2081,8 +2105,8 @@ and compute_pub sh rctx fname (callee_cfg : Cfg.t) gstate : pub =
      recursively through [sh]. *)
   let scratch =
     new_rctx_in ~options:rctx.opts ~ids:rctx.ids ~store0:rctx.store0
-      ~annots_base:rctx.annots_base ~shared:sh ~ext:rctx.cur_ext ~dsp:rctx.dsp
-      rctx.sg
+      ~annots_base:rctx.annots_base ~kill_seen:rctx.kill_seen ~shared:sh
+      ~ext:rctx.cur_ext ~dsp:rctx.dsp rctx.sg
   in
   reset_budget scratch;
   let callee_fctx = make_fctx scratch ~depth:0 ~stack:[ fname ] callee_cfg in
@@ -2476,8 +2500,8 @@ type root_out = {
 let run_worker ~caller ?shared base (ext : Sm.t) root =
   let alloc0 = Gc.allocated_bytes () in
   let w =
-    new_rctx_in ~options:base.opts ~annots_base:base.annots ?shared ~ext
-      ~dsp:base.dsp base.sg
+    new_rctx_in ~options:base.opts ~annots_base:base.annots
+      ~kill_seen:base.kill_seen ?shared ~ext ~dsp:base.dsp base.sg
   in
   run_root_contained w ext root;
   w.st.intern_atoms <- Intern.n_atoms w.intern;
@@ -2785,7 +2809,8 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
     | Some (cfg : Cfg.t) -> (
         let scratch =
           new_rctx_in ~options:base.opts ~ids:base.ids ~store0:base.store0
-            ~annots_base:base.annots ~ext:base.cur_ext ~dsp:base.dsp base.sg
+            ~annots_base:base.annots ~kill_seen:base.kill_seen
+            ~ext:base.cur_ext ~dsp:base.dsp base.sg
         in
         List.iter
           (fun g ->

@@ -1,4 +1,4 @@
-(** Per-root intern tables: dense integer ids for state-tuple components.
+(** Intern tables: dense integer ids for state-tuple components.
 
     The traversal hot path ({!Engine}'s block-cache probes, edge dedup,
     and suffix-summary relaxation) used to render every state tuple to a
@@ -13,8 +13,18 @@
     representation used, which is what keeps reports, counters and
     serialised summaries byte-identical.
 
-    One interner lives per root context ({!Engine}); it is never shared
-    across domains. *)
+    One interner lives per analysis context ({!Engine}) and is never
+    shared across domains. At [-j 1] the run's single context covers every
+    root of every extension; at [-j N] and in cached runs each worker's
+    root context, and each shared-unit or canonical scratch context, has
+    its own.
+
+    {!atom} remembers the last two strings it resolved (by physical
+    identity) and {!tuple} the last packed triple, so the traversal's
+    repeated probes of the same components skip the hash tables. A memo
+    hit returns exactly the table's id, because an interner is used by
+    one context on one domain, OCaml strings are immutable, and ids are
+    never reassigned. *)
 
 type t
 
@@ -24,7 +34,9 @@ val create : ?n_exprs:int -> unit -> t
 
 val atom : t -> string -> int
 (** Intern a string, returning its dense id (stable for the life of the
-    interner). *)
+    interner). A string physically equal to one of the last two resolved
+    is answered from the memo; an equal copy resolves through the table
+    to the same id. *)
 
 val name : t -> int -> string
 (** The string behind an atom id (array read). *)

@@ -1,8 +1,10 @@
 (* AST annotations as extensions compose them (Section 9): tags one
    extension lays must reach later extensions — through report severity
    annotations, pattern callouts and action callouts alike — with the
-   same output at any job count, cached or not, and a degraded root's
-   tags must vanish with it. *)
+   same output at any job count, cached or not, and through the daemon,
+   and a degraded root's tags must vanish with it. The path-kill tag is
+   one such tag: a later extension's paths must end at it in every one
+   of those runs. *)
 
 let t = Alcotest.test_case
 
@@ -106,6 +108,184 @@ let budget_src =
    int g(void) { sealer(); return 0; }\n\
    int explode(int x) { arm(); sealer(); " ^ body ^ " return x; }\n"
 
+(* The two pathkill compositions of test_checkers.ml, and the second
+   with its killer moved into a callee: entered with no instance live,
+   that callee is a shared summary unit at -j > 1, traversed in a scratch
+   context. [k_edited] changes one constant, so no location moves. *)
+type kill_case = {
+  k_name : string;
+  k_src : string;
+  k_edited : string;
+  k_with : unit -> Sm.t list;  (* pathkill first *)
+  k_without : unit -> Sm.t list;  (* the same checker alone *)
+  k_sources : string list;  (* store chain of [k_with] *)
+}
+
+let kill_cases =
+  let custom name src edited =
+    {
+      k_name = name;
+      k_src = src;
+      k_edited = edited;
+      k_with =
+        (fun () ->
+          [ Pathkill.checker_for ~killers:[ "my_die" ]; Free_checker.checker () ]);
+      k_without = (fun () -> [ Free_checker.checker () ]);
+      k_sources = [ "pathkill:my_die"; "free" ];
+    }
+  in
+  [
+    {
+      k_name = "panic";
+      k_src = "int f(void) { cli(); panic(\"x\"); return 0; }\n";
+      k_edited = "int f(void) { cli(); panic(\"x\"); return 1; }\n";
+      k_with = (fun () -> [ Pathkill.checker (); Intr_checker.checker () ]);
+      k_without = (fun () -> [ Intr_checker.checker () ]);
+      k_sources = [ Pathkill.source; "intr" ];
+    };
+    custom "custom killer" "int f(int *p) { kfree(p); my_die(); return *p; }\n"
+      "int f(int *p) { kfree(p); my_die(); return *p + 1; }\n";
+    custom "custom killer in a shared callee"
+      "void helper(void) { int *q = kmalloc(4); kfree(q); my_die(); use(*q); }\n\
+       int f(void) { helper(); return 0; }\n"
+      "void helper(void) { int *q = kmalloc(4); kfree(q); my_die(); use(*q); }\n\
+       int f(void) { helper(); return 1; }\n";
+  ]
+
+let kill_store dir sources =
+  Summary_store.create ~dir ~memory:true
+    ~ext_keys:
+      (Summary_store.ext_keys_of
+         ~options_digest:(Engine.options_digest Engine.default_options)
+         ~sources)
+    ()
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+let kill_suite =
+  [
+    t "kill tags from an earlier extension end paths at any -j" `Quick
+      (fun () ->
+        List.iter
+          (fun c ->
+            let sg = sg_of c.k_src in
+            let seq = report_lines (Engine.run ~jobs:1 sg (c.k_with ())) in
+            Alcotest.(check (list string)) (c.k_name ^ ": -j 1 suppressed") [] seq;
+            List.iter
+              (fun jobs ->
+                Alcotest.(check (list string))
+                  (Printf.sprintf "%s: -j %d matches -j 1" c.k_name jobs)
+                  seq
+                  (report_lines (Engine.run ~jobs sg (c.k_with ())));
+                Alcotest.(check int)
+                  (Printf.sprintf "%s: -j %d reports without pathkill" c.k_name
+                     jobs)
+                  1
+                  (List.length (Engine.run ~jobs sg (c.k_without ())).Engine.reports))
+              [ 1; 2; 4 ])
+          kill_cases);
+    t "kill tags from an earlier extension end paths cold, warm and edited"
+      `Quick (fun () ->
+        List.iter
+          (fun c ->
+            List.iter
+              (fun jobs ->
+                let label what =
+                  Printf.sprintf "%s: -j %d %s" c.k_name jobs what
+                in
+                let dir = temp_dir () in
+                let cached src =
+                  report_lines
+                    (Engine.run ~jobs ~cache:(kill_store dir c.k_sources)
+                       (sg_of src) (c.k_with ()))
+                in
+                List.iter
+                  (fun (what, src) ->
+                    Alcotest.(check (list string)) (label what) [] (cached src))
+                  [
+                    ("cold", c.k_src);
+                    ("warm", c.k_src);
+                    ("edited", c.k_edited);
+                    ("warm after the edit", c.k_edited);
+                  ];
+                let bare = temp_dir () in
+                Alcotest.(check int)
+                  (label "cold, reports without pathkill")
+                  1
+                  (List.length
+                     (Engine.run ~jobs
+                        ~cache:(kill_store bare (List.tl c.k_sources))
+                        (sg_of c.k_src) (c.k_without ()))
+                       .Engine.reports))
+              [ 1; 2; 4 ])
+          kill_cases);
+    t "kill tags from an earlier extension end paths through didChange"
+      `Quick (fun () ->
+        List.iter
+          (fun c ->
+            List.iter
+              (fun jobs ->
+                let dir = temp_dir () in
+                let path = Filename.concat dir "t.c" in
+                write_file path c.k_src;
+                let server exts sources =
+                  match
+                    Server.create
+                      {
+                        Server.c_files = [ path ];
+                        c_parse =
+                          (fun ~path ~source ->
+                            Ok (Cparse.parse_tunit ~file:path source));
+                        c_exts = exts;
+                        c_options = Engine.default_options;
+                        c_jobs = jobs;
+                        c_store =
+                          Some
+                            (kill_store (Filename.concat dir "cache") sources);
+                        c_rank = "generic";
+                      }
+                  with
+                  | Ok s -> s
+                  | Error msg -> Alcotest.fail msg
+                in
+                (* the batch -j 1 oracle, as [xgcc check --format json] prints it *)
+                let batch src exts =
+                  let sg = Supergraph.build [ Cparse.parse_tunit ~file:path src ] in
+                  Json_out.reports_to_string
+                    (Rank.generic_sort (Engine.run sg exts).Engine.reports)
+                in
+                let edit s =
+                  ignore
+                    (Server.handle_request s ~more_pending:false
+                       (Proto.Did_change { path; text = Some c.k_edited }));
+                  Server.check s
+                in
+                let label what =
+                  Printf.sprintf "%s: -j %d %s" c.k_name jobs what
+                in
+                let s = server (c.k_with ()) c.k_sources in
+                let before = Server.check s in
+                Alcotest.(check int) (label "suppressed") 0 before.Server.o_reports;
+                Alcotest.(check string) (label "matches batch")
+                  (batch c.k_src (c.k_with ())) before.Server.o_diagnostics;
+                let after = edit s in
+                Alcotest.(check int) (label "suppressed after didChange") 0
+                  after.Server.o_reports;
+                Alcotest.(check string) (label "matches batch after didChange")
+                  (batch c.k_edited (c.k_with ())) after.Server.o_diagnostics;
+                let bare = server (c.k_without ()) (List.tl c.k_sources) in
+                Alcotest.(check int) (label "reports without pathkill") 1
+                  (Server.check bare).Server.o_reports;
+                Alcotest.(check int)
+                  (label "reports without pathkill after didChange")
+                  1 (edit bare).Server.o_reports)
+              [ 1; 2 ])
+          kill_cases);
+  ]
+
 let suite =
   [
     t "action callouts read the annotations patterns read" `Quick (fun () ->
@@ -172,4 +352,4 @@ let suite =
               (Printf.sprintf "-j %d degraded roots" jobs)
               2 (List.length par.Engine.degraded))
           [ 2; 4 ]);
-  ]
+  ] @ kill_suite

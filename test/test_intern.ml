@@ -231,4 +231,116 @@ let dup_tests =
           (Supergraph.cfg_of sg "f" <> None && Supergraph.cfg_of sg "g" <> None));
   ]
 
-let suite = intern_tests @ summary_tests @ counter_tests @ dup_tests
+(* ---------------------------------------------------------------- *)
+(* The last-use memo never changes an id                              *)
+(* ---------------------------------------------------------------- *)
+
+(* Strings shared physically by every op of a script, so [atom] sees the
+   very strings its memo holds; the last one is a rendered tuple key, so
+   atoms and tuples meet in one id space. *)
+let pool = [| "start"; "freed"; "p"; "unknown"; "(start,<>)" |]
+
+type op =
+  | Shared of int  (** [atom] of the pool's own string *)
+  | Copy of int  (** [atom] of an equal, freshly allocated copy *)
+  | Fresh of int  (** [atom] of a string built on the spot, not in the pool *)
+  | Tuple of int * int option * int
+      (** [tuple] over pool components: gstate, target key (none: [<>]),
+          value *)
+
+let pp_op = function
+  | Shared i -> Printf.sprintf "Shared %d" i
+  | Copy i -> Printf.sprintf "Copy %d" i
+  | Fresh i -> Printf.sprintf "Fresh %d" i
+  | Tuple (g, k, v) ->
+      Printf.sprintf "Tuple (%d, %s, %d)" g
+        (match k with None -> "None" | Some k -> string_of_int k)
+        v
+
+(* Single ops, runs of one op and alternations of two, so the memo sees
+   repeats (A A), alternation (A B A B) and eviction (A B C A). *)
+let script_gen =
+  let open QCheck2.Gen in
+  let idx = int_bound (Array.length pool - 1) in
+  let comp = int_bound 2 in
+  let op =
+    frequency
+      [
+        (4, map (fun i -> Shared i) idx);
+        (2, map (fun i -> Copy i) idx);
+        (1, map (fun i -> Fresh i) (int_bound 7));
+        (3, map3 (fun g k v -> Tuple (g, k, v)) comp (opt comp) comp);
+      ]
+  in
+  let chunk =
+    frequency
+      [
+        (3, map (fun o -> [ o ]) op);
+        (1, map2 (fun o n -> List.init n (fun _ -> o)) op (int_range 2 4));
+        ( 1,
+          map3
+            (fun a b n -> List.concat (List.init n (fun _ -> [ a; b ])))
+            op op (int_range 2 3) );
+      ]
+  in
+  map List.concat (list_size (int_range 1 30) chunk)
+
+(* Replays [ops] on a fresh interner and on the reference numbering (a
+   plain table giving each new string the next int; a tuple's id is the
+   number of its rendered key). True iff every id, every [name] and both
+   table sizes agree. *)
+let memo_agrees ops =
+  let it = Intern.create () in
+  let ids : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let triples : (int * int * int, unit) Hashtbl.t = Hashtbl.create 16 in
+  let number s =
+    match Hashtbl.find_opt ids s with
+    | Some id -> id
+    | None ->
+        let id = Hashtbl.length ids in
+        Hashtbl.add ids s id;
+        id
+  in
+  let ok = ref true in
+  let expect id s =
+    if id <> number s || not (String.equal (Intern.name it id) s) then
+      ok := false
+  in
+  let atom s =
+    let id = Intern.atom it s in
+    expect id s;
+    id
+  in
+  List.iter
+    (function
+      | Shared i -> ignore (atom pool.(i))
+      | Copy i -> ignore (atom (Bytes.to_string (Bytes.of_string pool.(i))))
+      | Fresh i -> ignore (atom (Printf.sprintf "fresh%d" i))
+      | Tuple (g, k, v) ->
+          let ga = atom pool.(g) in
+          let key, vkey, vval =
+            match k with
+            | None ->
+                (Printf.sprintf "(%s,<>)" pool.(g), Intern.no_var, Intern.no_var)
+            | Some k ->
+                let ka = atom pool.(k) in
+                let va = atom pool.(v) in
+                (Printf.sprintf "(%s,%s->%s)" pool.(g) pool.(k) pool.(v), ka, va)
+          in
+          Hashtbl.replace triples (ga, vkey, vval) ();
+          expect (Intern.tuple it ~g:ga ~vkey ~vval) key)
+    ops;
+  !ok
+  && Intern.n_atoms it = Hashtbl.length ids
+  && Intern.n_tuples it = Hashtbl.length triples
+
+let memo_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"the last-use memo never changes an id"
+         ~count:500
+         ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+         script_gen memo_agrees);
+  ]
+
+let suite = intern_tests @ summary_tests @ counter_tests @ dup_tests @ memo_tests
