@@ -894,7 +894,7 @@ let triage_cmd =
 (* ------------------------------------------------------------------ *)
 
 let do_serve files checkers metal_files rank verbose use_cpp defines incdirs
-    jobs cache_dir no_cache_persist socket debounce options =
+    jobs cache_dir no_cache_persist socket options =
   setup_logs verbose;
   set_cpp ~use_cpp ~defines ~incdirs;
   set_ast_cache ~cache_dir ~persist:(not no_cache_persist);
@@ -953,8 +953,8 @@ let do_serve files checkers metal_files rank verbose use_cpp defines incdirs
         | Some p -> "listening on " ^ p
         | None -> "reading requests from stdin");
       (match socket with
-      | Some path -> Server.serve_socket ~debounce server ~path
-      | None -> Server.serve_stdio ~debounce server)
+      | Some path -> Server.serve_socket server ~path
+      | None -> Server.serve_stdio server)
 
 let serve_cmd =
   let files = Arg.(value & pos_all file [] & info [] ~docv:"FILE") in
@@ -1004,11 +1004,6 @@ let serve_cmd =
            ~doc:"Listen for clients on a Unix socket at $(docv) instead of \
                  reading requests from stdin (one client served at a time).")
   in
-  let debounce =
-    Arg.(value & opt float 0.02 & info [ "debounce" ] ~docv:"SECONDS"
-           ~doc:"How long a didChange waits for a follow-up request before \
-                 committing to a re-check (edit-storm coalescing).")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Long-lived analysis daemon: load once, re-check edits warm \
@@ -1016,7 +1011,7 @@ let serve_cmd =
     Term.(
       const do_serve $ files $ checkers $ metal_files $ rank $ verbose
       $ use_cpp $ defines $ incdirs $ jobs $ cache_dir $ no_cache_persist
-      $ socket $ debounce $ engine_options)
+      $ socket $ engine_options)
 
 (* ------------------------------------------------------------------ *)
 

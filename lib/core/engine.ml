@@ -646,6 +646,11 @@ let make_actx rctx fctx walk ~node ~bindings ~inst : Sm.actx =
 (* Destinations                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The common case on every hot path: no instance at all, live or not.
+   A pattern match, where [sm.actives = []] would call the polymorphic
+   compare. *)
+let no_instances (sm : Sm.sm_inst) = match sm.actives with [] -> true | _ :: _ -> false
+
 (* Mirror a state change onto every synonym of [inst]. *)
 let synonyms_of (sm : Sm.sm_inst) (inst : Sm.instance) =
   if inst.syn_group = 0 then []
@@ -1129,7 +1134,10 @@ let handle_writes rctx fctx walk (node : Cast.expr) =
             | _ -> strip_casts e
           in
           let rsrc = value_source r in
-          match Sm.find_instance sm ~id:(Exprid.id rctx.ids rsrc) with
+          match
+            if no_instances sm then None
+            else Sm.find_instance sm ~id:(Exprid.id rctx.ids rsrc)
+          with
           | Some src
             when src.created_at <> node.eid
                  && Option.is_some (Cast.base_lvalue l)
@@ -1260,13 +1268,18 @@ let record_block_edges ~ids ~intern (bs : Summary.t) ~depth_base ~entry_g
            e_dst = Summary.global_tuple exit_g;
            e_kind = Summary.Transition;
          });
+  (* interned on every call, instances or not: the [interning:] atom
+     count includes it *)
   let unknown_a = Summary.key_atom bs Summary.unknown_value in
-  let live = Hashtbl.create 8 in
+  (* key atoms of the live instances, read only by the stop pass below,
+     so gathered only when the block was entered with live instances *)
+  let live = ref [] in
+  let track_live = Array.length snapshot > 0 in
   List.iter
     (fun (i : Sm.instance) ->
       if not i.inactive then begin
         let atom = Summary.instance_key_atom ids intern i in
-        Hashtbl.replace live atom ();
+        if track_live then live := atom :: !live;
         let cur_id =
           Summary.tuple_id_atoms bs ~g:exit_ga ~vkey:atom
             ~vval:(Summary.key_atom bs i.value)
@@ -1320,7 +1333,7 @@ let record_block_edges ~ids ~intern (bs : Summary.t) ~depth_base ~entry_g
     Array.sort (fun a b -> String.compare a.se_key b.se_key) by_key;
     Array.iter
       (fun se ->
-        if not (Hashtbl.mem live se.se_atom) then
+        if not (List.mem se.se_atom !live) then
           match se.se_tup.Summary.t_v with
           | Some v ->
               let dst_id =
@@ -1778,6 +1791,11 @@ let rec traverse rctx fctx walk (backtrace : int list) (bid : int) : unit =
      path when nothing new remains *)
   let aborted =
     if not rctx.opts.caching then false
+    else if no_instances sm then begin
+      (* no instance: only the global tuple can hit *)
+      rctx.st.cache_probes <- rctx.st.cache_probes + 1;
+      Summary.mem_src_global bs sm.gstate
+    end
     else begin
       let seen, fresh =
         List.partition
@@ -2167,7 +2185,7 @@ and handle_terminator rctx fctx walk (bt : int list) (block : Block.t) : unit =
   | Block.Jump b -> traverse rctx fctx walk bt b
   | Block.Return ret ->
       (match ret with
-      | Some e ->
+      | Some e when not (no_instances walk.sm) ->
           let rid = Exprid.id rctx.ids (strip_casts e) in
           let sums = fctx.fsum in
           List.iter
@@ -2175,7 +2193,7 @@ and handle_terminator rctx fctx walk (bt : int list) (block : Block.t) : unit =
               if (not i.inactive) && i.target_id = rid then
                 Hashtbl.replace sums.rets i.value ())
             walk.sm.actives
-      | None -> ());
+      | Some _ | None -> ());
       traverse rctx fctx walk bt fctx.cfg.exit_
   | Block.Exit ->
       rctx.st.paths_explored <- rctx.st.paths_explored + 1;
@@ -2452,8 +2470,8 @@ let collect_result rctx =
    tag insertion order (annotate_node prepends); [touched] hears of every
    node whose tags in [base] changed. *)
 let merge_annots ?(touched = ignore) base annots =
-  Hashtbl.iter
-    (fun eid tags -> if add_annots base eid (List.rev tags) then touched eid)
+  List.iter
+    (fun (eid, tags) -> if add_annots base eid (List.rev tags) then touched eid)
     annots
 
 let add_stats (acc : stats) (s : stats) =
@@ -2482,16 +2500,23 @@ let add_stats (acc : stats) (s : stats) =
 (* What the root-order merges read of one worker's run. The rest of its
    context — intern and id tables, the [annots_done] bitset, the dedup
    table, the store family, the summaries — dies with the task instead of
-   waiting in the pool's result array for the merge. *)
+   waiting in the pool's result array for the merge. The four tables the
+   merges read travel as lists of their entries in the tables' iteration
+   order, which is the order the merges read them in: a root that
+   touched little hands over a few words rather than four hash tables. *)
 type root_out = {
   o_reports : Report.t list;  (* emission order *)
-  o_counters : (string, int * int) Hashtbl.t;
-  o_annots : (int, string list) Hashtbl.t;  (* delta over the extension base *)
-  o_traversed : (string, unit) Hashtbl.t;
-  o_demanded : (string, unit) Hashtbl.t;
+  o_counters : (string * (int * int)) list;
+  o_annots : (int * string list) list;  (* delta over the extension base *)
+  o_traversed : string list;
+  o_demanded : string list;
   o_stats : stats;
   o_degraded : degraded list;  (* the root's note if it was rolled back *)
 }
+
+(* A table's entries, or keys, in its iteration order. *)
+let entries tbl = List.rev (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+let keys tbl = List.rev (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
 
 (* Run one root in a fresh worker context on a pool domain. Its
    intern-table sizes and, when it ran off the [caller]'s domain, its
@@ -2511,10 +2536,10 @@ let run_worker ~caller ?shared base (ext : Sm.t) root =
       int_of_float (Gc.allocated_bytes () -. alloc0);
   {
     o_reports = Report.reports w.collector;
-    o_counters = w.counters;
-    o_annots = w.annots;
-    o_traversed = w.traversed;
-    o_demanded = w.demanded;
+    o_counters = entries w.counters;
+    o_annots = entries w.annots;
+    o_traversed = keys w.traversed;
+    o_demanded = keys w.demanded;
     o_stats = w.st;
     o_degraded = List.rev w.degraded_roots;
   }
@@ -2536,7 +2561,7 @@ let run_worker ~caller ?shared base (ext : Sm.t) root =
    traversal would have charged, and a unit whose own traversal blows the
    scratch budget aborts its claim and degrades the demanding root with
    the same reason (see [shared_call]/[charge_pub]). *)
-let run_extension_parallel ~jobs base (ext : Sm.t) =
+let run_extension_parallel ~pool base (ext : Sm.t) =
   set_extension base ext;
   let roots = Array.of_list (Supergraph.roots base.sg) in
   let n = Array.length roots in
@@ -2557,11 +2582,11 @@ let run_extension_parallel ~jobs base (ext : Sm.t) =
   in
   Log.debug (fun m ->
       m "running extension %s over %d roots on %d domains (sharing %b)"
-        ext.Sm.sm_name n jobs sharing);
+        ext.Sm.sm_name n (Pool.jobs pool) sharing);
   (* [base] is read-only while the pool runs. *)
   let caller = Domain.self () in
   let tasks, sched =
-    Pool.run_sched ~jobs ~order n (fun ~worker:_ i ->
+    Pool.sched pool ~order n (fun ~worker:_ i ->
         run_worker ~caller ?shared:sh base ext roots.(i))
   in
   (* Deterministic merge, in root order. The dedup table is fresh per
@@ -2583,16 +2608,16 @@ let run_extension_parallel ~jobs base (ext : Sm.t) =
                 Report.emit base.collector r
               end)
             o.o_reports;
-          Hashtbl.iter
-            (fun rule (e, c) ->
+          List.iter
+            (fun (rule, (e, c)) ->
               let e0, c0 =
                 Option.value (Hashtbl.find_opt base.counters rule) ~default:(0, 0)
               in
               Hashtbl.replace base.counters rule (e0 + e, c0 + c))
             o.o_counters;
           merge_annots base o.o_annots;
-          Hashtbl.iter (fun f () -> Hashtbl.replace base.traversed f ()) o.o_traversed;
-          Hashtbl.iter (fun k () -> Hashtbl.replace demanded k ()) o.o_demanded;
+          List.iter (fun f -> Hashtbl.replace base.traversed f ()) o.o_traversed;
+          List.iter (fun k -> Hashtbl.replace demanded k ()) o.o_demanded;
           add_stats base.st o.o_stats;
           List.iter
             (fun d -> base.degraded_roots <- d :: base.degraded_roots)
@@ -2720,13 +2745,13 @@ let add_stats_list (acc : stats) = function
    must be taken before the merge folds anything into that base. *)
 let annot_delta ~ix ~base annots =
   let deltas =
-    Hashtbl.fold
-      (fun eid tags acc ->
+    List.fold_left
+      (fun acc (eid, tags) ->
         match Annot_pos.position ix eid with
         | None -> acc
         | Some (p : Annot_pos.pos) ->
             (p.loc, p.printed, p.def, p.occ, fresh_annots ~base eid tags) :: acc)
-      annots []
+      [] annots
   in
   List.sort
     (fun ((a : Srcloc.t), pa, ca, oa, _) ((b : Srcloc.t), pb, cb, ob, _) ->
@@ -2747,7 +2772,7 @@ let resolve_annots ~ix annots =
   in
   go [] annots
 
-let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
+let run_extension_cached ~pool ~store ~ext_key ~body_hash ~decls_hash
     ~closures ~heights ~ix ~groups base (ext : Sm.t) =
   set_extension base ext;
   let cg = base.sg.Supergraph.callgraph in
@@ -2873,7 +2898,7 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
                 Wire.string b actx;
                 Wire.int b occ;
                 Wire.list b Wire.string tags)
-              (annot_delta ~ix ~base:scratch.annots_base scratch.annots);
+              (annot_delta ~ix ~base:scratch.annots_base (entries scratch.annots));
             Some
               (bs, sfx, rets, Fingerprint.of_string ~salt:"canon-1" (Wire.contents b)))
   in
@@ -2972,7 +2997,7 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
         (Array.length roots));
   let caller = Domain.self () in
   let workers =
-    Pool.run_results ~jobs (Array.length invalid) (fun j ->
+    Pool.results pool (Array.length invalid) (fun j ->
         run_worker ~caller base ext roots.(invalid.(j)))
   in
   let r_annots =
@@ -3034,11 +3059,9 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
               add_stats base.st o.o_stats
           | Ok o ->
               List.iter emit_merged o.o_reports;
-              Hashtbl.iter (fun rule (e, c) -> add_counter rule e c) o.o_counters;
+              List.iter (fun (rule, (e, c)) -> add_counter rule e c) o.o_counters;
               merge_annots ~touched base o.o_annots;
-              Hashtbl.iter
-                (fun f () -> Hashtbl.replace base.traversed f ())
-                o.o_traversed;
+              List.iter (fun f -> Hashtbl.replace base.traversed f ()) o.o_traversed;
               add_stats base.st o.o_stats;
               if Summary_store.persist store then
                 Summary_store.store_root store ~ext:ext_key
@@ -3049,21 +3072,23 @@ let run_extension_cached ~jobs ~store ~ext_key ~body_hash ~decls_hash
                     r_counters =
                       List.sort
                         (fun (a, _, _) (b, _, _) -> String.compare a b)
-                        (Hashtbl.fold
-                           (fun rule (e, c) acc -> (rule, e, c) :: acc)
-                           o.o_counters []);
+                        (List.map (fun (rule, (e, c)) -> (rule, e, c)) o.o_counters);
                     r_annots = r_annots.(Hashtbl.find worker_of idx);
-                    r_traversed =
-                      List.sort String.compare
-                        (Hashtbl.fold (fun f () acc -> f :: acc) o.o_traversed []);
+                    r_traversed = List.sort String.compare o.o_traversed;
                     r_stats = stats_to_list o.o_stats;
                   }))
     roots;
   Summary_store.flush store
 
+(* One pool per run: its helpers are spawned here, once, and serve every
+   extension. Callout registration mutates a global table, so it is
+   forced before any helper exists rather than raced on first lookup. *)
+let with_run_pool ~jobs f =
+  Callout.install_builtins ();
+  Pool.with_pool ~jobs f
+
 let run_cached ?options ?observe ~jobs store sg exts =
   let rctx = new_rctx ?options sg in
-  Callout.install_builtins ();
   let body_hash_tbl = Hashtbl.create 64 in
   let body_hash f =
     match Hashtbl.find_opt body_hash_tbl f with
@@ -3106,18 +3131,20 @@ let run_cached ?options ?observe ~jobs store sg exts =
   let groups =
     Annot_pos.groups ix ~is_group:(Callgraph.is_defined cg) rctx.annots
   in
-  List.iteri
-    (fun i ext ->
-      (* An extension holds every store entry it decodes until its merge
-         ends, and they all die then. Emptying the minor heap at the
-         boundary lets the next extension's entries die young: on a warm
-         12-file run, promoted words fall from ~21M to ~0.7M. *)
-      Gc.minor ();
-      Annot_pos.refresh groups;
-      Option.iter (fun f -> f (Annot_pos.current groups) rctx.annots) observe;
-      run_extension_cached ~jobs ~store ~ext_key:(Summary_store.ext_key store i)
-        ~body_hash ~decls_hash ~closures ~heights ~ix ~groups rctx ext)
-    exts;
+  with_run_pool ~jobs (fun pool ->
+      List.iteri
+        (fun i ext ->
+          (* An extension holds every store entry it decodes until its
+             merge ends, and they all die then. Emptying the minor heap at
+             the boundary lets the next extension's entries die young: on
+             a warm 12-file run, promoted words fall from ~21M to ~0.7M. *)
+          Gc.minor ();
+          Annot_pos.refresh groups;
+          Option.iter (fun f -> f (Annot_pos.current groups) rctx.annots) observe;
+          run_extension_cached ~pool ~store
+            ~ext_key:(Summary_store.ext_key store i) ~body_hash ~decls_hash
+            ~closures ~heights ~ix ~groups rctx ext)
+        exts);
   Summary_store.save_last_run store;
   collect_result rctx
 
@@ -3126,12 +3153,9 @@ let run ?options ?(jobs = 1) ?cache sg exts =
   | Some store -> run_cached ?options ~jobs store sg exts
   | None ->
       let rctx = new_rctx ?options sg in
-      if jobs > 1 then begin
-        (* callout registration mutates a global table: force it before
-           domains race on first lookup *)
-        Callout.install_builtins ();
-        List.iter (run_extension_parallel ~jobs rctx) exts
-      end
+      if jobs > 1 then
+        with_run_pool ~jobs (fun pool ->
+            List.iter (run_extension_parallel ~pool rctx) exts)
       else begin
         let release = Callgraph.release_schedule sg.Supergraph.callgraph in
         List.iter (run_extension ~release rctx) exts

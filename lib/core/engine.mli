@@ -151,8 +151,11 @@ val run :
     function ({!Callgraph.release_schedule}) has run; then they are
     dropped. With [jobs > 1] each
     callgraph root is an individual task on a work-stealing scheduler
-    ({!Pool.run_sched}), dispatched bottom-up by acyclic callgraph height
-    and analysed in a private root context over the shared supergraph.
+    ({!Pool.sched}), dispatched bottom-up by acyclic callgraph height
+    and analysed in a private root context over the shared supergraph;
+    the run opens one {!Pool.t}, whose [jobs - 1] helper domains serve
+    every extension (and, with [cache], every extension's recomputed
+    roots) and are joined when the run returns.
     Callees entered with no active instances (characterized by name and
     inbound global state alone) are {e shared summary units}: computed
     exactly once fleet-wide in a scratch context, published to a

@@ -95,44 +95,122 @@ let ends_in_stop e =
   | Some v -> String.equal v.v_value Sm.stop_value
   | None -> false
 
-(* A summary keys everything by interned tuple ids: [tbl] (edge dedup) by
-   the packed (src id, dst id, kind), [srcs] (the block cache) and [by_dst]
-   (the relax index) by tuple id. The interner is typically shared by every
-   summary of a root context, so an id computed against one summary is
-   valid against all of them and per-instance id caches amortise across
-   blocks. *)
+(* A summary is a few parallel arrays keyed by interned tuple ids. Edges
+   are kept in insertion order, each beside its packed (src id, dst id,
+   kind) dedup key and its dst tuple id; source tuples (the block cache)
+   are kept as ids. Nearly every summary holds a handful of entries, so
+   probes scan the id arrays linearly. An array that grows past
+   [index_at] gets a [Hashtbl] index built beside it, which every later
+   write keeps in step (and which [remove_edge] and [clear] rebuild or
+   drop). The interner is typically shared by every summary of a root
+   context, so an id computed against one summary is valid against all
+   of them and per-instance id caches amortise across blocks. *)
+
+(* Past this many entries an array's probes go through its index. *)
+let index_at = 16
+
+type edge_index = {
+  by_key : (int, unit) Hashtbl.t;
+  by_dst : (int, edge list) Hashtbl.t;  (* dst tuple id -> edges, newest first *)
+}
+
 type t = {
   it : Intern.t;
-  tbl : (int, edge) Hashtbl.t;
-  srcs : (int, unit) Hashtbl.t;
-  by_dst : (int, edge list) Hashtbl.t;  (* dst tuple id -> edges, newest first *)
-  (* insertion order as a growable array: the relax pass re-reads each
-     block's edges on every path, so order must iterate oldest-first
-     without building a fresh list each time *)
+  (* edges in insertion order: the relax pass re-reads each block's edges
+     on every path, so they must iterate oldest-first without building a
+     fresh list each time *)
   mutable earr : edge array;
+  mutable ekey : int array;
+  mutable edst : int array;
   mutable elen : int;
+  mutable eidx : edge_index option;
+  mutable sarr : int array;  (* source tuple ids, insertion order *)
+  mutable slen : int;
+  mutable sidx : (int, unit) Hashtbl.t option;
 }
 
 let create ?intern () =
   let it = match intern with Some it -> it | None -> Intern.create () in
   {
     it;
-    tbl = Hashtbl.create 8;
-    srcs = Hashtbl.create 8;
-    by_dst = Hashtbl.create 8;
     earr = [||];
+    ekey = [||];
+    edst = [||];
     elen = 0;
+    eidx = None;
+    sarr = [||];
+    slen = 0;
+    sidx = None;
   }
 
-let push_edge t e =
-  let cap = Array.length t.earr in
-  if t.elen = cap then begin
-    let arr = Array.make (if cap = 0 then 4 else 2 * cap) e in
-    Array.blit t.earr 0 arr 0 t.elen;
-    t.earr <- arr
+let grow arr len fill =
+  let a = Array.make (if len = 0 then 4 else 2 * len) fill in
+  Array.blit arr 0 a 0 len;
+  a
+
+let index_edge ix e k d =
+  Hashtbl.replace ix.by_key k ();
+  Hashtbl.replace ix.by_dst d
+    (e :: Option.value (Hashtbl.find_opt ix.by_dst d) ~default:[])
+
+let build_edge_index t =
+  let ix =
+    { by_key = Hashtbl.create (2 * t.elen); by_dst = Hashtbl.create t.elen }
+  in
+  for i = 0 to t.elen - 1 do
+    index_edge ix t.earr.(i) t.ekey.(i) t.edst.(i)
+  done;
+  t.eidx <- Some ix
+
+let push_edge t e k d =
+  let n = t.elen in
+  if n = Array.length t.earr then begin
+    t.earr <- grow t.earr n e;
+    t.ekey <- grow t.ekey n 0;
+    t.edst <- grow t.edst n 0
   end;
-  Array.unsafe_set t.earr t.elen e;
-  t.elen <- t.elen + 1
+  Array.unsafe_set t.earr n e;
+  Array.unsafe_set t.ekey n k;
+  Array.unsafe_set t.edst n d;
+  t.elen <- n + 1;
+  match t.eidx with
+  | Some ix -> index_edge ix e k d
+  | None -> if t.elen > index_at then build_edge_index t
+
+(* Position of an id among the first [n] of [arr], or -1. *)
+let scan (arr : int array) n x =
+  let rec go i =
+    if i >= n then -1 else if Array.unsafe_get arr i = x then i else go (i + 1)
+  in
+  go 0
+
+let mem_key t k =
+  match t.eidx with
+  | Some ix -> Hashtbl.mem ix.by_key k
+  | None -> scan t.ekey t.elen k >= 0
+
+let mem_sid t id =
+  match t.sidx with
+  | Some ix -> Hashtbl.mem ix id
+  | None -> scan t.sarr t.slen id >= 0
+
+let add_sid t id =
+  if not (mem_sid t id) then begin
+    let n = t.slen in
+    if n = Array.length t.sarr then t.sarr <- grow t.sarr n 0;
+    Array.unsafe_set t.sarr n id;
+    t.slen <- n + 1;
+    match t.sidx with
+    | Some ix -> Hashtbl.replace ix id ()
+    | None ->
+        if t.slen > index_at then begin
+          let ix = Hashtbl.create (2 * t.slen) in
+          for i = 0 to t.slen - 1 do
+            Hashtbl.replace ix t.sarr.(i) ()
+          done;
+          t.sidx <- Some ix
+        end
+  end
 
 let tuple_id t tup =
   let g = Intern.atom t.it tup.t_g in
@@ -166,50 +244,49 @@ let kind_code = function Transition -> 0 | Add -> 1
 let edge_ids t e =
   let s = tuple_id t e.e_src in
   let d = tuple_id t e.e_dst in
-  (s, d, pack_edge_id s d (kind_code e.e_kind))
+  (d, pack_edge_id s d (kind_code e.e_kind))
 
 (* --- probe-first recording ------------------------------------------
    The engine's block-edge recording computes src/dst tuple ids from
    component atoms and probes [mem_edge_ids] before constructing any
    tuple or edge record; records are built only on a miss (the first
-   sighting). The probe is a packed-int hash lookup allocating
-   nothing. *)
+   sighting). The probe scans packed ints (or looks one up in the index)
+   and allocates nothing. *)
 let key_atom t s = Intern.atom t.it s
 let tuple_id_atoms t ~g ~vkey ~vval = Intern.tuple t.it ~g ~vkey ~vval
 
-let mem_edge_ids t ~src ~dst kind =
-  Hashtbl.mem t.tbl (pack_edge_id src dst (kind_code kind))
+let mem_edge_ids t ~src ~dst kind = mem_key t (pack_edge_id src dst (kind_code kind))
 
 let add_edge t e =
-  let _, d, k = edge_ids t e in
-  if Hashtbl.mem t.tbl k then false
+  let d, k = edge_ids t e in
+  if mem_key t k then false
   else begin
-    Hashtbl.replace t.tbl k e;
-    push_edge t e;
-    Hashtbl.replace t.by_dst d
-      (e :: Option.value (Hashtbl.find_opt t.by_dst d) ~default:[]);
+    push_edge t e k d;
     true
   end
 
 let remove_edge t e =
-  let _, d, k = edge_ids t e in
-  if Hashtbl.mem t.tbl k then begin
-    Hashtbl.remove t.tbl k;
-    let not_e e' = (let _, _, k' = edge_ids t e' in k') <> k in
-    let kept = List.filter not_e (Array.to_list (Array.sub t.earr 0 t.elen)) in
-    t.earr <- Array.of_list kept;
-    t.elen <- List.length kept;
-    match Hashtbl.find_opt t.by_dst d with
-    | Some es -> Hashtbl.replace t.by_dst d (List.filter not_e es)
-    | None -> ()
+  let _, k = edge_ids t e in
+  let n = t.elen in
+  let i = scan t.ekey n k in
+  if i >= 0 then begin
+    let drop a = Array.append (Array.sub a 0 i) (Array.sub a (i + 1) (n - i - 1)) in
+    t.earr <- drop t.earr;
+    t.ekey <- drop t.ekey;
+    t.edst <- drop t.edst;
+    t.elen <- n - 1;
+    t.eidx <- None;
+    if t.elen > index_at then build_edge_index t
   end
 
 let edges t = Array.to_list (Array.sub t.earr 0 t.elen)
 
 (* Oldest-first iteration/fold with no per-call list copy — what the hot
    relax/propagate loops use. The snapshot semantics of the list-based
-   [edges] are preserved: the length is read once, so edges added during
-   iteration (possible when a self-loop makes prev = cur) are not seen. *)
+   [edges] are preserved: the array and length are read once, so edges
+   added during iteration (possible when a self-loop makes prev = cur)
+   are not seen, and a push that regrows the array leaves the one being
+   read intact. *)
 let iter_edges f t =
   let arr = t.earr and n = t.elen in
   for i = 0 to n - 1 do
@@ -219,12 +296,10 @@ let iter_edges f t =
 let no_edges t = t.elen = 0
 let transitions t = List.filter (fun e -> e.e_kind = Transition) (edges t)
 let adds t = List.filter (fun e -> e.e_kind = Add) (edges t)
-let mem_src t tup = Hashtbl.mem t.srcs (tuple_id t tup)
-let add_src t tup = Hashtbl.replace t.srcs (tuple_id t tup) ()
-let mem_src_instance t ~ids ~gstate i =
-  Hashtbl.mem t.srcs (instance_tuple_id t ~ids ~gstate i)
-
-let mem_src_global t g = Hashtbl.mem t.srcs (global_tuple_id t g)
+let mem_src t tup = mem_sid t (tuple_id t tup)
+let add_src t tup = add_sid t (tuple_id t tup)
+let mem_src_instance t ~ids ~gstate i = mem_sid t (instance_tuple_id t ~ids ~gstate i)
+let mem_src_global t g = mem_sid t (global_tuple_id t g)
 
 let add_src_sm t ~ids (sm : Sm.sm_inst) =
   let any = ref false in
@@ -232,50 +307,63 @@ let add_src_sm t ~ids (sm : Sm.sm_inst) =
     (fun (i : Sm.instance) ->
       if not i.Sm.inactive then begin
         any := true;
-        Hashtbl.replace t.srcs (instance_tuple_id t ~ids ~gstate:sm.Sm.gstate i) ()
+        add_sid t (instance_tuple_id t ~ids ~gstate:sm.Sm.gstate i)
       end)
     sm.Sm.actives;
-  if not !any then Hashtbl.replace t.srcs (global_tuple_id t sm.Sm.gstate) ()
+  if not !any then add_sid t (global_tuple_id t sm.Sm.gstate)
 
-let srcs_count t = Hashtbl.length t.srcs
-let size t = Hashtbl.length t.tbl
+let srcs_count t = t.slen
+let size t = t.elen
 
 let clear t =
-  Hashtbl.reset t.tbl;
-  Hashtbl.reset t.srcs;
-  Hashtbl.reset t.by_dst;
   t.earr <- [||];
-  t.elen <- 0
+  t.ekey <- [||];
+  t.edst <- [||];
+  t.elen <- 0;
+  t.eidx <- None;
+  t.sarr <- [||];
+  t.slen <- 0;
+  t.sidx <- None
 
-(* Oldest-first, matching the pre-index behavior of filtering [edges t]. *)
-let find_by_dst t tup =
-  match Hashtbl.find_opt t.by_dst (tuple_id t tup) with
-  | Some es -> List.rev es
-  | None -> []
-
-(* Oldest-first iteration over one destination's edges without the
-   [List.rev] copy; the recursion depth is the per-dst fan-in, a handful
-   of edges in practice. *)
+(* Oldest-first iteration over the edges ending in [tup], with the same
+   snapshot semantics as [iter_edges]: the scan reads the arrays and the
+   length once, and the index holds immutable lists. Without an index
+   this is a scan of the dst ids; with one, a walk of the newest-first
+   list from its end (the recursion depth is the per-dst fan-in, a
+   handful of edges in practice). *)
 let iter_by_dst t tup f =
-  match Hashtbl.find t.by_dst (tuple_id t tup) with
-  | es ->
-      let rec go = function
-        | [] -> ()
-        | e :: tl ->
-            go tl;
-            f e
-      in
-      go es
-  | exception Not_found -> ()
+  let d = tuple_id t tup in
+  match t.eidx with
+  | None ->
+      let earr = t.earr and edst = t.edst and n = t.elen in
+      for i = 0 to n - 1 do
+        if Array.unsafe_get edst i = d then f (Array.unsafe_get earr i)
+      done
+  | Some ix -> (
+      match Hashtbl.find ix.by_dst d with
+      | es ->
+          let rec go = function
+            | [] -> ()
+            | e :: tl ->
+                go tl;
+                f e
+          in
+          go es
+      | exception Not_found -> ())
+
+let find_by_dst t tup =
+  let acc = ref [] in
+  iter_by_dst t tup (fun e -> acc := e :: !acc);
+  List.rev !acc
 
 let srcs_list t =
   List.sort String.compare
-    (Hashtbl.fold (fun id () acc -> Intern.name t.it id :: acc) t.srcs [])
+    (List.init t.slen (fun i -> Intern.name t.it t.sarr.(i)))
 
 (* A persisted key is a full rendered tuple key; its atom id is exactly
    the id [tuple_id] assigns the live tuple, so replayed and recomputed
    entries land in the same id space. *)
-let add_src_key t k = Hashtbl.replace t.srcs (Intern.atom t.it k) ()
+let add_src_key t k = add_sid t (Intern.atom t.it k)
 
 (* --- binary (de)serialisation, for the persistent summary store -------
    Edges in insertion order and sorted rendered src keys: interning is a

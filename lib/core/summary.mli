@@ -66,8 +66,11 @@ val is_global_only : edge -> bool
 
 val ends_in_stop : edge -> bool
 
-(** Mutable edge-set summaries with O(1) dedup, keyed internally by
-    interned tuple ids ({!Intern}) rather than rendered key strings. *)
+(** Mutable edge-set summaries, keyed internally by interned tuple ids
+    ({!Intern}) rather than rendered key strings. Edges and source tuples
+    live in small insertion-ordered arrays that probes scan; an array
+    that passes a fixed internal size gets a hash index built beside it,
+    so large summaries keep O(1) dedup. *)
 type t
 
 val create : ?intern:Intern.t -> unit -> t
@@ -98,8 +101,8 @@ val add_src : t -> tuple -> unit
 
 val mem_src_instance : t -> ids:Exprid.ctx -> gstate:string -> Sm.instance -> bool
 (** [mem_src t (tuple_of_instance ~ids ~gstate i)] without building the
-    tuple: the probe is an integer hash lookup keyed off the instance's
-    hash-consed [target_id]. *)
+    tuple: the probe looks up an integer tuple id, resolved from the
+    instance's hash-consed [target_id]. *)
 
 val mem_src_global : t -> string -> bool
 (** [mem_src t (global_tuple g)] without building the tuple. *)

@@ -326,20 +326,17 @@ let rec read_line_block r =
       end
       else None
 
-(* Does another complete request line arrive within the debounce window?
-   Keeps pulling until a full line is buffered or the window closes. *)
-let more_within r ~debounce =
-  let deadline = Unix.gettimeofday () +. debounce in
-  let rec go () =
-    let s = Buffer.contents r.r_buf in
-    if String.contains s '\n' then true
-    else
-      let left = deadline -. Unix.gettimeofday () in
-      if left <= 0. then false
-      else if fill r ~timeout:left then go ()
-      else false
-  in
-  go ()
+(* Is another complete request line already readable? Drains whatever
+   the input holds right now with zero-timeout reads, then looks for a
+   line end. Nothing waits: a client that sends one request and waits
+   for its reply gets it at once, and an edit storm piped in ahead of
+   the replies still coalesces. *)
+let more_pending r =
+  while fill r ~timeout:0. do
+    ()
+  done;
+  Buffer.length r.r_buf > 0 && String.contains (Buffer.contents r.r_buf) '\n'
+
 
 let write_all fd s =
   let b = Bytes.of_string s in
@@ -354,7 +351,7 @@ let write_all fd s =
 
 (* Serve one connection. Returns true when the client asked the daemon to
    shut down (vs. just disconnecting). *)
-let serve_fd t ~debounce ~fd_in ~fd_out =
+let serve_fd t ~fd_in ~fd_out =
   let r = reader fd_in in
   let rec loop () =
     match read_line_block r with
@@ -362,18 +359,16 @@ let serve_fd t ~debounce ~fd_in ~fd_out =
     | Some line ->
         if String.trim line = "" then loop ()
         else begin
-          let more = more_within r ~debounce in
-          let reply, quit = handle_line t ~more_pending:more line in
+          let reply, quit = handle_line t ~more_pending:(more_pending r) line in
           write_all fd_out (Proto.to_line reply);
           if quit then true else loop ()
         end
   in
   loop ()
 
-let serve_stdio ?(debounce = 0.02) t =
-  ignore (serve_fd t ~debounce ~fd_in:Unix.stdin ~fd_out:Unix.stdout)
+let serve_stdio t = ignore (serve_fd t ~fd_in:Unix.stdin ~fd_out:Unix.stdout)
 
-let serve_socket ?(debounce = 0.02) t ~path =
+let serve_socket t ~path =
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.unlink path with Unix.Unix_error _ -> () | Sys_error _ -> ());
   Unix.bind sock (Unix.ADDR_UNIX path);
@@ -391,7 +386,7 @@ let serve_socket ?(debounce = 0.02) t ~path =
                 ~finally:(fun () ->
                   try Unix.close client with Unix.Unix_error _ -> ())
                 (fun () ->
-                  try serve_fd t ~debounce ~fd_in:client ~fd_out:client
+                  try serve_fd t ~fd_in:client ~fd_out:client
                   with Unix.Unix_error (Unix.EPIPE, _, _) -> false)
             in
             if not quit then accept_loop ()

@@ -12,9 +12,10 @@
     discipline guarantees it, and the test suite and CI assert it.
 
     Requests arrive as newline-delimited JSON ({!Proto}) on stdin or a
-    Unix socket. Rapid successive edits coalesce: while another request
-    line is already pending, a [didChange] only applies its overlay and
-    replies [queued]; the single re-check happens when the storm drains. *)
+    Unix socket. Rapid successive edits coalesce: while another complete
+    request line is already readable, a [didChange] only applies its
+    overlay and replies [queued]; the single re-check happens when the
+    storm drains. Nothing waits for a line that has not arrived. *)
 
 type config = {
   c_files : string list;  (** analysis inputs, in batch-run order *)
@@ -65,11 +66,11 @@ val handle_line : t -> more_pending:bool -> string -> Json_out.t * bool
 (** {!Proto.request_of_line} + {!handle_request}; protocol errors become
     [{"ok":false}] replies. *)
 
-val serve_stdio : ?debounce:float -> t -> unit
-(** Run the request loop over stdin/stdout until EOF or [shutdown].
-    [debounce] (default 20ms) is how long a [didChange] waits for a
-    follow-up request before committing to a re-check. *)
+val serve_stdio : t -> unit
+(** Run the request loop over stdin/stdout until EOF or [shutdown]. A
+    [didChange] is coalesced when another complete request line is
+    already readable (see the header). *)
 
-val serve_socket : ?debounce:float -> t -> path:string -> unit
+val serve_socket : t -> path:string -> unit
 (** Listen on a Unix socket, serving one client at a time, until a
     client sends [shutdown]. The socket file is removed on exit. *)

@@ -78,6 +78,119 @@ let contains ~affix s =
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   n = 0 || go 0
 
+(* ------------------------------------------------------------ *)
+(* The pool's lifetime                                           *)
+(* ------------------------------------------------------------ *)
+
+(* A [Domain.spawn] that counts its calls. *)
+let counting_spawn () =
+  let n = Atomic.make 0 in
+  ((fun f -> Atomic.incr n; Domain.spawn f), n)
+
+(* A job whose every task waits until each of the [jobs] workers has
+   claimed one (or 10 s pass), so it completes quickly only if every
+   helper is alive and serving; returns the workers seen. *)
+let all_workers_job p ~jobs =
+  let seen = Array.init jobs (fun _ -> Atomic.make false) in
+  let deadline = Unix.gettimeofday () +. 10. in
+  let results, st =
+    Pool.sched p (2 * jobs) (fun ~worker i ->
+        Atomic.set seen.(worker) true;
+        while
+          (not (Array.for_all Atomic.get seen))
+          && Unix.gettimeofday () < deadline
+        do
+          Domain.cpu_relax ()
+        done;
+        i)
+  in
+  Array.iteri
+    (fun i r -> Alcotest.(check bool) (Printf.sprintf "slot %d" i) true (r = Ok i))
+    results;
+  (Array.to_list (Array.map Atomic.get seen), st)
+
+(* The id the next spawned domain gets: domain ids are never reused. *)
+let next_domain_id () = (Domain.join (Domain.spawn Domain.self) :> int)
+
+let pool_lifetime_tests =
+  [
+    t "one pool serves five jobs on jobs - 1 helpers" `Quick (fun () ->
+        let spawn, spawned = counting_spawn () in
+        let jobs = 3 in
+        Pool.with_pool ~spawn ~jobs (fun p ->
+            Alcotest.(check int) "helpers spawned up front" (jobs - 1)
+              (Atomic.get spawned);
+            for k = 0 to 4 do
+              let results, st =
+                Pool.sched p 12 (fun ~worker:_ i -> (k * 100) + i)
+              in
+              Array.iteri
+                (fun i r ->
+                  Alcotest.(check bool) "slot" true (r = Ok ((k * 100) + i)))
+                results;
+              Alcotest.(check int) "workers" jobs st.Pool.workers;
+              Alcotest.(check int) "spawn_failures" 0 st.Pool.spawn_failures
+            done;
+            let seen, _ = all_workers_job p ~jobs in
+            Alcotest.(check (list bool)) "every helper served" [ true; true; true ] seen);
+        Alcotest.(check int) "spawns in all" (jobs - 1) (Atomic.get spawned));
+    t "a task that raises leaves the helpers serving the next job" `Quick
+      (fun () ->
+        let spawn, spawned = counting_spawn () in
+        let jobs = 3 in
+        Pool.with_pool ~spawn ~jobs (fun p ->
+            for k = 0 to 4 do
+              if k = 2 then begin
+                let results, st =
+                  Pool.sched p 12 (fun ~worker:_ i ->
+                      if i mod 4 = 1 then raise Boom else i)
+                in
+                Array.iteri
+                  (fun i r ->
+                    Alcotest.(check bool) (Printf.sprintf "slot %d" i) true
+                      (r = if i mod 4 = 1 then Error Boom else Ok i))
+                  results;
+                Alcotest.(check int) "workers in the failing job" jobs
+                  st.Pool.workers
+              end
+              else begin
+                let seen, st = all_workers_job p ~jobs in
+                Alcotest.(check (list bool))
+                  (Printf.sprintf "job %d: every helper served" k)
+                  [ true; true; true ] seen;
+                Alcotest.(check int) "workers" jobs st.Pool.workers
+              end
+            done);
+        Alcotest.(check int) "spawns in all" (jobs - 1) (Atomic.get spawned));
+    t "Engine.run spawns jobs - 1 domains per run, not per extension" `Quick
+      (fun () ->
+        let sg = sched_sg () in
+        let exts = checkers () in
+        let before = next_domain_id () in
+        ignore (Engine.run ~jobs:3 sg exts);
+        let after = next_domain_id () in
+        Alcotest.(check int)
+          (Printf.sprintf "domains spawned by one run over %d extensions"
+             (List.length exts))
+          2
+          (after - before - 1);
+        let before = next_domain_id () in
+        (* memory-only: the directory is never created *)
+        let store =
+          Summary_store.create
+            ~dir:(Filename.concat (Filename.get_temp_dir_name ()) "xgcc-pool-unused")
+            ~persist:false ~memory:true
+            ~ext_keys:
+              (Summary_store.ext_keys_of
+                 ~options_digest:(Engine.options_digest Engine.default_options)
+                 ~sources:(List.map (fun (e : Sm.t) -> e.Sm.sm_name) exts))
+            ()
+        in
+        ignore (Engine.run ~jobs:3 ~cache:store sg exts);
+        let after = next_domain_id () in
+        Alcotest.(check int) "cached run" 2 (after - before - 1));
+  ]
+
 let suite =
   [
     (* ------------------------------------------------------------ *)
@@ -307,3 +420,4 @@ let suite =
           "generous budget = unbudgeted, degraded" (degraded_pairs free)
           (degraded_pairs generous));
   ]
+  @ pool_lifetime_tests
