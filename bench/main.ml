@@ -385,8 +385,8 @@ let bench_tests () =
 let table_parallel () =
   header "J  | Domain-parallel root analysis (-j 1 vs -j N, wall clock)";
   (* the scheduler's stress shape: many independent roots of uneven cost
-     (one 20x-heavier mid-list root defeats contiguous chunking) plus a
-     hot shared callee layer that must be analysed exactly once fleet-wide *)
+     (one 20x-heavier mid-list root defeats contiguous chunking) over a
+     shared callee layer that every root traverses *)
   let sg =
     sg_of (Synth.sched_corpus ~n_roots:24 ~light:100 ~heavy:2000)
   in
@@ -404,13 +404,7 @@ let table_parallel () =
     (List.length seq.Engine.reports);
   if not same then
     failwith "parallel_speedup: -j N reports diverge from -j 1";
-  let pst = par.Engine.stats in
-  Printf.printf
-    "shared units: %d published, %d replayed, %d recomputed; %d steals\n"
-    pst.Engine.shared_published pst.Engine.shared_replayed
-    pst.Engine.shared_recomputed pst.Engine.sched_steals;
-  if pst.Engine.shared_recomputed <> 0 then
-    failwith "parallel_speedup: a shared summary unit was computed twice";
+  Printf.printf "%d steals\n" par.Engine.stats.Engine.sched_steals;
   if cores <= 1 then begin
     (* a speedup ratio measured on one core is noise, not a parallelism
        claim: record an explicit skip (dashboards must not read a ~1x or
@@ -418,13 +412,9 @@ let table_parallel () =
     bench_out
       (Printf.sprintf
          "{\"experiment\": \"parallel_speedup\", \"skipped\": \"single-core\", \
-          \"cores\": %d, \"deterministic\": %b, \"published\": %d, \
-          \"replayed\": %d, \"recomputed\": %d}"
-         cores same pst.Engine.shared_published pst.Engine.shared_replayed
-         pst.Engine.shared_recomputed);
-    Printf.printf
-      "skipped: single-core host (determinism and once-only sharing still \
-       checked above)\n"
+          \"cores\": %d, \"deterministic\": %b}"
+         cores same);
+    Printf.printf "skipped: single-core host (determinism still checked above)\n"
   end
   else begin
     (* wall-clock (monotonic) per-run estimate for each job count *)
@@ -454,18 +444,15 @@ let table_parallel () =
       (Printf.sprintf
          "{\"experiment\": \"parallel_speedup\", \"jobs\": %d, \"cores\": %d, \
           \"j1_ns\": %.1f, \"jn_ns\": %.1f, \"speedup\": %.3f, \
-          \"deterministic\": %b, \"published\": %d, \"replayed\": %d, \
-          \"recomputed\": %d}"
-         jn cores j1_ns jn_ns (j1_ns /. jn_ns) same
-         pst.Engine.shared_published pst.Engine.shared_replayed
-         pst.Engine.shared_recomputed);
+          \"deterministic\": %b}"
+         jn cores j1_ns jn_ns (j1_ns /. jn_ns) same);
     Printf.printf "speedup at -j %d on %d cores: %.2fx\n" jn cores
       (j1_ns /. jn_ns)
   end;
   Printf.printf
     "paper note: roots are independent given the supergraph, so the analysis\n\
-     parallelises across callgraph roots, stealing uneven roots and sharing\n\
-     pure-entry callee summaries; on one core expect speedup <= 1\n"
+     parallelises across callgraph roots, stealing uneven roots; on one core\n\
+     expect speedup <= 1\n"
 
 (* ------------------------------------------------------------------ *)
 (* State interning: cold-path wall clock and allocation                 *)

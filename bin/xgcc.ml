@@ -371,11 +371,7 @@ let do_check files checkers metal_files rank_mode fmt history_db update_history
     Format.printf "dispatch: %d match attempts, %d index hits, %d blocks skipped@."
       st.Engine.match_attempts st.Engine.index_hits st.Engine.blocks_skipped;
     if effective_jobs jobs > 1 then
-      Format.printf
-        "scheduler: %d summary units published, %d replayed, %d recomputed, %d steals, %d waits@."
-        st.Engine.shared_published st.Engine.shared_replayed
-        st.Engine.shared_recomputed st.Engine.sched_steals
-        st.Engine.sched_waits;
+      Format.printf "scheduler: %d steals@." st.Engine.sched_steals;
     let flat = sg.Supergraph.flat in
     let mib words = float_of_int (words * (Sys.word_size / 8)) /. (1024. *. 1024.) in
     Format.printf

@@ -61,19 +61,14 @@ type stats = {
          Like the intern counters these three are process-local: not
          persisted in the summary store, replayed roots contribute 0. *)
   mutable shared_published : int;
-      (* parallel scheduler: summary units computed once in a scratch
-         context and published to the shared store *)
   mutable shared_replayed : int;
-      (* publications replayed into a demanding root's context *)
   mutable shared_recomputed : int;
-      (* duplicate publications dropped first-writer-wins — the "a shared
-         unit was computed twice" tripwire, structurally 0 *)
-  mutable sched_steals : int;  (* tasks taken from another worker's deque *)
-  mutable sched_waits : int;
-      (* acquires that blocked on a unit another worker was computing.
-         These five exist only at [jobs > 1]; steals and waits are
-         scheduling noise (timing-dependent), the other three are
-         deterministic for a given program and extension. *)
+      (* always 0: the shared summary units these counted are gone; kept
+         only until the benchmark harness stops reading them *)
+  mutable sched_steals : int;
+      (* tasks taken from another worker's deque, at [jobs > 1];
+         scheduling noise (timing-dependent) *)
+  mutable sched_waits : int;  (* always 0, like the three above *)
   mutable worker_alloc_bytes : int;
       (* bytes pool tasks allocated on domains other than the caller's,
          which [Gc.allocated_bytes] (per-domain) cannot see from there;
@@ -152,33 +147,6 @@ let densify it (arr : Summary.t option array) =
     (function Some s -> s | None -> Summary.create ~intern:it ())
     arr
 
-(* A publication: everything one shared summary unit — a pure-entry callee
-   analysed from a scratch context — produced. Immutable once built (the
-   scratch context is discarded), so worker domains read it without
-   synchronization beyond the store's publish/acquire handshake. *)
-type pub = {
-  p_fsums : (string * fsum) list;
-      (* the unit's summary tables, sorted by function name; replay
-         re-adds their content through the demander's interner *)
-  p_reports : Report.t list;  (* emission order *)
-  p_counters : (string * int * int) list;  (* sorted by rule *)
-  p_annots : (int * string list) list;
-      (* per node id, the tags the unit added beyond the extension-base
-         table, oldest first; node ids are stable in-process *)
-  p_traversed : string list;
-  p_deps : string list;
-      (* keys of shared units this unit itself demanded (transitively):
-         a root that replays this publication has, observably, also
-         traversed those *)
-  p_stats : stats;
-}
-
-(* Shared by every worker context of one extension run. *)
-type shared_ctx = {
-  sh_tbl : pub Shared_sums.t;
-  sh_heights : string -> int option;  (* Callgraph.acyclic_heights *)
-}
-
 (* Alias of the flat table's event type, so [events_of_block] can return
    the prebuilt global arrays directly. *)
 type ev = Flat.ev =
@@ -197,8 +165,7 @@ type undo =
   | U_annot of int * string list option
       (* eid, pre-root delta entry ([None] = absent from the delta) *)
   | U_mark of (string, unit) Hashtbl.t * string
-      (* insertion of a fresh key into a unit table
-         (traversed / demanded) *)
+      (* insertion of a fresh key into a unit table (traversed) *)
   | U_imark of (int, unit) Hashtbl.t * int
       (* insertion of a fresh interned key into an int-keyed unit table
          (report dedup) *)
@@ -249,12 +216,6 @@ type rctx = {
          and journal cells are int-sized; the merge-time dedup tables stay
          string-keyed because atoms are context-local *)
   traversed : (string, unit) Hashtbl.t;
-  demanded : (string, unit) Hashtbl.t;
-      (* keys of shared units this context replayed (transitively via
-         [p_deps]); the merge folds a publication's counters and stats in
-         exactly once iff some surviving root demanded it, which is the
-         set of units a sequential run would have paid for *)
-  shared : shared_ctx option;  (* None outside the parallel scheduler *)
   st : stats;
   mutable cur_ext : Sm.t;
   mutable dsp : Dispatch.t;  (* compiled form of cur_ext, kept in lockstep *)
@@ -345,30 +306,13 @@ let charge_budget rctx =
     end
   end
 
-(* Charge a replayed shared unit to the demanding root's node budget: the
-   same units a private traversal of the callee would have charged one by
-   one ([p_stats] counts the scratch context's own visits, excluding
-   nested shared units — those are charged separately via [p_deps]). The
-   exhaustion message matches [charge_budget]'s exactly so a degraded
-   root reads the same whether the work was private or shared. *)
-let charge_pub rctx (p : pub) =
-  if rctx.opts.max_nodes_per_root > 0 then begin
-    rctx.fuel <-
-      rctx.fuel - (p.p_stats.nodes_visited + p.p_stats.instances_created);
-    if rctx.fuel <= 0 then
-      raise
-        (Budget_exceeded
-           (Printf.sprintf "node budget of %d exhausted"
-              rctx.opts.max_nodes_per_root))
-  end
-
 let lookup_annot ~delta ~base eid =
   match Hashtbl.find_opt delta eid with
   | None -> Hashtbl.find_opt base eid
   | tags -> tags
 
-(* Every analysis context is built here: the sequential run's, each [-j]
-   and cached-mode worker's, and the shared-unit and canonical scratches.
+(* Every analysis context is built here: the sequential run's, each
+   per-root worker's, and the canonical scratch.
    Workers start on an already-compiled extension: eager dispatch
    compilation is per-extension work, and the compiled form is immutable,
    so one compile (in the base context) serves every per-root context.
@@ -379,8 +323,7 @@ let lookup_annot ~delta ~base eid =
    [ids] and [store0] default to fresh per-context instances and are
    shared only by a same-domain scratch. *)
 let new_rctx_in ?(options = default_options) ?ids ?(store0 = Store.create ())
-    ?(annots_base = Hashtbl.create 1) ?(kill_seen = false) ?shared ~ext ~dsp
-    sg =
+    ?(annots_base = Hashtbl.create 1) ?(kill_seen = false) ~ext ~dsp sg =
   let ids =
     match ids with
     | Some ids -> ids
@@ -403,8 +346,6 @@ let new_rctx_in ?(options = default_options) ?ids ?(store0 = Store.create ())
     fsums = Hashtbl.create 64;
     dedup = Hashtbl.create 64;
     traversed = Hashtbl.create 64;
-    demanded = Hashtbl.create 16;
-    shared;
     st = new_stats ();
     cur_ext = ext;
     dsp;
@@ -438,9 +379,8 @@ let get_fsum rctx (cfg : Cfg.t) =
       s
 
 (* Content-level union of one function's summary tables: edges and src
-   keys are re-added through [dst]'s interner, so tables from different
-   contexts (shared-unit replay, canonical seeding) combine no
-   matter whose interner produced them. *)
+   keys are re-added through [dst]'s interner, so tables decoded from the
+   store seed a canonical scratch whatever interner produced them. *)
 let merge_fsum_into (dst : fsum) (src : fsum) =
   let union (d : Summary.t option array) (s : Summary.t option array) =
     Array.iteri
@@ -1987,7 +1927,7 @@ and follow_call rctx fctx walk (node : Cast.expr) fname args (callee_cfg : Cfg.t
     end
   in
   if all_cached then rctx.st.summary_hits <- rctx.st.summary_hits + 1
-  else if not (shared_call rctx fctx setup fname callee_cfg) then begin
+  else begin
     (* analyse the callee in this (refined) state, populating its summary *)
     let callee_fctx =
       make_fctx rctx ~depth:(fctx.depth + 1) ~stack:(fname :: fctx.stack) callee_cfg
@@ -2040,145 +1980,6 @@ and follow_call rctx fctx walk (node : Cast.expr) fname args (callee_cfg : Cfg.t
       in
       k { walk' with store })
     partitions
-
-(* --- shared summary units (parallel scheduler) ---------------------
-   A callee entered with no active instances is characterized by its name
-   and the inbound global state alone, so its traversal — summaries,
-   reports, counter bumps, annotations — is the same no matter which root
-   demands it. When a shared store is installed, such a unit is computed
-   exactly once fleet-wide: the first demander claims it, analyses the
-   callee in a fresh *scratch* context (so the publication cannot depend
-   on the demander's history), publishes, and every demander (claimer
-   included) replays the publication into its own context, which leaves
-   that context exactly as if it had traversed the callee itself. *)
-
-and shared_call rctx fctx (setup : call_setup) fname (callee_cfg : Cfg.t) : bool =
-  match rctx.shared with
-  | None -> false
-  | Some sh -> (
-      if setup.cs_refined.Sm.actives <> [] then false
-      else
-        (* The height gate makes the unit context-free AND deadlock-free:
-           [depth + 1 + h <= max_call_depth] means no call in the callee's
-           subtree would be depth-truncated for THIS demander, and the
-           scratch (entered at depth 0) explores the identical untruncated
-           tree. Cyclic-closure callees (height None) are never shared, so
-           a worker waiting on a claimed unit only ever waits on strictly
-           smaller heights — a wait cycle would be a call cycle. *)
-        match sh.sh_heights fname with
-        | Some h when fctx.depth + 1 + h <= rctx.opts.max_call_depth ->
-            let gstate = setup.cs_refined.Sm.gstate in
-            let key = fname ^ "\x00" ^ gstate in
-            let p =
-              match Shared_sums.acquire sh.sh_tbl key with
-              | Shared_sums.Ready p ->
-                  (* some root already paid the traversal: the sequential
-                     engine would have taken a summary hit here *)
-                  rctx.st.summary_hits <- rctx.st.summary_hits + 1;
-                  p
-              | Shared_sums.Claimed -> (
-                  match compute_pub sh rctx fname callee_cfg gstate with
-                  | p ->
-                      Shared_sums.publish sh.sh_tbl key p;
-                      p
-                  | exception e ->
-                      (* never publish a truncated unit: retract the claim
-                         (waiters re-acquire and re-claim) and let the
-                         demanding root's boundary degrade it, exactly as a
-                         sequential traversal crash would *)
-                      Shared_sums.abort sh.sh_tbl key;
-                      raise e)
-            in
-            (* Budget accounting (first demand of this unit only — replays
-               of an already-demanded unit are free, as the sequential
-               engine's summary cache would have made them): charge the
-               unit's own work, then each not-yet-demanded transitive dep's.
-               A charge can raise [Budget_exceeded], degrading this root
-               with the same reason a private traversal would have. *)
-            let first = not (Hashtbl.mem rctx.demanded key) in
-            if first then begin
-              j_push rctx (U_mark (rctx.demanded, key));
-              Hashtbl.replace rctx.demanded key ();
-              charge_pub rctx p;
-              List.iter
-                (fun dk ->
-                  if not (Hashtbl.mem rctx.demanded dk) then begin
-                    j_push rctx (U_mark (rctx.demanded, dk));
-                    Hashtbl.replace rctx.demanded dk ();
-                    match Shared_sums.find_published sh.sh_tbl dk with
-                    | Some dp -> charge_pub rctx dp
-                    | None -> ()
-                  end)
-                p.p_deps
-            end;
-            replay_pub rctx p;
-            true
-        | _ -> false)
-
-and compute_pub sh rctx fname (callee_cfg : Cfg.t) gstate : pub =
-  (* Same domain, synchronous: sharing the demander's id resolver and store
-     family keeps one overflow id per distinct synthesized key per worker.
-     The demander's base (not its delta) is the extension base, so the
-     unit cannot depend on who demanded it; nested pure callees share
-     recursively through [sh]. *)
-  let scratch =
-    new_rctx_in ~options:rctx.opts ~ids:rctx.ids ~store0:rctx.store0
-      ~annots_base:rctx.annots_base ~kill_seen:rctx.kill_seen ~shared:sh
-      ~ext:rctx.cur_ext ~dsp:rctx.dsp rctx.sg
-  in
-  reset_budget scratch;
-  let callee_fctx = make_fctx scratch ~depth:0 ~stack:[ fname ] callee_cfg in
-  let sm = Sm.initial scratch.cur_ext in
-  sm.Sm.gstate <- gstate;
-  traverse scratch callee_fctx
-    { sm; store = scratch.store0; created = Iset.empty }
-    [] callee_cfg.entry;
-  scratch.st.intern_atoms <- Intern.n_atoms scratch.intern;
-  scratch.st.intern_tuples <- Intern.n_tuples scratch.intern;
-  let sorted_fold tbl render =
-    List.sort compare (Hashtbl.fold (fun k v acc -> render k v :: acc) tbl [])
-  in
-  {
-    p_fsums = sorted_fold scratch.fsums (fun f s -> (f, s));
-    p_reports = Report.reports scratch.collector;
-    p_counters = sorted_fold scratch.counters (fun rule (e, c) -> (rule, e, c));
-    p_annots =
-      sorted_fold scratch.annots (fun eid tags ->
-          (eid, fresh_annots ~base:scratch.annots_base eid tags));
-    p_traversed = sorted_fold scratch.traversed (fun f () -> f);
-    p_deps = sorted_fold scratch.demanded (fun k () -> k);
-    p_stats = scratch.st;
-  }
-
-and replay_pub rctx (p : pub) : unit =
-  rctx.st.shared_replayed <- rctx.st.shared_replayed + 1;
-  List.iter
-    (fun (f, src) ->
-      match Supergraph.cfg_of rctx.sg f with
-      | None -> ()
-      | Some cfg -> merge_fsum_into (get_fsum rctx cfg) src)
-    p.p_fsums;
-  List.iter
-    (fun r ->
-      let atom = Intern.atom rctx.intern (report_key r) in
-      if not (Hashtbl.mem rctx.dedup atom) then begin
-        j_push rctx (U_imark (rctx.dedup, atom));
-        Hashtbl.replace rctx.dedup atom ();
-        Report.emit rctx.collector r
-      end)
-    p.p_reports;
-  List.iter (fun (eid, tags) -> ignore (add_annots rctx eid tags)) p.p_annots;
-  List.iter
-    (fun f ->
-      if not (Hashtbl.mem rctx.traversed f) then begin
-        j_push rctx (U_mark (rctx.traversed, f));
-        Hashtbl.replace rctx.traversed f ()
-      end)
-    p.p_traversed
-(* counters and stats are NOT injected: the merge folds each demanded
-   publication's accounting in exactly once. [shared_call] marks the
-   publication's [p_deps] as demanded (and budget-charges them) before
-   calling here. *)
 
 and handle_terminator rctx fctx walk (bt : int list) (block : Block.t) : unit =
   match block.term with
@@ -2312,7 +2113,7 @@ let run_root rctx (ext : Sm.t) root =
      dedup keys would suppress identical reports from healthy roots);
      reports themselves are truncated back to a count taken at the root
      boundary;
-   - counters, annots, traversed, demanded: partial contributions change
+   - counters, annots, traversed: partial contributions change
      later roots' view (annotations) or the result's accounting;
    - stats: restored wholesale (one small record copy) so accounting
      matches a run without the degraded root.
@@ -2349,11 +2150,7 @@ let assign_stats (dst : stats) (src : stats) =
   dst.match_attempts <- src.match_attempts;
   dst.index_hits <- src.index_hits;
   dst.blocks_skipped <- src.blocks_skipped;
-  dst.shared_published <- src.shared_published;
-  dst.shared_replayed <- src.shared_replayed;
-  dst.shared_recomputed <- src.shared_recomputed;
   dst.sched_steals <- src.sched_steals;
-  dst.sched_waits <- src.sched_waits;
   dst.worker_alloc_bytes <- src.worker_alloc_bytes
 
 let snapshot_root rctx =
@@ -2381,8 +2178,8 @@ let rollback_root rctx sn =
    overflow on a pathological CFG) alike. On failure the root is rolled
    back and recorded as [degraded]; the caller moves on to the next
    root. Either way the journal is released: a healthy root's writes
-   become permanent, and cross-root work (worker merges, shared-summary
-   publication) runs unjournaled. *)
+   become permanent, and cross-root work (the per-root driver's merge)
+   runs unjournaled. *)
 let run_root_contained rctx (ext : Sm.t) root =
   let sn = snapshot_root rctx in
   reset_budget rctx;
@@ -2454,25 +2251,18 @@ let collect_result rctx =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Domain-parallel execution                                           *)
+(* The per-root driver                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Per-root traversals are independent monotone computations over the
    shared, immutable supergraph — the only cross-root coupling in the
    sequential engine is through caches (function summaries, block src
    tuples, report dedup) that trade repeated work for nothing observable.
-   So the parallel mode gives every root task a private [rctx] (collector,
-   counters, stats, fsums, dedup) and folds the results back
-   in root order, which makes the output independent of how the pool
-   schedules roots onto domains. *)
-
-(* Fold a worker's annotation delta into [base], preserving each node's
-   tag insertion order (annotate_node prepends); [touched] hears of every
-   node whose tags in [base] changed. *)
-let merge_annots ?(touched = ignore) base annots =
-  List.iter
-    (fun (eid, tags) -> if add_annots base eid (List.rev tags) then touched eid)
-    annots
+   So every run other than uncached [-j 1] gives each root a private
+   [rctx] (collector, counters, stats, fsums, dedup) and folds the
+   results back in root order, which makes the output independent of
+   how the pool schedules roots onto domains, and of whether a root was
+   computed or replayed from the store. *)
 
 let add_stats (acc : stats) (s : stats) =
   acc.blocks_visited <- acc.blocks_visited + s.blocks_visited;
@@ -2490,43 +2280,44 @@ let add_stats (acc : stats) (s : stats) =
   acc.match_attempts <- acc.match_attempts + s.match_attempts;
   acc.index_hits <- acc.index_hits + s.index_hits;
   acc.blocks_skipped <- acc.blocks_skipped + s.blocks_skipped;
-  acc.shared_published <- acc.shared_published + s.shared_published;
-  acc.shared_replayed <- acc.shared_replayed + s.shared_replayed;
-  acc.shared_recomputed <- acc.shared_recomputed + s.shared_recomputed;
   acc.sched_steals <- acc.sched_steals + s.sched_steals;
-  acc.sched_waits <- acc.sched_waits + s.sched_waits;
   acc.worker_alloc_bytes <- acc.worker_alloc_bytes + s.worker_alloc_bytes
 
-(* What the root-order merges read of one worker's run. The rest of its
+(* What the root-order merge reads of one root: a worker's run, or a
+   stored entry decoded into the same shape. The rest of a worker's
    context — intern and id tables, the [annots_done] bitset, the dedup
-   table, the store family, the summaries — dies with the task instead of
-   waiting in the pool's result array for the merge. The four tables the
-   merges read travel as lists of their entries in the tables' iteration
-   order, which is the order the merges read them in: a root that
-   touched little hands over a few words rather than four hash tables. *)
+   table, the store family, the summaries — dies with the task instead
+   of waiting for the merge, and a root that touched little hands over a
+   few words. *)
 type root_out = {
   o_reports : Report.t list;  (* emission order *)
-  o_counters : (string * (int * int)) list;
-  o_annots : (int * string list) list;  (* delta over the extension base *)
+  o_counters : (string * int * int) list;
+  o_annots : (int * string list) list;
+      (* per node id, the tags the root added beyond the extension base,
+         oldest first *)
   o_traversed : string list;
-  o_demanded : string list;
   o_stats : stats;
   o_degraded : degraded list;  (* the root's note if it was rolled back *)
 }
 
-(* A table's entries, or keys, in its iteration order. *)
+(* A table's entries in its iteration order. *)
 let entries tbl = List.rev (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-let keys tbl = List.rev (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
+
+(* The tags [rctx] laid beyond its base, per node, oldest first. *)
+let annot_fresh rctx =
+  List.map
+    (fun (eid, tags) -> (eid, fresh_annots ~base:rctx.annots_base eid tags))
+    (entries rctx.annots)
 
 (* Run one root in a fresh worker context on a pool domain. Its
    intern-table sizes and, when it ran off the [caller]'s domain, its
    allocation are stamped into its stats so the root-order merge can fold
    them like any other counter. *)
-let run_worker ~caller ?shared base (ext : Sm.t) root =
+let run_worker ~caller base (ext : Sm.t) root =
   let alloc0 = Gc.allocated_bytes () in
   let w =
     new_rctx_in ~options:base.opts ~annots_base:base.annots
-      ~kill_seen:base.kill_seen ?shared ~ext ~dsp:base.dsp base.sg
+      ~kill_seen:base.kill_seen ~ext ~dsp:base.dsp base.sg
   in
   run_root_contained w ext root;
   w.st.intern_atoms <- Intern.n_atoms w.intern;
@@ -2536,70 +2327,53 @@ let run_worker ~caller ?shared base (ext : Sm.t) root =
       int_of_float (Gc.allocated_bytes () -. alloc0);
   {
     o_reports = Report.reports w.collector;
-    o_counters = entries w.counters;
-    o_annots = entries w.annots;
-    o_traversed = keys w.traversed;
-    o_demanded = keys w.demanded;
+    o_counters = List.map (fun (rule, (e, c)) -> (rule, e, c)) (entries w.counters);
+    o_annots = annot_fresh w;
+    o_traversed = List.map fst (entries w.traversed);
     o_stats = w.st;
     o_degraded = List.rev w.degraded_roots;
   }
 
-(* Parallel execution is a work-stealing schedule over individual roots.
-   Each root runs in a private context (fresh collector, counters, stats,
-   summaries, dedup) reading the base annotation table,
-   so its output is independent of which domain ran it and of every other
-   root — the merge below, in root order, is therefore byte-identical at
-   any [-j]. What the old static chunking could NOT avoid — a hot callee
-   re-analysed once per chunk that demands it — is handled by a shared
-   publish-once store: pure-entry callee units are computed exactly once
-   fleet-wide in scratch contexts and replayed into each demanding root
-   (see [shared_call]). Sharing needs [caching] on and per-root timeouts
-   off (a wall-clock deadline is timing-dependent, so which unit blows it
-   is not reproducible). Node budgets are compatible: a replayed unit is
-   charged to the demanding root's fuel — its own work plus its
-   not-yet-demanded transitive deps — exactly the units a private
-   traversal would have charged, and a unit whose own traversal blows the
-   scratch budget aborts its claim and degrades the demanding root with
-   the same reason (see [shared_call]/[charge_pub]). *)
-let run_extension_parallel ~pool base (ext : Sm.t) =
-  set_extension base ext;
+(* The per-root driver, for [ext] (already installed in [base]): every
+   root without a [replayed] output runs in its own context on the pool,
+   in root order; [on_computed] hears of each computed output before the
+   merge touches [base]; then replayed and computed outputs alike are
+   folded into [base] in root order, [touched] hearing of every node
+   whose tags the merge changes. Each root's output is independent of
+   every other root's and of the domain that ran it, so the merge is
+   byte-identical at any [jobs]. The dedup table is fresh per extension
+   rather than shared across extensions the way one mutable table is in
+   the sequential path — report identity keys embed the checker name, so
+   the observable result is the same. *)
+let run_roots ?(touched = ignore) ?(on_computed = fun _ _ -> ()) ~pool base
+    (ext : Sm.t) (replayed : root_out option array) =
   let roots = Array.of_list (Supergraph.roots base.sg) in
-  let n = Array.length roots in
-  let heights = Callgraph.acyclic_heights base.sg.Supergraph.callgraph in
-  (* bottom-up schedule: shallow roots first, so short shared callees are
-     published before the tall callers that would otherwise all compute
-     them; ties (and cyclic-closure roots, scheduled last) in root order *)
-  let height_of i =
-    match heights roots.(i) with Some h -> h | None -> max_int
-  in
-  let order = Array.init n Fun.id in
-  Array.sort (fun a b -> compare (height_of a, a) (height_of b, b)) order;
-  let sharing = base.opts.caching && base.opts.timeout_per_root = 0. in
-  let sh =
-    if sharing then
-      Some { sh_tbl = Shared_sums.create (); sh_heights = heights }
-    else None
+  let todo =
+    Array.of_list
+      (List.filter
+         (fun i -> replayed.(i) = None)
+         (List.init (Array.length roots) Fun.id))
   in
   Log.debug (fun m ->
-      m "running extension %s over %d roots on %d domains (sharing %b)"
-        ext.Sm.sm_name n (Pool.jobs pool) sharing);
+      m "extension %s: %d/%d roots to compute on %d domains" ext.Sm.sm_name
+        (Array.length todo) (Array.length roots) (Pool.jobs pool));
   (* [base] is read-only while the pool runs. *)
   let caller = Domain.self () in
-  let tasks, sched =
-    Pool.sched pool ~order n (fun ~worker:_ i ->
-        run_worker ~caller ?shared:sh base ext roots.(i))
+  let computed, sched =
+    Pool.sched pool (Array.length todo) (fun ~worker:_ j ->
+        run_worker ~caller base ext roots.(todo.(j)))
   in
-  (* Deterministic merge, in root order. The dedup table is fresh per
-     extension rather than shared across extensions the way one mutable
-     table is in the sequential path — report identity keys embed the
-     checker name, so the observable result is the same and no mutable
-     state leaks between extension runs. *)
-  let dedup : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let demanded : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  let outs = Array.map (Option.map Result.ok) replayed in
   Array.iteri
-    (fun i task ->
-      match task with
-      | Ok o ->
+    (fun j r ->
+      (match r with Ok o -> on_computed todo.(j) o | Error _ -> ());
+      outs.(todo.(j)) <- Some r)
+    computed;
+  let dedup : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  Array.iteri
+    (fun i out ->
+      match out with
+      | Some (Ok o) ->
           List.iter
             (fun r ->
               let key = report_key r in
@@ -2609,20 +2383,21 @@ let run_extension_parallel ~pool base (ext : Sm.t) =
               end)
             o.o_reports;
           List.iter
-            (fun (rule, (e, c)) ->
+            (fun (rule, e, c) ->
               let e0, c0 =
                 Option.value (Hashtbl.find_opt base.counters rule) ~default:(0, 0)
               in
               Hashtbl.replace base.counters rule (e0 + e, c0 + c))
             o.o_counters;
-          merge_annots base o.o_annots;
+          List.iter
+            (fun (eid, tags) -> if add_annots base eid tags then touched eid)
+            o.o_annots;
           List.iter (fun f -> Hashtbl.replace base.traversed f ()) o.o_traversed;
-          List.iter (fun k -> Hashtbl.replace demanded k ()) o.o_demanded;
           add_stats base.st o.o_stats;
           List.iter
             (fun d -> base.degraded_roots <- d :: base.degraded_roots)
             o.o_degraded
-      | Error e ->
+      | Some (Error e) ->
           (* the task failed outside the root boundary (worker setup) —
              degrade this root, keep the rest *)
           base.degraded_roots <-
@@ -2630,46 +2405,21 @@ let run_extension_parallel ~pool base (ext : Sm.t) =
               d_root = roots.(i);
               d_reason = "worker failed: " ^ Printexc.to_string e;
             }
-            :: base.degraded_roots)
-    tasks;
-  (* Fold each shared unit's accounting in exactly once, in sorted key
-     order — but only units some surviving root demanded. A publication
-     whose every demander was rolled back contributes nothing, exactly as
-     its traversal would have been rolled back sequentially. *)
-  (match sh with
-  | None -> ()
-  | Some sh ->
-      Shared_sums.fold_published sh.sh_tbl
-        (fun key (p : pub) () ->
-          if Hashtbl.mem demanded key then begin
-            List.iter
-              (fun (rule, e, c) ->
-                let e0, c0 =
-                  Option.value
-                    (Hashtbl.find_opt base.counters rule)
-                    ~default:(0, 0)
-                in
-                Hashtbl.replace base.counters rule (e0 + e, c0 + c))
-              p.p_counters;
-            add_stats base.st p.p_stats
-          end)
-        ();
-      let ss = Shared_sums.stats sh.sh_tbl in
-      base.st.shared_published <- base.st.shared_published + ss.Shared_sums.published;
-      base.st.shared_recomputed <-
-        base.st.shared_recomputed + ss.Shared_sums.recomputed;
-      base.st.sched_waits <- base.st.sched_waits + ss.Shared_sums.waits);
+            :: base.degraded_roots
+      | None -> assert false)
+    outs;
   base.st.sched_steals <- base.st.sched_steals + sched.Pool.stolen
 
 (* ------------------------------------------------------------------ *)
 (* Persistent-cache execution                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The cached mode reuses the parallel-mode execution model: every root is
-   an independent computation in a private rctx, merged in root order.
-   That equivalence (established for [-j]) is what lets a warm run replay
-   a stored per-root result verbatim — the merge cannot tell a replayed
-   root from a recomputed one. Cached function summaries are deliberately
+(* The cached mode is the per-root driver with a store: every root is an
+   independent computation in a private rctx, merged in root order. That
+   equivalence is what lets a warm run replay a stored per-root result
+   verbatim — a stored entry becomes the same [root_out] a worker
+   returns, and the merge cannot tell the two apart. Cached function
+   summaries are deliberately
    NOT seeded into live output traversals: a seeded summary would take
    summary hits that suppress exactly the re-traversals that emit reports,
    so the warm output would stop being byte-identical to the cold run.
@@ -2722,35 +2472,36 @@ let stats_to_list (s : stats) =
     s.instances_created;
   ]
 
-let add_stats_list (acc : stats) = function
+let stats_of_list l =
+  let s = new_stats () in
+  (match l with
   | [ b; n; ch; p; cf; sh; pb; tf; ic ] ->
-      acc.blocks_visited <- acc.blocks_visited + b;
-      acc.nodes_visited <- acc.nodes_visited + n;
-      acc.cache_hits <- acc.cache_hits + ch;
-      acc.paths_explored <- acc.paths_explored + p;
-      acc.calls_followed <- acc.calls_followed + cf;
-      acc.summary_hits <- acc.summary_hits + sh;
-      acc.pruned_branches <- acc.pruned_branches + pb;
-      acc.transitions_fired <- acc.transitions_fired + tf;
-      acc.instances_created <- acc.instances_created + ic
-  | _ -> ()
+      s.blocks_visited <- b;
+      s.nodes_visited <- n;
+      s.cache_hits <- ch;
+      s.paths_explored <- p;
+      s.calls_followed <- cf;
+      s.summary_hits <- sh;
+      s.pruned_branches <- pb;
+      s.transitions_fired <- tf;
+      s.instances_created <- ic
+  | _ -> ());
+  s
 
-(* The tags a worker added beyond its base, oldest-first, at the
-   position of the worker's expression node (see {!Annot_pos}: node ids
-   are not stable across runs, so persisted deltas are positional and
-   re-resolved against the current program on replay). Tags on nodes
-   outside the program (per-rctx synthesised nodes, e.g. declaration
-   initialisers) are dropped — matching parallel mode, where their ids
-   are meaningless to other workers anyway. Read against the base, so it
-   must be taken before the merge folds anything into that base. *)
-let annot_delta ~ix ~base annots =
+(* The tags a context added beyond its base ([annot_fresh]), oldest
+   first, at the position of their expression node (see {!Annot_pos}:
+   node ids are not stable across runs, so persisted deltas are
+   positional and re-resolved against the current program on replay).
+   Tags on nodes outside the program (per-rctx synthesised nodes, e.g.
+   declaration initialisers) are dropped — their ids are meaningless to
+   other contexts anyway. *)
+let annot_delta ~ix annots =
   let deltas =
     List.fold_left
       (fun acc (eid, tags) ->
         match Annot_pos.position ix eid with
         | None -> acc
-        | Some (p : Annot_pos.pos) ->
-            (p.loc, p.printed, p.def, p.occ, fresh_annots ~base eid tags) :: acc)
+        | Some (p : Annot_pos.pos) -> (p.loc, p.printed, p.def, p.occ, tags) :: acc)
       [] annots
   in
   List.sort
@@ -2898,7 +2649,7 @@ let run_extension_cached ~pool ~store ~ext_key ~body_hash ~decls_hash
                 Wire.string b actx;
                 Wire.int b occ;
                 Wire.list b Wire.string tags)
-              (annot_delta ~ix ~base:scratch.annots_base (entries scratch.annots));
+              (annot_delta ~ix (annot_fresh scratch));
             Some
               (bs, sfx, rets, Fingerprint.of_string ~salt:"canon-1" (Wire.contents b)))
   in
@@ -2963,10 +2714,10 @@ let run_extension_cached ~pool ~store ~ext_key ~body_hash ~decls_hash
       ]
   in
   let roots = Array.of_list (Supergraph.roots base.sg) in
-  let plans =
-    Array.map
-      (fun r ->
-        let key = root_key r in
+  let keys = Array.map root_key roots in
+  let replayed =
+    Array.mapi
+      (fun i r ->
         let annots = ref [] in
         let resolves (e : Summary_store.root_entry) =
           match resolve_annots ~ix e.r_annots with
@@ -2976,108 +2727,46 @@ let run_extension_cached ~pool ~store ~ext_key ~body_hash ~decls_hash
           | None -> false
         in
         match
-          Summary_store.load_root ~valid:resolves store ~ext:ext_key ~root:r ~key
+          Summary_store.load_root ~valid:resolves store ~ext:ext_key ~root:r
+            ~key:keys.(i)
         with
         | Some e ->
             if List.exists (Hashtbl.mem unchanged) (closures r) then
               sst.Summary_store.roots_salvaged <-
                 sst.Summary_store.roots_salvaged + 1;
-            `Replay (e, !annots)
-        | None -> `Compute key)
+            Some
+              {
+                o_reports = e.r_reports;
+                o_counters = e.r_counters;
+                o_annots = !annots;
+                o_traversed = e.r_traversed;
+                o_stats = stats_of_list e.r_stats;
+                o_degraded = [];
+              }
+        | None -> None)
       roots
   in
-  let invalid = ref [] in
-  Array.iteri
-    (fun i p -> match p with `Compute _ -> invalid := i :: !invalid | `Replay _ -> ())
-    plans;
-  let invalid = Array.of_list (List.rev !invalid) in
-  Log.debug (fun m ->
-      m "extension %s: %d/%d roots replayed from cache" ext.Sm.sm_name
-        (Array.length roots - Array.length invalid)
-        (Array.length roots));
-  let caller = Domain.self () in
-  let workers =
-    Pool.results pool (Array.length invalid) (fun j ->
-        run_worker ~caller base ext roots.(invalid.(j)))
-  in
-  let r_annots =
-    Array.map
-      (function
-        | Ok o when Summary_store.persist store ->
-            annot_delta ~ix ~base:base.annots o.o_annots
-        | _ -> [])
-      workers
-  in
-  let worker_of = Hashtbl.create 16 in
-  Array.iteri (fun j idx -> Hashtbl.replace worker_of idx j) invalid;
-  (* deterministic merge in root order, replayed and recomputed roots alike *)
-  let dedup : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let emit_merged r =
-    let key = report_key r in
-    if not (Hashtbl.mem dedup key) then begin
-      Hashtbl.replace dedup key ();
-      Report.emit base.collector r
-    end
-  in
-  let add_counter rule e c =
-    let e0, c0 = Option.value (Hashtbl.find_opt base.counters rule) ~default:(0, 0) in
-    Hashtbl.replace base.counters rule (e0 + e, c0 + c)
+  (* A computed root's entry is stored before the merge, skipping roots
+     that blew their budget (or crashed) and were rolled back: an empty
+     entry would replay as "this root is clean" on the next warm run. *)
+  let store_computed i o =
+    if Summary_store.persist store && o.o_degraded = [] then
+      Summary_store.store_root store ~ext:ext_key
+        {
+          Summary_store.r_root = roots.(i);
+          r_key = keys.(i);
+          r_reports = o.o_reports;
+          r_counters =
+            List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) o.o_counters;
+          r_annots = annot_delta ~ix o.o_annots;
+          r_traversed = List.sort String.compare o.o_traversed;
+          r_stats = stats_to_list o.o_stats;
+        }
   in
   (* the merge is the only writer of [base.annots] in a cached run: every
      node whose tags it changes is re-hashed at the next boundary *)
-  let touched = Annot_pos.touch groups in
-  Array.iteri
-    (fun idx root ->
-      match plans.(idx) with
-      | `Replay ((e : Summary_store.root_entry), annots) ->
-          List.iter emit_merged e.r_reports;
-          List.iter (fun (rule, ex, cx) -> add_counter rule ex cx) e.r_counters;
-          List.iter
-            (fun (eid, tags) -> if add_annots base eid tags then touched eid)
-            annots;
-          List.iter (fun f -> Hashtbl.replace base.traversed f ()) e.r_traversed;
-          add_stats_list base.st e.r_stats
-      | `Compute key -> (
-          match workers.(Hashtbl.find worker_of idx) with
-          | Error e ->
-              (* worker crashed outside the root boundary: degrade this
-                 root, persist nothing for it *)
-              base.degraded_roots <-
-                {
-                  d_root = root;
-                  d_reason = "worker failed: " ^ Printexc.to_string e;
-                }
-                :: base.degraded_roots
-          | Ok o when o.o_degraded <> [] ->
-              (* the root blew its budget (or crashed) and was rolled
-                 back: record the degraded note and — critically — do NOT
-                 store a root entry. An empty entry would replay as "this
-                 root is clean" on the next warm run. *)
-              List.iter
-                (fun d -> base.degraded_roots <- d :: base.degraded_roots)
-                o.o_degraded;
-              add_stats base.st o.o_stats
-          | Ok o ->
-              List.iter emit_merged o.o_reports;
-              List.iter (fun (rule, (e, c)) -> add_counter rule e c) o.o_counters;
-              merge_annots ~touched base o.o_annots;
-              List.iter (fun f -> Hashtbl.replace base.traversed f ()) o.o_traversed;
-              add_stats base.st o.o_stats;
-              if Summary_store.persist store then
-                Summary_store.store_root store ~ext:ext_key
-                  {
-                    Summary_store.r_root = root;
-                    r_key = key;
-                    r_reports = o.o_reports;
-                    r_counters =
-                      List.sort
-                        (fun (a, _, _) (b, _, _) -> String.compare a b)
-                        (List.map (fun (rule, (e, c)) -> (rule, e, c)) o.o_counters);
-                    r_annots = r_annots.(Hashtbl.find worker_of idx);
-                    r_traversed = List.sort String.compare o.o_traversed;
-                    r_stats = stats_to_list o.o_stats;
-                  }))
-    roots;
+  run_roots ~touched:(Annot_pos.touch groups) ~on_computed:store_computed ~pool
+    base ext replayed;
   Summary_store.flush store
 
 (* One pool per run: its helpers are spawned here, once, and serve every
@@ -3153,9 +2842,15 @@ let run ?options ?(jobs = 1) ?cache sg exts =
   | Some store -> run_cached ?options ~jobs store sg exts
   | None ->
       let rctx = new_rctx ?options sg in
-      if jobs > 1 then
+      if jobs > 1 then begin
+        let n = List.length (Supergraph.roots sg) in
         with_run_pool ~jobs (fun pool ->
-            List.iter (run_extension_parallel ~pool rctx) exts)
+            List.iter
+              (fun ext ->
+                set_extension rctx ext;
+                run_roots ~pool rctx ext (Array.make n None))
+              exts)
+      end
       else begin
         let release = Callgraph.release_schedule sg.Supergraph.callgraph in
         List.iter (run_extension ~release rctx) exts

@@ -126,9 +126,9 @@ let run_job p ~width body =
 (* Work-stealing scheduler                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* One per worker. The owner pops from [head] (front: the earliest tasks
-   of the priority order it was seeded with); thieves take from [tail]
-   (back: the furthest-out work, minimising contention with the owner).
+(* One per worker. The owner pops from [head] (front: the lowest indices
+   it was seeded with); thieves take from [tail] (back: the furthest-out
+   work, minimising contention with the owner).
    A plain mutex per deque is enough — the critical section is two index
    updates, and each task claim is the cheap part of running an analysis
    root for milliseconds. *)
@@ -164,35 +164,22 @@ let deque_steal d =
   Mutex.unlock d.dlock;
   r
 
-let sched p ?order n f =
+let sched p n f =
   let guarded ~worker i =
     match f ~worker i with v -> Ok v | exception e -> Error e
   in
-  let order =
-    match order with
-    | Some o ->
-        if Array.length o <> n then invalid_arg "Pool.run_sched: bad order";
-        o
-    | None -> Array.init n Fun.id
-  in
   let inline_stats = { workers = 1; stolen = 0; spawn_failures = 0 } in
   if n <= 0 then ([||], inline_stats)
-  else if p.jobs <= 1 || n = 1 then begin
-    let results = Array.make n (Error Not_found) in
-    Array.iter (fun i -> results.(i) <- guarded ~worker:0 i) order;
-    (results, inline_stats)
-  end
+  else if p.jobs <= 1 || n = 1 then
+    (Array.init n (fun i -> guarded ~worker:0 i), inline_stats)
   else begin
     let nw = min p.jobs n in
-    (* Stripe the priority order across the deques: task [order.(k)] seeds
-       deque [k mod nw], so every worker starts at the front of the global
-       order and the backs of all deques hold the latest (for the engine:
-       tallest) tasks. *)
+    (* Stripe the indices across the deques: task [i] seeds deque
+       [i mod nw], so every worker starts at the front of the index order
+       and the backs of all deques hold the last tasks. *)
     let dqs =
       Array.init nw (fun w ->
-          let mine = ref [] in
-          Array.iteri (fun k t -> if k mod nw = w then mine := t :: !mine) order;
-          let tasks = Array.of_list (List.rev !mine) in
+          let tasks = Array.init ((n - w + nw - 1) / nw) (fun k -> (k * nw) + w) in
           { dlock = Mutex.create (); tasks; head = 0; tail = Array.length tasks })
     in
     let results = Array.make n None in
@@ -243,13 +230,11 @@ let sched p ?order n f =
 
 (* The one-shot entry points open a pool of at most one domain per task,
    run one job on it and close it again. *)
-let run_sched ?spawn ~jobs ?order n f =
-  with_pool ?spawn ~jobs:(min jobs n) (fun p -> sched p ?order n f)
-
-let results p n f = fst (sched p n (fun ~worker:_ i -> f i))
+let run_sched ?spawn ~jobs n f =
+  with_pool ?spawn ~jobs:(min jobs n) (fun p -> sched p n f)
 
 let run_results ?spawn ~jobs n f =
-  with_pool ?spawn ~jobs:(min jobs n) (fun p -> results p n f)
+  fst (run_sched ?spawn ~jobs n (fun ~worker:_ i -> f i))
 
 exception Skipped
 

@@ -3,10 +3,9 @@
 
     The engine's unit of parallelism is one callgraph root (or, in pass 1,
     one input file): tasks are independent, so there is one primitive, a
-    work-stealing scheduler over a caller-supplied priority order
-    ({!sched}), run on a pool whose helper domains outlive a single job
-    ({!t}); {!run}, {!run_results} and {!run_sched} are one-shot wrappers
-    over it. Results come back in index order regardless of which domain
+    work-stealing scheduler over task indices ({!sched}), run on a pool
+    whose helper domains outlive a single job ({!t}); {!run},
+    {!run_results} and {!run_sched} are one-shot wrappers over it. Results come back in index order regardless of which domain
     ran which task, which is what makes the engine's merge step
     deterministic.
 
@@ -24,9 +23,9 @@ val recommended_jobs : unit -> int
 type t
 (** A pool of [jobs - 1] helper domains that live from {!create} to
     {!close} and block between jobs; the calling domain is the [jobs]-th
-    worker. The engine opens one per run, so every extension's schedule
-    (and the cached driver's recomputed roots) reuses the same domains
-    instead of spawning and joining its own. A pool runs one job at a
+    worker. The engine opens one per run, so every extension's computed
+    roots reuse the same domains instead of spawning and joining their
+    own. A pool runs one job at a
     time and is driven from the domain that created it; a task must not
     start a job on its own pool. *)
 
@@ -56,35 +55,25 @@ type sched_stats = {
 }
 
 val sched :
-  t ->
-  ?order:int array ->
-  int ->
-  (worker:int -> int -> 'a) ->
-  ('a, exn) result array * sched_stats
-(** [sched p ~order n f] evaluates task indices [0 .. n-1] on up to
-    [jobs p] domains with per-task fault isolation — each task's outcome
-    is recorded individually as [Ok] or [Error], and one crashing task
-    never aborts the others or the helpers, which go on serving the next
-    job — and returns results in index order plus scheduling statistics.
+  t -> int -> (worker:int -> int -> 'a) -> ('a, exn) result array * sched_stats
+(** [sched p n f] evaluates task indices [0 .. n-1] on up to [jobs p]
+    domains with per-task fault isolation — each task's outcome is
+    recorded individually as [Ok] or [Error], and one crashing task never
+    aborts the others or the helpers, which go on serving the next job —
+    and returns results in index order plus scheduling statistics.
 
-    [order] is a permutation of [0 .. n-1] giving global task priority
-    (default: index order). It is striped round-robin across
-    [min (jobs p) n] per-worker deques, so every worker starts near the
-    front of the order; an owner pops its own deque front-first, and a
-    worker whose deque runs dry steals from the back of another's — the
-    furthest-out work. The engine passes a bottom-up callgraph order here
-    so that short, shared callees are analyzed (and their summaries
-    published) before the tall callers that demand them.
+    The indices are striped round-robin across [min (jobs p) n]
+    per-worker deques, so every worker starts near the front of the index
+    order; an owner pops its own deque front-first, and a worker whose
+    deque runs dry steals from the back of another's — the furthest-out
+    work.
 
     The scheduler never reorders results — byte-determinism of the merge
     is the caller's concern and holds as long as the merge reads the
     returned array in index order. [jobs p <= 1] or [n <= 1] runs every
-    task inline in the calling domain in [order] sequence, with [worker]
-    = 0, and wakes no helper. The seeded deques of helpers that failed to
+    task inline in the calling domain in index order, with [worker] = 0,
+    and wakes no helper. The seeded deques of helpers that failed to
     spawn are drained by stealing and count in [spawn_failures]. *)
-
-val results : t -> int -> (int -> 'a) -> ('a, exn) result array
-(** [sched] without the worker index, the order or the statistics. *)
 
 (** {1 One-shot entry points}
 
@@ -96,7 +85,6 @@ val results : t -> int -> (int -> 'a) -> ('a, exn) result array
 val run_sched :
   ?spawn:((unit -> unit) -> unit Domain.t) ->
   jobs:int ->
-  ?order:int array ->
   int ->
   (worker:int -> int -> 'a) ->
   ('a, exn) result array * sched_stats
@@ -107,8 +95,8 @@ val run_results :
   int ->
   (int -> 'a) ->
   ('a, exn) result array
-(** Fault-isolating, as {!results}: the engine converts a task's [Error]
-    into a degraded root and keeps going. *)
+(** {!run_sched} without the worker index or the statistics:
+    fault-isolating, each task's outcome recorded as [Ok] or [Error]. *)
 
 val run :
   ?spawn:((unit -> unit) -> unit Domain.t) ->
