@@ -1737,6 +1737,8 @@ let rec traverse rctx fctx walk (backtrace : int list) (bid : int) : unit =
       Summary.mem_src_global bs sm.gstate
     end
     else begin
+      (* sleeping (inactive) instances are never probed, so they stay in
+         [fresh], in place *)
       let seen, fresh =
         List.partition
           (fun (i : Sm.instance) ->
@@ -1746,8 +1748,7 @@ let rec traverse rctx fctx walk (backtrace : int list) (bid : int) : unit =
              Summary.mem_src_instance bs ~ids:rctx.ids ~gstate:sm.gstate i))
           sm.actives
       in
-      let seen = List.filter (fun (i : Sm.instance) -> not i.inactive) seen in
-      sm.actives <- fresh @ List.filter (fun (i : Sm.instance) -> i.inactive) sm.actives;
+      sm.actives <- fresh;
       if List.exists (fun (i : Sm.instance) -> not i.inactive) fresh then false
       else if seen <> [] then true (* every var tuple was cached *)
       else begin
@@ -2455,7 +2456,7 @@ let run_roots ?(touched = ignore) ?(on_computed = fun _ _ -> ()) ~pool base
    persistent cache key, so a stamp change orphans results computed by
    older builds instead of silently replaying them — the store's format
    version only guards the entry encoding, not what the engine computed. *)
-let analysis_version = "xgcc-analysis-4"
+let analysis_version = "xgcc-analysis-5"
 
 let options_digest (o : options) =
   (* budgets are part of the digest: a budget-limited run can legitimately

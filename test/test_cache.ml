@@ -814,4 +814,44 @@ let suite =
         Alcotest.(check int)
           "warm run replays every root" 0
           (Summary_store.stats warm_store).Summary_store.roots_recomputed);
+    t "sleeping instances do not crowd out a real bug" `Quick (fun () ->
+        (* [g] frees a static of b.c, so back in [f] (a.c) that instance
+           sleeps. A block entry must keep exactly one copy of it: when
+           each entry doubled the sleeping instances, [f]'s list reached
+           the 64-instance cap before [kmalloc], and the double free went
+           unreported at every -j and cache state. *)
+        let files =
+          [
+            ( "a.c",
+              "void g(void); void h(void) { }\n\
+               int f(int a0, int a1, int a2) { int *p; int y = 0; g(); h();\n\
+               if (a0) y = 0; if (a1) y = 1; if (a2) y = 2;\n\
+               p = kmalloc(4); kfree(p); kfree(p); return y; }\n" );
+            ("b.c", "static int *gp; void g(void) { kfree(gp); }\n");
+          ]
+        in
+        let sg = sg_of_files files in
+        let double_frees (r : Engine.result) =
+          List.length
+            (List.filter
+               (fun (rep : Report.t) ->
+                 String.equal rep.Report.message "double free of p!")
+               r.Engine.reports)
+        in
+        List.iter
+          (fun jobs ->
+            Alcotest.(check int)
+              (Printf.sprintf "uncached -j%d" jobs)
+              1
+              (double_frees (Engine.run ~jobs sg (free ())));
+            let dir = temp_dir () in
+            List.iter
+              (fun run ->
+                Alcotest.(check int)
+                  (Printf.sprintf "%s -j%d" run jobs)
+                  1
+                  (double_frees
+                     (Engine.run ~jobs ~cache:(store_over dir) sg (free ()))))
+              [ "cold"; "warm" ])
+          [ 1; 2 ]);
   ]

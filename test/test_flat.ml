@@ -206,7 +206,7 @@ let identity_tests =
            than a silent orphaning of every existing store. *)
         Alcotest.(check string)
           "default options digest"
-          "xgcc-analysis-4 ctrue ptrue itrue ktrue strue d40 m64 n0 t0"
+          "xgcc-analysis-5 ctrue ptrue itrue ktrue strue d40 m64 n0 t0"
           (Engine.options_digest Engine.default_options);
         let sg = gen_sg ~seed:13 in
         let store_over dir =
