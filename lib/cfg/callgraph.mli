@@ -28,11 +28,9 @@ val acyclic_heights : t -> string -> int option
     no defined function, [Some (1 + max over callees)] otherwise, and
     [None] when the function's transitive callee closure touches a
     recursive cycle (no finite height exists). Heights order the
-    callgraph bottom-up — a scheduler that runs low heights first
-    computes every shared callee's summary before tall callers demand
-    it — and bound how deep a traversal entered at the function can
-    recurse, which is what lets the engine decide depth-cap safety for
-    a context-free shared summary. Returns [None] for undefined names. *)
+    callgraph bottom-up: the persistent cache's cutoff pass computes
+    every callee's canonical summary before any caller's key needs it.
+    Returns [None] for undefined names. *)
 
 val closures : t -> string -> string list
 (** [closures t] precomputes, for every defined function, its transitive

@@ -2352,7 +2352,7 @@ let run_roots ?(touched = ignore) ?(on_computed = fun _ _ -> ()) ~pool base
   let todo =
     Array.of_list
       (List.filter
-         (fun i -> replayed.(i) = None)
+         (fun i -> Option.is_none replayed.(i))
          (List.init (Array.length roots) Fun.id))
   in
   Log.debug (fun m ->
@@ -2364,17 +2364,22 @@ let run_roots ?(touched = ignore) ?(on_computed = fun _ _ -> ()) ~pool base
     Pool.sched pool (Array.length todo) (fun ~worker:_ j ->
         run_worker ~caller base ext roots.(todo.(j)))
   in
-  let outs = Array.map (Option.map Result.ok) replayed in
   Array.iteri
-    (fun j r ->
-      (match r with Ok o -> on_computed todo.(j) o | Error _ -> ());
-      outs.(todo.(j)) <- Some r)
+    (fun j r -> match r with Ok o -> on_computed todo.(j) o | Error _ -> ())
     computed;
   let dedup : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  let next = ref 0 in
   Array.iteri
-    (fun i out ->
+    (fun i root ->
+      let out =
+        match replayed.(i) with
+        | Some o -> Ok o
+        | None ->
+            incr next;
+            computed.(!next - 1)
+      in
       match out with
-      | Some (Ok o) ->
+      | Ok o ->
           List.iter
             (fun r ->
               let key = report_key r in
@@ -2398,17 +2403,13 @@ let run_roots ?(touched = ignore) ?(on_computed = fun _ _ -> ()) ~pool base
           List.iter
             (fun d -> base.degraded_roots <- d :: base.degraded_roots)
             o.o_degraded
-      | Some (Error e) ->
+      | Error e ->
           (* the task failed outside the root boundary (worker setup) —
              degrade this root, keep the rest *)
           base.degraded_roots <-
-            {
-              d_root = roots.(i);
-              d_reason = "worker failed: " ^ Printexc.to_string e;
-            }
-            :: base.degraded_roots
-      | None -> assert false)
-    outs;
+            { d_root = root; d_reason = "worker failed: " ^ Printexc.to_string e }
+            :: base.degraded_roots)
+    roots;
   base.st.sched_steals <- base.st.sched_steals + sched.Pool.stolen
 
 (* ------------------------------------------------------------------ *)

@@ -76,24 +76,18 @@ type stats = {
           these three are process-local: not persisted in the summary
           store, 0 for cache-replayed roots. *)
   mutable shared_published : int;
-      (** parallel scheduler only ([jobs > 1]): shared summary units —
-          pure-entry callees — computed once in a scratch context and
-          published to the fleet-wide store *)
   mutable shared_replayed : int;
-      (** publications replayed into demanding roots' contexts (each
-          replay stands in for a traversal the old chunked mode would
-          have re-run) *)
   mutable shared_recomputed : int;
-      (** duplicate publications dropped first-writer-wins — the "a
-          shared unit was computed more than once" tripwire. Structurally
-          0: the store's claim protocol prevents double computation. *)
+      (** Always 0. These three, and [sched_waits] below, counted the
+          shared summary units that [jobs > 1] once published to a
+          fleet-wide store and replayed into every demanding root; that
+          store is gone, so nothing writes them and [--stats] no longer
+          prints them. They remain only because the benchmark harness
+          still reads them, and go with its next change. *)
   mutable sched_steals : int;
-      (** root tasks a worker stole from another worker's deque *)
-  mutable sched_waits : int;
-      (** unit acquisitions that blocked on a claim another worker held.
-          Steals and waits are timing noise and may differ between runs;
-          [shared_published]/[shared_replayed]/[shared_recomputed] are
-          deterministic for a given program, extension and option set. *)
+      (** root tasks a worker stole from another worker's deque; timing
+          noise, may differ between runs *)
+  mutable sched_waits : int;  (** always 0, like the three above *)
   mutable worker_alloc_bytes : int;
       (** bytes allocated by pool tasks that ran on domains other than
           the one that called {!run}. [Gc.allocated_bytes] counts only the
@@ -145,47 +139,39 @@ val run :
     AST annotations are visible to later ones), starting from every
     callgraph root.
 
-    [jobs] (default 1) is the number of worker domains. With [jobs = 1]
-    one root context is shared by every root, and a function's summaries
-    are reused across roots until the last root that can reach the
-    function ({!Callgraph.release_schedule}) has run; then they are
-    dropped. With [jobs > 1] each
-    callgraph root is an individual task on a work-stealing scheduler
-    ({!Pool.sched}), dispatched bottom-up by acyclic callgraph height
-    and analysed in a private root context over the shared supergraph;
-    the run opens one {!Pool.t}, whose [jobs - 1] helper domains serve
-    every extension (and, with [cache], every extension's recomputed
-    roots) and are joined when the run returns.
-    Callees entered with no active instances (characterized by name and
-    inbound global state alone) are {e shared summary units}: computed
-    exactly once fleet-wide in a scratch context, published to a
-    publish-once store, and replayed into every demanding root — the hot
-    shared callee that static chunking re-analysed once per chunk is paid
-    for once, at any [-j] ([stats.shared_recomputed] asserts this).
-    Results are merged deterministically in root order (reports
-    re-deduplicated by their identity key, counters and stats summed,
-    each shared unit's accounting folded in exactly once), so the reports
-    are byte-identical to the sequential run and independent of
-    scheduling. Unit sharing requires [caching] on and per-root timeouts
-    off ([timeout_per_root = 0.], wall-clock deadlines being inherently
-    timing-dependent); node budgets compose with sharing — a replayed
-    unit (plus its not-yet-demanded transitive deps) is charged to the
-    demanding root's fuel exactly as a private traversal of the callee
-    would have been, so [max_nodes_per_root] no longer disables the
-    shared store and [shared_recomputed] stays 0 under budgets.
-    Annotations still compose across extensions (merged between extension
-    runs); annotations made during one root's traversal are not visible to
-    {e other roots of the same extension} in parallel mode.
+    There are two drivers. Uncached with [jobs = 1] (the default), one
+    root context is shared by every root, and a function's summaries are
+    reused across roots until the last root that can reach the function
+    ({!Callgraph.release_schedule}) has run; then they are dropped.
+    Every other run is the per-root driver: each callgraph root the
+    store cannot replay is an individual task on a work-stealing
+    scheduler ({!Pool.sched}), in root order, analysed in a private root
+    context over the shared supergraph, and the run opens one {!Pool.t}
+    whose [jobs - 1] helper domains serve every extension and are joined
+    when the run returns. Replayed and computed roots are merged alike,
+    deterministically in root order (reports re-deduplicated by their
+    identity key, counters and stats summed), so the reports are
+    byte-identical to the sequential run and independent of scheduling,
+    and uncached [jobs > 1] does exactly the work of a cold [cache] run
+    at any [jobs]: every counter and [stats] field but the steals agrees.
+    The two drivers differ only in cache reuse, which no report can
+    see: the shared context takes summary hits across roots, so its
+    [stats] traversal counts and some rule counters can differ (a callee
+    that bumps a counter is traversed once per root in a per-root run,
+    but only on a summary-cache miss in the shared context).
+    Annotations compose across extensions (merged between extension
+    runs); annotations made during one root's traversal are not visible
+    to {e other roots of the same extension} in a per-root run.
 
-    [cache] switches to persistent incremental execution on top of the
-    same per-root model: roots whose transitive-callee closure hash
-    matches a stored entry are replayed verbatim from the store, the rest
-    are recomputed on the pool ([jobs] applies to them) and written back
-    (unless the store is read-only). Reports stay byte-identical to an
-    uncached run at any [jobs]. Per-function summaries are persisted as
-    the invalidation ledger — a leaf edit flips exactly the leaf and its
-    transitive callers to stale — with hit/stale/absent counts in the
-    store's stats. *)
+    [cache] makes the per-root driver incremental: roots whose
+    transitive-callee closure hash matches a stored entry are replayed
+    verbatim from the store, the rest are computed on the pool ([jobs]
+    applies to them) and written back (unless the store is read-only) —
+    except roots degraded by fault containment, which store nothing.
+    Reports stay byte-identical to an uncached run at any [jobs].
+    Per-function summaries are persisted as the invalidation ledger — a
+    leaf edit flips exactly the leaf and its transitive callers to stale
+    — with hit/stale/absent counts in the store's stats. *)
 
 val run_function :
   ?options:options -> Supergraph.t -> Sm.sm_inst -> fname:string -> result

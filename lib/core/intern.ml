@@ -23,7 +23,7 @@
    Each analysis context owns one interner, and it is never shared across
    domains: at -j 1 the run's single context covers every root of every
    extension; at -j N and in cached runs each worker root context, and
-   each shared-unit or canonical scratch, has its own. An interner is
+   each canonical scratch, has its own. An interner is
    paired 1:1 with its context's Exprid resolver: [eatom] caches the
    expression-id -> atom mapping on the interner itself, so instances
    carry only the int id.

@@ -16,8 +16,7 @@
     One interner lives per analysis context ({!Engine}) and is never
     shared across domains. At [-j 1] the run's single context covers every
     root of every extension; at [-j N] and in cached runs each worker's
-    root context, and each shared-unit or canonical scratch context, has
-    its own.
+    root context, and each canonical scratch context, has its own.
 
     {!atom} remembers the last two strings it resolved (by physical
     identity) and {!tuple} the last packed triple, so the traversal's

@@ -38,9 +38,8 @@ val sched_corpus : n_roots:int -> light:int -> heavy:int -> string
     through a private two-arm diamond, so every root ends in one
     use-after-free report. Private cost is uneven — the mid-list root
     carries [heavy] if/else diamonds, the others [light] — which defeats
-    static contiguous chunking (one chunk inherits the whole imbalance)
-    while the shared [hub]/mid units must still be analysed exactly once
-    fleet-wide. *)
+    static contiguous chunking (one chunk inherits the whole imbalance);
+    a work-stealing schedule moves the heavy root to a free domain. *)
 
 val correlated_branches : n:int -> string
 (** [n] Figure-2-style pairs [if (x) { kfree(p_i); } ... if (!x) *p_i]

@@ -46,8 +46,7 @@ let reader_src =
        { err("saw sealed call"); }; }|}
 
 (* [helper] is a callee of two roots and is entered with no live
-   instances, so at -j > 1 it is a shared summary unit whose tags travel
-   in its publication. *)
+   instances, so each root's context at -j > 1 lays its tags itself. *)
 let composed_v1 =
   "void helper(int *q) { seal(); use(*q); }\n\
    int f1(int *p) { kfree(p); return *p; }\n\
@@ -109,9 +108,8 @@ let budget_src =
    int explode(int x) { arm(); sealer(); " ^ body ^ " return x; }\n"
 
 (* The two pathkill compositions of test_checkers.ml, and the second
-   with its killer moved into a callee: entered with no instance live,
-   that callee is a shared summary unit at -j > 1, traversed in a scratch
-   context. [k_edited] changes one constant, so no location moves. *)
+   with its killer moved into a callee, entered with no instance live.
+   [k_edited] changes one constant, so no location moves. *)
 type kill_case = {
   k_name : string;
   k_src : string;

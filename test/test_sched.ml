@@ -26,8 +26,9 @@ let sched_sg ?(heavy = 150) () =
    with the sequential run, which is stronger than rank-equality *)
 let raw_lines (r : Engine.result) = List.map Report.to_string r.Engine.reports
 
-(* every stats field the engine writes, named; [timing] adds steals, the
-   one field the scheduler is allowed to vary between runs *)
+(* the deterministic stats fields, named; [timing] adds steals, the one
+   field the scheduler may vary between runs ([worker_alloc_bytes],
+   process-local, is left out) *)
 let stats_fields ~timing (st : Engine.stats) =
   [
     ("blocks_visited", st.Engine.blocks_visited);
@@ -179,6 +180,145 @@ let pool_lifetime_tests =
         ignore (Engine.run ~jobs:3 ~cache:store sg exts);
         let after = next_domain_id () in
         Alcotest.(check int) "cached run" 2 (after - before - 1));
+  ]
+
+(* ------------------------------------------------------------ *)
+(* One per-root driver                                           *)
+(* ------------------------------------------------------------ *)
+
+let temp_dir () =
+  let f = Filename.temp_file "xgcc_test_sched" "" in
+  Sys.remove f;
+  Sys.mkdir f 0o755;
+  f
+
+let store_over ?(options = Engine.default_options) exts dir =
+  Summary_store.create ~dir
+    ~ext_keys:
+      (Summary_store.ext_keys_of
+         ~options_digest:(Engine.options_digest options)
+         ~sources:(List.map (fun (e : Sm.t) -> e.Sm.sm_name) exts))
+    ()
+
+(* the stats fields a store entry persists, which a replayed root adds *)
+let persisted =
+  [
+    "blocks_visited"; "nodes_visited"; "cache_hits"; "paths_explored";
+    "calls_followed"; "summary_hits"; "pruned_branches"; "transitions_fired";
+    "instances_created";
+  ]
+
+(* Reports, counters and the named stats fields (default: every field
+   but steals) of two runs agree. *)
+let check_same_run ?fields what (a : Engine.result) (b : Engine.result) =
+  Alcotest.(check (list string)) (what ^ ": raw report lines") (raw_lines a) (raw_lines b);
+  Alcotest.(check (list (triple string int int)))
+    (what ^ ": counters") a.Engine.counters b.Engine.counters;
+  let fa = stats_fields ~timing:false a.Engine.stats
+  and fb = stats_fields ~timing:false b.Engine.stats in
+  let fields = Option.value fields ~default:(List.map fst fa) in
+  List.iter
+    (fun f ->
+      Alcotest.(check int) (what ^ ": " ^ f) (List.assoc f fa) (List.assoc f fb))
+    fields
+
+(* The roots of every root-entry pack under [dir]. *)
+let stored_roots dir =
+  let d = Filename.concat dir "root" in
+  Sys.readdir d |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".pack")
+  |> List.concat_map (fun f ->
+         match Summary_store.dump_pack (Filename.concat d f) with
+         | Ok (Summary_store.Root_entries es) ->
+             List.map (fun (e : Summary_store.root_entry) -> e.Summary_store.r_root) es
+         | Ok (Summary_store.Fn_entries _) -> []
+         | Error msg -> Alcotest.failf "%s: %s" f msg)
+
+(* A callee entered with no live instance bumps [lock_stat]'s counters;
+   three roots reach it. *)
+let lockstat_src =
+  "static int m;\n\
+   void helper(void) { lock(&m); unlock(&m); }\n\
+   void r1(void) { helper(); }\n\
+   void r2(void) { helper(); }\n\
+   void r3(void) { helper(); }\n\
+   void r4(void) { lock(&m); }\n"
+
+let per_root_corpora () =
+  [
+    ( "lockstat program",
+      Supergraph.build [ Cparse.parse_tunit ~file:"ls.c" lockstat_src ],
+      fun () -> [ Lock_stat.checker () ] );
+    ( "gen linked seed 5 (3x8)",
+      Supergraph.build
+        (List.map
+           (fun (file, (g : Gen.t)) -> Cparse.parse_tunit ~file g.Gen.source)
+           (Gen.generate_linked ~seed:5 ~n_files:3 ~funcs_per_file:8 ~bug_rate:0.4)),
+      fun () -> List.map (fun e -> e.Registry.e_make ()) (Registry.all ()) );
+  ]
+
+let per_root_tests =
+  [
+    t "every per-root run does the same work" `Quick (fun () ->
+        (* uncached -j N is the cached driver with nothing to replay: a
+           cold cached run at any -j computes every root exactly as it
+           does, and a warm run replays what they computed *)
+        List.iter
+          (fun (name, sg, exts) ->
+            let cached ~jobs dir =
+              Engine.run ~jobs ~cache:(store_over (exts ()) dir) sg (exts ())
+            in
+            let uncached = Engine.run ~jobs:2 sg (exts ()) in
+            let dir1 = temp_dir () and dir2 = temp_dir () in
+            let cold1 = cached ~jobs:1 dir1 in
+            let cold2 = cached ~jobs:2 dir2 in
+            let warm = cached ~jobs:2 dir2 in
+            check_same_run (name ^ ", cold -j1") uncached cold1;
+            check_same_run (name ^ ", cold -j2") uncached cold2;
+            check_same_run ~fields:persisted (name ^ ", warm -j2") uncached warm)
+          (per_root_corpora ()));
+    t "a budget-degraded root under --cache-dir" `Quick (fun () ->
+        (* root6 blows its 600-node budget under each of the four
+           checkers: its entry must never be stored (an empty entry would
+           replay as clean), so a warm run recomputes exactly those four
+           roots and degrades them again *)
+        let sg = sched_sg ~heavy:400 () in
+        let options =
+          { Engine.default_options with Engine.max_nodes_per_root = 600 }
+        in
+        List.iter
+          (fun jobs ->
+            let uncached = Engine.run ~options ~jobs sg (checkers ()) in
+            let dir = temp_dir () in
+            let cold =
+              Engine.run ~options ~jobs
+                ~cache:(store_over ~options (checkers ()) dir)
+                sg (checkers ())
+            in
+            let what = Printf.sprintf "cold -j%d" jobs in
+            Alcotest.(check (list string)) (what ^ ": raw report lines")
+              (raw_lines uncached) (raw_lines cold);
+            Alcotest.(check (list (pair string string)))
+              (what ^ ": degraded") (degraded_pairs uncached) (degraded_pairs cold);
+            let stored = stored_roots dir in
+            Alcotest.(check int) (what ^ ": entries stored") 44 (List.length stored);
+            Alcotest.(check bool) (what ^ ": nothing stored for root6") false
+              (List.mem "root6" stored);
+            let ws = store_over ~options (checkers ()) dir in
+            let warm = Engine.run ~options ~jobs ~cache:ws sg (checkers ()) in
+            let what = Printf.sprintf "warm -j%d" jobs in
+            let sst = Summary_store.stats ws in
+            Alcotest.(check (pair int int)) (what ^ ": replayed / recomputed")
+              (44, 4)
+              (sst.Summary_store.roots_replayed, sst.Summary_store.roots_recomputed);
+            Alcotest.(check (list string)) (what ^ ": raw report lines")
+              (raw_lines uncached) (raw_lines warm);
+            Alcotest.(check (list string)) (what ^ ": root6 degrades once per checker")
+              [ "root6"; "root6"; "root6"; "root6" ]
+              (List.map fst (degraded_pairs warm));
+            Alcotest.(check (list (pair string string)))
+              (what ^ ": degraded") (degraded_pairs uncached) (degraded_pairs warm))
+          [ 1; 2 ]);
   ]
 
 let suite =
@@ -379,4 +519,4 @@ let suite =
           "generous budget = unbudgeted, degraded" (degraded_pairs free)
           (degraded_pairs generous));
   ]
-  @ pool_lifetime_tests
+  @ pool_lifetime_tests @ per_root_tests
