@@ -153,7 +153,8 @@ val run :
     identity key, counters and stats summed), so the reports are
     byte-identical to the sequential run and independent of scheduling,
     and uncached [jobs > 1] does exactly the work of a cold [cache] run
-    at any [jobs]: every counter and [stats] field but the steals agrees.
+    at any [jobs]: every counter and every [stats] field but
+    [sched_steals] and [worker_alloc_bytes] agrees.
     The two drivers differ only in cache reuse, which no report can
     see: the shared context takes summary hits across roots, so its
     [stats] traversal counts and some rule counters can differ (a callee

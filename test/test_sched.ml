@@ -186,11 +186,7 @@ let pool_lifetime_tests =
 (* One per-root driver                                           *)
 (* ------------------------------------------------------------ *)
 
-let temp_dir () =
-  let f = Filename.temp_file "xgcc_test_sched" "" in
-  Sys.remove f;
-  Sys.mkdir f 0o755;
-  f
+let temp_dir = Test_cache.temp_dir
 
 let store_over ?(options = Engine.default_options) exts dir =
   Summary_store.create ~dir
@@ -250,9 +246,8 @@ let per_root_corpora () =
       Supergraph.build [ Cparse.parse_tunit ~file:"ls.c" lockstat_src ],
       fun () -> [ Lock_stat.checker () ] );
     ( "gen linked seed 5 (3x8)",
-      Supergraph.build
-        (List.map
-           (fun (file, (g : Gen.t)) -> Cparse.parse_tunit ~file g.Gen.source)
+      Test_annot_pos.sg_of_files
+        (Test_release.gen_sources
            (Gen.generate_linked ~seed:5 ~n_files:3 ~funcs_per_file:8 ~bug_rate:0.4)),
       fun () -> List.map (fun e -> e.Registry.e_make ()) (Registry.all ()) );
   ]
