@@ -20,9 +20,5 @@ val of_string : ?salt:string -> string -> t
 val combine : t list -> t
 (** Hash of an ordered list of fingerprints (order-sensitive). *)
 
-val combine_pairs : (string * t) list -> t
-(** Hash of labelled fingerprints, e.g. [(function name, body hash)];
-    order-sensitive — sort first for set semantics. *)
-
 val short : t -> string
 (** First 8 hex characters, for human-facing disambiguation suffixes. *)

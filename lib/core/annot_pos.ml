@@ -223,16 +223,8 @@ let current g =
         (Hashtbl.fold (fun d grp acc -> (d, grp.hash) :: acc) g.by_def []);
   }
 
-let closure_key g cl =
-  Fingerprint.combine
-    [
-      g.misc_group.hash;
-      Fingerprint.combine_pairs
-        (List.filter_map
-           (fun d ->
-             Option.map (fun grp -> (d, grp.hash)) (Hashtbl.find_opt g.by_def d))
-           cl);
-    ]
+let misc_hash g = g.misc_group.hash
+let group_hash g d = Option.map (fun grp -> grp.hash) (Hashtbl.find_opt g.by_def d)
 
 let group_hashes ix ~is_group table =
   let g = groups ix ~is_group table in

@@ -90,7 +90,11 @@ val group_hashes :
     over it). Pure: reads the table, writes nothing but the index's
     memo. *)
 
-val closure_key : groups -> string list -> Fingerprint.t
-(** The annotation component of a cache key whose closure is the given
-    list of definitions: the misc hash and, in list order, the hash of
-    each member that has a group. *)
+val misc_hash : groups -> Fingerprint.t
+(** The misc group's hash as of the last {!refresh}: every cache key
+    folds it. *)
+
+val group_hash : groups -> string -> Fingerprint.t option
+(** The hash of this definition's group as of the last {!refresh};
+    [None] while it has none. A cache key folds the hash of each member
+    of its closure that has a group ({!Engine.cache_key}). *)

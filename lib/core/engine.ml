@@ -2454,9 +2454,12 @@ let run_roots ?(touched = ignore) ?(on_computed = fun _ _ -> ()) ~pool base
 
 (* Bump whenever engine or builtin-checker semantics change in a way that
    can alter analysis output. The digest below is folded into every
-   persistent cache key, so a stamp change orphans results computed by
-   older builds instead of silently replaying them — the store's format
-   version only guards the entry encoding, not what the engine computed. *)
+   extension key, so a stamp change orphans results computed by older
+   builds instead of silently replaying them — the store's format version
+   only guards the entry encoding, not what the engine computed. A change
+   to how entry keys are built ([cache_key]) needs no bump: no key of the
+   old scheme can equal one of the new, so every old entry probes stale,
+   is never replayed, and is rewritten in place. *)
 let analysis_version = "xgcc-analysis-5"
 
 let options_digest (o : options) =
@@ -2525,24 +2528,98 @@ let resolve_annots ~ix annots =
   in
   go [] annots
 
-let run_extension_cached ~pool ~store ~ext_key ~body_hash ~decls_hash
-    ~closures ~heights ~ix ~groups base (ext : Sm.t) =
-  set_extension base ext;
-  let cg = base.sg.Supergraph.callgraph in
-  let sst = Summary_store.stats store in
-  (* The annotation component of a function's keys: the hashes of the
-     annotation groups its closure can observe ({!Annot_pos}), brought up
-     to date at the extension boundary. A function's function and root
-     keys fold the same one, so it is computed once per extension. *)
-  let annot_keys : (string, Fingerprint.t) Hashtbl.t = Hashtbl.create 64 in
-  let annot_key f =
-    match Hashtbl.find_opt annot_keys f with
-    | Some k -> k
-    | None ->
-        let k = Annot_pos.closure_key groups (closures f) in
-        Hashtbl.replace annot_keys f k;
-        k
+(* The key of a function or root entry: one digest over length-prefixed
+   fields, so no bytes can shift from one field into the next. A
+   function's [prefix] is its body hash followed by the declarations
+   hash, a root's the declarations hash alone: the lengths differ, so
+   the two kinds never share a key. *)
+let cache_key ~prefix ~misc ~groups ~contents =
+  let b = Wire.writer () in
+  let pair b (name, h) =
+    Wire.string b name;
+    Wire.string b h
   in
+  Wire.string b prefix;
+  Wire.string b misc;
+  Wire.list b pair groups;
+  Wire.list b pair contents;
+  Fingerprint.of_string (Wire.contents b)
+
+(* What the keys of every extension share, computed once per cached run. *)
+type fn_probe = {
+  pr_fn : string;
+  pr_prefix : string;  (* body hash ^ declarations hash *)
+  pr_closure : string list;
+  pr_callees : string list;  (* the closure less the function itself *)
+}
+
+type key_plan = {
+  body_hashes : (string, Fingerprint.t) Hashtbl.t;  (* every defined function *)
+  decls_hash : Fingerprint.t;
+  probes : fn_probe array;
+      (* the acyclic functions bottom-up, by (height, name): every
+         callee's content hash exists before any caller's key needs it *)
+  root_closures : string list array;  (* in root order *)
+}
+
+let key_plan sg =
+  let cg = sg.Supergraph.callgraph in
+  let closures = Callgraph.closures cg in
+  let heights = Callgraph.acyclic_heights cg in
+  let body_hashes = Hashtbl.create 64 in
+  List.iter
+    (fun f ->
+      Hashtbl.replace body_hashes f
+        (match Supergraph.cfg_of sg f with
+        | Some (cfg : Cfg.t) ->
+            let b = Wire.writer () in
+            Cast_io.global_to_bin b (Cast.Gfun cfg.func);
+            Fingerprint.of_string ~salt:Cast_io.cache_version (Wire.contents b)
+        | None -> Fingerprint.of_string f))
+    (Callgraph.functions cg);
+  (* Analysis output depends on more than function bodies: typedefs,
+     struct/union layouts, enum constants, prototypes and global-variable
+     declarations all feed the typing environment (and file-scope statics
+     drive sleep/wake partitioning), yet none of them appear in any Gfun
+     body. Hash every non-function global into every cache key so a
+     declaration-level edit invalidates cached entries too. *)
+  let decls_hash =
+    let b = Wire.writer () in
+    List.iter
+      (fun (tu : Cast.tunit) ->
+        List.iter
+          (function Cast.Gfun _ -> () | g -> Cast_io.global_to_bin b g)
+          tu.tu_globals)
+      sg.Supergraph.tunits;
+    Fingerprint.of_string ~salt:Cast_io.cache_version (Wire.contents b)
+  in
+  (* Cycle members are never probed, and no acyclic function's closure
+     holds one, so no probe waits on a cycle member's content. *)
+  let probes =
+    List.filter_map
+      (fun f -> Option.map (fun h -> (h, f)) (heights f))
+      (Callgraph.functions cg)
+    |> List.sort compare
+    |> List.map (fun (_, f) ->
+           let cl = closures f in
+           {
+             pr_fn = f;
+             pr_prefix = Hashtbl.find body_hashes f ^ decls_hash;
+             pr_closure = cl;
+             pr_callees = List.filter (fun g -> not (String.equal g f)) cl;
+           })
+    |> Array.of_list
+  in
+  {
+    body_hashes;
+    decls_hash;
+    probes;
+    root_closures = Array.of_list (List.map closures (Supergraph.roots sg));
+  }
+
+let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups base (ext : Sm.t) =
+  set_extension base ext;
+  let sst = Summary_store.stats store in
   (* Early cutoff needs the canonical traversal to terminate and to be
      timing-independent, so it requires the summary caches on and per-root
      budgets off; otherwise entries degrade to body-hash keying (any edit
@@ -2551,10 +2628,11 @@ let run_extension_cached ~pool ~store ~ext_key ~body_hash ~decls_hash
     base.opts.caching && base.opts.max_nodes_per_root = 0
     && base.opts.timeout_per_root = 0.
   in
-  let content : (string, Fingerprint.t) Hashtbl.t = Hashtbl.create 64 in
-  let content_of f =
-    match Hashtbl.find_opt content f with Some c -> c | None -> body_hash f
-  in
+  (* Content hashes start at the body hashes: cycle members — neither
+     probed nor stored — stay pinned there, as does every function when
+     the cutoff is off. *)
+  let content = Hashtbl.copy plan.body_hashes in
+  let content_of = Hashtbl.find content in
   (* Canonical tables per function, the seeds of recomputed callers. A
      stored entry's summaries stay encoded until a caller needs them:
      usually none does, as only edited closures recompute. *)
@@ -2564,14 +2642,16 @@ let run_extension_cached ~pool ~store ~ext_key ~body_hash ~decls_hash
     Hashtbl.create 64
   in
   let unchanged : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let fn_key f callees =
-    Fingerprint.combine
-      [
-        body_hash f;
-        decls_hash;
-        Fingerprint.combine_pairs (List.map (fun g -> (g, content_of g)) callees);
-        annot_key f;
-      ]
+  (* The annotation component of a key is the hashes of the groups its
+     closure can observe ({!Annot_pos}), as of this extension's boundary. *)
+  let misc = Annot_pos.misc_hash groups in
+  let key prefix closure contents =
+    cache_key ~prefix ~misc
+      ~groups:
+        (List.filter_map
+           (fun d -> Option.map (fun h -> (d, h)) (Annot_pos.group_hash groups d))
+           closure)
+      ~contents:(List.map (fun g -> (g, content_of g)) contents)
   in
   (* Canonical recomputation: traverse [f] alone from its entry under the
      extension's initial state, callees seeded from their canonical
@@ -2655,30 +2735,10 @@ let run_extension_cached ~pool ~store ~ext_key ~body_hash ~decls_hash
             Some
               (bs, sfx, rets, Fingerprint.of_string ~salt:"canon-1" (Wire.contents b)))
   in
-  if not cutoff then
-    List.iter
-      (fun f -> Hashtbl.replace content f (body_hash f))
-      (Callgraph.functions cg)
-  else begin
-    (* bottom-up over the acyclic portion: every callee's content hash
-       (and canonical tables) exists before any caller's key needs it.
-       An acyclic function's closure cannot touch a cycle, so cycle
-       members — pinned to body-hash content, neither probed nor stored —
-       never appear as missing seeds. *)
-    let acyclic, cyclic =
-      List.partition (fun f -> heights f <> None) (Callgraph.functions cg)
-    in
-    List.iter (fun f -> Hashtbl.replace content f (body_hash f)) cyclic;
-    let ordered =
-      List.sort
-        (fun a b ->
-          compare (Option.get (heights a), a) (Option.get (heights b), b))
-        acyclic
-    in
-    List.iter
-      (fun f ->
-        let callees = List.filter (fun g -> not (String.equal g f)) (closures f) in
-        let key = fn_key f callees in
+  if cutoff then
+    Array.iter
+      (fun { pr_fn = f; pr_prefix; pr_closure; pr_callees = callees } ->
+        let key = key pr_prefix pr_closure callees in
         match Summary_store.probe_fn store ~ext:ext_key ~fname:f ~key with
         | Summary_store.Hit h ->
             Hashtbl.replace content f (Summary_store.hit_content h);
@@ -2691,7 +2751,7 @@ let run_extension_cached ~pool ~store ~ext_key ~body_hash ~decls_hash
             sst.Summary_store.fns_recomputed <-
               sst.Summary_store.fns_recomputed + 1;
             match compute_canonical f callees with
-            | None -> Hashtbl.replace content f (body_hash f)
+            | None -> ()
             | Some (bs, sfx, rets, c) ->
                 Hashtbl.replace content f c;
                 Hashtbl.replace canon f (Lazy.from_val (Some (bs, sfx, rets)));
@@ -2705,18 +2765,9 @@ let run_extension_cached ~pool ~store ~ext_key ~body_hash ~decls_hash
                 | _ -> ());
                 Summary_store.store_fn store ~ext:ext_key ~fname:f ~key
                   ~content:c ~bs ~sfx ~rets))
-      ordered
-  end;
-  let root_key r =
-    Fingerprint.combine
-      [
-        decls_hash;
-        Fingerprint.combine_pairs (List.map (fun g -> (g, content_of g)) (closures r));
-        annot_key r;
-      ]
-  in
+      plan.probes;
   let roots = Array.of_list (Supergraph.roots base.sg) in
-  let keys = Array.map root_key roots in
+  let keys = Array.map (fun cl -> key plan.decls_hash cl cl) plan.root_closures in
   let replayed =
     Array.mapi
       (fun i r ->
@@ -2733,7 +2784,7 @@ let run_extension_cached ~pool ~store ~ext_key ~body_hash ~decls_hash
             ~key:keys.(i)
         with
         | Some e ->
-            if List.exists (Hashtbl.mem unchanged) (closures r) then
+            if List.exists (Hashtbl.mem unchanged) plan.root_closures.(i) then
               sst.Summary_store.roots_salvaged <-
                 sst.Summary_store.roots_salvaged + 1;
             Some
@@ -2780,47 +2831,15 @@ let with_run_pool ~jobs f =
 
 let run_cached ?options ?observe ~jobs store sg exts =
   let rctx = new_rctx ?options sg in
-  let body_hash_tbl = Hashtbl.create 64 in
-  let body_hash f =
-    match Hashtbl.find_opt body_hash_tbl f with
-    | Some h -> h
-    | None ->
-        let h =
-          match Supergraph.cfg_of sg f with
-          | Some (cfg : Cfg.t) ->
-              let b = Wire.writer () in
-              Cast_io.global_to_bin b (Cast.Gfun cfg.func);
-              Fingerprint.of_string ~salt:Cast_io.cache_version (Wire.contents b)
-          | None -> Fingerprint.of_string f
-        in
-        Hashtbl.replace body_hash_tbl f h;
-        h
-  in
-  let cg = sg.Supergraph.callgraph in
-  let closures = Callgraph.closures cg in
-  let heights = Callgraph.acyclic_heights cg in
-  (* Analysis output depends on more than function bodies: typedefs,
-     struct/union layouts, enum constants, prototypes and global-variable
-     declarations all feed the typing environment (and file-scope statics
-     drive sleep/wake partitioning), yet none of them appear in any Gfun
-     body. Hash every non-function global into every cache key so a
-     declaration-level edit invalidates cached entries too. *)
-  let decls_hash =
-    let b = Wire.writer () in
-    List.iter
-      (fun (tu : Cast.tunit) ->
-        List.iter
-          (function Cast.Gfun _ -> () | g -> Cast_io.global_to_bin b g)
-          tu.tu_globals)
-      sg.Supergraph.tunits;
-    Fingerprint.of_string ~salt:Cast_io.cache_version (Wire.contents b)
-  in
+  let plan = key_plan sg in
   (* positions and annotation-group hashes, kept for the whole run: each
      merge reports the nodes it re-tags, and each boundary re-hashes only
      their groups *)
   let ix = Annot_pos.build sg.Supergraph.tunits in
   let groups =
-    Annot_pos.groups ix ~is_group:(Callgraph.is_defined cg) rctx.annots
+    Annot_pos.groups ix
+      ~is_group:(Callgraph.is_defined sg.Supergraph.callgraph)
+      rctx.annots
   in
   with_run_pool ~jobs (fun pool ->
       List.iteri
@@ -2833,8 +2852,7 @@ let run_cached ?options ?observe ~jobs store sg exts =
           Annot_pos.refresh groups;
           Option.iter (fun f -> f (Annot_pos.current groups) rctx.annots) observe;
           run_extension_cached ~pool ~store
-            ~ext_key:(Summary_store.ext_key store i) ~body_hash ~decls_hash
-            ~closures ~heights ~ix ~groups rctx ext)
+            ~ext_key:(Summary_store.ext_key store i) ~plan ~ix ~groups rctx ext)
         exts);
   Summary_store.save_last_run store;
   collect_result rctx

@@ -854,4 +854,126 @@ let suite =
                      (Engine.run ~jobs ~cache:(store_over dir) sg (free ()))))
               [ "cold"; "warm" ])
           [ 1; 2 ]);
+    t "cache keys: each input counts, and no byte shifts between fields"
+      `Quick (fun () ->
+        let h = Fingerprint.of_string in
+        let body = h "body" and decls = h "decls" and misc = h "misc" in
+        (* f's closure is f, g and h; g and f have annotation groups *)
+        let groups = [ ("f", h "gf"); ("g", h "gg") ] in
+        let callees = [ ("g", h "cg"); ("h", h "ch") ] in
+        let key ?(prefix = body ^ decls) ?(misc = misc) ?(groups = groups)
+            ?(contents = callees) () =
+          Engine.cache_key ~prefix ~misc ~groups ~contents
+        in
+        let fn_key = key () in
+        Alcotest.(check string) "equal inputs, equal keys" fn_key (key ());
+        let differs what k =
+          Alcotest.(check bool) (what ^ " changes the key") false (String.equal fn_key k)
+        in
+        differs "the body prefix" (key ~prefix:(h "body2" ^ decls) ());
+        differs "the declarations hash" (key ~prefix:(body ^ h "decls2") ());
+        differs "the misc hash" (key ~misc:(h "misc2") ());
+        differs "one member's group hash" (key ~groups:[ ("f", h "gf"); ("g", h "gg2") ] ());
+        differs "one callee's content hash"
+          (key ~contents:[ ("g", h "cg"); ("h", h "ch2") ] ());
+        differs "a member's name"
+          (key ~groups:[ ("f", h "gf"); ("k", h "gg") ]
+             ~contents:[ ("k", h "cg"); ("h", h "ch") ] ());
+        differs "the root key over the same closure"
+          (key ~prefix:decls ~contents:(("f", h "cf") :: callees) ());
+        (* the same bytes split at another place: move one byte across
+           each boundary between adjacent fields, both ways *)
+        let fields =
+          [ body ^ decls; misc ]
+          @ List.concat_map (fun (n, v) -> [ n; v ]) (groups @ callees)
+        in
+        let of_fields ?(n_groups = 2) = function
+          | prefix :: misc :: rest ->
+              let rec pairs = function a :: b :: r -> (a, b) :: pairs r | _ -> [] in
+              let ps = pairs rest in
+              Engine.cache_key ~prefix ~misc
+                ~groups:(List.filteri (fun i _ -> i < n_groups) ps)
+                ~contents:(List.filteri (fun i _ -> i >= n_groups) ps)
+          | _ -> assert false
+        in
+        Alcotest.(check string) "the fields rebuild the key" fn_key (of_fields fields);
+        differs "a pair moved from the groups to the contents"
+          (of_fields ~n_groups:1 fields);
+        differs "a pair moved from the contents to the groups"
+          (of_fields ~n_groups:3 fields);
+        let n = List.length fields in
+        for i = 0 to n - 2 do
+          let a = List.nth fields i and b = List.nth fields (i + 1) in
+          let with_pair a' b' =
+            List.mapi (fun j f -> if j = i then a' else if j = i + 1 then b' else f) fields
+          in
+          let la = String.length a and lb = String.length b in
+          differs
+            (Printf.sprintf "a byte moved from field %d into field %d" i (i + 1))
+            (of_fields
+               (with_pair (String.sub a 0 (la - 1)) (String.sub a (la - 1) 1 ^ b)));
+          differs
+            (Printf.sprintf "a byte moved from field %d into field %d" (i + 1) i)
+            (of_fields
+               (with_pair (a ^ String.sub b 0 1) (String.sub b 1 (lb - 1))))
+        done);
+    t "call-structure edits under --cache-dir match an uncached run" `Quick
+      (fun () ->
+        (* top -> mid -> leaf and alt -> leaf, with side a root of its own.
+           The edits move call edges: a direct top -> leaf call that was
+           already in top's closure through mid, its removal, then a call
+           from top to side, outside top's closure until then *)
+        let text extra =
+          Printf.sprintf
+            "static void leaf(int *p) { kfree(p); }\n\
+             static void mid(int *p) { leaf(p); }\n\
+             int side(int *p) { return *p; }\n\
+             int top(int n) { int *x = kmalloc(n); mid(x);%s return *x; }\n\
+             int alt(int n) { int *y = kmalloc(n); leaf(y); return *y; }\n"
+            extra
+        in
+        (* summaries hit / stale / absent, roots replayed / recomputed,
+           cutoff fns recomputed / summaries unchanged / roots salvaged,
+           packs read / written: the counts the nested-digest keys gave,
+           so one digest per key decides every hit, stale and salvage
+           alike *)
+        let counters (st : Summary_store.stats) =
+          Summary_store.
+            [
+              st.fn_hits; st.fn_stale; st.fn_absent; st.roots_replayed;
+              st.roots_recomputed; st.fns_recomputed; st.sums_unchanged;
+              st.roots_salvaged; st.packs_read; st.packs_written;
+            ]
+        in
+        let edits =
+          [
+            (" leaf(x);", [ 4; 1; 0; 2; 1; 1; 0; 0; 2; 2 ]);
+            ("", [ 4; 1; 0; 2; 1; 1; 0; 0; 2; 2 ]);
+            (" side(x);", [ 4; 1; 0; 1; 1; 1; 0; 0; 2; 2 ]);
+          ]
+        in
+        List.iter
+          (fun jobs ->
+            let dir = temp_dir () in
+            let _ =
+              Engine.run ~jobs ~cache:(store_over dir)
+                (sg_of_files [ ("cs.c", text "") ])
+                (free ())
+            in
+            List.iter
+              (fun (extra, expected) ->
+                let sg = sg_of_files [ ("cs.c", text extra) ] in
+                let store = store_over dir in
+                let warm = Engine.run ~jobs ~cache:store sg (free ()) in
+                let what = Printf.sprintf "edit %S -j%d" extra jobs in
+                Alcotest.(check (list string))
+                  (what ^ ": reports = uncached -j1")
+                  (report_lines (Engine.run ~jobs:1 sg (free ())))
+                  (report_lines warm);
+                Alcotest.(check (list int))
+                  (what ^ ": store counters")
+                  expected
+                  (counters (Summary_store.stats store)))
+              edits)
+          [ 1; 2 ]);
   ]
