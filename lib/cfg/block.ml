@@ -49,10 +49,3 @@ let pp ppf b =
     Format.fprintf ppf "@ /* havoc: %s */" (String.concat ", " b.havoc);
   List.iter (fun e -> Format.fprintf ppf "@ %a" pp_elem e) b.elems;
   Format.fprintf ppf "@ %a@]" pp_terminator b.term
-
-let successors b =
-  match b.term with
-  | Jump x -> [ x ]
-  | Branch (_, t, f) -> if t = f then [ t ] else [ t; f ]
-  | Switch (_, arms) -> List.sort_uniq Int.compare (List.map snd arms)
-  | Return _ | Exit -> []

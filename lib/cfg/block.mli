@@ -34,5 +34,3 @@ type t = {
 val pp_elem : Format.formatter -> elem -> unit
 val pp_terminator : Format.formatter -> terminator -> unit
 val pp : Format.formatter -> t -> unit
-
-val successors : t -> int list

@@ -120,7 +120,6 @@ type t = { mask : int; calls : string list }
 
 let empty = { mask = 0; calls = [] }
 let has_shape t s = t.mask land (1 lsl shape_code s) <> 0
-let has_call t = t.calls <> [] || has_shape t Scall_other
 
 module Sset = Set.Make (String)
 
@@ -159,9 +158,3 @@ let of_block (b : Block.t) =
   { mask = acc.a_mask; calls = Sset.elements acc.a_calls }
 
 let of_cfg (cfg : Cfg.t) = Array.map of_block cfg.Cfg.blocks
-
-let pp ppf t =
-  let shapes = List.filter (fun s -> has_shape t s) all_shapes in
-  Format.fprintf ppf "{shapes=%s; calls=%s}"
-    (String.concat "," (List.map shape_name shapes))
-    (String.concat "," t.calls)

@@ -63,9 +63,5 @@ type t = {
 val empty : t
 val has_shape : t -> shape -> bool
 
-val has_call : t -> bool
-(** The block contains a call node (named or computed). *)
-
 val of_block : Block.t -> t
 val of_cfg : Cfg.t -> t array
-val pp : Format.formatter -> t -> unit

@@ -350,7 +350,6 @@ let successors cfg id =
       | Block.Switch (_, arms) -> List.sort_uniq Int.compare (List.map snd arms)
       | Block.Return _ | Block.Exit -> [])
 
-let find_blocks (cfg : t) pred = List.filter pred (Array.to_list cfg.blocks)
 
 let pp ppf (cfg : t) =
   Format.fprintf ppf "@[<v>function %s (entry B%d, exit B%d)" cfg.fname cfg.entry

@@ -29,7 +29,5 @@ val pp : Format.formatter -> t -> unit
 
 val n_blocks : t -> int
 
-val find_blocks : t -> (Block.t -> bool) -> Block.t list
-
 val locals_of : Cast.fundef -> (string * Ctyp.t) list
 (** Every local declared anywhere in the body (parameters excluded). *)

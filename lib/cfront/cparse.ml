@@ -602,43 +602,47 @@ and parse_primary st =
 (* Constant folding                                                    *)
 (* ------------------------------------------------------------------ *)
 
+let unop_value op v =
+  match op with
+  | Cast.Neg -> Some (Int64.neg v)
+  | Cast.Lognot -> Some (if Int64.equal v 0L then 1L else 0L)
+  | Cast.Bitnot -> Some (Int64.lognot v)
+  | _ -> None
+
+let binop_value op a b =
+  let bool_ c = Some (if c then 1L else 0L) in
+  match op with
+  | Cast.Add -> Some (Int64.add a b)
+  | Cast.Sub -> Some (Int64.sub a b)
+  | Cast.Mul -> Some (Int64.mul a b)
+  | Cast.Div -> if Int64.equal b 0L then None else Some (Int64.div a b)
+  | Cast.Mod -> if Int64.equal b 0L then None else Some (Int64.rem a b)
+  | Cast.Shl -> Some (Int64.shift_left a (Int64.to_int b land 63))
+  | Cast.Shr -> Some (Int64.shift_right a (Int64.to_int b land 63))
+  | Cast.Lt -> bool_ (Int64.compare a b < 0)
+  | Cast.Gt -> bool_ (Int64.compare a b > 0)
+  | Cast.Le -> bool_ (Int64.compare a b <= 0)
+  | Cast.Ge -> bool_ (Int64.compare a b >= 0)
+  | Cast.Eq -> bool_ (Int64.equal a b)
+  | Cast.Ne -> bool_ (not (Int64.equal a b))
+  | Cast.Band -> Some (Int64.logand a b)
+  | Cast.Bor -> Some (Int64.logor a b)
+  | Cast.Bxor -> Some (Int64.logxor a b)
+  | Cast.Land -> bool_ ((not (Int64.equal a 0L)) && not (Int64.equal b 0L))
+  | Cast.Lor -> bool_ ((not (Int64.equal a 0L)) || not (Int64.equal b 0L))
+
 let rec const_eval (e : Cast.expr) : int64 option =
   let ( let* ) = Option.bind in
   match e.enode with
   | Cast.Eint n -> Some n
   | Cast.Echar c -> Some (Int64.of_int (Char.code c))
-  | Cast.Eunary (Cast.Neg, e1) ->
+  | Cast.Eunary (op, e1) ->
       let* v = const_eval e1 in
-      Some (Int64.neg v)
-  | Cast.Eunary (Cast.Lognot, e1) ->
-      let* v = const_eval e1 in
-      Some (if Int64.equal v 0L then 1L else 0L)
-  | Cast.Eunary (Cast.Bitnot, e1) ->
-      let* v = const_eval e1 in
-      Some (Int64.lognot v)
-  | Cast.Ebinary (op, l, r) -> (
+      unop_value op v
+  | Cast.Ebinary (op, l, r) ->
       let* a = const_eval l in
       let* b = const_eval r in
-      let bool_ c = Some (if c then 1L else 0L) in
-      match op with
-      | Cast.Add -> Some (Int64.add a b)
-      | Cast.Sub -> Some (Int64.sub a b)
-      | Cast.Mul -> Some (Int64.mul a b)
-      | Cast.Div -> if Int64.equal b 0L then None else Some (Int64.div a b)
-      | Cast.Mod -> if Int64.equal b 0L then None else Some (Int64.rem a b)
-      | Cast.Shl -> Some (Int64.shift_left a (Int64.to_int b land 63))
-      | Cast.Shr -> Some (Int64.shift_right a (Int64.to_int b land 63))
-      | Cast.Lt -> bool_ (Int64.compare a b < 0)
-      | Cast.Gt -> bool_ (Int64.compare a b > 0)
-      | Cast.Le -> bool_ (Int64.compare a b <= 0)
-      | Cast.Ge -> bool_ (Int64.compare a b >= 0)
-      | Cast.Eq -> bool_ (Int64.equal a b)
-      | Cast.Ne -> bool_ (not (Int64.equal a b))
-      | Cast.Band -> Some (Int64.logand a b)
-      | Cast.Bor -> Some (Int64.logor a b)
-      | Cast.Bxor -> Some (Int64.logxor a b)
-      | Cast.Land -> bool_ ((not (Int64.equal a 0L)) && not (Int64.equal b 0L))
-      | Cast.Lor -> bool_ ((not (Int64.equal a 0L)) || not (Int64.equal b 0L)))
+      binop_value op a b
   | Cast.Ecast (_, e1) -> const_eval e1
   | _ -> None
 
@@ -987,10 +991,3 @@ let expr_of_string ?typedefs ~file src =
   let e = parse_expr st in
   if cur_tok st <> Tok.EOF then error st "trailing tokens after expression";
   e
-
-let stmts_of_string ?typedefs ~file src =
-  let toks = Clex.tokenize ~file src in
-  let st = make_state ?typedefs ~file toks in
-  let stmts = parse_stmt_list st in
-  if cur_tok st <> Tok.EOF then error st "trailing tokens after statements";
-  stmts

@@ -19,21 +19,17 @@ val parse_tunit : file:string -> string -> Cast.tunit
     token stream to resynchronize on.
 
     The single-fragment entry points below ({!expr_of_string},
-    {!stmts_of_string}, {!expr_of_tokens}) deliberately stay strict and
-    raise {!Parse_error}: metal pattern compilation must reject bad
-    patterns, not silently skip them. *)
+    {!expr_of_tokens}) deliberately stay strict and raise {!Parse_error}:
+    metal pattern compilation must reject bad patterns, and the
+    preprocessor warns about a bad [#if] condition, instead of silently
+    skipping them. *)
 
 val parse_tunit_file : string -> Cast.tunit
 (** Read a file from disk and parse it (same error recovery). *)
 
 val expr_of_string : ?typedefs:(string * Ctyp.t) list -> file:string -> string -> Cast.expr
-(** Parse a single expression (comma allowed). Used by tests and by the metal
-    pattern compiler. *)
-
-val stmts_of_string :
-  ?typedefs:(string * Ctyp.t) list -> file:string -> string -> Cast.stmt list
-(** Parse a brace-less statement sequence, e.g. a metal pattern written as
-    statements. *)
+(** Parse a single expression (comma allowed). Used by tests, by the metal
+    pattern compiler and by {!Cpp} for [#if]/[#elif] conditions. *)
 
 val expr_of_tokens :
   ?typedefs:(string * Ctyp.t) list -> Clex.token list -> Cast.expr * Clex.token list
@@ -42,3 +38,11 @@ val expr_of_tokens :
 
 val const_eval : Cast.expr -> int64 option
 (** Best-effort constant folding over integer expressions. *)
+
+val unop_value : Cast.unop -> int64 -> int64 option
+(** The value of [-], [!] or [~] applied to a constant; [None] for the
+    other operators. *)
+
+val binop_value : Cast.binop -> int64 -> int64 -> int64 option
+(** The value of a binary operator applied to two constants (shift
+    counts taken modulo 64); [None] for division or modulo by zero. *)

@@ -274,242 +274,32 @@ let resolve_defined env s =
   done;
   Buffer.contents buf
 
-type cond_tok =
-  | Tnum of int64
-  | Top of string  (* operator or parenthesis *)
-
-let tokenize_cond ~err s =
-  let n = String.length s in
-  let toks = ref [] in
-  let i = ref 0 in
-  let two_char_ops = [ "&&"; "||"; "=="; "!="; "<="; ">="; "<<"; ">>" ] in
-  while !i < n do
-    let c = s.[!i] in
-    if Char.equal c ' ' || Char.equal c '\t' then incr i
-    else if c >= '0' && c <= '9' then begin
-      let start = !i in
-      while !i < n && (is_ident_char s.[!i]) do incr i done;
-      let text = String.sub s start (!i - start) in
-      (* strip integer suffixes (uUlL) *)
-      let stop = ref (String.length text) in
-      while
-        !stop > 0
-        && (match text.[!stop - 1] with 'u' | 'U' | 'l' | 'L' -> true | _ -> false)
-      do
-        decr stop
-      done;
-      let text = String.sub text 0 !stop in
-      (match Int64.of_string_opt text with
-      | Some v -> toks := Tnum v :: !toks
-      | None -> raise (err (Printf.sprintf "bad integer '%s' in #if" text)))
-    end
-    else if is_ident_start c then begin
-      (* an identifier that survived macro expansion is undefined: 0 *)
-      while !i < n && is_ident_char s.[!i] do incr i done;
-      toks := Tnum 0L :: !toks
-    end
-    else if
-      !i + 1 < n && List.mem (String.sub s !i 2) two_char_ops
-    then begin
-      toks := Top (String.sub s !i 2) :: !toks;
-      i := !i + 2
-    end
-    else
-      match c with
-      | '!' | '<' | '>' | '+' | '-' | '*' | '/' | '%' | '~' | '(' | ')' | '&' | '|'
-      | '^' ->
-          toks := Top (String.make 1 c) :: !toks;
-          incr i
-      | '\'' ->
-          (* character constant: value of the (possibly escaped) char *)
-          let v, stop =
-            if !i + 2 < n && Char.equal s.[!i + 1] '\\' && !i + 3 < n
-               && Char.equal s.[!i + 3] '\''
-            then
-              let e = s.[!i + 2] in
-              let v =
-                match e with
-                | 'n' -> 10 | 't' -> 9 | 'r' -> 13 | '0' -> 0 | c -> Char.code c
-              in
-              (v, !i + 4)
-            else if !i + 2 < n && Char.equal s.[!i + 2] '\'' then
-              (Char.code s.[!i + 1], !i + 3)
-            else (0, n + 1)
-          in
-          if stop > n then raise (err "bad character constant in #if")
-          else begin
-            toks := Tnum (Int64.of_int v) :: !toks;
-            i := stop
-          end
-      | c -> raise (err (Printf.sprintf "unexpected '%c' in #if expression" c))
-  done;
-  Array.of_list (List.rev !toks)
-
-(* Recursive descent over the C conditional-expression subset cpp needs:
-   || && | ^ & (in)equality relational shift additive multiplicative unary. *)
-let eval_cond_tokens ~err (toks : cond_tok array) =
-  let pos = ref 0 in
-  let peek () = if !pos < Array.length toks then Some toks.(!pos) else None in
-  let advance () = incr pos in
-  let is_op o = match peek () with Some (Top o') -> String.equal o o' | _ -> false in
-  let b2i b = if b then 1L else 0L in
-  let i2b v = not (Int64.equal v 0L) in
-  let rec parse_or () =
-    let l = ref (parse_and ()) in
-    while is_op "||" do
-      advance ();
-      let r = parse_and () in
-      l := b2i (i2b !l || i2b r)
-    done;
-    !l
-  and parse_and () =
-    let l = ref (parse_bitor ()) in
-    while is_op "&&" do
-      advance ();
-      let r = parse_bitor () in
-      l := b2i (i2b !l && i2b r)
-    done;
-    !l
-  and parse_bitor () =
-    let l = ref (parse_bitxor ()) in
-    while is_op "|" do
-      advance ();
-      l := Int64.logor !l (parse_bitxor ())
-    done;
-    !l
-  and parse_bitxor () =
-    let l = ref (parse_bitand ()) in
-    while is_op "^" do
-      advance ();
-      l := Int64.logxor !l (parse_bitand ())
-    done;
-    !l
-  and parse_bitand () =
-    let l = ref (parse_eq ()) in
-    while is_op "&" do
-      advance ();
-      l := Int64.logand !l (parse_eq ())
-    done;
-    !l
-  and parse_eq () =
-    let l = ref (parse_rel ()) in
-    let rec go () =
-      if is_op "==" then begin
-        advance ();
-        l := b2i (Int64.equal !l (parse_rel ()));
-        go ()
-      end
-      else if is_op "!=" then begin
-        advance ();
-        l := b2i (not (Int64.equal !l (parse_rel ())));
-        go ()
-      end
-    in
-    go ();
-    !l
-  and parse_rel () =
-    let l = ref (parse_shift ()) in
-    let rec go () =
-      let cmp op =
-        advance ();
-        let r = parse_shift () in
-        l := b2i (op (Int64.compare !l r) 0);
-        go ()
-      in
-      if is_op "<=" then cmp ( <= )
-      else if is_op ">=" then cmp ( >= )
-      else if is_op "<" then cmp ( < )
-      else if is_op ">" then cmp ( > )
-    in
-    go ();
-    !l
-  and parse_shift () =
-    let l = ref (parse_add ()) in
-    let rec go () =
-      if is_op "<<" then begin
-        advance ();
-        l := Int64.shift_left !l (Int64.to_int (parse_add ()));
-        go ()
-      end
-      else if is_op ">>" then begin
-        advance ();
-        l := Int64.shift_right !l (Int64.to_int (parse_add ()));
-        go ()
-      end
-    in
-    go ();
-    !l
-  and parse_add () =
-    let l = ref (parse_mul ()) in
-    let rec go () =
-      if is_op "+" then begin
-        advance ();
-        l := Int64.add !l (parse_mul ());
-        go ()
-      end
-      else if is_op "-" then begin
-        advance ();
-        l := Int64.sub !l (parse_mul ());
-        go ()
-      end
-    in
-    go ();
-    !l
-  and parse_mul () =
-    let l = ref (parse_unary ()) in
-    let rec go () =
-      let bin op name =
-        advance ();
-        let r = parse_unary () in
-        if Int64.equal r 0L then raise (err (Printf.sprintf "%s by zero in #if" name))
-        else begin
-          l := op !l r;
-          go ()
-        end
-      in
-      if is_op "*" then begin
-        advance ();
-        l := Int64.mul !l (parse_unary ());
-        go ()
-      end
-      else if is_op "/" then bin Int64.div "division"
-      else if is_op "%" then bin Int64.rem "modulo"
-    in
-    go ();
-    !l
-  and parse_unary () =
-    if is_op "!" then begin
-      advance ();
-      b2i (Int64.equal (parse_unary ()) 0L)
-    end
-    else if is_op "-" then begin
-      advance ();
-      Int64.neg (parse_unary ())
-    end
-    else if is_op "+" then begin
-      advance ();
-      parse_unary ()
-    end
-    else if is_op "~" then begin
-      advance ();
-      Int64.lognot (parse_unary ())
-    end
-    else if is_op "(" then begin
-      advance ();
-      let v = parse_or () in
-      if is_op ")" then advance () else raise (err "missing ')' in #if expression");
-      v
-    end
-    else
-      match peek () with
-      | Some (Tnum v) ->
-          advance ();
-          v
-      | _ -> raise (err "missing operand in #if expression")
-  in
-  let v = parse_or () in
-  if !pos < Array.length toks then raise (err "trailing tokens in #if expression");
-  v
+(* Fold a condition the C expression grammar parsed: integer and
+   character literals, identifiers (those that survive macro expansion
+   are undefined, so 0), the unary and binary operators and [?:], with
+   [&&] and [||] short-circuiting as in C. *)
+let rec fold ~err (e : Cast.expr) =
+  let nonzero e = not (Int64.equal (fold ~err e) 0L) in
+  let not_constant = "not an integer constant expression in #if" in
+  match e.Cast.enode with
+  | Cast.Eint n -> n
+  | Cast.Echar c -> Int64.of_int (Char.code c)
+  | Cast.Eident _ -> 0L
+  | Cast.Eunary (op, a) -> (
+      match Cparse.unop_value op (fold ~err a) with
+      | Some v -> v
+      | None -> raise (err not_constant))
+  | Cast.Econd (c, a, b) -> if nonzero c then fold ~err a else fold ~err b
+  | Cast.Ebinary (Cast.Land, a, b) -> if nonzero a && nonzero b then 1L else 0L
+  | Cast.Ebinary (Cast.Lor, a, b) -> if nonzero a || nonzero b then 1L else 0L
+  | Cast.Ebinary (op, a, b) -> (
+      let x = fold ~err a in
+      let y = fold ~err b in
+      match Cparse.binop_value op x y with
+      | Some v -> v
+      | None ->
+          raise (err ((if op = Cast.Div then "division" else "modulo") ^ " by zero in #if")))
+  | _ -> raise (err not_constant)
 
 let eval_condition env ~file ~line s =
   let err msg = Cpp_error (Srcloc.make ~file ~line ~col:1, msg) in
@@ -518,14 +308,17 @@ let eval_condition env ~file ~line s =
     let s = expand_line env s in
     (* expansion may reintroduce [defined] from a macro body *)
     let s = resolve_defined env s in
-    if String.equal (String.trim s) "" then raise (err "empty #if expression")
-    else not (Int64.equal (eval_cond_tokens ~err (tokenize_cond ~err s)) 0L)
+    match Cparse.expr_of_string ~file s with
+    | e -> not (Int64.equal (fold ~err e) 0L)
+    | exception (Clex.Lex_error (_, msg) | Cparse.Parse_error (_, msg)) ->
+        raise (err msg)
   with Cpp_error (loc, msg) ->
-    (* A malformed constant expression — division/modulo by zero, an
-       operator we don't implement, stray tokens — must not kill the whole
-       translation unit (real trees are full of exotic #ifs). Degrade to
-       "condition false" with a warning; structural errors (#else without
-       #if, include nesting) elsewhere in the driver stay fatal. *)
+    (* A malformed constant expression — division/modulo by zero, a
+       construct outside integer constant expressions, stray tokens —
+       must not kill the whole translation unit (real trees are full of
+       exotic #ifs). Degrade to "condition false" with a warning;
+       structural errors (#else without #if, include nesting) elsewhere
+       in the driver stay fatal. *)
     Diag.warnf "%s: #if condition treated as false: %s" (Srcloc.to_string loc)
       msg;
     false

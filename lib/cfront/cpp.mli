@@ -10,14 +10,16 @@
       balanced-parenthesis argument parsing, recursive expansion with a
       self-reference guard), [#undef];
     - [#ifdef] / [#ifndef] / [#else] / [#endif], plus [#if] / [#elif]
-      over integer constant expressions: [defined(X)] / [defined X],
-      decimal/hex/octal and character literals, unary [! ~ + -], binary
-      [* / % + - << >> < <= > >= == != & ^ | && ||], and parentheses.
-      Macros in the expression are expanded first; identifiers that
-      survive expansion evaluate to 0, as in C. Expressions inside
-      inactive regions are not evaluated. A condition that cannot be
-      evaluated — division or modulo by zero, an unhandled operator,
-      stray tokens — degrades to false with a {!Diag.warnf} warning
+      over integer constant expressions. [defined(X)] / [defined X] are
+      resolved and macros expanded first; the text is then parsed by the
+      C expression grammar ({!Cparse.expr_of_string}, so literals and
+      escapes read exactly as in code) and folded: integer and character
+      literals, the unary and binary operators and [?:], with [&&] and
+      [||] short-circuiting. Identifiers that survive expansion evaluate
+      to 0, as in C. Expressions inside inactive regions are not
+      evaluated. A condition that cannot be evaluated — a lex or parse
+      error, division or modulo by zero, any other construct — degrades
+      to false with one {!Diag.warnf} warning at the directive's line
       instead of raising, so one bad [#if] cannot kill the translation
       unit;
     - [#include "file"] through a caller-supplied resolver;

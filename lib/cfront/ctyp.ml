@@ -72,11 +72,9 @@ let rec pp ppf = function
 let to_string t = Format.asprintf "%a" pp t
 
 let is_pointer = function Ptr _ | Array _ -> true | _ -> false
-let is_integer = function Int _ | Enum _ -> true | _ -> false
 
 let is_scalar = function
   | Int _ | Float _ | Enum _ | Ptr _ | Array _ -> true
   | Void | Func _ | Struct _ | Union _ | Named _ | Unknown -> false
 
-let is_function = function Func _ -> true | _ -> false
 let pointee = function Ptr t -> t | Array (t, _) -> t | _ -> Unknown

@@ -39,8 +39,6 @@ val is_pointer : t -> bool
 val is_scalar : t -> bool
 (** Integers, floats, enums, and pointers. *)
 
-val is_integer : t -> bool
-val is_function : t -> bool
 
 val pointee : t -> t
 (** [pointee (Ptr t)] is [t]; [Unknown] otherwise. *)

@@ -98,9 +98,7 @@ let enter_function env (f : Cast.fundef) =
 
 let lookup_var env n = Smap.find_opt n env.vars
 let lookup_global_info env n = Smap.find_opt n env.globals_meta
-let lookup_fields env n = Smap.find_opt n env.fields
 let lookup_function env n = Smap.find_opt n env.funcs
-let lookup_fundef env n = Smap.find_opt n env.defs
 let fundefs env = List.map snd (Smap.bindings env.defs)
 
 let field_type env composite fname =

@@ -31,11 +31,9 @@ val lookup_global_info : env -> string -> (string * bool) option
 (** For file-scope rules (Section 6.1): [(defining_file, is_static)] for a
     global variable, [None] for locals/unknowns. *)
 
-val lookup_fields : env -> string -> (string * Ctyp.t) list option
 val lookup_function : env -> string -> Ctyp.t option
 (** Type of a named function ([Ctyp.Func _]), if declared or defined. *)
 
-val lookup_fundef : env -> string -> Cast.fundef option
 val fundefs : env -> Cast.fundef list
 
 val type_of_expr : env -> Cast.expr -> Ctyp.t

@@ -1,11 +1,9 @@
 let mutex = Mutex.create ()
 let sink : (string -> unit) ref = ref prerr_endline
-let count = Atomic.make 0
 
 let warnf fmt =
   Printf.ksprintf
     (fun s ->
-      Atomic.incr count;
       let line = "xgcc: warning: " ^ s in
       Mutex.protect mutex (fun () -> !sink line))
     fmt
@@ -19,6 +17,3 @@ let with_sink s body =
   Fun.protect
     ~finally:(fun () -> Mutex.protect mutex (fun () -> sink := old))
     body
-
-let warnings_emitted () = Atomic.get count
-let reset_count () = Atomic.set count 0

@@ -26,9 +26,3 @@ val with_sink : (string -> unit) -> (unit -> 'a) -> 'a
     mid-swap. The serve daemon uses this to give each request its own
     diagnostic buffer instead of leaking warnings into a concurrent
     request's reply. *)
-
-val warnings_emitted : unit -> int
-(** Warnings emitted through {!warnf} since the last {!reset_count} —
-    process-local observability for [--stats]. *)
-
-val reset_count : unit -> unit

@@ -20,5 +20,3 @@ val of_string : ?salt:string -> string -> t
 val combine : t list -> t
 (** Hash of an ordered list of fingerprints (order-sensitive). *)
 
-val short : t -> string
-(** First 8 hex characters, for human-facing disambiguation suffixes. *)

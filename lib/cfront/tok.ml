@@ -222,4 +222,3 @@ let to_string = function
   | FAT_ARROW -> "==>"
   | EOF -> "<eof>"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)

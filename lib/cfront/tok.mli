@@ -93,8 +93,6 @@ type t =
   | FAT_ARROW  (** "==>" *)
   | EOF
 
-val pp : Format.formatter -> t -> unit
-
 val to_string : t -> string
 (** Human-readable rendering for parser error messages. *)
 

@@ -37,4 +37,3 @@ let matches env t (e : Cast.expr) =
          refuse expressions the light typer cannot classify *)
       match got with Ctyp.Unknown -> true | _ -> false)
 
-let pp ppf t = Format.pp_print_string ppf (name t)

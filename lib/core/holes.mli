@@ -31,5 +31,3 @@ val matches : Ctyping.env -> t -> Cast.expr -> bool
 (** Can this expression fill the hole? [Any_arguments] always answers
     [false] here — argument-list holes are handled structurally by the
     pattern matcher, not per-expression. *)
-
-val pp : Format.formatter -> t -> unit

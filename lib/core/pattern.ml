@@ -59,8 +59,6 @@ let rec can_match_end_of_path = function
   | Pand (a, b) -> can_match_end_of_path a && can_match_end_of_path b
   | Por (a, b) -> can_match_end_of_path a || can_match_end_of_path b
 
-let expr_of_fragment ~holes:_ text = Cparse.expr_of_string ~file:"<pattern>" text
-
 (* ------------------------------------------------------------------ *)
 (* Structural matching with holes                                      *)
 (* ------------------------------------------------------------------ *)

@@ -55,10 +55,6 @@ val can_match_end_of_path : t -> bool
 (** Could the pattern ever match [At_end_of_path]? Base expression
     patterns cannot; callouts conservatively can. *)
 
-val expr_of_fragment : holes:(string * Holes.t) list -> string -> Cast.expr
-(** Parse the text of a base pattern fragment. Hole identifiers are ordinary
-    identifiers in the fragment. Raises {!Cparse.Parse_error} on bad input. *)
-
 val eval_callout : Callout.ctx -> bindings -> Cast.expr -> Callout.value
 (** Evaluate a callout body; exposed for the action interpreter. *)
 

@@ -294,8 +294,6 @@ let iter_edges f t =
   done
 
 let no_edges t = t.elen = 0
-let transitions t = List.filter (fun e -> e.e_kind = Transition) (edges t)
-let adds t = List.filter (fun e -> e.e_kind = Add) (edges t)
 let mem_src t tup = mem_sid t (tuple_id t tup)
 let add_src t tup = add_sid t (tuple_id t tup)
 let mem_src_instance t ~ids ~gstate i = mem_sid t (instance_tuple_id t ~ids ~gstate i)

@@ -93,8 +93,6 @@ val iter_edges : (edge -> unit) -> t -> unit
 val no_edges : t -> bool
 (** [edges t = []] without building the list. *)
 
-val transitions : t -> edge list
-val adds : t -> edge list
 val mem_src : t -> tuple -> bool
 val add_src : t -> tuple -> unit
 (** Record a tuple as having reached this block (the cache of Section 5.2). *)

@@ -1,0 +1,37 @@
+(** The pass-1 front end (Section 6) every subcommand loads through.
+
+    A [.mcast] input is an AST object emitted by [xgcc emit]; anything
+    else is C source, preprocessed when a cpp configuration is given and
+    then parsed, through the content-addressed AST object cache when a
+    cache directory is given, so a warm run skips lexing and parsing. A
+    loader is a value built from the command line's [--cpp]/[-D]/[-I]
+    and [--cache-dir]/[--no-cache-persist] flags; batch [check] and the
+    [serve] daemon hand {!parse} to {!Pass} as its front end. *)
+
+type t
+
+val create :
+  ?cpp:(string * string) list * string list -> ?ast_cache:string * bool -> unit -> t
+(** [cpp]: the predefined macros ([("NAME", "body")]) and the include
+    directories searched after ["."]; without it nothing is
+    preprocessed. [ast_cache]: the cache directory, and whether new AST
+    objects are written back to it. *)
+
+val parse : t -> path:string -> source:string -> (Cast.tunit, string) result
+(** Load one unit from its path and text. [path] names the unit and picks
+    the format; nothing here reads it, so the daemon passes editor
+    overlays as [source]. A unit that cannot be loaded at all (a corrupt
+    [.mcast], a lexical error, a structural cpp error) is an [Error];
+    definition-level parse errors never are: the parser recovers in
+    place and records {!Cast.Gskipped} stubs, which [Supergraph.build]
+    warns about. *)
+
+val load : t -> string -> Cast.tunit
+(** Read and {!parse} one file, raising [Failure "FILE: message"] when it
+    cannot be loaded: [emit], [dump-cfg], [dump-summaries] and [triage]
+    stop at such a file. Safe to call from several domains at once. *)
+
+val record_ast_counts : t -> Summary_store.t -> unit
+(** Copy the AST object cache's hit and miss counts into the store's
+    statistics and re-save its last-run record, so [xgcc cache stats]
+    sees them (the engine saved its own counters before). *)

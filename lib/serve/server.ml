@@ -1,4 +1,4 @@
-type config = {
+type config = Pass.config = {
   c_files : string list;
   c_parse : path:string -> source:string -> (Cast.tunit, string) result;
   c_exts : Sm.t list;
@@ -10,11 +10,7 @@ type config = {
 
 type t = {
   cfg : config;
-  watch : Watch.t;
-  (* pass-1 AST cache: path -> (fingerprint of the source it was parsed
-     from, AST). Unchanged files keep their parsed object across
-     re-checks, so an edit re-parses exactly one file. *)
-  asts : (string, Fingerprint.t * Cast.tunit) Hashtbl.t;
+  pass : Pass.t;
   mutable dirty : bool;
   mutable last : (string * int) option;  (* diagnostics bytes, report count *)
   mutable n_checks : int;
@@ -35,14 +31,17 @@ type check_out = {
 }
 
 let create cfg =
-  match Watch.create cfg.c_files with
-  | Error msg -> Error msg
-  | Ok watch ->
+  let pass = Pass.create cfg in
+  let unreadable (f : Watch.file) =
+    Option.map (fun msg -> f.Watch.w_path ^ ": " ^ msg) f.Watch.w_error
+  in
+  match List.find_map unreadable (Watch.files (Pass.watch pass)) with
+  | Some msg -> Error msg
+  | None ->
       Ok
         {
           cfg;
-          watch;
-          asts = Hashtbl.create 64;
+          pass;
           dirty = true;
           last = None;
           n_checks = 0;
@@ -52,80 +51,40 @@ let create cfg =
           last_recheck_s = 0.;
         }
 
-let rank_reports cfg (result : Engine.result) =
-  match cfg.c_rank with
-  | "stat" -> Rank.statistical_sort ~counters:result.Engine.counters result.Engine.reports
-  | "none" -> result.Engine.reports
-  | _ -> Rank.generic_sort result.Engine.reports
-
-(* One full warm re-check: revalidate disk snapshots, re-parse only
-   changed files, rebuild the supergraph over the held ASTs, and drive
-   the engine through the (memory-backed) store. Every Diag warning the
-   run emits — including ones raised on worker domains — is captured
-   into this request's reply instead of a shared stderr. *)
+(* One full warm re-check: revalidate disk snapshots, then the analysis
+   pass batch check runs (re-parsing only changed files, over the
+   memory-backed store), rendered as a cold [check --format json] would
+   print it. Every Diag warning the pass emits — including ones raised on
+   worker domains — is captured into this request's reply instead of a
+   shared stderr. *)
 let recheck t =
   let warnings = ref [] in
   Diag.with_sink
     (fun line -> warnings := line :: !warnings)
     (fun () ->
       let t0 = Unix.gettimeofday () in
-      let _changed, missing = Watch.revalidate t.watch in
+      let _changed, missing = Watch.revalidate (Pass.watch t.pass) in
       List.iter
         (fun p -> Diag.warnf "%s: vanished from disk; analysing last good snapshot" p)
         missing;
-      let tus =
-        List.filter_map
-          (fun (f : Watch.file) ->
-            match Hashtbl.find_opt t.asts f.Watch.w_path with
-            | Some (fp, tu) when String.equal fp f.Watch.w_fp -> Some tu
-            | _ -> (
-                match t.cfg.c_parse ~path:f.Watch.w_path ~source:f.Watch.w_src with
-                | Ok tu ->
-                    Hashtbl.replace t.asts f.Watch.w_path (f.Watch.w_fp, tu);
-                    Some tu
-                | Error msg ->
-                    Hashtbl.remove t.asts f.Watch.w_path;
-                    Diag.warnf "%s: skipping entire file: %s" f.Watch.w_path msg;
-                    None))
-          (Watch.files t.watch)
-      in
-      let sg = Supergraph.build tus in
-      (match t.cfg.c_store with
-      | Some s -> Summary_store.reset_stats s
-      | None -> ());
-      let result =
-        Engine.run ~options:t.cfg.c_options ~jobs:t.cfg.c_jobs
-          ?cache:t.cfg.c_store sg t.cfg.c_exts
-      in
-      List.iter
-        (fun (d : Engine.degraded) ->
-          Diag.warnf "analysis of root %s degraded: %s" d.Engine.d_root
-            d.Engine.d_reason)
-        result.Engine.degraded;
-      (* a file rewritten while the engine was running means these results
-         mix AST generations: degrade the affected roots loudly and stay
-         dirty so the next check recomputes from the new contents *)
-      let drifted = Watch.drifted t.watch in
-      List.iter
-        (fun root ->
-          Diag.warnf "analysis of root %s degraded: source file changed on disk during the run"
-            root)
-        (Watch.stale_roots sg drifted);
-      t.dirty <- drifted <> [];
-      let ranked = rank_reports t.cfg result in
-      let diagnostics = Json_out.reports_to_string ranked in
+      let p = Pass.run t.pass in
+      (* drifted files stay dirty: the next check recomputes from the
+         new contents *)
+      t.dirty <- p.Pass.drifted <> [];
+      let diagnostics = Json_out.reports_to_string p.Pass.ranked in
+      let n = List.length p.Pass.ranked in
       let dt = Unix.gettimeofday () -. t0 in
       t.n_rechecks <- t.n_rechecks + 1;
       t.last_recheck_s <- dt;
-      t.last <- Some (diagnostics, List.length ranked);
+      t.last <- Some (diagnostics, n);
       {
         o_diagnostics = diagnostics;
-        o_reports = List.length ranked;
+        o_reports = n;
         o_rechecked = true;
         o_recheck_s = dt;
         o_warnings = List.rev !warnings;
-        o_degraded = List.length result.Engine.degraded;
-        o_drifted = drifted;
+        o_degraded = List.length p.Pass.result.Engine.degraded;
+        o_drifted = p.Pass.drifted;
       })
 
 let check t =
@@ -133,7 +92,7 @@ let check t =
      the analysed snapshots: re-stat and re-hash before serving it, so an
      edit that never announced itself via didChange still forces a
      re-check (the stale-snapshot bug batch mode had) *)
-  let changed, _missing = Watch.revalidate t.watch in
+  let changed, _missing = Watch.revalidate (Pass.watch t.pass) in
   if changed <> [] then t.dirty <- true;
   match t.last with
   | Some (diagnostics, n) when not t.dirty ->
@@ -236,7 +195,7 @@ let handle_request t ~more_pending (req : Proto.request) =
       (diagnostics_reply t (check t), false)
   | Proto.Did_change { path; text } -> (
       t.n_edits <- t.n_edits + 1;
-      match Watch.set_overlay t.watch ~path ~text with
+      match Watch.set_overlay (Pass.watch t.pass) ~path ~text with
       | Error msg -> (Proto.error_response msg, false)
       | Ok changed ->
           if changed then t.dirty <- true;

@@ -4,12 +4,13 @@
     rebuilds from scratch hot in memory: pass-1 ASTs, the supergraph's
     [Exprid]/[Flat] tables (rebuilt cheaply per re-check from the held
     ASTs), compiled dispatch, and the two-level summary store (opened
-    with [memory:true], so warm probes never touch disk). A one-file
+    with [memory:true], so warm probes never touch disk). Each re-check
+    is the analysis pass batch [check] runs ({!Pass.run}): a one-file
     edit re-fingerprints and re-parses only that file and drives
-    [Engine.run] through the existing early-cutoff machinery; the
-    diagnostics it replies with are byte-identical to a cold
-    [xgcc check --format json] of the same tree — the engine's replay
-    discipline guarantees it, and the test suite and CI assert it.
+    [Engine.run] through the early-cutoff machinery. So the diagnostics
+    and warnings a re-check replies with are, by construction, what a
+    cold [xgcc check --format json] of the same tree prints on stdout
+    and stderr; the test suite and CI assert it.
 
     Requests arrive as newline-delimited JSON ({!Proto}) on stdin or a
     Unix socket. Rapid successive edits coalesce: while another complete
@@ -17,18 +18,17 @@
     overlay and replies [queued]; the single re-check happens when the
     storm drains. Nothing waits for a line that has not arrived. *)
 
-type config = {
-  c_files : string list;  (** analysis inputs, in batch-run order *)
+(** The daemon's analysis pass ({!Pass.config}). Open [c_store] with
+    [memory:true] ({!Pass.open_store}); [persist] additionally writes
+    entries back so a later batch run or daemon restart starts warm. *)
+type config = Pass.config = {
+  c_files : string list;
   c_parse : path:string -> source:string -> (Cast.tunit, string) result;
-      (** pass-1 front end (preprocessing included), fault-contained:
-          an [Error] skips the file with a warning, like batch mode *)
   c_exts : Sm.t list;
   c_options : Engine.options;
   c_jobs : int;
   c_store : Summary_store.t option;
-      (** open with [memory:true]; [persist] additionally writes entries
-          back so a later batch run or daemon restart starts warm *)
-  c_rank : string;  (** ["generic"] (default ranking), ["stat"], ["none"] *)
+  c_rank : string;
 }
 
 type t
@@ -48,7 +48,8 @@ type check_out = {
 }
 
 val create : config -> (t, string) result
-(** Read and fingerprint the corpus. Fails if any input is unreadable. *)
+(** Read and fingerprint the corpus. Fails if any input is unreadable: a
+    daemon serving a partial tree would lie to every request. *)
 
 val check : t -> check_out
 (** Re-check if anything changed since the last clean result, else

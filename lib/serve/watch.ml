@@ -3,6 +3,7 @@ type file = {
   mutable w_src : string;
   mutable w_fp : Fingerprint.t;
   mutable w_overlay : bool;
+  mutable w_error : string option;
 }
 
 type t = { files : file array; by_path : (string, file) Hashtbl.t }
@@ -16,23 +17,38 @@ let read_file path =
 let fp_of source = Fingerprint.of_string source
 
 let create paths =
-  match
-    List.map
-      (fun p ->
-        match read_file p with
-        | src -> { w_path = p; w_src = src; w_fp = fp_of src; w_overlay = false }
-        | exception Sys_error msg -> raise (Failure (p ^ ": " ^ msg)))
-      paths
-  with
-  | files ->
-      let t =
-        { files = Array.of_list files; by_path = Hashtbl.create (List.length paths) }
-      in
-      Array.iter (fun f -> Hashtbl.replace t.by_path f.w_path f) t.files;
-      Ok t
-  | exception Failure msg -> Error msg
+  let snapshot p =
+    let file src w_error =
+      { w_path = p; w_src = src; w_fp = fp_of src; w_overlay = false; w_error }
+    in
+    match read_file p with
+    | src -> file src None
+    | exception Sys_error msg -> file "" (Some msg)
+  in
+  let t =
+    {
+      files = Array.of_list (List.map snapshot paths);
+      by_path = Hashtbl.create (List.length paths);
+    }
+  in
+  Array.iter (fun f -> Hashtbl.replace t.by_path f.w_path f) t.files;
+  t
 
 let files t = Array.to_list t.files
+
+(* Do contents with fingerprint [fp] differ from the snapshot's (which
+   has none when the file could not be read)? *)
+let differs f fp = f.w_error <> None || not (String.equal fp f.w_fp)
+
+(* Install new contents; true when they differ from the snapshot's. *)
+let update f src =
+  let fp = fp_of src in
+  let changed = differs f fp in
+  f.w_src <- src;
+  f.w_fp <- fp;
+  f.w_error <- None;
+  changed
+
 let find t path = Hashtbl.find_opt t.by_path path
 
 let set_overlay t ~path ~text =
@@ -41,21 +57,12 @@ let set_overlay t ~path ~text =
   | Some f -> (
       match text with
       | Some src ->
-          let fp = fp_of src in
-          let changed = not (String.equal fp f.w_fp) in
-          f.w_src <- src;
-          f.w_fp <- fp;
           f.w_overlay <- true;
-          Ok changed
+          Ok (update f src)
       | None -> (
           f.w_overlay <- false;
           match read_file path with
-          | src ->
-              let fp = fp_of src in
-              let changed = not (String.equal fp f.w_fp) in
-              f.w_src <- src;
-              f.w_fp <- fp;
-              Ok changed
+          | src -> Ok (update f src)
           | exception Sys_error msg ->
               (* keep the last good snapshot: the daemon stays serving *)
               Error (Printf.sprintf "%s: cannot re-read: %s" path msg)))
@@ -72,28 +79,23 @@ let revalidate t =
         if not (Sys.file_exists f.w_path) then missing := f.w_path :: !missing
         else
           match read_file f.w_path with
-          | src ->
-              let fp = fp_of src in
-              if not (String.equal fp f.w_fp) then begin
-                f.w_src <- src;
-                f.w_fp <- fp;
-                changed := f.w_path :: !changed
-              end
+          | src -> if update f src then changed := f.w_path :: !changed
           | exception Sys_error _ -> missing := f.w_path :: !missing)
     t.files;
   (List.rev !changed, List.rev !missing)
 
 (* Post-run drift detection: which disk-backed files no longer match the
    snapshot the run analysed? Read-only — the next revalidate picks the
-   new contents up; this only tells the caller which results to degrade. *)
+   new contents up; this only tells the caller which results to degrade.
+   A file unreadable at the snapshot drifts only once it can be read. *)
 let drifted t =
   let out = ref [] in
   Array.iter
     (fun f ->
       if not f.w_overlay then
         match read_file f.w_path with
-        | src -> if not (String.equal (fp_of src) f.w_fp) then out := f.w_path :: !out
-        | exception Sys_error _ -> out := f.w_path :: !out)
+        | src -> if differs f (fp_of src) then out := f.w_path :: !out
+        | exception Sys_error _ -> if f.w_error = None then out := f.w_path :: !out)
     t.files;
   List.rev !out
 

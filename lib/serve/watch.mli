@@ -11,14 +11,18 @@ type file = {
   mutable w_src : string;  (** contents the next run will analyse *)
   mutable w_fp : Fingerprint.t;  (** fingerprint of [w_src] *)
   mutable w_overlay : bool;  (** true: [w_src] came from [didChange] *)
+  mutable w_error : string option;
+      (** [Some msg]: the file could not be read when the snapshot was
+          taken (the [Sys_error] message), and has had no contents since *)
 }
 
 type t
 
-val create : string list -> (t, string) result
-(** Read and fingerprint every file. Any unreadable file fails the whole
-    startup — a daemon serving a partial tree would lie to every
-    request. *)
+val create : string list -> t
+(** Read and fingerprint every file. An unreadable one is recorded in
+    its [w_error], not fatal: batch [check] skips it with a warning, and
+    [Server.create] refuses to start (a daemon serving a partial tree
+    would lie to every request). *)
 
 val files : t -> file list
 (** In the order given to {!create} — the analysis input order, which
@@ -40,7 +44,8 @@ val revalidate : t -> string list * string list
 val drifted : t -> string list
 (** Disk-backed files whose on-disk contents no longer match the
     snapshot just analysed (read-only check, run {e after} an analysis
-    to detect mid-run edits). Unreadable counts as drifted. *)
+    to detect mid-run edits). A file that cannot be read counts as
+    drifted, unless it could not be read at the snapshot either. *)
 
 val stale_roots : Supergraph.t -> string list -> string list
 (** Callgraph roots whose transitive closure defines a function in one

@@ -9,6 +9,58 @@ let contains hay needle =
   let rec go i = i + m <= n && (String.equal (String.sub hay i m) needle || go (i + 1)) in
   go 0
 
+(* Run [f], returning its result and the warnings it emitted. *)
+let with_warnings f =
+  let warns = ref [] in
+  let out = Diag.with_sink (fun w -> warns := w :: !warns) f in
+  (out, List.rev !warns)
+
+(* [#if COND] guarding one line, with no warning either way *)
+let taken cond =
+  let src = Printf.sprintf "#if %s\nint guarded;\n#endif" cond in
+  let out, warns = with_warnings (fun () -> pp src) in
+  Alcotest.(check (list string)) ("no warning for " ^ cond) [] warns;
+  contains out "int guarded;"
+
+(* Random [#if] conditions: well-formed expressions over numbers, char
+   literals, macros and every operator, and unstructured token runs. *)
+let if_condition_gen =
+  let open QCheck2.Gen in
+  let atom =
+    oneofl
+      [ "0"; "1"; "2"; "7"; "010"; "0x1F"; "42u"; "3L"; "'A'"; "'\\n'"; "'\\x41'";
+        "'\\101'"; "'\\0'"; "FOO"; "BAR"; "defined(FOO)"; "defined BAR"; "TWICE(2)" ]
+  in
+  let binop =
+    oneofl
+      [ "+"; "-"; "*"; "/"; "%"; "<<"; ">>"; "<"; ">"; "<="; ">="; "=="; "!="; "&"; "^";
+        "|"; "&&"; "||" ]
+  in
+  let unop = oneofl [ "-"; "+"; "!"; "~" ] in
+  let expr =
+    fix (fun self n ->
+        if n = 0 then atom
+        else
+          frequency
+            [
+              (1, atom);
+              (3, map3 (Printf.sprintf "(%s %s %s)") (self (n / 2)) binop (self (n / 2)));
+              (1, map2 ( ^ ) unop (self (n - 1)));
+              ( 1,
+                map3 (Printf.sprintf "%s ? %s : %s") (self (n / 3)) (self (n / 3))
+                  (self (n / 3)) );
+            ])
+  in
+  let junk =
+    oneofl
+      [ "("; ")"; "?"; ":"; ","; "'"; "'ab'"; "99999999999999999999"; "1.5"; "\"s\""; "=";
+        "sizeof"; "int"; "defined"; "//"; "/*" ]
+  in
+  let tokens =
+    map (String.concat " ") (list_size (int_range 0 10) (oneof [ atom; binop; unop; junk ]))
+  in
+  frequency [ (2, sized_size (int_bound 8) expr); (1, tokens) ]
+
 let suite =
   [
     t "object-like macro expands" `Quick (fun () ->
@@ -279,4 +331,29 @@ let suite =
           (contains (bad "#if (1\nint x;\n#endif") "t.c:1");
         Alcotest.(check bool) "empty expr on line 2" true
           (contains (bad "int y;\n#if\nint x;\n#endif") "t.c:2"));
+    (* --- #if through the C expression grammar ------------------------- *)
+    t "#if reads octal literals as C does" `Quick (fun () ->
+        Alcotest.(check bool) "010 is 8" true (taken "010 == 8"));
+    t "#if reads hex and octal character escapes" `Quick (fun () ->
+        Alcotest.(check bool) "escapes" true (taken "'\\x41' == 65 && '\\101' == 65"));
+    t "#if evaluates the conditional operator" `Quick (fun () ->
+        Alcotest.(check bool) "true arm" true (taken "1 ? 1 : 0");
+        Alcotest.(check bool) "false arm" false (taken "0 ? 1 : 0"));
+    t "#if && and || short-circuit" `Quick (fun () ->
+        Alcotest.(check bool) "1 || 1/0 taken" true (taken "1 || 1/0");
+        Alcotest.(check bool) "0 && 1/0 not taken" false (taken "0 && 1/0"));
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick
+      ~rand:(Random.State.make [| 24 |])
+      (QCheck2.Test.make ~name:"random #if lines never raise and warn at most once"
+         ~count:500 ~print:Fun.id if_condition_gen (fun cond ->
+           let src =
+             Printf.sprintf
+               "#define FOO 3\n#define TWICE(x) ((x) * 2)\n#if %s\nint guarded;\n#endif\n"
+               cond
+           in
+           let out, warns = with_warnings (fun () -> Cpp.preprocess ~file:"q.c" src) in
+           match warns with
+           | [] -> true
+           | [ _ ] -> not (contains out "int guarded;")
+           | _ -> false));
   ]

@@ -319,7 +319,7 @@ let midrun_drift_detection () =
   let _dir, a, b = mk_corpus () in
   (* Watch-level: a file rewritten after the snapshot is reported by
      drifted (read-only) and its roots are the ones to degrade *)
-  let w = match Watch.create [ a; b ] with Ok w -> w | Error m -> Alcotest.fail m in
+  let w = Watch.create [ a; b ] in
   Alcotest.(check (list string)) "no drift initially" [] (Watch.drifted w);
   write_file a a_src_buggy;
   Alcotest.(check (list string)) "rewritten file drifts" [ a ] (Watch.drifted w);
@@ -408,6 +408,98 @@ let with_sink_restores () =
     (fun () -> Diag.warnf "outside");
   Alcotest.(check int) "sink restored after exception" 1 (List.length !after)
 
+(* Batch [check] and the daemon run one analysis pass: over a tree with
+   an unlexable file, an unparseable definition and a root past its node
+   budget, the batch pass and a server session give the same
+   diagnostics and the same warning lines, in the same order. *)
+let batch_daemon_parity () =
+  let dir = fresh_dir () in
+  let file name src =
+    let p = Filename.concat dir name in
+    write_file p src;
+    p
+  in
+  let good = file "good.c" a_src in
+  let unlexable =
+    file "unlexable.c" "int lexbad(void) { return 0; } /* unterminated\n"
+  in
+  let broken =
+    file "broken.c" "int oops(void) { return }\nint g(int *q) { kfree(q); return *q; }\n"
+  in
+  let heavy =
+    file "heavy.c"
+      ("int heavy(int *p, int x) {\n  int y = 0;\n  kfree(p);\n"
+      ^ String.concat ""
+          (List.init 12 (fun i -> Printf.sprintf "  if (x > %d) y = y + %d;\n" i i))
+      ^ "  return *p + y;\n}\n")
+  in
+  let cfg files =
+    {
+      Pass.c_files = files;
+      c_parse = parse;
+      c_exts = [ Free_checker.checker () ];
+      c_options = { options with Engine.max_nodes_per_root = 100 };
+      c_jobs = 1;
+      c_store = None;
+      c_rank = "generic";
+    }
+  in
+  let batch files =
+    let warnings = ref [] in
+    let p =
+      Diag.with_sink
+        (fun w -> warnings := w :: !warnings)
+        (fun () -> Pass.run (Pass.create (cfg files)))
+    in
+    (p, List.rev !warnings)
+  in
+  let files = [ good; unlexable; broken; heavy ] in
+  let p, warnings = batch files in
+  let server =
+    match Server.create (cfg files) with Ok s -> s | Error msg -> Alcotest.fail msg
+  in
+  let o = Server.check server in
+  Alcotest.(check string) "same diagnostics"
+    (Json_out.reports_to_string p.Pass.ranked) o.Server.o_diagnostics;
+  Alcotest.(check (list string)) "same warning lines" warnings o.Server.o_warnings;
+  let has needle =
+    List.exists
+      (fun w ->
+        let n = String.length w and m = String.length needle in
+        let rec go i =
+          i + m <= n && (String.equal (String.sub w i m) needle || go (i + 1))
+        in
+        go 0)
+      warnings
+  in
+  Alcotest.(check bool) "unlexable file skipped" true
+    (has "unlexable.c: skipping entire file");
+  Alcotest.(check bool) "unparseable definition skipped" true
+    (has "skipped unparseable definition 'oops'");
+  Alcotest.(check bool) "heavy root degraded" true
+    (has "analysis of root heavy degraded: node budget of 100 exhausted");
+  Alcotest.(check (list int)) "fault counts" [ 1; 1; 1 ]
+    [
+      p.Pass.skipped_files; p.Pass.skipped_defs; List.length p.Pass.result.Engine.degraded;
+    ];
+  (* an unreadable input: check skips it with a warning, the daemon
+     refuses to start *)
+  let missing = Filename.concat dir "missing.c" in
+  let p, warnings = batch [ good; missing ] in
+  Alcotest.(check int) "batch skips the unreadable input" 1 p.Pass.skipped_files;
+  Alcotest.(check bool) "skip warning" true
+    (List.exists
+       (String.starts_with
+          ~prefix:("xgcc: warning: " ^ missing ^ ": skipping entire file"))
+       warnings);
+  Alcotest.(check string) "the readable file still reports" (cold_check [ good ])
+    (Json_out.reports_to_string p.Pass.ranked);
+  match Server.create (cfg [ good; missing ]) with
+  | Ok _ -> Alcotest.fail "server started over an unreadable input"
+  | Error msg ->
+      Alcotest.(check bool) "refusal names the file" true
+        (String.starts_with ~prefix:(missing ^ ": ") msg)
+
 let suite =
   [
     t "json roundtrip and errors" `Quick json_roundtrip;
@@ -422,4 +514,5 @@ let suite =
     t "per-request diag sink" `Quick per_request_diag_sink;
     t "unknown didChange path rejected" `Quick unknown_path_rejected;
     t "with_sink restores on exception" `Quick with_sink_restores;
+    t "batch check and daemon run one pass" `Quick batch_daemon_parity;
   ]
