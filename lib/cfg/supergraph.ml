@@ -5,9 +5,18 @@ type t = {
   tunits : Cast.tunit list;
   flat : Flat.t;
   ids : Exprid.t;
+  body_hashes : (string, Fingerprint.t Lazy.t) Hashtbl.t;
+  positions : Annot_pos.t Lazy.t;
 }
 
-let build tunits =
+(* The digest of a definition's binary AST, salted with the layout
+   version: the own-body part of its cache keys. *)
+let hash_body (f : Cast.fundef) =
+  let b = Wire.writer () in
+  Cast_io.global_to_bin b (Cast.Gfun f);
+  Fingerprint.of_string ~salt:Cast_io.cache_version (Wire.contents b)
+
+let build ?prev tunits =
   (* Parser error recovery leaves [Gskipped] stubs where top-level
      definitions failed to parse. They have no body, so they contribute
      nothing to the CFG table or the callgraph — a call to a skipped name
@@ -59,10 +68,38 @@ let build tunits =
       funcs
   in
   (* One CFG per surviving definition, lowered once and shared by the
-     name-keyed table and the flat tables below. *)
-  let cfg_list = List.map Cfg.of_fundef funcs in
+     name-keyed table and the flat tables below. A definition that is
+     physically the previous supergraph's keeps its CFG and body hash:
+     nothing writes a CFG once it is built, and an AST never changes. *)
+  let carried (f : Cast.fundef) =
+    match prev with
+    | None -> None
+    | Some p -> (
+        match Hashtbl.find_opt p.cfgs f.fname with
+        | Some (cfg : Cfg.t) when cfg.func == f ->
+            Some (cfg, Hashtbl.find p.body_hashes f.fname)
+        | _ -> None)
+  in
   let cfgs = Hashtbl.create 64 in
-  List.iter (fun (cfg : Cfg.t) -> Hashtbl.replace cfgs cfg.Cfg.fname cfg) cfg_list;
+  let body_hashes = Hashtbl.create 64 in
+  let cfg_list =
+    List.map
+      (fun (f : Cast.fundef) ->
+        let cfg, body =
+          match carried f with
+          | Some c -> c
+          | None -> (Cfg.of_fundef f, lazy (hash_body f))
+        in
+        Hashtbl.replace cfgs f.fname cfg;
+        Hashtbl.replace body_hashes f.fname body;
+        cfg)
+      funcs
+  in
+  let prev_positions =
+    match prev with
+    | Some p when Lazy.is_val p.positions -> Some (Lazy.force p.positions)
+    | _ -> None
+  in
   (* The flat tables are computed eagerly so the supergraph stays
      immutable once built — parallel engine workers share it across
      domains. *)
@@ -76,7 +113,12 @@ let build tunits =
     (* like [flat]: computed eagerly, frozen, shared across domains — the
        hash-cons table every traversal resolves instance targets against *)
     ids = Exprid.build ~tunits ~cfgs:cfg_list;
+    body_hashes;
+    positions = lazy (Annot_pos.build ?prev:prev_positions tunits);
   }
+
+let body_hash t name = Option.map Lazy.force (Hashtbl.find_opt t.body_hashes name)
+let positions t = Lazy.force t.positions
 
 let cfg_of t name = Hashtbl.find_opt t.cfgs name
 

@@ -504,8 +504,9 @@ let tunit_of_bin r : Cast.tunit =
    salts every AST object's fingerprint, so every cached object becomes
    unreachable at once. (The engine's body and declaration hashes are
    salted with [cache_version], not this.)
-   mcast-3: the lexer reads octal and hex escapes in literals. *)
-let format_version = "mcast-3"
+   mcast-3: the lexer reads octal and hex escapes in literals.
+   mcast-4: anonymous aggregates are named per unit, not per process. *)
+let format_version = "mcast-4"
 
 (* Version of the binary object layout; salted into the fingerprint
    (together with [format_version]) so a layout change orphans every

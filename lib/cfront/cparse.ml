@@ -6,6 +6,7 @@ type st = {
   typedefs : (string, Ctyp.t) Hashtbl.t;
   enum_consts : (string, int64) Hashtbl.t;
   file : string;
+  mutable anon : int;  (* anonymous aggregates named so far in this unit *)
 }
 
 let make_state ?(typedefs = []) ~file toks =
@@ -16,10 +17,18 @@ let make_state ?(typedefs = []) ~file toks =
       typedefs = Hashtbl.create 16;
       enum_consts = Hashtbl.create 16;
       file;
+      anon = 0;
     }
   in
   List.iter (fun (n, t) -> Hashtbl.replace st.typedefs n t) typedefs;
   st
+
+(* An anonymous struct, union or enum is named by its rank in the unit
+   and the unit's file: unique across units, and a function of the unit's
+   text alone, whatever else the process parsed before. *)
+let anon_name st =
+  st.anon <- st.anon + 1;
+  Printf.sprintf "<anon%d:%s>" st.anon st.file
 
 let cur st = st.toks.(st.idx)
 let cur_tok st = (cur st).Clex.tok
@@ -161,7 +170,7 @@ let rec parse_specifiers st =
           | Tok.IDENT s ->
               advance st;
               s
-          | _ -> Printf.sprintf "<anon%d>" (Cast.fresh_eid ())
+          | _ -> anon_name st
         in
         if cur_tok st = Tok.LBRACE then begin
           advance st;
@@ -190,7 +199,7 @@ let rec parse_specifiers st =
           | Tok.IDENT s ->
               advance st;
               s
-          | _ -> Printf.sprintf "<anon%d>" (Cast.fresh_eid ())
+          | _ -> anon_name st
         in
         if cur_tok st = Tok.LBRACE then begin
           advance st;

@@ -2457,9 +2457,9 @@ let run_roots ?(touched = ignore) ?(on_computed = fun _ _ -> ()) ~pool base
    extension key, so a stamp change orphans results computed by older
    builds instead of silently replaying them — the store's format version
    only guards the entry encoding, not what the engine computed. A change
-   to how entry keys are built ([cache_key]) needs no bump: no key of the
-   old scheme can equal one of the new, so every old entry probes stale,
-   is never replayed, and is rewritten in place. *)
+   to how entry keys are built ({!Summary_store.key}) needs no bump: no
+   key of the old scheme can equal one of the new, so every old entry
+   probes stale, is never replayed, and is rewritten in place. *)
 let analysis_version = "xgcc-analysis-5"
 
 let options_digest (o : options) =
@@ -2528,23 +2528,6 @@ let resolve_annots ~ix annots =
   in
   go [] annots
 
-(* The key of a function or root entry: one digest over length-prefixed
-   fields, so no bytes can shift from one field into the next. A
-   function's [prefix] is its body hash followed by the declarations
-   hash, a root's the declarations hash alone: the lengths differ, so
-   the two kinds never share a key. *)
-let cache_key ~prefix ~misc ~groups ~contents =
-  let b = Wire.writer () in
-  let pair b (name, h) =
-    Wire.string b name;
-    Wire.string b h
-  in
-  Wire.string b prefix;
-  Wire.string b misc;
-  Wire.list b pair groups;
-  Wire.list b pair contents;
-  Fingerprint.of_string (Wire.contents b)
-
 (* What the keys of every extension share, computed once per cached run. *)
 type fn_probe = {
   pr_fn : string;
@@ -2554,7 +2537,7 @@ type fn_probe = {
 }
 
 type key_plan = {
-  body_hashes : (string, Fingerprint.t) Hashtbl.t;  (* every defined function *)
+  body_hashes : (string, Fingerprint.t) Hashtbl.t;  (* every function of the callgraph *)
   decls_hash : Fingerprint.t;
   probes : fn_probe array;
       (* the acyclic functions bottom-up, by (height, name): every
@@ -2570,11 +2553,8 @@ let key_plan sg =
   List.iter
     (fun f ->
       Hashtbl.replace body_hashes f
-        (match Supergraph.cfg_of sg f with
-        | Some (cfg : Cfg.t) ->
-            let b = Wire.writer () in
-            Cast_io.global_to_bin b (Cast.Gfun cfg.func);
-            Fingerprint.of_string ~salt:Cast_io.cache_version (Wire.contents b)
+        (match Supergraph.body_hash sg f with
+        | Some h -> h
         | None -> Fingerprint.of_string f))
     (Callgraph.functions cg);
   (* Analysis output depends on more than function bodies: typedefs,
@@ -2646,7 +2626,7 @@ let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups base (ext : Sm.
      closure can observe ({!Annot_pos}), as of this extension's boundary. *)
   let misc = Annot_pos.misc_hash groups in
   let key prefix closure contents =
-    cache_key ~prefix ~misc
+    Summary_store.key ~prefix ~misc
       ~groups:
         (List.filter_map
            (fun d -> Option.map (fun h -> (d, h)) (Annot_pos.group_hash groups d))
@@ -2804,10 +2784,10 @@ let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups base (ext : Sm.
      entry would replay as "this root is clean" on the next warm run. *)
   let store_computed i o =
     if Summary_store.persist store && o.o_degraded = [] then
-      Summary_store.store_root store ~ext:ext_key
+      Summary_store.store_root store ~ext:ext_key ~key:keys.(i)
         {
           Summary_store.r_root = roots.(i);
-          r_key = keys.(i);
+          r_key = Summary_store.digest store keys.(i);
           r_reports = o.o_reports;
           r_counters =
             List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) o.o_counters;
@@ -2832,10 +2812,11 @@ let with_run_pool ~jobs f =
 let run_cached ?options ?observe ~jobs store sg exts =
   let rctx = new_rctx ?options sg in
   let plan = key_plan sg in
-  (* positions and annotation-group hashes, kept for the whole run: each
-     merge reports the nodes it re-tags, and each boundary re-hashes only
-     their groups *)
-  let ix = Annot_pos.build sg.Supergraph.tunits in
+  (* positions (kept with the supergraph, so a daemon's next pass reuses
+     those of unchanged definitions) and annotation-group hashes, kept
+     for the whole run: each merge reports the nodes it re-tags, and each
+     boundary re-hashes only their groups *)
+  let ix = Supergraph.positions sg in
   let groups =
     Annot_pos.groups ix
       ~is_group:(Callgraph.is_defined sg.Supergraph.callgraph)

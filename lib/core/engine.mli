@@ -128,23 +128,6 @@ val options_digest : options -> string
     {!analysis_version} and folded into persistent cache keys (an option
     or engine-semantics change must invalidate cached results). *)
 
-val cache_key :
-  prefix:string ->
-  misc:Fingerprint.t ->
-  groups:(string * Fingerprint.t) list ->
-  contents:(string * Fingerprint.t) list ->
-  Fingerprint.t
-(** The key of a function-summary or root entry of a persistent cache:
-    one digest over [prefix], the misc annotation-group hash, the
-    [(name, group hash)] pair of each closure member that has an
-    annotation group ({!Annot_pos.group_hash}) and the [(name, content
-    hash)] pairs of [contents], each field length-prefixed. A function
-    key's [prefix] is its body hash followed by the declarations hash,
-    and its [contents] are its callees; a root key's [prefix] is the
-    declarations hash alone, and its [contents] are its whole closure.
-    The cached driver computes each function's prefix, callees and probe
-    order once per run, and one key per entry and extension. *)
-
 val run :
   ?options:options ->
   ?jobs:int ->

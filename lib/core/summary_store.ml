@@ -11,6 +11,7 @@ type stats = {
   mutable roots_salvaged : int;
   mutable packs_read : int;
   mutable packs_written : int;
+  mutable keys_computed : int;
 }
 
 type fn_entry = {
@@ -32,15 +33,57 @@ type root_entry = {
   r_stats : int list;
 }
 
+(* The inputs of an entry key, and its digest, computed on first use
+   ([""] until then: no digest is empty). A key read back from a pack has
+   no inputs ([known] false). The encoding below is injective (every
+   field length-prefixed), so two keys with inputs are equal exactly when
+   their inputs are. *)
+type key = {
+  known : bool;
+  prefix : string;
+  misc : Fingerprint.t;
+  groups : (string * Fingerprint.t) list;
+  contents : (string * Fingerprint.t) list;
+  mutable digest : Fingerprint.t;
+}
+
+let cache_key k =
+  let b = Wire.writer () in
+  let pair b (name, h) =
+    Wire.string b name;
+    Wire.string b h
+  in
+  Wire.string b k.prefix;
+  Wire.string b k.misc;
+  Wire.list b pair k.groups;
+  Wire.list b pair k.contents;
+  Fingerprint.of_string (Wire.contents b)
+
+let key ~prefix ~misc ~groups ~contents =
+  { known = true; prefix; misc; groups; contents; digest = "" }
+
+let key_of_digest d =
+  { known = false; prefix = ""; misc = ""; groups = []; contents = []; digest = d }
+
+let same_pairs = List.equal (fun (a, h) (b, k) -> String.equal a b && String.equal h k)
+
+let same_inputs a b =
+  String.equal a.prefix b.prefix && String.equal a.misc b.misc
+  && same_pairs a.groups b.groups && same_pairs a.contents b.contents
+
 (* One entry as the store holds it. The header (key, and for function
    entries the summary content hash) is decoded when its pack is read;
    the body stays encoded until something needs it. [frame] is the body's
    bytes inside a pack (read from disk, or written by this process);
    [value] is the decoded body, [Some] from the start for an entry stored
    by this process — so a store that never writes a pack never encodes
-   anything. At least one of the two is always set. *)
+   anything. At least one of the two is always set. [inputs] are the
+   inputs [key] was digested from, when a [memory] store knows them: set
+   when the entry is stored, or when a probe with inputs matched a key
+   read from a pack. *)
 type 'v slot = {
   key : Fingerprint.t;
+  mutable inputs : key option;
   content : Fingerprint.t;  (* "" for root entries *)
   mutable frame : (string * int * int) option;  (* source, offset, length *)
   mutable value : 'v option;
@@ -116,6 +159,7 @@ let create ~dir ?(persist = true) ?(memory = false) ~ext_keys () =
         roots_salvaged = 0;
         packs_read = 0;
         packs_written = 0;
+        keys_computed = 0;
       };
   }
 
@@ -158,7 +202,29 @@ let reset_stats t =
   s.sums_unchanged <- 0;
   s.roots_salvaged <- 0;
   s.packs_read <- 0;
-  s.packs_written <- 0
+  s.packs_written <- 0;
+  s.keys_computed <- 0
+
+let digest t k =
+  if String.equal k.digest "" then begin
+    t.st.keys_computed <- t.st.keys_computed + 1;
+    k.digest <- cache_key k
+  end;
+  k.digest
+
+(* Does the slot's key equal [k]? By value when both sides know their
+   inputs, else by digest. In a store that keeps its indexes across runs
+   a slot whose digest matched learns [k]'s inputs, so the next probe of
+   an unchanged key builds no digest; any other store drops its indexes
+   at the end of the run, and keeping inputs there would only make the
+   boundary collections promote them. *)
+let matches t (s : _ slot) k =
+  match s.inputs with
+  | Some a when k.known -> same_inputs a k
+  | _ ->
+      let hit = String.equal s.key (digest t k) in
+      if hit && t.memory && k.known && Option.is_none s.inputs then s.inputs <- Some k;
+      hit
 
 let pp_stats ppf t =
   Format.fprintf ppf
@@ -293,7 +359,8 @@ let parse_pack src r =
     let key = Wire.rstring r in
     let content = Wire.rstring r in
     let off, len = Wire.rslice r in
-    Hashtbl.replace slots name { key; content; frame = Some (src, off, len); value = None }
+    Hashtbl.replace slots name
+      { key; inputs = None; content; frame = Some (src, off, len); value = None }
   done;
   if not (Wire.at_end r) then raise (Wire.Corrupt "trailing bytes after the last entry");
   slots
@@ -336,7 +403,9 @@ let force kind name s =
 
 let put t kind tbl ext name ~key ~content v =
   let idx = index t kind tbl ext in
-  Hashtbl.replace idx.slots name { key; content; frame = None; value = Some v };
+  let inputs = if t.memory && key.known then Some key else None in
+  Hashtbl.replace idx.slots name
+    { key = digest t key; inputs; content; frame = None; value = Some v };
   idx.dirty <- true
 
 (* Entries read from a pack are copied as raw frames; only entries stored
@@ -406,7 +475,7 @@ let hit_entry h = force fn_kind h.h_name h.h_slot
 let probe_fn t ~ext ~fname ~key =
   let r =
     match Hashtbl.find_opt (index t fn_kind t.sums ext).slots fname with
-    | Some s when String.equal s.key key -> Hit { h_name = fname; h_slot = s }
+    | Some s when matches t s key -> Hit { h_name = fname; h_slot = s }
     | Some s -> Stale s.content
     | None -> Absent
   in
@@ -418,7 +487,14 @@ let probe_fn t ~ext ~fname ~key =
 
 let store_fn t ~ext ~fname ~key ~content ~bs ~sfx ~rets =
   put t fn_kind t.sums ext fname ~key ~content
-    { f_name = fname; f_key = key; f_content = content; f_bs = bs; f_sfx = sfx; f_rets = rets }
+    {
+      f_name = fname;
+      f_key = digest t key;
+      f_content = content;
+      f_bs = bs;
+      f_sfx = sfx;
+      f_rets = rets;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Root replay entries                                                 *)
@@ -427,7 +503,7 @@ let store_fn t ~ext ~fname ~key ~content ~bs ~sfx ~rets =
 let load_root ?(valid = fun _ -> true) t ~ext ~root ~key =
   let r =
     match Hashtbl.find_opt (index t root_kind t.roots ext).slots root with
-    | Some s when String.equal s.key key ->
+    | Some s when matches t s key ->
         Option.bind (force root_kind root s) (fun e -> if valid e then Some e else None)
     | Some _ | None -> None
   in
@@ -436,7 +512,7 @@ let load_root ?(valid = fun _ -> true) t ~ext ~root ~key =
   | None -> t.st.roots_recomputed <- t.st.roots_recomputed + 1);
   r
 
-let store_root t ~ext e = put t root_kind t.roots ext e.r_root ~key:e.r_key ~content:"" e
+let store_root t ~ext ~key e = put t root_kind t.roots ext e.r_root ~key ~content:"" e
 
 (* ------------------------------------------------------------------ *)
 (* Last-run counters                                                   *)

@@ -58,6 +58,9 @@ type stats = {
           roots that only replay because cutoff fired *)
   mutable packs_read : int;  (** pack files read whose magic and digest held *)
   mutable packs_written : int;  (** pack files written by {!flush} *)
+  mutable keys_computed : int;
+      (** entry keys digested ({!digest}); a probe that compares inputs
+          by value digests nothing *)
 }
 
 val store_version : string
@@ -113,6 +116,36 @@ val pp_stats : Format.formatter -> t -> unit
 (** One [--stats] line: AST, function-summary, root, cutoff and pack
     counters. *)
 
+(** {1 Entry keys} *)
+
+type key
+(** The key of an entry: the inputs it is digested from, and the digest,
+    computed on first use. *)
+
+val key :
+  prefix:string ->
+  misc:Fingerprint.t ->
+  groups:(string * Fingerprint.t) list ->
+  contents:(string * Fingerprint.t) list ->
+  key
+(** The key of a function-summary or root entry: one digest over
+    [prefix], the misc annotation-group hash, the [(name, group hash)]
+    pair of each closure member that has an annotation group
+    ({!Annot_pos.group_hash}) and the [(name, content hash)] pairs of
+    [contents], each field length-prefixed, so no bytes can shift from
+    one field into the next. A function key's [prefix] is its body hash
+    followed by the declarations hash, and its [contents] are its
+    callees; a root key's [prefix] is the declarations hash alone, and
+    its [contents] are its whole closure. The lengths differ, so the two
+    kinds never share a key. *)
+
+val key_of_digest : Fingerprint.t -> key
+(** A key known only by its digest (one read back from a pack). *)
+
+val digest : t -> key -> Fingerprint.t
+(** The key's digest. Building it counts in [keys_computed]; a key
+    digests at most once. *)
+
 val flush : t -> unit
 (** Write every pack one of whose entries was stored since it was read or
     last written (nothing when the store does not persist), then — unless
@@ -139,9 +172,14 @@ type probe = Hit of fn_hit | Stale of Fingerprint.t | Absent
     engine can detect that the content did not actually change and count
     the cutoff. *)
 
-val probe_fn : t -> ext:Fingerprint.t -> fname:string -> key:Fingerprint.t -> probe
+val probe_fn : t -> ext:Fingerprint.t -> fname:string -> key:key -> probe
 (** Validate [fname]'s stored key against [key] (bumps [fn_*] stats),
-    decoding no summaries. Entries of an unreadable pack are [Absent]. *)
+    decoding no summaries. Entries of an unreadable pack are [Absent].
+    An entry this process stored, or one whose key a probe already
+    matched, remembers its key's inputs: it is compared with [key]'s by
+    value, and no digest is built. Any other entry is compared by
+    {!digest}. Both comparisons decide alike, since the digest's input
+    encoding is injective. *)
 
 val hit_content : fn_hit -> Fingerprint.t
 
@@ -154,7 +192,7 @@ val store_fn :
   t ->
   ext:Fingerprint.t ->
   fname:string ->
-  key:Fingerprint.t ->
+  key:key ->
   content:Fingerprint.t ->
   bs:Summary.t array ->
   sfx:Summary.t array ->
@@ -186,14 +224,15 @@ val load_root :
   t ->
   ext:Fingerprint.t ->
   root:string ->
-  key:Fingerprint.t ->
+  key:key ->
   root_entry option
 (** Bumps [roots_replayed] on a hit, [roots_recomputed] otherwise. An
-    entry that [valid] (default: always) rejects is a miss. *)
+    entry that [valid] (default: always) rejects is a miss. Keys compare
+    as in {!probe_fn}. *)
 
-val store_root : t -> ext:Fingerprint.t -> root_entry -> unit
-(** [store_fn] and [store_root] update the in-memory index; {!flush}
-    writes the pack. *)
+val store_root : t -> ext:Fingerprint.t -> key:key -> root_entry -> unit
+(** The entry's [r_key] must be [digest t key]. [store_fn] and
+    [store_root] update the in-memory index; {!flush} writes the pack. *)
 
 (** {1 Inspection (the [cache stats] / [cache dump] CLI)} *)
 

@@ -15,9 +15,13 @@ type t = {
      from, AST). Unchanged files keep their parsed object across passes,
      so a daemon edit re-parses exactly one file. *)
   asts : (string, Fingerprint.t * Cast.tunit) Hashtbl.t;
+  (* the last pass's supergraph: the next one keeps what its unchanged
+     definitions derived (CFGs, body hashes, positions) *)
+  mutable sg : Supergraph.t option;
 }
 
-let create cfg = { cfg; watch = Watch.create cfg.c_files; asts = Hashtbl.create 64 }
+let create cfg =
+  { cfg; watch = Watch.create cfg.c_files; asts = Hashtbl.create 64; sg = None }
 let watch t = t.watch
 
 type out = {
@@ -63,7 +67,8 @@ let run t =
   let files = Watch.files t.watch in
   let tus = List.filter_map (load t) files in
   let t1 = Unix.gettimeofday () in
-  let sg = Supergraph.build tus in
+  let sg = Supergraph.build ?prev:t.sg tus in
+  t.sg <- Some sg;
   let t2 = Unix.gettimeofday () in
   Option.iter Summary_store.reset_stats cfg.c_store;
   let alloc0 = Gc.allocated_bytes () in

@@ -4,9 +4,11 @@
     daemon runs it on every re-check over the snapshot it keeps, so the
     two report identically by construction. A pass parses the {!Watch}
     snapshot (re-parsing only files whose contents changed since the
-    last pass), builds the supergraph, runs the engine, warns about
-    degraded roots and about files that changed on disk while it ran,
-    and ranks the reports. *)
+    last pass), builds the supergraph over the last pass's (so unchanged
+    definitions keep their CFGs, body hashes and annotation positions;
+    {!Supergraph.build}), runs the engine, warns about degraded roots and
+    about files that changed on disk while it ran, and ranks the reports.
+    A batch run is one pass with nothing carried. *)
 
 type config = {
   c_files : string list;  (** analysis inputs, in batch-run order *)

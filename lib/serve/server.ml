@@ -8,18 +8,6 @@ type config = Pass.config = {
   c_rank : string;
 }
 
-type t = {
-  cfg : config;
-  pass : Pass.t;
-  mutable dirty : bool;
-  mutable last : (string * int) option;  (* diagnostics bytes, report count *)
-  mutable n_checks : int;
-  mutable n_edits : int;
-  mutable n_coalesced : int;
-  mutable n_rechecks : int;
-  mutable last_recheck_s : float;
-}
-
 type check_out = {
   o_diagnostics : string;
   o_reports : int;
@@ -28,6 +16,18 @@ type check_out = {
   o_warnings : string list;
   o_degraded : int;
   o_drifted : string list;
+}
+
+type t = {
+  cfg : config;
+  pass : Pass.t;
+  mutable dirty : bool;
+  mutable last : check_out option;  (* the last re-check's reply *)
+  mutable n_checks : int;
+  mutable n_edits : int;
+  mutable n_coalesced : int;
+  mutable n_rechecks : int;
+  mutable last_recheck_s : float;
 }
 
 let create cfg =
@@ -76,16 +76,19 @@ let recheck t =
       let dt = Unix.gettimeofday () -. t0 in
       t.n_rechecks <- t.n_rechecks + 1;
       t.last_recheck_s <- dt;
-      t.last <- Some (diagnostics, n);
-      {
-        o_diagnostics = diagnostics;
-        o_reports = n;
-        o_rechecked = true;
-        o_recheck_s = dt;
-        o_warnings = List.rev !warnings;
-        o_degraded = List.length p.Pass.result.Engine.degraded;
-        o_drifted = p.Pass.drifted;
-      })
+      let o =
+        {
+          o_diagnostics = diagnostics;
+          o_reports = n;
+          o_rechecked = true;
+          o_recheck_s = dt;
+          o_warnings = List.rev !warnings;
+          o_degraded = List.length p.Pass.result.Engine.degraded;
+          o_drifted = p.Pass.drifted;
+        }
+      in
+      t.last <- Some o;
+      o)
 
 let check t =
   (* the cached clean result is only trustworthy if disk still matches
@@ -95,16 +98,10 @@ let check t =
   let changed, _missing = Watch.revalidate (Pass.watch t.pass) in
   if changed <> [] then t.dirty <- true;
   match t.last with
-  | Some (diagnostics, n) when not t.dirty ->
-      {
-        o_diagnostics = diagnostics;
-        o_reports = n;
-        o_rechecked = false;
-        o_recheck_s = 0.;
-        o_warnings = [];
-        o_degraded = 0;
-        o_drifted = [];
-      }
+  | Some o when not t.dirty ->
+      (* the result stands as computed: its warnings and degraded roots
+         still describe it (it drifted nothing, or it would be dirty) *)
+      { o with o_rechecked = false; o_recheck_s = 0. }
   | _ -> recheck t
 
 (* ------------------------------------------------------------------ *)
@@ -122,6 +119,7 @@ let diagnostics_reply t (o : check_out) =
           ("roots_replayed", Int st.Summary_store.roots_replayed);
           ("roots_recomputed", Int st.Summary_store.roots_recomputed);
           ("fns_recomputed", Int st.Summary_store.fns_recomputed);
+          ("keys_computed", Int st.Summary_store.keys_computed);
         ]
   in
   Obj
@@ -162,6 +160,7 @@ let stats_reply t =
           ("roots_replayed", Int st.Summary_store.roots_replayed);
           ("roots_recomputed", Int st.Summary_store.roots_recomputed);
           ("fns_recomputed", Int st.Summary_store.fns_recomputed);
+          ("keys_computed", Int st.Summary_store.keys_computed);
         ]
   in
   Obj

@@ -1,10 +1,13 @@
 (** The analysis daemon behind [xgcc serve].
 
     A server loads the corpus once and keeps everything a batch run
-    rebuilds from scratch hot in memory: pass-1 ASTs, the supergraph's
-    [Exprid]/[Flat] tables (rebuilt cheaply per re-check from the held
-    ASTs), compiled dispatch, and the two-level summary store (opened
-    with [memory:true], so warm probes never touch disk). Each re-check
+    rebuilds from scratch hot in memory: pass-1 ASTs, what the
+    supergraph derives from each unchanged definition (its CFG, body
+    hash and annotation positions; the callgraph and the [Exprid]/[Flat]
+    tables are rebuilt per re-check from the held ASTs), compiled
+    dispatch, and the two-level summary store (opened with
+    [memory:true], so warm probes never touch disk, and an unchanged
+    entry key is compared by its inputs without a digest). Each re-check
     is the analysis pass batch [check] runs ({!Pass.run}): a one-file
     edit re-fingerprints and re-parses only that file and drives
     [Engine.run] through the early-cutoff machinery. So the diagnostics
@@ -40,7 +43,10 @@ type check_out = {
   o_reports : int;
   o_rechecked : bool;  (** false: served from the last clean result *)
   o_recheck_s : float;
-  o_warnings : string list;  (** this request's captured Diag lines *)
+  o_warnings : string list;
+      (** the captured Diag lines of the re-check this reply reports: a
+          reply served from the last clean result repeats that result's
+          warnings and [o_degraded] *)
   o_degraded : int;
   o_drifted : string list;
       (** files that changed on disk while the engine ran; their roots

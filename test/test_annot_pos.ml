@@ -224,9 +224,9 @@ let corpora () =
    every position resolves back to its node. [resolve_first] resolves each
    node's reference position on a fresh index before asking for any
    position, so ranking is reached from both entry points. *)
-let check_index name sg ~resolve_first =
+let check_index ?ix name sg ~resolve_first =
   let rix = build_ref_index sg in
-  let ix = Annot_pos.build sg.Supergraph.tunits in
+  let ix = match ix with Some ix -> ix | None -> Annot_pos.build sg.Supergraph.tunits in
   Hashtbl.iter
     (fun eid (e : Cast.expr) ->
       let ctx, occ = Hashtbl.find rix.ai_pos eid in
@@ -485,10 +485,11 @@ let suite =
               | Some e -> (e.r_root, e.r_key)
               | None -> Alcotest.fail "no tagger root entry with annotations")
         in
+        let key = Summary_store.key_of_digest key in
         (match Summary_store.load_root store ~ext ~root ~key with
         | None -> Alcotest.fail "the entry does not load"
         | Some e ->
-            Summary_store.store_root store ~ext
+            Summary_store.store_root store ~ext ~key
               {
                 e with
                 r_annots =
@@ -532,4 +533,55 @@ let suite =
             Alcotest.(check bool) (name ^ " byte-identical to a fresh populate") true
               (String.equal x y))
           a b);
+    t "a carried index equals a fresh one" `Quick (fun () ->
+        (* a chain of programs, each supergraph built over the last: an
+           edited unit is parsed again, the others stay physically the
+           same, and each index must give exactly the positions a fresh
+           one gives (check_index), and none to a node of the program
+           before that the edit took out *)
+        let parse (file, src) = (file, src, Cparse.parse_tunit ~file src) in
+        let edit i f units =
+          List.mapi (fun j ((file, src, _) as u) -> if j = i then parse (file, f src) else u) units
+        in
+        let v1 = List.map parse (gen_files 21) in
+        let v2 = edit 1 (fun s -> s ^ "/* reviewed */\n") v1 in
+        let v3 = edit 0 (fun s -> "int extra(int *p) { kfree(p); return *p; }\n" ^ s) v2 in
+        let v4 = List.filteri (fun i _ -> i < 2) v3 in
+        (* the dropped unit back, then unit 0 twice: physical twins *)
+        let v5 = v4 @ [ List.nth v3 2; List.hd v4 ] in
+        (* unit 0 parsed again under its name: positional twins *)
+        let v6 = v5 @ [ (let f, s, _ = List.hd v4 in parse (f, s)) ] in
+        let v7 = edit 5 (fun s -> s ^ "int late(int *q) { return *q; }\n") v6 in
+        let t1 = List.map parse twin_files in
+        let t2 = edit 1 (fun s -> "int c(void) { return 1; }\n" ^ s) t1 in
+        let programs =
+          [ ("v1", v1); ("v2", v2); ("v3", v3); ("v4", v4); ("v5", v5); ("v6", v6);
+            ("v7", v7); ("twins", t1); ("edited twin", t2); ("v1 again", v1) ]
+        in
+        let saved = !Diag.sink in
+        Diag.sink := ignore;
+        Fun.protect
+          ~finally:(fun () -> Diag.sink := saved)
+          (fun () ->
+            ignore
+              (List.fold_left
+                 (fun (prev, prev_rix) (name, units) ->
+                   let sg =
+                     Supergraph.build ?prev (List.map (fun (_, _, tu) -> tu) units)
+                   in
+                   let ix = Supergraph.positions sg in
+                   let rix = check_index ~ix name sg ~resolve_first:false in
+                   Option.iter
+                     (fun prev_rix ->
+                       Hashtbl.iter
+                         (fun eid _ ->
+                           if not (Hashtbl.mem rix.ai_exprs eid) then
+                             Alcotest.(check bool)
+                               (Printf.sprintf "%s: a node edited out has no position" name)
+                               true
+                               (Option.is_none (Annot_pos.position ix eid)))
+                         prev_rix.ai_exprs)
+                     prev_rix;
+                   (Some sg, Some rix))
+                 (None, None) programs)));
   ]

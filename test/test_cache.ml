@@ -224,11 +224,9 @@ let suite =
             r_stats = [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ];
           }
         in
-        Summary_store.store_root store ~ext entry;
-        (match
-           Summary_store.load_root store ~ext ~root:"caller"
-             ~key:(Fingerprint.of_string "key")
-         with
+        let key d = Summary_store.key_of_digest (Fingerprint.of_string d) in
+        Summary_store.store_root store ~ext ~key:(key "key") entry;
+        (match Summary_store.load_root store ~ext ~root:"caller" ~key:(key "key") with
         | None -> Alcotest.fail "expected a root hit"
         | Some e ->
             Alcotest.(check (list string))
@@ -243,14 +241,11 @@ let suite =
               e.Summary_store.r_traversed);
         Alcotest.(check bool)
           "stale key misses" true
-          (Summary_store.load_root store ~ext ~root:"caller"
-             ~key:(Fingerprint.of_string "other")
-          = None);
+          (Summary_store.load_root store ~ext ~root:"caller" ~key:(key "other") = None);
         (* written to its pack and read back through a fresh handle *)
         Summary_store.flush store;
         match
-          Summary_store.load_root (store_over dir) ~ext ~root:"caller"
-            ~key:(Fingerprint.of_string "key")
+          Summary_store.load_root (store_over dir) ~ext ~root:"caller" ~key:(key "key")
         with
         | None -> Alcotest.fail "expected a root hit from the pack"
         | Some e ->
@@ -468,7 +463,7 @@ let suite =
         let dir = temp_dir () in
         let store = store_over dir in
         let ext = Summary_store.ext_key store 0 in
-        let key = Fingerprint.of_string "k" in
+        let key = Summary_store.key_of_digest (Fingerprint.of_string "k") in
         let names = [ "f"; "g" ] in
         List.iter
           (fun fname ->
@@ -861,9 +856,13 @@ let suite =
         (* f's closure is f, g and h; g and f have annotation groups *)
         let groups = [ ("f", h "gf"); ("g", h "gg") ] in
         let callees = [ ("g", h "cg"); ("h", h "ch") ] in
+        let store = Summary_store.create ~dir:(temp_dir ()) ~persist:false ~ext_keys:[] () in
+        let cache_key ~prefix ~misc ~groups ~contents =
+          Summary_store.digest store (Summary_store.key ~prefix ~misc ~groups ~contents)
+        in
         let key ?(prefix = body ^ decls) ?(misc = misc) ?(groups = groups)
             ?(contents = callees) () =
-          Engine.cache_key ~prefix ~misc ~groups ~contents
+          cache_key ~prefix ~misc ~groups ~contents
         in
         let fn_key = key () in
         Alcotest.(check string) "equal inputs, equal keys" fn_key (key ());
@@ -891,7 +890,7 @@ let suite =
           | prefix :: misc :: rest ->
               let rec pairs = function a :: b :: r -> (a, b) :: pairs r | _ -> [] in
               let ps = pairs rest in
-              Engine.cache_key ~prefix ~misc
+              cache_key ~prefix ~misc
                 ~groups:(List.filteri (fun i _ -> i < n_groups) ps)
                 ~contents:(List.filteri (fun i _ -> i >= n_groups) ps)
           | _ -> assert false

@@ -174,4 +174,33 @@ let suite =
               (List.sort compare (Test_cache.report_lines run))
               (List.sort compare (List.concat_map reports es))
         | Fn_entries _ -> Alcotest.fail "root/ pack dumps as fn entries");
+    t "anonymous aggregates are named per unit" `Quick (fun () ->
+        let dir = Test_cache.temp_dir () in
+        let a = "struct { int a; } t;\nunion { int u; } w;\nint f(void) { return t.a; }\n"
+        and b = "struct { int h; } s;\nenum { E1, E2 } e;\nint g(void) { return s.h; }\n" in
+        let emit name src =
+          let out = Filename.concat dir (Filename.chop_suffix name ".c" ^ ".mcast") in
+          Cast_io.emit_file out (Cparse.parse_tunit ~file:name src);
+          Test_cache.read_bytes out
+        in
+        (* emit b.c alone, then a.c b.c, then b.c on another domain while
+           a.c parses here (emit -j) *)
+        let alone = emit "b.c" b in
+        ignore (emit "a.c" a);
+        let after_a = emit "b.c" b in
+        let d = Domain.spawn (fun () -> Cast_io.emit_string (Cparse.parse_tunit ~file:"b.c" b)) in
+        ignore (Cparse.parse_tunit ~file:"a.c" a);
+        let on_domain = Domain.join d in
+        Alcotest.(check string) "b.c after a.c" alone after_a;
+        Alcotest.(check string) "b.c on another domain" alone on_domain;
+        let names src file =
+          List.filter_map
+            (function
+              | Cast.Gcomposite { cname; _ } -> Some cname
+              | Cast.Genum { ename; _ } -> Some ename
+              | _ -> None)
+            (Cparse.parse_tunit ~file src).Cast.tu_globals
+        in
+        Alcotest.(check (list string)) "a.c's names" [ "<anon1:a.c>"; "<anon2:a.c>" ] (names a "a.c");
+        Alcotest.(check (list string)) "b.c's names" [ "<anon1:b.c>"; "<anon2:b.c>" ] (names b "b.c"));
   ]

@@ -45,4 +45,5 @@ let () =
       ("annotations", Test_annots.suite);
       ("annot-pos", Test_annot_pos.suite);
       ("release", Test_release.suite);
+      ("differential", Test_differential.suite);
     ]

@@ -500,6 +500,76 @@ let batch_daemon_parity () =
       Alcotest.(check bool) "refusal names the file" true
         (String.starts_with ~prefix:(missing ^ ": ") msg)
 
+(* A [check] served from the last clean result describes that result:
+   a client whose first request after the warm-up is [check] still sees
+   the warm-up's skipped definition and degraded root. *)
+let served_check_keeps_warnings () =
+  let dir = fresh_dir () in
+  let file name src =
+    let p = Filename.concat dir name in
+    write_file p src;
+    p
+  in
+  let broken =
+    file "broken.c" "int oops(void) { return }\nint g(int *q) { kfree(q); return *q; }\n"
+  in
+  let heavy =
+    file "heavy.c"
+      ("int heavy(int *p, int x) {\n  int y = 0;\n  kfree(p);\n"
+      ^ String.concat ""
+          (List.init 12 (fun i -> Printf.sprintf "  if (x > %d) y = y + %d;\n" i i))
+      ^ "  return *p + y;\n}\n")
+  in
+  let server =
+    match
+      Server.create
+        {
+          Server.c_files = [ broken; heavy ];
+          c_parse = parse;
+          c_exts = [ Free_checker.checker () ];
+          c_options = { options with Engine.max_nodes_per_root = 100 };
+          c_jobs = 1;
+          c_store = None;
+          c_rank = "generic";
+        }
+    with
+    | Ok s -> s
+    | Error msg -> Alcotest.fail msg
+  in
+  let warm = Server.check server in
+  Alcotest.(check bool) "the warm-up warns" true (List.length warm.Server.o_warnings >= 2);
+  Alcotest.(check int) "the warm-up degrades one root" 1 warm.Server.o_degraded;
+  let r = req server ~more_pending:false Proto.Check in
+  Alcotest.(check bool) "served from the last result" false (bfield r "rechecked");
+  Alcotest.(check int) "degraded count kept" 1 (ifield r "degraded");
+  Alcotest.(check (list string)) "warnings kept" warm.Server.o_warnings
+    (match field r "warnings" with
+    | Json_out.Arr ws -> List.map (function Json_out.Str s -> s | _ -> "") ws
+    | _ -> Alcotest.fail "warnings not an array")
+
+(* Anonymous aggregates are named per unit: re-parsing the unit that
+   holds one names it as before, so a comment-only edit to that unit
+   replays every root and builds no key digest. *)
+let anon_comment_edit_replays () =
+  let dir = fresh_dir () in
+  let a = Filename.concat dir "a.c" and b = Filename.concat dir "b.c" in
+  let b_src =
+    "struct { int h; } s;\nstatic int *gp;\nint g(int *p) { kfree(p); return s.h; }\n"
+  in
+  write_file a "int f(int *x) { g(x); return *x; }\nint k(int *y) { kfree(y); return 0; }\n";
+  write_file b b_src;
+  let server = mk_server ~store:(mk_store ~dir:(Filename.concat dir "cache") ~persist:false) [ a; b ] in
+  let r1 = req server ~more_pending:false Proto.Check in
+  let r2 = req server ~more_pending:false (did_change ~path:b ~text:(b_src ^ "/* c */\n")) in
+  Alcotest.(check string) "same diagnostics" (sfield r1 "diagnostics") (sfield r2 "diagnostics");
+  Alcotest.(check int) "every root replays" (ifield r1 "roots_recomputed")
+    (ifield r2 "roots_replayed");
+  Alcotest.(check int) "no root recomputed" 0 (ifield r2 "roots_recomputed");
+  Alcotest.(check int) "no summary recomputed" 0 (ifield r2 "fns_recomputed");
+  Alcotest.(check int) "no key digested" 0 (ifield r2 "keys_computed");
+  let st = req server ~more_pending:false Proto.Stats in
+  Alcotest.(check int) "stats carry the digest count" 0 (ifield st "keys_computed")
+
 let suite =
   [
     t "json roundtrip and errors" `Quick json_roundtrip;
@@ -515,4 +585,7 @@ let suite =
     t "unknown didChange path rejected" `Quick unknown_path_rejected;
     t "with_sink restores on exception" `Quick with_sink_restores;
     t "batch check and daemon run one pass" `Quick batch_daemon_parity;
+    t "a served check keeps the warm-up's warnings" `Quick served_check_keeps_warnings;
+    t "comment-only edit of an anonymous struct's unit replays" `Quick
+      anon_comment_edit_replays;
   ]
