@@ -531,6 +531,7 @@ let do_emit files outdir cpp jobs cache =
       Format.eprintf "%s@." msg;
       exit 2
   in
+  Wire.mkdir_p outdir;
   let outputs =
     Pool.run ~jobs (Array.length targets) (fun i ->
         let f, base = targets.(i) in

@@ -154,24 +154,6 @@ type ev = Flat.ev =
   | Ev_fresh of string
   | Ev_scope_end of string list
 
-(* One reversible table mutation inside a contained root. [rollback_root]
-   replays the journal newest-first, so the oldest entry for a key is
-   applied last — restoring exactly the pre-root value even when a key
-   was mutated several times. Journaling is armed only between
-   [snapshot_root] and the end of [run_root_contained]; scratch contexts
-   and cross-context merges never journal, so their table writes are
-   permanent as before. *)
-type undo =
-  | U_annot of int * string list option
-      (* eid, pre-root delta entry ([None] = absent from the delta) *)
-  | U_mark of (string, unit) Hashtbl.t * string
-      (* insertion of a fresh key into a unit table (traversed) *)
-  | U_imark of (int, unit) Hashtbl.t * int
-      (* insertion of a fresh interned key into an int-keyed unit table
-         (report dedup) *)
-  | U_counter of string * (int * int) option  (* rule, pre-root counts *)
-  | U_adone of int  (* flat block id whose [annots_done] bit was set *)
-
 type rctx = {
   sg : Supergraph.t;
   opts : options;
@@ -188,13 +170,13 @@ type rctx = {
   counters : (string, int * int) Hashtbl.t;
   annots_base : (int, string list) Hashtbl.t;
       (* read-only view of the annotations laid down before this context
-         started (earlier extensions' tags); never written through this
-         context, so every worker and scratch context of an extension
-         shares the one table instead of copying it *)
+         started (earlier extensions' tags, and at [-j 1] earlier roots'
+         too); never written through this context, so every worker, frame
+         and scratch context shares the one table instead of copying it *)
   annots : (int, string list) Hashtbl.t;
       (* this context's delta over [annots_base]: a node's entry is its
-         full tag list, newest first. Writes, journal cells and merges
-         touch only this table; reads ([find_annot]) check it first *)
+         full tag list, newest first. Writes and merges touch only this
+         table; reads ([find_annot]) check it first *)
   annots_lookup : int -> string list option;
       (* [find_annot] over this context, built once: callouts and actions
          take it per node, where a fresh closure each time would show in
@@ -202,19 +184,23 @@ type rctx = {
   annots_done : Bytes.t;
       (* per flat block id: terminator annotations ([mc_branch]/[mc_return])
          already laid down in this context — [events_of_block] applies
-         them on the block's first visit *)
+         them on the block's first visit. A [-j 1] frame shares its run's
+         bitset, which is cleared when a frame's tags are dropped *)
   mutable kill_seen : bool;
       (* false only while no node in [annots_base] or [annots] carries
          [kill_path_tag]: [add_annots] sets it when it lays that tag, a
          context built over another's table starts from the other's flag,
-         and nothing clears it (a rollback leaves it set, which only costs
-         probes). While it is false, [process_events] skips the per-node
-         kill-path probe. *)
+         and nothing clears it. While it is false, [process_events] skips
+         the per-node kill-path probe. *)
+  fsums_base : (string, fsum) Hashtbl.t;
+      (* read-only view of the summaries computed before this context
+         started: a [-j 1] frame reads its run's tables here, and
+         [get_fsum] copies one into [fsums] before the frame extends it *)
   fsums : (string, fsum) Hashtbl.t;
   dedup : (int, unit) Hashtbl.t;
-      (* emitted-report identity keys, interned through [intern] — probes
-         and journal cells are int-sized; the merge-time dedup tables stay
-         string-keyed because atoms are context-local *)
+      (* emitted-report identity keys, interned through [intern] so probes
+         are int-sized; the merge-time dedup tables stay string-keyed
+         because atoms are context-local *)
   traversed : (string, unit) Hashtbl.t;
   st : stats;
   mutable cur_ext : Sm.t;
@@ -232,12 +218,6 @@ type rctx = {
          matched (consulted by the caller to decide call following).
          Returning it alongside the walk would box a 3-word tuple on
          every node visited — the single hottest allocation site. *)
-  mutable journal : undo list;
-      (* reverse-chronological undo log of table mutations since the last
-         [snapshot_root]; rollback replays it instead of restoring deep
-         copies of every table (copying five hashtables plus a bitset per
-         root per extension dominated the engine's allocation profile) *)
-  mutable journaling : bool;  (* true only inside [run_root_contained] *)
 }
 
 type fctx = {
@@ -252,8 +232,8 @@ type fctx = {
   fsum : fsum;
       (* this function's summary tables, resolved once per frame instead
          of per block visit (fsums entries are never replaced while a
-         frame is live: they are removed only between roots, by the
-         release schedule and by rollback) *)
+         frame is live: they are moved or removed only between roots, by
+         the [-j 1] merge and the release schedule) *)
   depth : int;
   stack : string list;
   locals : string list;  (* declared locals, not params: filtered from suffix summaries *)
@@ -268,7 +248,7 @@ type walk = { sm : Sm.sm_inst; store : Store.t; created : Iset.t }
 (* ------------------------------------------------------------------ *)
 
 (* Raised from the traversal's charge points when the current root's
-   budget runs out; [run_root_contained] converts it into a [degraded]
+   budget runs out; [run_contained] converts it into a [degraded]
    note and abandons exactly that root. Never escapes the engine. *)
 exception Budget_exceeded of string
 
@@ -343,6 +323,7 @@ let new_rctx_in ?(options = default_options) ?ids ?(store0 = Store.create ())
     annots_lookup = lookup_annot ~delta:annots ~base:annots_base;
     annots_done = Bytes.make (max 1 sg.Supergraph.flat.Flat.n_blocks) '\000';
     kill_seen;
+    fsums_base = Hashtbl.create 1;
     fsums = Hashtbl.create 64;
     dedup = Hashtbl.create 64;
     traversed = Hashtbl.create 64;
@@ -354,61 +335,82 @@ let new_rctx_in ?(options = default_options) ?ids ?(store0 = Store.create ())
     poll = budget_poll;
     degraded_roots = [];
     node_matched = false;
-    journal = [];
-    journaling = false;
   }
 
 let new_rctx ?(options = default_options) sg =
   let none = Sm.make ~name:"<none>" [] in
   new_rctx_in ~options ~ext:none ~dsp:(Dispatch.compile ~sg none) sg
 
+(* Content-level union of one function's block or suffix summaries:
+   edges (in order) and src keys are re-added through [dst]'s interner,
+   so tables decoded from the store seed a canonical scratch whatever
+   interner produced them. *)
+let union_sums (dst : fsum) (d : Summary.t option array)
+    (s : Summary.t option array) =
+  Array.iteri
+    (fun i sum ->
+      match sum with
+      | None -> ()
+      | Some sum ->
+          let di = block_sum dst d i in
+          Summary.iter_edges (fun e -> ignore (Summary.add_edge di e)) sum;
+          List.iter (Summary.add_src_key di) (Summary.srcs_list sum))
+    s
+
+let merge_fsum_into (dst : fsum) (src : fsum) =
+  union_sums dst dst.bs src.bs;
+  union_sums dst dst.sfx src.sfx;
+  Hashtbl.iter (fun k () -> Hashtbl.replace dst.rets k ()) src.rets
+
+(* A copy that behaves as [s] does under every probe: the same edges in
+   the same order, the same sources, and [rets] by [Hashtbl.copy] because
+   [follow_call] reads the last element its fold meets. *)
+let copy_fsum (s : fsum) =
+  let n = Array.length s.bs in
+  let c =
+    { s with bs = Array.make n None; sfx = Array.make n None; rets = Hashtbl.copy s.rets }
+  in
+  union_sums c c.bs s.bs;
+  union_sums c c.sfx s.sfx;
+  c
+
+(* [cfg]'s tables for extending: this context's own, else a copy of its
+   base's (which stay as they were), else new ones. *)
 let get_fsum rctx (cfg : Cfg.t) =
   match Hashtbl.find_opt rctx.fsums cfg.fname with
   | Some s -> s
   | None ->
-      let n = Cfg.n_blocks cfg in
       let s =
-        {
-          f_it = rctx.intern;
-          bs = Array.make n None;
-          sfx = Array.make n None;
-          rets = Hashtbl.create 4;
-        }
+        match Hashtbl.find_opt rctx.fsums_base cfg.fname with
+        | Some b -> copy_fsum b
+        | None ->
+            let n = Cfg.n_blocks cfg in
+            {
+              f_it = rctx.intern;
+              bs = Array.make n None;
+              sfx = Array.make n None;
+              rets = Hashtbl.create 4;
+            }
       in
       Hashtbl.replace rctx.fsums cfg.fname s;
       s
 
-(* Content-level union of one function's summary tables: edges and src
-   keys are re-added through [dst]'s interner, so tables decoded from the
-   store seed a canonical scratch whatever interner produced them. *)
-let merge_fsum_into (dst : fsum) (src : fsum) =
-  let union (d : Summary.t option array) (s : Summary.t option array) =
-    Array.iteri
-      (fun i sum ->
-        match sum with
-        | None -> ()
-        | Some sum ->
-            let di = block_sum dst d i in
-            Summary.iter_edges (fun e -> ignore (Summary.add_edge di e)) sum;
-            List.iter (Summary.add_src_key di) (Summary.srcs_list sum))
-      s
-  in
-  union dst.bs src.bs;
-  union dst.sfx src.sfx;
-  Hashtbl.iter (fun k () -> Hashtbl.replace dst.rets k ()) src.rets
+(* [cfg]'s tables for reading only: the base's are not copied. *)
+let read_fsum rctx (cfg : Cfg.t) =
+  match Hashtbl.find_opt rctx.fsums cfg.fname with
+  | Some s -> s
+  | None -> (
+      match Hashtbl.find_opt rctx.fsums_base cfg.fname with
+      | Some b -> b
+      | None -> get_fsum rctx cfg)
 
 (* The same key [emit_report] guards the per-rctx dedup table with. *)
 let report_key (r : Report.t) =
   Printf.sprintf "%s@%s" (Report.identity_key r) (Srcloc.to_string r.Report.loc)
 
-let j_push rctx u = if rctx.journaling then rctx.journal <- u :: rctx.journal
-
 let make_fctx rctx ~depth ~stack (cfg : Cfg.t) =
   let f = cfg.func in
-  if not (Hashtbl.mem rctx.traversed f.fname) then begin
-    j_push rctx (U_mark (rctx.traversed, f.fname));
-    Hashtbl.replace rctx.traversed f.fname ()
-  end;
+  Hashtbl.replace rctx.traversed f.fname ();
   {
     cfg;
     typing = Ctyping.enter_function rctx.sg.Supergraph.typing f;
@@ -442,16 +444,10 @@ let rec adds_kill cur old =
   | [] -> false
 
 (* Lay [tags] (oldest first) on node [eid], skipping those it already
-   carries; the one write path into the delta, journaled like any table
-   write inside a contained root. True iff the node's tags changed.
-   Laying [kill_path_tag] sets [kill_seen]. *)
+   carries; the one write path into the delta. True iff the node's tags
+   changed. Laying [kill_path_tag] sets [kill_seen]. *)
 let add_annots rctx eid tags =
-  let prev = Hashtbl.find_opt rctx.annots eid in
-  let old =
-    match prev with
-    | Some t -> t
-    | None -> Option.value (Hashtbl.find_opt rctx.annots_base eid) ~default:[]
-  in
+  let old = Option.value (find_annot rctx eid) ~default:[] in
   let cur =
     List.fold_left
       (fun cur t -> if List.mem t cur then cur else t :: cur)
@@ -460,7 +456,6 @@ let add_annots rctx eid tags =
   if cur == old then false
   else begin
     if adds_kill cur old then rctx.kill_seen <- true;
-    j_push rctx (U_annot (eid, prev));
     Hashtbl.replace rctx.annots eid cur;
     true
   end
@@ -485,7 +480,6 @@ let events_of_block rctx fctx (block : Block.t) =
   let flat = rctx.sg.Supergraph.flat in
   let fb = fctx.fbase + block.bid in
   if Bytes.get rctx.annots_done fb = '\000' then begin
-    j_push rctx (U_adone fb);
     Bytes.set rctx.annots_done fb '\001';
     Array.iter (fun (e, tag) -> annotate_node rctx e tag) (Flat.annots flat fb)
   end;
@@ -496,10 +490,8 @@ let events_of_block rctx fctx (block : Block.t) =
 (* ------------------------------------------------------------------ *)
 
 let bump_counter rctx which rule =
-  let prev = Hashtbl.find_opt rctx.counters rule in
-  let e, c = Option.value prev ~default:(0, 0) in
+  let e, c = Option.value (Hashtbl.find_opt rctx.counters rule) ~default:(0, 0) in
   let e, c = match which with `Example -> (e + 1, c) | `Counterexample -> (e, c + 1) in
-  j_push rctx (U_counter (rule, prev));
   Hashtbl.replace rctx.counters rule (e, c)
 
 let node_annotated rctx (e : Cast.expr) tag =
@@ -554,7 +546,6 @@ let emit_report rctx fctx ~node ~inst ?(annotations = []) ?rule ?var msg =
   let key = Printf.sprintf "%s@%s" (Report.identity_key r) (Srcloc.to_string loc) in
   let atom = Intern.atom rctx.intern key in
   if not (Hashtbl.mem rctx.dedup atom) then begin
-    j_push rctx (U_imark (rctx.dedup, atom));
     Hashtbl.replace rctx.dedup atom ();
     Log.info (fun m -> m "report: %a" Report.pp r);
     Report.emit rctx.collector r
@@ -1901,8 +1892,8 @@ and follow_call rctx fctx walk (node : Cast.expr) fname args (callee_cfg : Cfg.t
         fname Srcloc.pp node.eloc fctx.depth);
   let callee = callee_cfg.func in
   let setup = refine_call rctx fctx walk callee args in
-  let sums = get_fsum rctx callee_cfg in
-  let entry_bs = bsum sums callee_cfg.entry in
+  let probed = read_fsum rctx callee_cfg in
+  let entry_bs = bsum probed callee_cfg.entry in
   (* has the callee's entry block already seen every tuple of the refined
      state? (the probes mirror [Summary.tuples_of_sm]) *)
   let all_cached =
@@ -1927,24 +1918,32 @@ and follow_call rctx fctx walk (node : Cast.expr) fname args (callee_cfg : Cfg.t
       Summary.mem_src_global entry_bs refined.Sm.gstate
     end
   in
-  if all_cached then rctx.st.summary_hits <- rctx.st.summary_hits + 1
-  else begin
-    (* analyse the callee in this (refined) state, populating its summary *)
-    let callee_fctx =
-      make_fctx rctx ~depth:(fctx.depth + 1) ~stack:(fname :: fctx.stack) callee_cfg
-    in
-    let callee_sm = Sm.clone setup.cs_refined in
-    callee_sm.pendings <- [];
-    (* False-path pruning stays per-function: caller-specific parameter
-       constants must NOT flow into the callee, or the callee's function
-       summary (keyed only by state tuples, Section 6.2) would memoise
-       conclusions that are valid for one caller only. This also matches
-       the published system, whose pruning was intraprocedural
-       (Section 8, footnote). *)
-    traverse rctx callee_fctx
-      { sm = callee_sm; store = rctx.store0; created = Iset.empty }
-      [] callee_cfg.entry
-  end;
+  (* a hit reads the tables where the probe found them; a traversal
+     extends this context's own, a copy if the probe read the base's *)
+  let sums =
+    if all_cached then begin
+      rctx.st.summary_hits <- rctx.st.summary_hits + 1;
+      probed
+    end
+    else begin
+      (* analyse the callee in this (refined) state, populating its summary *)
+      let callee_fctx =
+        make_fctx rctx ~depth:(fctx.depth + 1) ~stack:(fname :: fctx.stack) callee_cfg
+      in
+      let callee_sm = Sm.clone setup.cs_refined in
+      callee_sm.pendings <- [];
+      (* False-path pruning stays per-function: caller-specific parameter
+         constants must NOT flow into the callee, or the callee's function
+         summary (keyed only by state tuples, Section 6.2) would memoise
+         conclusions that are valid for one caller only. This also matches
+         the published system, whose pruning was intraprocedural
+         (Section 8, footnote). *)
+      traverse rctx callee_fctx
+        { sm = callee_sm; store = rctx.store0; created = Iset.empty }
+        [] callee_cfg.entry;
+      callee_fctx.fsum
+    end
+  in
   let partitions =
     apply_function_summary ~ids:rctx.ids sums callee_cfg setup.cs_refined
   in
@@ -2099,171 +2098,75 @@ let run_root rctx (ext : Sm.t) root =
 (* ------------------------------------------------------------------ *)
 
 (* A root that blows its budget (or crashes outright) must abandon ONLY
-   itself: every other root's reports stay byte-identical to a run that
-   never had the bad root, at any [-j]. The mutable state a partial
-   traversal can leak into is rolled back on failure via the undo
-   journal armed by [snapshot_root] (each table write inside a root
-   records its pre-root value; the tables are add/replace-only, so
-   replaying the journal newest-first restores them exactly). Journaling
-   replaces the earlier deep-copy snapshots, which cloned five
-   hashtables plus a bitset per root per extension and dominated the
-   engine's allocation profile — healthy roots (the common case) now pay
-   one journal cell per table write instead of a full copy up front.
+   itself: every other root's output stays byte-identical to a run that
+   never had the bad root, at any [-j]. So every root runs in a context
+   whose output tables are its own — a fresh per-root context, or at
+   [-j 1] a frame over the run's context — and what it produced reaches
+   the run only through [merge_out], in root order. A root that raises
+   hands over its [degraded] note and nothing else: no reports, counters,
+   annotations, traversed functions or stats, and no summaries (a
+   truncated summary records source tuples whose paths never ran to
+   completion, and a later root trusting it would take a cache hit that
+   suppresses exactly the re-traversal that reports). *)
 
-   - reports/dedup: partial reports would survive the merge (and their
-     dedup keys would suppress identical reports from healthy roots);
-     reports themselves are truncated back to a count taken at the root
-     boundary;
-   - counters, annots, traversed: partial contributions change
-     later roots' view (annotations) or the result's accounting;
-   - stats: restored wholesale (one small record copy) so accounting
-     matches a run without the degraded root.
+(* What the root-order merge reads of one root: a root context's run, or
+   a stored entry decoded into the same shape. The rest of a per-root
+   context — intern and id tables, the [annots_done] bitset, the dedup
+   table, the store family, the summaries — dies with the task instead
+   of waiting for the merge, and a root that touched little hands over a
+   few words. *)
+type root_out = {
+  o_reports : Report.t list;  (* emission order *)
+  o_counters : (string * int * int) list;
+  o_annots : (int * string list) list;
+      (* per node id, the tags the root added beyond its context's base,
+         oldest first *)
+  o_traversed : string list;
+  o_stats : stats;
+  o_degraded : degraded list;  (* the root's note if it raised *)
+}
 
-   Function summaries are different: a snapshot would have to deep-copy
-   every Summary, so instead they are RESET on failure. A truncated summary records source tuples whose paths never
-   ran to completion — a later root trusting it as complete would take a
-   cache hit that suppresses exactly the re-traversal that reports, so a
-   degraded root's summaries are unusable by construction. Resetting also
-   discards summaries healthy earlier roots computed, but summaries are
-   pure caches ("trade repeated work for nothing observable"), so the
-   cost is re-traversal, never output. The first-visit annotation bits
-   ([annots_done]) are journaled like the annotations they guard
-   ([mc_branch]/[mc_return]), so both roll back in lockstep. *)
+(* A table's entries in its iteration order. *)
+let entries tbl = List.rev (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
-type root_snapshot = { sn_reports : int; sn_stats : stats }
+(* The tags [rctx] laid beyond its base, per node, oldest first. *)
+let annot_fresh rctx =
+  List.map
+    (fun (eid, tags) -> (eid, fresh_annots ~base:rctx.annots_base eid tags))
+    (entries rctx.annots)
 
-let copy_stats (s : stats) = { s with blocks_visited = s.blocks_visited }
-
-let assign_stats (dst : stats) (src : stats) =
-  dst.blocks_visited <- src.blocks_visited;
-  dst.nodes_visited <- src.nodes_visited;
-  dst.cache_hits <- src.cache_hits;
-  dst.paths_explored <- src.paths_explored;
-  dst.calls_followed <- src.calls_followed;
-  dst.summary_hits <- src.summary_hits;
-  dst.pruned_branches <- src.pruned_branches;
-  dst.transitions_fired <- src.transitions_fired;
-  dst.instances_created <- src.instances_created;
-  dst.functions_traversed <- src.functions_traversed;
-  dst.cache_probes <- src.cache_probes;
-  dst.intern_atoms <- src.intern_atoms;
-  dst.intern_tuples <- src.intern_tuples;
-  dst.match_attempts <- src.match_attempts;
-  dst.index_hits <- src.index_hits;
-  dst.blocks_skipped <- src.blocks_skipped;
-  dst.sched_steals <- src.sched_steals;
-  dst.worker_alloc_bytes <- src.worker_alloc_bytes
-
-let snapshot_root rctx =
-  rctx.journal <- [];
-  rctx.journaling <- true;
-  { sn_reports = Report.count rctx.collector; sn_stats = copy_stats rctx.st }
-
-let apply_undo rctx = function
-  | U_annot (eid, Some tags) -> Hashtbl.replace rctx.annots eid tags
-  | U_annot (eid, None) -> Hashtbl.remove rctx.annots eid
-  | U_mark (tbl, key) -> Hashtbl.remove tbl key
-  | U_imark (tbl, key) -> Hashtbl.remove tbl key
-  | U_counter (rule, Some v) -> Hashtbl.replace rctx.counters rule v
-  | U_counter (rule, None) -> Hashtbl.remove rctx.counters rule
-  | U_adone fb -> Bytes.set rctx.annots_done fb '\000'
-
-let rollback_root rctx sn =
-  Report.truncate rctx.collector sn.sn_reports;
-  List.iter (apply_undo rctx) rctx.journal;
-  assign_stats rctx.st sn.sn_stats;
-  Hashtbl.reset rctx.fsums
-
-(* The root boundary: run one root under its budget, catching budget
-   exhaustion and arbitrary crashes (a checker action raising, a stack
-   overflow on a pathological CFG) alike. On failure the root is rolled
-   back and recorded as [degraded]; the caller moves on to the next
-   root. Either way the journal is released: a healthy root's writes
-   become permanent, and cross-root work (the per-root driver's merge)
-   runs unjournaled. *)
-let run_root_contained rctx (ext : Sm.t) root =
-  let sn = snapshot_root rctx in
-  reset_budget rctx;
-  (try run_root rctx ext root
-   with e ->
-     let reason =
-       match e with
-       | Budget_exceeded r -> r
-       | e -> "uncaught exception: " ^ Printexc.to_string e
-     in
-     rollback_root rctx sn;
-     rctx.degraded_roots <-
-       { d_root = root; d_reason = reason } :: rctx.degraded_roots);
-  rctx.journaling <- false;
-  rctx.journal <- []
-
-(* Installing an extension in a context compiles its dispatch tables;
-   [cur_ext] and [dsp] must stay in lockstep, so this is the only way
-   either is assigned. *)
-let set_extension rctx (ext : Sm.t) =
-  rctx.cur_ext <- ext;
-  rctx.dsp <- Dispatch.compile ~sg:rctx.sg ext
-
-(* The sequential driver runs every root in one context, so a function's
-   summary tables serve every later root that reaches the function. They
-   are worth keeping only that long: [release] (from
-   {!Callgraph.release_schedule}, computed once per run) lists, per root,
-   the functions whose last reader it is, and their tables are dropped —
-   handed to [on_release] first — as soon as that root finishes. That is
-   exact. Only [get_fsum] reads [fsums], and a root's traversal enters
-   only functions of its callgraph closure ([call_target] follows only
-   [Ecall (Eident f)] calls, each of which [Callgraph.build] records as
-   an edge), so no released table is read again, and the last root
-   leaves the table empty for the next extension. *)
-let run_extension ?on_release ~release rctx (ext : Sm.t) =
-  set_extension rctx ext;
-  let roots = Supergraph.roots rctx.sg in
-  Log.debug (fun m ->
-      m "running extension %s over roots: %s" ext.Sm.sm_name
-        (String.concat ", " roots));
-  List.iteri
-    (fun i root ->
-      run_root_contained rctx ext root;
-      List.iter
-        (fun f ->
-          match Hashtbl.find_opt rctx.fsums f with
-          | None -> ()
-          | Some s ->
-              Hashtbl.remove rctx.fsums f;
-              Option.iter (fun k -> k f s) on_release)
-        release.(i))
-    roots;
-  assert (Hashtbl.length rctx.fsums = 0)
-
-let collect_result rctx =
-  rctx.st.functions_traversed <- Hashtbl.length rctx.traversed;
-  (* fold in this context's own intern tables; worker contexts already
-     contributed theirs through [add_stats] *)
-  rctx.st.intern_atoms <- rctx.st.intern_atoms + Intern.n_atoms rctx.intern;
-  rctx.st.intern_tuples <- rctx.st.intern_tuples + Intern.n_tuples rctx.intern;
-  {
-    reports = Report.reports rctx.collector;
-    counters =
-      List.sort
-        (fun (a, _, _) (b, _, _) -> String.compare a b)
-        (Hashtbl.fold (fun rule (e, c) acc -> (rule, e, c) :: acc) rctx.counters []);
-    stats = rctx.st;
-    degraded = List.rev rctx.degraded_roots;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* The per-root driver                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-root traversals are independent monotone computations over the
-   shared, immutable supergraph — the only cross-root coupling in the
-   sequential engine is through caches (function summaries, block src
-   tuples, report dedup) that trade repeated work for nothing observable.
-   So every run other than uncached [-j 1] gives each root a private
-   [rctx] (collector, counters, stats, fsums, dedup) and folds the
-   results back in root order, which makes the output independent of
-   how the pool schedules roots onto domains, and of whether a root was
-   computed or replayed from the store. *)
+(* The root boundary: run one root in [w] under its budget, catching
+   budget exhaustion and arbitrary crashes (a checker action raising, a
+   stack overflow on a pathological CFG) alike. A healthy root returns
+   what it produced; one that raised calls [on_fault] and returns only
+   its note. *)
+let run_contained ~on_fault w (ext : Sm.t) root =
+  reset_budget w;
+  match run_root w ext root with
+  | () ->
+      {
+        o_reports = Report.reports w.collector;
+        o_counters = List.map (fun (rule, (e, c)) -> (rule, e, c)) (entries w.counters);
+        o_annots = annot_fresh w;
+        o_traversed = List.map fst (entries w.traversed);
+        o_stats = w.st;
+        o_degraded = [];
+      }
+  | exception e ->
+      let reason =
+        match e with
+        | Budget_exceeded r -> r
+        | e -> "uncaught exception: " ^ Printexc.to_string e
+      in
+      on_fault ();
+      {
+        o_reports = [];
+        o_counters = [];
+        o_annots = [];
+        o_traversed = [];
+        o_stats = new_stats ();
+        o_degraded = [ { d_root = root; d_reason = reason } ];
+      }
 
 let add_stats (acc : stats) (s : stats) =
   acc.blocks_visited <- acc.blocks_visited + s.blocks_visited;
@@ -2284,69 +2187,154 @@ let add_stats (acc : stats) (s : stats) =
   acc.sched_steals <- acc.sched_steals + s.sched_steals;
   acc.worker_alloc_bytes <- acc.worker_alloc_bytes + s.worker_alloc_bytes
 
-(* What the root-order merge reads of one root: a worker's run, or a
-   stored entry decoded into the same shape. The rest of a worker's
-   context — intern and id tables, the [annots_done] bitset, the dedup
-   table, the store family, the summaries — dies with the task instead
-   of waiting for the merge, and a root that touched little hands over a
-   few words. *)
-type root_out = {
-  o_reports : Report.t list;  (* emission order *)
-  o_counters : (string * int * int) list;
-  o_annots : (int * string list) list;
-      (* per node id, the tags the root added beyond the extension base,
-         oldest first *)
-  o_traversed : string list;
-  o_stats : stats;
-  o_degraded : degraded list;  (* the root's note if it was rolled back *)
-}
+(* Fold one root's output into [base]: reports deduplicated by their
+   identity key through [dedup] (the first in root order wins), counters
+   and stats summed, tags laid with [touched] hearing of every node whose
+   tags change, and a degraded root's note recorded. *)
+let merge_out ?(touched = ignore) ~dedup base o =
+  List.iter
+    (fun r ->
+      let key = report_key r in
+      if not (Hashtbl.mem dedup key) then begin
+        Hashtbl.replace dedup key ();
+        Report.emit base.collector r
+      end)
+    o.o_reports;
+  List.iter
+    (fun (rule, e, c) ->
+      let e0, c0 = Option.value (Hashtbl.find_opt base.counters rule) ~default:(0, 0) in
+      Hashtbl.replace base.counters rule (e0 + e, c0 + c))
+    o.o_counters;
+  List.iter (fun (eid, tags) -> if add_annots base eid tags then touched eid) o.o_annots;
+  List.iter (fun f -> Hashtbl.replace base.traversed f ()) o.o_traversed;
+  add_stats base.st o.o_stats;
+  List.iter (fun d -> base.degraded_roots <- d :: base.degraded_roots) o.o_degraded
 
-(* A table's entries in its iteration order. *)
-let entries tbl = List.rev (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+(* Installing an extension in a context compiles its dispatch tables;
+   [cur_ext] and [dsp] must stay in lockstep, so this is the only way
+   either is assigned. *)
+let set_extension rctx (ext : Sm.t) =
+  rctx.cur_ext <- ext;
+  rctx.dsp <- Dispatch.compile ~sg:rctx.sg ext
 
-(* The tags [rctx] laid beyond its base, per node, oldest first. *)
-let annot_fresh rctx =
-  List.map
-    (fun (eid, tags) -> (eid, fresh_annots ~base:rctx.annots_base eid tags))
-    (entries rctx.annots)
+(* The sequential driver runs each root in a frame over the run's context
+   [rctx]: its own collector, counters, dedup, traversed set and stats, a
+   tag delta over [rctx.annots] and a summary delta over [rctx.fsums],
+   and everything else (interner, id resolver, store family, dispatch,
+   first-visit bitset) shared. Each frame is merged before the next root
+   starts, so a root sees the tags and reuses the summaries of every root
+   before it, exactly as if all of them wrote into [rctx]. A frame whose
+   root raised leaves [rctx] as it was, but for the first-visit bitset,
+   which is cleared: the bits it set guard tags that were dropped, and
+   laying a terminator's tags again is idempotent. *)
+let frame rctx =
+  let annots = Hashtbl.create 16 in
+  {
+    rctx with
+    collector = Report.new_collector ();
+    counters = Hashtbl.create 16;
+    annots_base = rctx.annots;
+    annots;
+    annots_lookup = lookup_annot ~delta:annots ~base:rctx.annots;
+    fsums_base = rctx.fsums;
+    fsums = Hashtbl.create 16;
+    dedup = Hashtbl.create 16;
+    traversed = Hashtbl.create 16;
+    st = new_stats ();
+  }
 
-(* Run one root in a fresh worker context on a pool domain. Its
-   intern-table sizes and, when it ran off the [caller]'s domain, its
-   allocation are stamped into its stats so the root-order merge can fold
-   them like any other counter. *)
+(* A function's summary tables serve every later root that reaches the
+   function, and are worth keeping only that long: [release] (from
+   {!Callgraph.release_schedule}, computed once per run) lists, per root,
+   the functions whose last reader it is, and their tables are dropped —
+   handed to [on_release] first — as soon as that root's frame is merged.
+   That is exact. Only [get_fsum] and [read_fsum] read [fsums], and a
+   root's traversal enters only functions of its callgraph closure
+   ([call_target] follows only [Ecall (Eident f)] calls, each of which
+   [Callgraph.build] records as an edge), so no released table is read
+   again, and the last root leaves the table empty for the next
+   extension. [dedup] is the run's merge-time report dedup. *)
+let run_extension ?on_release ~release ~dedup rctx (ext : Sm.t) =
+  set_extension rctx ext;
+  let roots = Supergraph.roots rctx.sg in
+  Log.debug (fun m ->
+      m "running extension %s over roots: %s" ext.Sm.sm_name
+        (String.concat ", " roots));
+  let clear_done () = Bytes.fill rctx.annots_done 0 (Bytes.length rctx.annots_done) '\000' in
+  List.iteri
+    (fun i root ->
+      let w = frame rctx in
+      let o = run_contained ~on_fault:clear_done w ext root in
+      (* a healthy frame's tables replace the ones it copied *)
+      if o.o_degraded = [] then Hashtbl.iter (Hashtbl.replace rctx.fsums) w.fsums;
+      merge_out ~dedup rctx o;
+      List.iter
+        (fun f ->
+          match Hashtbl.find_opt rctx.fsums f with
+          | None -> ()
+          | Some s ->
+              Hashtbl.remove rctx.fsums f;
+              Option.iter (fun k -> k f s) on_release)
+        release.(i))
+    roots;
+  assert (Hashtbl.length rctx.fsums = 0)
+
+let collect_result rctx =
+  rctx.st.functions_traversed <- Hashtbl.length rctx.traversed;
+  (* fold in this context's own intern tables, which its frames share;
+     per-root contexts already contributed theirs through [add_stats] *)
+  rctx.st.intern_atoms <- rctx.st.intern_atoms + Intern.n_atoms rctx.intern;
+  rctx.st.intern_tuples <- rctx.st.intern_tuples + Intern.n_tuples rctx.intern;
+  {
+    reports = Report.reports rctx.collector;
+    counters =
+      List.sort
+        (fun (a, _, _) (b, _, _) -> String.compare a b)
+        (Hashtbl.fold (fun rule (e, c) acc -> (rule, e, c) :: acc) rctx.counters []);
+    stats = rctx.st;
+    degraded = List.rev rctx.degraded_roots;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The per-root driver                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Per-root traversals are independent monotone computations over the
+   shared, immutable supergraph — the only cross-root coupling in the
+   sequential engine is through caches (function summaries, block src
+   tuples) that trade repeated work for nothing observable. So every run
+   other than uncached [-j 1] gives each root a fresh [rctx] and folds
+   the outputs back in root order, which makes the output independent of
+   how the pool schedules roots onto domains, and of whether a root was
+   computed or replayed from the store. *)
+
+(* Run one root in a fresh context on a pool domain. Its intern-table
+   sizes and, when it ran off the [caller]'s domain, its allocation are
+   stamped into its stats so the root-order merge can fold them like any
+   other counter. *)
 let run_worker ~caller base (ext : Sm.t) root =
   let alloc0 = Gc.allocated_bytes () in
   let w =
     new_rctx_in ~options:base.opts ~annots_base:base.annots
       ~kill_seen:base.kill_seen ~ext ~dsp:base.dsp base.sg
   in
-  run_root_contained w ext root;
-  w.st.intern_atoms <- Intern.n_atoms w.intern;
-  w.st.intern_tuples <- Intern.n_tuples w.intern;
+  let o = run_contained ~on_fault:ignore w ext root in
+  o.o_stats.intern_atoms <- Intern.n_atoms w.intern;
+  o.o_stats.intern_tuples <- Intern.n_tuples w.intern;
   if Domain.self () <> caller then
-    w.st.worker_alloc_bytes <-
-      int_of_float (Gc.allocated_bytes () -. alloc0);
-  {
-    o_reports = Report.reports w.collector;
-    o_counters = List.map (fun (rule, (e, c)) -> (rule, e, c)) (entries w.counters);
-    o_annots = annot_fresh w;
-    o_traversed = List.map fst (entries w.traversed);
-    o_stats = w.st;
-    o_degraded = List.rev w.degraded_roots;
-  }
+    o.o_stats.worker_alloc_bytes <- int_of_float (Gc.allocated_bytes () -. alloc0);
+  o
 
 (* The per-root driver, for [ext] (already installed in [base]): every
    root without a [replayed] output runs in its own context on the pool,
    in root order; [on_computed] hears of each computed output before the
    merge touches [base]; then replayed and computed outputs alike are
-   folded into [base] in root order, [touched] hearing of every node
-   whose tags the merge changes. Each root's output is independent of
-   every other root's and of the domain that ran it, so the merge is
+   folded into [base] in root order. Each root's output is independent
+   of every other root's and of the domain that ran it, so the merge is
    byte-identical at any [jobs]. The dedup table is fresh per extension
-   rather than shared across extensions the way one mutable table is in
-   the sequential path — report identity keys embed the checker name, so
-   the observable result is the same. *)
-let run_roots ?(touched = ignore) ?(on_computed = fun _ _ -> ()) ~pool base
+   rather than one per run as in the sequential driver — report identity
+   keys embed the checker name, so the observable result is the same. *)
+let run_roots ?touched ?(on_computed = fun _ _ -> ()) ~pool base
     (ext : Sm.t) (replayed : root_out option array) =
   let roots = Array.of_list (Supergraph.roots base.sg) in
   let todo =
@@ -2367,7 +2355,7 @@ let run_roots ?(touched = ignore) ?(on_computed = fun _ _ -> ()) ~pool base
   Array.iteri
     (fun j r -> match r with Ok o -> on_computed todo.(j) o | Error _ -> ())
     computed;
-  let dedup : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  let dedup = Hashtbl.create 64 in
   let next = ref 0 in
   Array.iteri
     (fun i root ->
@@ -2379,30 +2367,7 @@ let run_roots ?(touched = ignore) ?(on_computed = fun _ _ -> ()) ~pool base
             computed.(!next - 1)
       in
       match out with
-      | Ok o ->
-          List.iter
-            (fun r ->
-              let key = report_key r in
-              if not (Hashtbl.mem dedup key) then begin
-                Hashtbl.replace dedup key ();
-                Report.emit base.collector r
-              end)
-            o.o_reports;
-          List.iter
-            (fun (rule, e, c) ->
-              let e0, c0 =
-                Option.value (Hashtbl.find_opt base.counters rule) ~default:(0, 0)
-              in
-              Hashtbl.replace base.counters rule (e0 + e, c0 + c))
-            o.o_counters;
-          List.iter
-            (fun (eid, tags) -> if add_annots base eid tags then touched eid)
-            o.o_annots;
-          List.iter (fun f -> Hashtbl.replace base.traversed f ()) o.o_traversed;
-          add_stats base.st o.o_stats;
-          List.iter
-            (fun d -> base.degraded_roots <- d :: base.degraded_roots)
-            o.o_degraded
+      | Ok o -> merge_out ?touched ~dedup base o
       | Error e ->
           (* the task failed outside the root boundary (worker setup) —
              degrade this root, keep the rest *)
@@ -2780,8 +2745,9 @@ let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups base (ext : Sm.
       roots
   in
   (* A computed root's entry is stored before the merge, skipping roots
-     that blew their budget (or crashed) and were rolled back: an empty
-     entry would replay as "this root is clean" on the next warm run. *)
+     that blew their budget (or crashed) and handed over only their note:
+     an empty entry would replay as "this root is clean" on the next warm
+     run. *)
   let store_computed i o =
     if Summary_store.persist store && o.o_degraded = [] then
       Summary_store.store_root store ~ext:ext_key ~key:keys.(i)
@@ -2854,7 +2820,8 @@ let run ?options ?(jobs = 1) ?cache sg exts =
       end
       else begin
         let release = Callgraph.release_schedule sg.Supergraph.callgraph in
-        List.iter (run_extension ~release rctx) exts
+        let dedup = Hashtbl.create 64 in
+        List.iter (run_extension ~release ~dedup rctx) exts
       end;
       collect_result rctx
 
@@ -2864,11 +2831,12 @@ let run_observing_groups ?options ?(jobs = 1) ~cache ~observe sg exts =
 let run_with_summaries ?options sg exts =
   let rctx = new_rctx ?options sg in
   let release = Callgraph.release_schedule sg.Supergraph.callgraph in
+  let dedup = Hashtbl.create 64 in
   let per_ext =
     List.map
       (fun ext ->
         let summaries = Hashtbl.create 16 in
-        run_extension ~release rctx ext ~on_release:(fun fname (s : fsum) ->
+        run_extension ~release ~dedup rctx ext ~on_release:(fun fname (s : fsum) ->
             Hashtbl.replace summaries fname
               (densify s.f_it s.bs, densify s.f_it s.sfx));
         (ext.Sm.sm_name, summaries))

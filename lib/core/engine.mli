@@ -100,11 +100,13 @@ type degraded = { d_root : string; d_reason : string }
 (** A callgraph root the engine abandoned: it exhausted its analysis
     budget ({!options.max_nodes_per_root} / {!options.timeout_per_root})
     or its traversal raised. Containment is per root: a degraded root
-    contributes {e nothing} — no reports, counters, annotations, cached
-    entries or function summaries (a truncated summary would be trusted
-    as complete, suppressing the re-traversals that report) — and every
-    other root's output is byte-identical to a run without it, at any
-    [jobs]. *)
+    contributes {e nothing} but this note — no reports, counters,
+    annotations, traversed functions, traversal stats, cached entries or
+    function summaries (a truncated summary would be trusted as complete,
+    suppressing the re-traversals that report) — and every other root's
+    output is byte-identical to a run without it, at any [jobs], cached
+    or not: its reports, its rule counters and its traversal stats (the
+    process-local intern and allocation counts aside). *)
 
 type result = {
   reports : Report.t list;
@@ -139,27 +141,31 @@ val run :
     AST annotations are visible to later ones), starting from every
     callgraph root.
 
-    There are two drivers. Uncached with [jobs = 1] (the default), one
-    root context is shared by every root, and a function's summaries are
-    reused across roots until the last root that can reach the function
-    ({!Callgraph.release_schedule}) has run; then they are dropped.
-    Every other run is the per-root driver: each callgraph root the
-    store cannot replay is an individual task on a work-stealing
-    scheduler ({!Pool.sched}), in root order, analysed in a private root
-    context over the shared supergraph, and the run opens one {!Pool.t}
-    whose [jobs - 1] helper domains serve every extension and are joined
-    when the run returns. Replayed and computed roots are merged alike,
-    deterministically in root order (reports re-deduplicated by their
-    identity key, counters and stats summed), so the reports are
-    byte-identical to the sequential run and independent of scheduling,
-    and uncached [jobs > 1] does exactly the work of a cold [cache] run
-    at any [jobs]: every counter and every [stats] field but
-    [sched_steals] and [worker_alloc_bytes] agrees.
-    The two drivers differ only in cache reuse, which no report can
-    see: the shared context takes summary hits across roots, so its
-    [stats] traversal counts and some rule counters can differ (a callee
-    that bumps a counter is traversed once per root in a per-root run,
-    but only on a summary-cache miss in the shared context).
+    Every root runs in a context whose output tables are its own, and
+    one merge folds what it produced into the run, in root order
+    (reports re-deduplicated by their identity key, counters and stats
+    summed, tags laid). There are two drivers. Uncached with [jobs = 1]
+    (the default), each root runs in a frame over one run context and is
+    merged before the next root starts, so it reads the tags and reuses
+    the summaries of every root before it; a function's summaries are
+    kept until the last root that can reach the function
+    ({!Callgraph.release_schedule}) has run, then dropped. Every other
+    run is the per-root driver: each callgraph root the store cannot
+    replay is an individual task on a work-stealing scheduler
+    ({!Pool.sched}), in root order, analysed in a fresh root context
+    over the shared supergraph, and the run opens one {!Pool.t} whose
+    [jobs - 1] helper domains serve every extension and are joined when
+    the run returns. Replayed and computed roots are merged alike, so
+    the reports are byte-identical to the sequential run and independent
+    of scheduling, and uncached [jobs > 1] does exactly the work of a
+    cold [cache] run at any [jobs]: every counter and every [stats]
+    field but [sched_steals] and [worker_alloc_bytes] agrees.
+    The two drivers differ only in where a root's caches come from and
+    when it merges, which no report can see: a frame takes summary hits
+    on earlier roots' summaries, so its [stats] traversal counts and
+    some rule counters can differ (a callee that bumps a counter is
+    traversed once per root in a per-root run, but only on a
+    summary-cache miss at [jobs = 1]).
     Annotations compose across extensions (merged between extension
     runs); annotations made during one root's traversal are not visible
     to {e other roots of the same extension} in a per-root run.

@@ -118,13 +118,3 @@ let count c = c.n
 let clear c =
   c.items <- [];
   c.n <- 0
-
-let truncate c keep =
-  (* items are stored newest-first, so dropping everything emitted after
-     the first [keep] reports means dropping from the front *)
-  if keep <= 0 then clear c
-  else if c.n > keep then begin
-    let rec drop items k = if k <= 0 then items else drop (List.tl items) (k - 1) in
-    c.items <- drop c.items (c.n - keep);
-    c.n <- keep
-  end

@@ -60,9 +60,3 @@ val reports : collector -> t list
 
 val count : collector -> int
 val clear : collector -> unit
-
-val truncate : collector -> int -> unit
-(** [truncate c n] drops every report emitted after the first [n],
-    restoring the collector to an earlier {!count} — the rollback
-    primitive the engine's per-root fault containment uses to discard a
-    degraded root's partial output. *)

@@ -9,6 +9,18 @@ let t = Alcotest.test_case
 let report_lines (r : Engine.result) =
   List.map Report.to_string r.Engine.reports
 
+(* The reports, counters and the nine stats fields the summary store
+   persists. *)
+let observed (r : Engine.result) =
+  let s = r.Engine.stats in
+  ( report_lines r,
+    r.Engine.counters,
+    [
+      s.blocks_visited; s.nodes_visited; s.cache_hits; s.paths_explored;
+      s.calls_followed; s.summary_hits; s.pruned_branches; s.transitions_fired;
+      s.instances_created;
+    ] )
+
 (* Capture Diag warnings so fault-injection tests keep stderr quiet and
    can assert on the diagnostics themselves. *)
 let with_diag f =
@@ -107,6 +119,21 @@ let explode_fn =
   \  return *p1 + *p2 + *p3 + *p4;\n\
    }\n"
 
+(* r1 summarises h; r_bad enters h with a new tuple (p freed) and runs
+   out of budget inside it, before its dereference; r3 then enters h with
+   that same tuple and must traverse it rather than trust the summary
+   r_bad left half-built (a hit there would drop r3's use after free).
+   r_bad shares r1's line, so no report moves. *)
+let callee_fault_src ~with_bad =
+  let steps v n = String.concat " " (List.init n (fun i -> Printf.sprintf "%s = %d;" v (i + 1))) in
+  Printf.sprintf
+    "int h(int *p) { int x = 0; %s return *p; }\nint r1(int *p) { return h(p); }%s\n\
+     int r3(int *q) { kfree(q); return h(q); }\n"
+    (steps "x" 19)
+    (if with_bad then
+       Printf.sprintf " int r_bad(int *p, int y) { %s kfree(p); return h(p); }" (steps "y" 20)
+     else "")
+
 let budget_tests =
   [
     t "node budget degrades only the exploding root" `Quick (fun () ->
@@ -143,27 +170,138 @@ let budget_tests =
           [ 1; 2 ]);
     t "budget exhaustion does not leak partial stats or summaries" `Quick
       (fun () ->
-        (* the degraded root's rollback restores counters: a budgeted run of
-           just the healthy roots and a budgeted run including the exploding
-           root agree on reports exactly *)
-        let options =
-          { Engine.default_options with max_nodes_per_root = 40 }
-        in
-        let run src =
-          fst
-            (with_diag (fun () ->
-                 Engine.run ~options
-                   (Supergraph.build [ Cparse.parse_tunit ~file:"t.c" src ])
-                   [ free () ]))
-        in
-        let healthy = run explosion_src in
-        let faulty = run (explosion_src ^ explode_fn) in
-        Alcotest.(check int) "healthy roots unaffected" 0
-          (List.length healthy.Engine.degraded);
-        Alcotest.(check (list string)) "reports agree"
-          (report_lines healthy) (report_lines faulty);
-        Alcotest.(check int) "stats rolled back" healthy.Engine.stats.Engine.nodes_visited
-          faulty.Engine.stats.Engine.nodes_visited);
+        (* a budgeted run of just the healthy roots and a budgeted run
+           including the exploding root agree on reports, counters and
+           stats exactly, at -j 1 and -j 2 *)
+        List.iter
+          (fun (label, budget, healthy_src, faulty_src) ->
+            let options =
+              { Engine.default_options with max_nodes_per_root = budget }
+            in
+            let run ~jobs src =
+              fst
+                (with_diag (fun () ->
+                     Engine.run ~options ~jobs
+                       (Supergraph.build [ Cparse.parse_tunit ~file:"t.c" src ])
+                       [ free () ]))
+            in
+            List.iter
+              (fun jobs ->
+                let label = Printf.sprintf "%s (j=%d)" label jobs in
+                let healthy = run ~jobs healthy_src in
+                let faulty = run ~jobs faulty_src in
+                Alcotest.(check int) (label ^ ": healthy roots unaffected") 0
+                  (List.length healthy.Engine.degraded);
+                Alcotest.(check int) (label ^ ": one root degraded") 1
+                  (List.length faulty.Engine.degraded);
+                let reports, counters, stats = observed faulty in
+                let reports0, counters0, stats0 = observed healthy in
+                Alcotest.(check (list string)) (label ^ ": reports agree") reports0 reports;
+                Alcotest.(check (list (triple string int int)))
+                  (label ^ ": counters agree") counters0 counters;
+                Alcotest.(check (list int)) (label ^ ": stats agree") stats0 stats)
+              [ 1; 2 ])
+          [
+            ("exploding last root", 40, explosion_src, explosion_src ^ explode_fn);
+            ( "budget out inside a summarised callee",
+              80,
+              callee_fault_src ~with_bad:false,
+              callee_fault_src ~with_bad:true );
+          ]);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Generated fault positions                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A root past its node budget that first calls every shared helper of a
+   linked corpus, so it probes, extends and counts the very summaries
+   that later roots reuse at -j 1. Appended after the last line of a
+   file, it moves no other line. *)
+let fault_root =
+  "int fault_root(struct lk *l, int n, int a, int b) {\n\
+  \  int *p = shared_alloc(n);\n\
+  \  lock(l);\n\
+  \  shared_unlock(l);\n\
+  \  shared_release(p);\n"
+  ^ String.concat "" (List.init 150 (fun _ -> "  if (a) { b = 1; }\n"))
+  ^ "  return b;\n}\n"
+
+let rec rm_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* [fault_root] at the end of file [pos] of a seeded 3x6 linked corpus,
+   all 14 checkers, a 300-node budget: only [fault_root] degrades, and
+   every run reads as the healthy program's run at the same -j. A cached
+   run, cold or warm, is the per-root driver at any -j, so the healthy
+   -j 2 run is its reference. *)
+let fault_position (seed, pos) =
+  let files =
+    List.map
+      (fun (f, (g : Gen.t)) -> (f, g.Gen.source))
+      (Gen.generate_linked ~seed ~n_files:3 ~funcs_per_file:6 ~bug_rate:0.4)
+  in
+  let target = fst (List.nth files (pos mod List.length files)) in
+  let faulty =
+    List.map (fun (f, src) -> (f, if f = target then src ^ fault_root else src)) files
+  in
+  let options = { Engine.default_options with max_nodes_per_root = 300 } in
+  let entries = Registry.all () in
+  let run ?cache ~jobs files =
+    fst
+      (with_diag (fun () ->
+           Engine.run ~options ~jobs ?cache
+             (Supergraph.build
+                (List.map (fun (file, src) -> Cparse.parse_tunit ~file src) files))
+             (List.map (fun (e : Registry.entry) -> e.e_make ()) entries)))
+  in
+  let dir = Filename.temp_file "xgcc_fault_position" "" in
+  Sys.remove dir;
+  let store () =
+    Summary_store.create ~dir
+      ~ext_keys:
+        (Summary_store.ext_keys_of
+           ~options_digest:(Engine.options_digest options)
+           ~sources:(List.map (fun (e : Registry.entry) -> e.e_name) entries))
+      ()
+  in
+  let check label (healthy : Engine.result) (r : Engine.result) =
+    if healthy.Engine.degraded <> [] then
+      QCheck2.Test.fail_reportf "%s: the healthy program degrades" label;
+    let roots = List.map (fun (d : Engine.degraded) -> d.Engine.d_root) r.Engine.degraded in
+    if List.sort_uniq String.compare roots <> [ "fault_root" ] then
+      QCheck2.Test.fail_reportf "%s: degraded roots [%s]" label (String.concat "; " roots);
+    let reports, counters, stats = observed r in
+    let reports0, counters0, stats0 = observed healthy in
+    if reports <> reports0 then QCheck2.Test.fail_reportf "%s: reports differ" label;
+    if counters <> counters0 then QCheck2.Test.fail_reportf "%s: counters differ" label;
+    if stats <> stats0 then
+      QCheck2.Test.fail_reportf "%s: stats [%s], healthy [%s]" label
+        (String.concat " " (List.map string_of_int stats))
+        (String.concat " " (List.map string_of_int stats0))
+  in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists dir then rm_tree dir)
+    (fun () ->
+      let healthy1 = run ~jobs:1 files and healthy2 = run ~jobs:2 files in
+      check "-j 1" healthy1 (run ~jobs:1 faulty);
+      check "-j 2" healthy2 (run ~jobs:2 faulty);
+      check "cold" healthy2 (run ~cache:(store ()) ~jobs:1 faulty);
+      check "warm" healthy2 (run ~cache:(store ()) ~jobs:1 faulty);
+      true)
+
+let position_tests =
+  [
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 26 |])
+      (QCheck2.Test.make ~name:"a degraded root changes no other output at any position"
+         ~count:6
+         ~print:(fun (seed, pos) -> Printf.sprintf "seed %d, fault_root ending file %d" seed pos)
+         QCheck2.Gen.(pair (int_range 1 30) (int_bound 3))
+         fault_position);
   ]
 
 let worker_tests =
@@ -246,4 +384,4 @@ let mcast_tests =
         Sys.remove bad);
   ]
 
-let suite = parse_recovery_tests @ budget_tests @ worker_tests @ mcast_tests
+let suite = parse_recovery_tests @ budget_tests @ worker_tests @ mcast_tests @ position_tests

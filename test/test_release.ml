@@ -114,6 +114,21 @@ type pinned = {
 
 let pinned_runs () =
   [
+    (* r2 enters helper, which r1 summarised, with p freed: a new entry
+       tuple, so r2's frame copies helper's tables before extending them.
+       Recorded from the sequential driver before roots ran in frames, when
+       every root extended the run's tables in place. *)
+    ( "shapes",
+      sg_of_files [ ("shapes.c", shapes_src) ],
+      {
+        p_stats =
+          "blocks 212 nodes 366 paths 99 hits 15 calls 83 sums 40 pruned 0 | probes 295 \
+           atoms 12 tuples 4 | attempts 220 index 207 skipped 92 | fns 6 fired 4 inst 2";
+        p_counters = "";
+        p_reports = 2;
+        p_tables_md5 = "5cb9d2c696167589a5cf16ab917ea04b";
+        p_tables_len = 12289;
+      } );
     ( "gen seed 21",
       sg_of_files
         (gen_sources (Gen.generate_files ~seed:21 ~n_files:3 ~funcs_per_file:8 ~bug_rate:0.4)),

@@ -3,8 +3,8 @@
    [Cast.key_of_expr], for program and synthesized trees alike), the base
    table is shared read-only across domains, reports are byte-identical
    at any job count, warm caches replay across id numberings (stored
-   summaries carry keys, not ids), and per-root fault containment rolls
-   back int-keyed journal state. *)
+   summaries carry keys, not ids), and a degraded root's int-keyed state
+   never reaches the run. *)
 
 let t = Alcotest.test_case
 let e s = Cparse.expr_of_string ~file:"<t>" s
@@ -180,8 +180,9 @@ let rollback_tests =
     t "degraded root rolls back int-keyed journals at -j1/-j2" `Quick
       (fun () ->
         (* report dedup and summary sources are keyed by interned ints;
-           rollback must unwind those journal entries so healthy roots'
-           output matches a run that never had the bad root *)
+           the degraded root's frame, which holds its entries, must be
+           dropped whole, so healthy roots' output matches a run that
+           never had the bad root *)
         let options = { Engine.default_options with max_nodes_per_root = 40 } in
         let healthy = Engine.run (sg_of explosion_src) (free ()) in
         Alcotest.(check int) "baseline sanity" 0
