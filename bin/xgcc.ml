@@ -531,7 +531,13 @@ let do_emit files outdir cpp jobs cache =
       Format.eprintf "%s@." msg;
       exit 2
   in
-  Wire.mkdir_p outdir;
+  (* a path that is, or lies under, a regular file cannot hold the
+     outputs: a usage error, before any task writes *)
+  (match Wire.mkdir_p outdir with
+  | () when Sys.is_directory outdir -> ()
+  | () | (exception Sys_error _) ->
+      Format.eprintf "%s: not a directory@." outdir;
+      exit 2);
   let outputs =
     Pool.run ~jobs (Array.length targets) (fun i ->
         let f, base = targets.(i) in

@@ -282,7 +282,8 @@ let refresh g =
     (fun grp ->
       grp.hash <- hash_entries (Hashtbl.fold (fun _ e acc -> e :: acc) grp.entries []);
       grp.dirty <- false)
-    !dirty
+    !dirty;
+  List.length !dirty
 
 let current g =
   {
@@ -294,8 +295,9 @@ let current g =
 
 let misc_hash g = g.misc_group.hash
 let group_hash g d = Option.map (fun grp -> grp.hash) (Hashtbl.find_opt g.by_def d)
+let fold_groups g f acc = Hashtbl.fold (fun d grp acc -> f d grp.hash acc) g.by_def acc
 
 let group_hashes ix ~is_group table =
   let g = groups ix ~is_group table in
-  refresh g;
+  ignore (refresh g);
   current g

@@ -84,9 +84,10 @@ val groups :
 val touch : groups -> int -> unit
 (** The tags of this node changed. *)
 
-val refresh : groups -> unit
+val refresh : groups -> int
 (** Bring the hashes up to date with every change touched since the last
-    refresh. *)
+    refresh, and say how many groups (misc included) it re-hashed: no
+    other group's hash changed. *)
 
 val current : groups -> hashes
 (** The hashes as of the last {!refresh}; equal to {!group_hashes} of the
@@ -106,3 +107,7 @@ val group_hash : groups -> string -> Fingerprint.t option
 (** The hash of this definition's group as of the last {!refresh};
     [None] while it has none. A cache key folds the hash of each member
     of its closure that has a group ({!Summary_store.key}). *)
+
+val fold_groups : groups -> (string -> Fingerprint.t -> 'a -> 'a) -> 'a -> 'a
+(** Fold over every definition that has a group, with its hash as of the
+    last {!refresh}, in no particular order. *)

@@ -148,37 +148,38 @@ let in_cycle t f = Sset.mem f t.cyclic
 
 (* Longest chain of calls below each function, or [None] when the
    function's transitive callee closure touches a recursive cycle (no
-   finite height exists). Memoised over the whole graph; safe to recurse
-   without an on-stack marker because a function outside [cyclic] cannot
-   reach itself, so the DFS never re-enters a frame it has open. *)
-let acyclic_heights t =
+   finite height exists). Memoised on demand; safe to recurse without an
+   on-stack marker because a function outside [cyclic] cannot reach
+   itself, so the DFS never re-enters a frame it has open. *)
+let acyclic_heights ?(known = fun _ -> None) t =
   let memo : (string, int option) Hashtbl.t = Hashtbl.create 64 in
   let rec go f =
-    match Hashtbl.find_opt memo f with
-    | Some r -> r
-    | None ->
-        let r =
-          if Sset.mem f t.cyclic then None
-          else
-            List.fold_left
-              (fun acc c ->
-                match (acc, go c) with
-                | Some a, Some hc -> Some (max a (hc + 1))
-                | _ -> None)
-              (Some 0) (callees t f)
-        in
-        Hashtbl.replace memo f r;
-        r
+    match known f with
+    | Some h -> h
+    | None -> (
+        match Hashtbl.find_opt memo f with
+        | Some r -> r
+        | None ->
+            let r =
+              if Sset.mem f t.cyclic || not (Smap.mem f t.callees_) then None
+              else
+                List.fold_left
+                  (fun acc c ->
+                    match (acc, go c) with
+                    | Some a, Some hc -> Some (max a (hc + 1))
+                    | _ -> None)
+                  (Some 0) (callees t f)
+            in
+            Hashtbl.replace memo f r;
+            r)
   in
-  Smap.iter (fun f _ -> ignore (go f)) t.callees_;
-  fun f -> Option.join (Hashtbl.find_opt memo f)
+  go
+
+let closure t f = Sset.elements (reachable t.callees_ [ f ])
 
 let closures t =
   let tbl = Hashtbl.create 64 in
-  Smap.iter
-    (fun f _ ->
-      Hashtbl.replace tbl f (Sset.elements (reachable t.callees_ [ f ])))
-    t.callees_;
+  Smap.iter (fun f _ -> Hashtbl.replace tbl f (closure t f)) t.callees_;
   fun f ->
     match Hashtbl.find_opt tbl f with Some c -> c | None -> [ f ]
 

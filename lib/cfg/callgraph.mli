@@ -22,21 +22,28 @@ val functions : t -> string list
 val in_cycle : t -> string -> bool
 (** Whether the function participates in a recursive call chain. *)
 
-val acyclic_heights : t -> string -> int option
-(** [acyclic_heights t] precomputes, for every defined function, the
-    longest chain of calls below it: [Some 0] for a function that calls
-    no defined function, [Some (1 + max over callees)] otherwise, and
-    [None] when the function's transitive callee closure touches a
-    recursive cycle (no finite height exists). Heights order the
-    callgraph bottom-up: the persistent cache's cutoff pass computes
-    every callee's canonical summary before any caller's key needs it.
-    Returns [None] for undefined names. *)
+val acyclic_heights : ?known:(string -> int option option) -> t -> string -> int option
+(** [acyclic_heights t f] is the longest chain of calls below [f]:
+    [Some 0] for a function that calls no defined function,
+    [Some (1 + max over callees)] otherwise, and [None] when the
+    function's transitive callee closure touches a recursive cycle (no
+    finite height exists). Heights order the callgraph bottom-up: the
+    persistent cache's cutoff pass computes every callee's canonical
+    summary before any caller's key needs it. Returns [None] for
+    undefined names. [acyclic_heights t] memoises what it computes, on
+    demand, so apply it once per graph and from one domain. [known g],
+    when [Some h], is taken as [g]'s height without a look at its
+    callees: a caller that kept the heights of an earlier version of the
+    graph computes only those of the functions that changed. *)
+
+val closure : t -> string -> string list
+(** One function's transitive callee closure, itself included, in sorted
+    name order: the set of functions whose behaviour a traversal entered
+    at it can observe. [[f]] for an undefined name. *)
 
 val closures : t -> string -> string list
-(** [closures t] precomputes, for every defined function, its transitive
-    callee closure (itself included) in sorted name order — the set of
-    functions whose behaviour a traversal entered at it can observe.
-    The persistent summary cache folds a fingerprint per closure member
+(** [closures t] precomputes {!closure} for every defined function. The
+    persistent summary cache folds a fingerprint per closure member
     into each cache key, so editing a member invalidates exactly the
     member and its transitive callers. The returned lookup falls back to
     the singleton [[f]] for undefined names. *)

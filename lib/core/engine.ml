@@ -2458,26 +2458,28 @@ let stats_of_list l =
   | _ -> ());
   s
 
-(* The tags a context added beyond its base ([annot_fresh]), oldest
-   first, at the position of their expression node (see {!Annot_pos}:
-   node ids are not stable across runs, so persisted deltas are
-   positional and re-resolved against the current program on replay).
-   Tags on nodes outside the program (per-rctx synthesised nodes, e.g.
-   declaration initialisers) are dropped — their ids are meaningless to
-   other contexts anyway. *)
-let annot_delta ~ix annots =
-  let deltas =
-    List.fold_left
-      (fun acc (eid, tags) ->
-        match Annot_pos.position ix eid with
-        | None -> acc
-        | Some (p : Annot_pos.pos) -> (p.loc, p.printed, p.def, p.occ, tags) :: acc)
-      [] annots
-  in
+(* The tags [annots] lays on nodes of the program, each with its node's
+   position, sorted by position (see {!Annot_pos}: node ids are not
+   stable across runs, so persisted deltas are positional and
+   re-resolved against the current program on replay). Tags on nodes
+   outside the program (per-rctx synthesised nodes, e.g. declaration
+   initialisers) are dropped — their ids are meaningless to other
+   contexts anyway. *)
+let positioned ~ix annots =
   List.sort
-    (fun ((a : Srcloc.t), pa, ca, oa, _) ((b : Srcloc.t), pb, cb, ob, _) ->
-      compare (a.file, a.line, a.col, pa, ca, oa) (b.file, b.line, b.col, pb, cb, ob))
-    deltas
+    (fun ((a : Annot_pos.pos), _, _) ((b : Annot_pos.pos), _, _) ->
+      compare
+        (a.loc.file, a.loc.line, a.loc.col, a.printed, a.def, a.occ)
+        (b.loc.file, b.loc.line, b.loc.col, b.printed, b.def, b.occ))
+    (List.filter_map
+       (fun (eid, tags) -> Option.map (fun p -> (p, eid, tags)) (Annot_pos.position ix eid))
+       annots)
+
+(* The stored form of a [positioned] delta. *)
+let annot_delta positioned =
+  List.map
+    (fun ((p : Annot_pos.pos), _, tags) -> (p.loc, p.printed, p.def, p.occ, tags))
+    positioned
 
 (* A stored delta against the current program, or [None] when some
    position no longer resolves: the entry was written over a program
@@ -2493,100 +2495,138 @@ let resolve_annots ~ix annots =
   in
   go [] annots
 
+(* A replayed root's output: what the merge reads of a stored entry whose
+   delta resolved to [annots] against the current program. *)
+let replay_out (e : Summary_store.root_entry) annots =
+  {
+    o_reports = e.r_reports;
+    o_counters = e.r_counters;
+    o_annots = annots;
+    o_traversed = e.r_traversed;
+    o_stats = stats_of_list e.r_stats;
+    o_degraded = [];
+  }
+
 (* What the keys of every extension share, computed once per cached run. *)
 type fn_probe = {
   pr_fn : string;
+  pr_height : int option;
+      (* [None] when the closure touches a cycle: such a function is never
+         probed, and its content hash stays its body hash *)
+  pr_body : Fingerprint.t;
   pr_prefix : string;  (* body hash ^ declarations hash *)
   pr_closure : string list;
   pr_callees : string list;  (* the closure less the function itself *)
 }
 
 type key_plan = {
-  body_hashes : (string, Fingerprint.t) Hashtbl.t;  (* every function of the callgraph *)
   decls_hash : Fingerprint.t;
-  probes : fn_probe array;
-      (* the acyclic functions bottom-up, by (height, name): every
-         callee's content hash exists before any caller's key needs it *)
-  root_closures : string list array;  (* in root order *)
+  fns : (string, fn_probe) Hashtbl.t;  (* every function of the callgraph *)
 }
 
-let key_plan sg =
-  let cg = sg.Supergraph.callgraph in
-  let closures = Callgraph.closures cg in
-  let heights = Callgraph.acyclic_heights cg in
-  let body_hashes = Hashtbl.create 64 in
+(* Analysis output depends on more than function bodies: typedefs,
+   struct/union layouts, enum constants, prototypes and global-variable
+   declarations all feed the typing environment (and file-scope statics
+   drive sleep/wake partitioning), yet none of them appear in any Gfun
+   body. Hash every non-function global into every cache key so a
+   declaration-level edit invalidates cached entries too. *)
+let decls_hash sg =
+  let b = Wire.writer () in
   List.iter
-    (fun f ->
-      Hashtbl.replace body_hashes f
-        (match Supergraph.body_hash sg f with
-        | Some h -> h
-        | None -> Fingerprint.of_string f))
-    (Callgraph.functions cg);
-  (* Analysis output depends on more than function bodies: typedefs,
-     struct/union layouts, enum constants, prototypes and global-variable
-     declarations all feed the typing environment (and file-scope statics
-     drive sleep/wake partitioning), yet none of them appear in any Gfun
-     body. Hash every non-function global into every cache key so a
-     declaration-level edit invalidates cached entries too. *)
-  let decls_hash =
-    let b = Wire.writer () in
-    List.iter
-      (fun (tu : Cast.tunit) ->
-        List.iter
-          (function Cast.Gfun _ -> () | g -> Cast_io.global_to_bin b g)
-          tu.tu_globals)
-      sg.Supergraph.tunits;
-    Fingerprint.of_string ~salt:Cast_io.cache_version (Wire.contents b)
+    (fun (tu : Cast.tunit) ->
+      List.iter
+        (function Cast.Gfun _ -> () | g -> Cast_io.global_to_bin b g)
+        tu.tu_globals)
+    sg.Supergraph.tunits;
+  Fingerprint.of_string ~salt:Cast_io.cache_version (Wire.contents b)
+
+let fn_probe sg ~decls_hash ~heights f =
+  let body =
+    match Supergraph.body_hash sg f with Some h -> h | None -> Fingerprint.of_string f
   in
-  (* Cycle members are never probed, and no acyclic function's closure
-     holds one, so no probe waits on a cycle member's content. *)
-  let probes =
-    List.filter_map
-      (fun f -> Option.map (fun h -> (h, f)) (heights f))
-      (Callgraph.functions cg)
-    |> List.sort compare
-    |> List.map (fun (_, f) ->
-           let cl = closures f in
-           {
-             pr_fn = f;
-             pr_prefix = Hashtbl.find body_hashes f ^ decls_hash;
-             pr_closure = cl;
-             pr_callees = List.filter (fun g -> not (String.equal g f)) cl;
-           })
-    |> Array.of_list
-  in
+  let cl = Callgraph.closure sg.Supergraph.callgraph f in
   {
-    body_hashes;
-    decls_hash;
-    probes;
-    root_closures = Array.of_list (List.map closures (Supergraph.roots sg));
+    pr_fn = f;
+    pr_height = heights f;
+    pr_body = body;
+    pr_prefix = body ^ decls_hash;
+    pr_closure = cl;
+    pr_callees = List.filter (fun g -> not (String.equal g f)) cl;
   }
 
-let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups base (ext : Sm.t) =
+let key_plan ~decls_hash sg =
+  let cg = sg.Supergraph.callgraph in
+  let heights = Callgraph.acyclic_heights cg in
+  let fns = Hashtbl.create 64 in
+  List.iter
+    (fun f -> Hashtbl.replace fns f (fn_probe sg ~decls_hash ~heights f))
+    (Callgraph.functions cg);
+  { decls_hash; fns }
+
+(* The last pass's plan brought up to [sg], in place, under the same
+   declarations hash: the entries of [dirty] functions are rebuilt and
+   those of [removed] ones dropped. Every other function keeps its entry:
+   its body is the same, and so are its closure and height, since no
+   member of its closure is dirty. *)
+let update_plan plan sg ~dirty ~removed =
+  List.iter (Hashtbl.remove plan.fns) removed;
+  let heights =
+    Callgraph.acyclic_heights sg.Supergraph.callgraph ~known:(fun f ->
+        if Hashtbl.mem dirty f then None else Some (Hashtbl.find plan.fns f).pr_height)
+  in
+  Hashtbl.iter
+    (fun f () ->
+      Hashtbl.replace plan.fns f (fn_probe sg ~decls_hash:plan.decls_hash ~heights f))
+    dirty;
+  plan
+
+(* The acyclic functions among [names] bottom-up, by (height, name):
+   every callee's content hash exists before any caller's key needs it.
+   Cycle members are never probed, and no acyclic function's closure
+   holds one, so no probe waits on a cycle member's content. *)
+let probe_order plan names =
+  List.filter_map
+    (fun f ->
+      let p = Hashtbl.find plan.fns f in
+      Option.map (fun h -> (h, p)) p.pr_height)
+    names
+  |> List.sort (fun (h, p) (h', p') ->
+         match Int.compare h h' with 0 -> String.compare p.pr_fn p'.pr_fn | c -> c)
+  |> List.map snd
+
+(* A function's canonical tables, the seeds of recomputed callers. *)
+type canon = (Summary.t array * Summary.t array * string list) option Lazy.t
+
+let no_canon : canon = Lazy.from_val None
+
+(* Early cutoff needs the canonical traversal to terminate and to be
+   timing-independent, so it requires the summary caches on and per-root
+   budgets off; otherwise entries degrade to body-hash keying (any edit
+   invalidates transitive callers — the pre-cutoff behaviour), and no
+   function is probed. *)
+let cutoff_on (o : options) =
+  o.caching && o.max_nodes_per_root = 0 && o.timeout_per_root = 0.
+
+(* [probes] are the functions to probe, in [probe_order]; every other
+   function's content hash and canonical tables are already in [content]
+   and [canon] (a daemon pass carries them from the last one). [reuse i]
+   is the last output of root [i] when the edit cannot reach it, in
+   replay form; [keep], when given, hears what every other root merged
+   in replay form, or [None] when it left no valid slot. Returns the
+   probed functions whose canonical run raised. *)
+let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups ~probes ~content ~canon
+    ~reuse ~keep base (ext : Sm.t) =
   set_extension base ext;
   let sst = Summary_store.stats store in
-  (* Early cutoff needs the canonical traversal to terminate and to be
-     timing-independent, so it requires the summary caches on and per-root
-     budgets off; otherwise entries degrade to body-hash keying (any edit
-     invalidates transitive callers — the pre-cutoff behaviour). *)
-  let cutoff =
-    base.opts.caching && base.opts.max_nodes_per_root = 0
-    && base.opts.timeout_per_root = 0.
-  in
+  let cutoff = cutoff_on base.opts in
   (* Content hashes start at the body hashes: cycle members — neither
      probed nor stored — stay pinned there, as does every function when
-     the cutoff is off. *)
-  let content = Hashtbl.copy plan.body_hashes in
+     the cutoff is off. A stored entry's summaries stay encoded in [canon]
+     until a caller needs them: usually none does, as only edited closures
+     recompute. *)
   let content_of = Hashtbl.find content in
-  (* Canonical tables per function, the seeds of recomputed callers. A
-     stored entry's summaries stay encoded until a caller needs them:
-     usually none does, as only edited closures recompute. *)
-  let canon :
-      (string, (Summary.t array * Summary.t array * string list) option Lazy.t)
-      Hashtbl.t =
-    Hashtbl.create 64
-  in
   let unchanged : (string, unit) Hashtbl.t = Hashtbl.create 16 in
+  let raised = ref [] in
   (* The annotation component of a key is the hashes of the groups its
      closure can observe ({!Annot_pos}), as of this extension's boundary. *)
   let misc = Annot_pos.misc_hash groups in
@@ -2676,13 +2716,13 @@ let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups base (ext : Sm.
                 Wire.string b actx;
                 Wire.int b occ;
                 Wire.list b Wire.string tags)
-              (annot_delta ~ix (annot_fresh scratch));
+              (annot_delta (positioned ~ix (annot_fresh scratch)));
             Some
               (bs, sfx, rets, Fingerprint.of_string ~salt:"canon-1" (Wire.contents b)))
   in
   if cutoff then
-    Array.iter
-      (fun { pr_fn = f; pr_prefix; pr_closure; pr_callees = callees } ->
+    List.iter
+      (fun { pr_fn = f; pr_body; pr_prefix; pr_closure; pr_callees = callees; _ } ->
         let key = key pr_prefix pr_closure callees in
         match Summary_store.probe_fn store ~ext:ext_key ~fname:f ~key with
         | Summary_store.Hit h ->
@@ -2696,7 +2736,11 @@ let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups base (ext : Sm.
             sst.Summary_store.fns_recomputed <-
               sst.Summary_store.fns_recomputed + 1;
             match compute_canonical f callees with
-            | None -> ()
+            | None ->
+                (* no slot to trust: it stays an unprobed function *)
+                Hashtbl.replace content f pr_body;
+                Hashtbl.replace canon f no_canon;
+                raised := f :: !raised
             | Some (bs, sfx, rets, c) ->
                 Hashtbl.replace content f c;
                 Hashtbl.replace canon f (Lazy.from_val (Some (bs, sfx, rets)));
@@ -2710,38 +2754,42 @@ let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups base (ext : Sm.
                 | _ -> ());
                 Summary_store.store_fn store ~ext:ext_key ~fname:f ~key
                   ~content:c ~bs ~sfx ~rets))
-      plan.probes;
+      probes;
   let roots = Array.of_list (Supergraph.roots base.sg) in
-  let keys = Array.map (fun cl -> key plan.decls_hash cl cl) plan.root_closures in
+  let keys = Array.make (Array.length roots) None in
   let replayed =
     Array.mapi
       (fun i r ->
-        let annots = ref [] in
-        let resolves (e : Summary_store.root_entry) =
-          match resolve_annots ~ix e.r_annots with
-          | Some a ->
-              annots := a;
-              true
-          | None -> false
-        in
-        match
-          Summary_store.load_root ~valid:resolves store ~ext:ext_key ~root:r
-            ~key:keys.(i)
-        with
-        | Some e ->
-            if List.exists (Hashtbl.mem unchanged) plan.root_closures.(i) then
-              sst.Summary_store.roots_salvaged <-
-                sst.Summary_store.roots_salvaged + 1;
-            Some
-              {
-                o_reports = e.r_reports;
-                o_counters = e.r_counters;
-                o_annots = !annots;
-                o_traversed = e.r_traversed;
-                o_stats = stats_of_list e.r_stats;
-                o_degraded = [];
-              }
-        | None -> None)
+        match reuse i with
+        | Some o ->
+            (* its key and slot are the last pass's, so a load would
+               replay this very output: it counts as one *)
+            sst.Summary_store.roots_replayed <- sst.Summary_store.roots_replayed + 1;
+            sst.Summary_store.roots_reused <- sst.Summary_store.roots_reused + 1;
+            Some o
+        | None ->
+            let closure = (Hashtbl.find plan.fns r).pr_closure in
+            let k = key plan.decls_hash closure closure in
+            keys.(i) <- Some k;
+            let annots = ref [] in
+            let resolves (e : Summary_store.root_entry) =
+              match resolve_annots ~ix e.r_annots with
+              | Some a ->
+                  annots := a;
+                  true
+              | None -> false
+            in
+            let o =
+              Option.map
+                (fun e ->
+                  if List.exists (Hashtbl.mem unchanged) closure then
+                    sst.Summary_store.roots_salvaged <-
+                      sst.Summary_store.roots_salvaged + 1;
+                  replay_out e !annots)
+                (Summary_store.load_root ~valid:resolves store ~ext:ext_key ~root:r ~key:k)
+            in
+            Option.iter (fun keep -> keep i o) keep;
+            o)
       roots
   in
   (* A computed root's entry is stored before the merge, skipping roots
@@ -2749,24 +2797,144 @@ let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups base (ext : Sm.
      an empty entry would replay as "this root is clean" on the next warm
      run. *)
   let store_computed i o =
-    if Summary_store.persist store && o.o_degraded = [] then
-      Summary_store.store_root store ~ext:ext_key ~key:keys.(i)
+    if Summary_store.persist store && o.o_degraded = [] then begin
+      let key = Option.get keys.(i) in
+      let pos = positioned ~ix o.o_annots in
+      let e =
         {
           Summary_store.r_root = roots.(i);
-          r_key = Summary_store.digest store keys.(i);
+          r_key = Summary_store.digest store key;
           r_reports = o.o_reports;
           r_counters =
             List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) o.o_counters;
-          r_annots = annot_delta ~ix o.o_annots;
+          r_annots = annot_delta pos;
           r_traversed = List.sort String.compare o.o_traversed;
           r_stats = stats_to_list o.o_stats;
         }
+      in
+      Summary_store.store_root store ~ext:ext_key ~key e;
+      Option.iter
+        (fun keep ->
+          keep i (Some (replay_out e (List.map (fun (_, eid, tags) -> (eid, tags)) pos))))
+        keep
+    end
   in
   (* the merge is the only writer of [base.annots] in a cached run: every
      node whose tags it changes is re-hashed at the next boundary *)
   run_roots ~touched:(Annot_pos.touch groups) ~on_computed:store_computed ~pool
     base ext replayed;
-  Summary_store.flush store
+  Summary_store.flush store;
+  !raised
+
+(* ------------------------------------------------------------------ *)
+(* What a daemon pass carries                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A daemon re-checks an edit of the program it checked last, over the
+   same memory store, so most of what the last pass decided still holds.
+   Per extension it keeps: the annotation-group hashes at the boundary,
+   every function's content hash and canonical tables, the probed
+   functions whose canonical run raised, and each root's merged output
+   in replay form. The next pass computes which functions the edit can
+   reach (their keys may have changed) and probes only those; a root
+   outside that set merges its last output as the load it stands for.
+   INTERNALS "What a pass carries" argues why every skipped probe and
+   load would have hit. The tables are updated in place, pass after
+   pass. *)
+type decided = {
+  mutable d_misc : Fingerprint.t;
+  d_groups : (string, Fingerprint.t) Hashtbl.t;
+  mutable d_rehashed : int;  (* groups the boundary's refresh re-hashed *)
+  mutable d_content : (string, Fingerprint.t) Hashtbl.t;
+  mutable d_canon : (string, canon) Hashtbl.t;
+  mutable d_raised : string list;
+  mutable d_roots : root_out option array;
+      (* per root, in root order: [None] for a root that left no valid
+         slot (degraded, or its task failed) *)
+}
+
+type carried = {
+  l_store : Summary_store.t;
+  l_cfgs : (string, Cfg.t) Hashtbl.t;  (* the last supergraph's *)
+  l_callgraph : Callgraph.t;
+  l_plan : key_plan;
+  l_roots : string array;
+  l_exts : decided array;
+}
+
+type carry = { mutable last : carried option }
+
+let carry () = { last = None }
+
+(* Add [f] and every transitive caller of it to [dirty]. *)
+let rec add_callers cg dirty f =
+  if not (Hashtbl.mem dirty f) then begin
+    Hashtbl.replace dirty f ();
+    List.iter (add_callers cg dirty) (Callgraph.callers cg f)
+  end
+
+(* The functions whose keys the edit can have changed at every extension,
+   closed over callers: a definition that is new or not physically the
+   last pass's, and one whose callee list changed ([Callgraph.callees]
+   lists only defined functions, so defining, deleting or renaming a
+   function elsewhere changes a caller whose body did not; while the
+   names stay the same, an unchanged body calls the same functions). A
+   changed declarations hash is checked by the caller: it changes every
+   key. Also returns the last pass's functions that are gone. *)
+let pass_dirty l sg =
+  let cg = sg.Supergraph.callgraph in
+  let dirty = Hashtbl.create 64 in
+  let both = ref 0 in
+  Hashtbl.iter
+    (fun f (cfg : Cfg.t) ->
+      match Hashtbl.find_opt l.l_cfgs f with
+      | Some (old : Cfg.t) ->
+          incr both;
+          if old.func != cfg.func then add_callers cg dirty f
+      | None -> add_callers cg dirty f)
+    sg.Supergraph.cfgs;
+  if !both = Hashtbl.length l.l_cfgs && !both = Hashtbl.length sg.Supergraph.cfgs then
+    (dirty, [])
+  else begin
+    Hashtbl.iter
+      (fun f _ ->
+        if
+          not
+            (List.equal String.equal
+               (Callgraph.callees l.l_callgraph f)
+               (Callgraph.callees cg f))
+        then add_callers cg dirty f)
+      sg.Supergraph.cfgs;
+    ( dirty,
+      Hashtbl.fold
+        (fun f _ acc -> if Hashtbl.mem sg.Supergraph.cfgs f then acc else f :: acc)
+        l.l_cfgs [] )
+  end
+
+(* Bring [tbl] to the group hashes of this boundary, returning the
+   definitions whose hash is not the one [tbl] held: the last pass's at
+   the same boundary. *)
+let regroup groups tbl =
+  let changed = ref [] and n = ref 0 in
+  Annot_pos.fold_groups groups
+    (fun d h () ->
+      incr n;
+      match Hashtbl.find_opt tbl d with
+      | Some h' when String.equal h h' -> ()
+      | _ ->
+          changed := d :: !changed;
+          Hashtbl.replace tbl d h)
+    ();
+  if Hashtbl.length tbl > !n then
+    Hashtbl.filter_map_inplace
+      (fun d h ->
+        match Annot_pos.group_hash groups d with
+        | Some _ -> Some h
+        | None ->
+            changed := d :: !changed;
+            None)
+      tbl;
+  !changed
 
 (* One pool per run: its helpers are spawned here, once, and serve every
    extension. Callout registration mutates a global table, so it is
@@ -2775,38 +2943,212 @@ let with_run_pool ~jobs f =
   Callout.install_builtins ();
   Pool.with_pool ~jobs f
 
-let run_cached ?options ?observe ~jobs store sg exts =
+let run_cached ?options ?observe ?carry ~jobs store sg exts =
   let rctx = new_rctx ?options sg in
-  let plan = key_plan sg in
+  let cg = sg.Supergraph.callgraph in
+  let roots = Array.of_list (Supergraph.roots sg) in
+  let decls_hash = decls_hash sg in
+  (* The last pass's decisions leave the carry before anything runs, so a
+     run that raises leaves nothing behind for the next one to trust. A
+     changed declarations hash changes every key. *)
+  let last =
+    match carry with
+    | None -> None
+    | Some c -> (
+        let l = c.last in
+        c.last <- None;
+        match l with
+        | Some l
+          when l.l_store == store
+               && Array.length l.l_exts = List.length exts
+               && String.equal l.l_plan.decls_hash decls_hash ->
+            Some l
+        | _ -> None)
+  in
+  (* [dirty0]: the functions the edit can reach at every extension *)
+  let dirty0, removed =
+    match last with
+    | None -> (None, [])
+    | Some l ->
+        let d, removed = pass_dirty l sg in
+        (Some (l, d), removed)
+  in
+  let plan =
+    match dirty0 with
+    | None -> key_plan ~decls_hash sg
+    | Some (l, dirty) -> update_plan l.l_plan sg ~dirty ~removed
+  in
+  (* The last pass's outputs of this pass's roots, by position: the same
+     array when the roots are the same. *)
+  let old_roots =
+    match last with
+    | Some l
+      when Array.length l.l_roots <> Array.length roots
+           || not (Array.for_all2 String.equal l.l_roots roots) ->
+        let at = Hashtbl.create 64 in
+        Array.iteri (fun j r -> Hashtbl.replace at r j) l.l_roots;
+        fun (x : decided) ->
+          Array.map
+            (fun r -> Option.bind (Hashtbl.find_opt at r) (fun j -> x.d_roots.(j)))
+            roots
+    | _ -> fun (x : decided) -> x.d_roots
+  in
+  let all_probes = lazy (probe_order plan (Callgraph.functions cg)) in
+  (* what a dirty set asks of an extension: which roots it holds, the
+     functions to probe, in order, and those no probe visits, which start
+     over from their body hash *)
+  let cutoff = cutoff_on rctx.opts in
+  let work d =
+    let names = Hashtbl.fold (fun f () acc -> f :: acc) d [] in
+    ( Array.map (Hashtbl.mem d) roots,
+      probe_order plan names,
+      List.filter
+        (fun f -> not (cutoff && Option.is_some (Hashtbl.find plan.fns f).pr_height))
+        names )
+  in
+  let work0 = lazy (Option.map (fun (_, d) -> work d) dirty0) in
+  let bodies =
+    lazy
+      (let t = Hashtbl.create 64 in
+       Hashtbl.iter (fun f p -> Hashtbl.replace t f p.pr_body) plan.fns;
+       t)
+  in
   (* positions (kept with the supergraph, so a daemon's next pass reuses
      those of unchanged definitions) and annotation-group hashes, kept
      for the whole run: each merge reports the nodes it re-tags, and each
      boundary re-hashes only their groups *)
   let ix = Supergraph.positions sg in
   let groups =
-    Annot_pos.groups ix
-      ~is_group:(Callgraph.is_defined sg.Supergraph.callgraph)
-      rctx.annots
+    Annot_pos.groups ix ~is_group:(Callgraph.is_defined cg) rctx.annots
   in
-  with_run_pool ~jobs (fun pool ->
-      List.iteri
-        (fun i ext ->
-          (* An extension holds every store entry it decodes until its
-             merge ends, and they all die then. Emptying the minor heap at
-             the boundary lets the next extension's entries die young: on
-             a warm 12-file run, promoted words fall from ~21M to ~0.7M. *)
-          Gc.minor ();
-          Annot_pos.refresh groups;
-          Option.iter (fun f -> f (Annot_pos.current groups) rctx.annots) observe;
-          run_extension_cached ~pool ~store
-            ~ext_key:(Summary_store.ext_key store i) ~plan ~ix ~groups rctx ext)
-        exts);
+  let groups_differed = ref false in
+  let decided =
+    with_run_pool ~jobs (fun pool ->
+        List.mapi
+          (fun i ext ->
+            (* An extension holds every store entry it decodes until its
+               merge ends, and they all die then. Emptying the minor heap
+               at the boundary lets the next extension's entries die
+               young: on a warm 12-file run, promoted words fall from ~21M
+               to ~0.7M. *)
+            Gc.minor ();
+            let rehashed = Annot_pos.refresh groups in
+            Option.iter (fun f -> f (Annot_pos.current groups) rctx.annots) observe;
+            let misc = Annot_pos.misc_hash groups in
+            (* What this extension decides for the next pass: the last
+               pass's, updated in place, or fresh. *)
+            let x =
+              Option.map
+                (fun _ ->
+                  match last with
+                  | Some l ->
+                      let x = l.l_exts.(i) in
+                      x.d_roots <- old_roots x;
+                      x
+                  | None ->
+                      {
+                        d_misc = misc;
+                        d_groups = Hashtbl.create 64;
+                        d_rehashed = 0;
+                        d_content = Hashtbl.create 1;
+                        d_canon = Hashtbl.create 1;
+                        d_raised = [];
+                        d_roots = Array.make (Array.length roots) None;
+                      })
+                carry
+            in
+            (* The groups whose hash differs from the last pass's at this
+               boundary. None can when neither pass re-hashed a group here
+               and none differed at the last boundary; then the carried
+               hashes are this boundary's too. *)
+            let regrouped =
+              Option.map
+                (fun x ->
+                  let changed =
+                    if rehashed = 0 && x.d_rehashed = 0 && not !groups_differed then []
+                    else regroup groups x.d_groups
+                  in
+                  x.d_rehashed <- rehashed;
+                  groups_differed := changed <> [];
+                  changed)
+                x
+            in
+            (* the functions and roots the edit can reach here, or [None]:
+               all of them *)
+            let dirty =
+              match (dirty0, x, regrouped) with
+              | Some (_, d0), Some x, Some changed when String.equal x.d_misc misc -> (
+                  match
+                    List.filter
+                      (fun f -> Callgraph.is_defined cg f && not (Hashtbl.mem d0 f))
+                      (changed @ x.d_raised)
+                  with
+                  | [] -> Lazy.force work0
+                  | seeds ->
+                      let d = Hashtbl.copy d0 in
+                      List.iter (add_callers cg d) seeds;
+                      Some (work d))
+              | _ -> None
+            in
+            let content, canon, probes, reuse =
+              match (dirty, x) with
+              | Some (root_dirty, probes, unprobed), Some x ->
+                  List.iter
+                    (fun f ->
+                      Hashtbl.remove x.d_content f;
+                      Hashtbl.remove x.d_canon f)
+                    removed;
+                  List.iter
+                    (fun f ->
+                      Hashtbl.replace x.d_content f (Hashtbl.find plan.fns f).pr_body;
+                      Hashtbl.replace x.d_canon f no_canon)
+                    unprobed;
+                  ( x.d_content,
+                    x.d_canon,
+                    probes,
+                    fun j -> if root_dirty.(j) then None else x.d_roots.(j) )
+              | _ ->
+                  (* everything is probed and loaded, from fresh tables *)
+                  ( Hashtbl.copy (Lazy.force bodies),
+                    Hashtbl.create 64,
+                    Lazy.force all_probes,
+                    fun _ -> None )
+            in
+            let keep = Option.map (fun x j o -> x.d_roots.(j) <- o) x in
+            let raised =
+              run_extension_cached ~pool ~store
+                ~ext_key:(Summary_store.ext_key store i)
+                ~plan ~ix ~groups ~probes ~content ~canon ~reuse ~keep rctx ext
+            in
+            Option.iter
+              (fun x ->
+                x.d_misc <- misc;
+                x.d_content <- content;
+                x.d_canon <- canon;
+                x.d_raised <- raised)
+              x;
+            x)
+          exts)
+  in
+  Option.iter
+    (fun c ->
+      c.last <-
+        Some
+          {
+            l_store = store;
+            l_cfgs = sg.Supergraph.cfgs;
+            l_callgraph = cg;
+            l_plan = plan;
+            l_roots = roots;
+            l_exts = Array.of_list (List.filter_map Fun.id decided);
+          })
+    carry;
   Summary_store.save_last_run store;
   collect_result rctx
 
-let run ?options ?(jobs = 1) ?cache sg exts =
+let run ?options ?(jobs = 1) ?cache ?carry sg exts =
   match cache with
-  | Some store -> run_cached ?options ~jobs store sg exts
+  | Some store -> run_cached ?options ?carry ~jobs store sg exts
   | None ->
       let rctx = new_rctx ?options sg in
       if jobs > 1 then begin

@@ -130,10 +130,22 @@ val options_digest : options -> string
     {!analysis_version} and folded into persistent cache keys (an option
     or engine-semantics change must invalidate cached results). *)
 
+type carry
+(** What a cached run decided, for the next run over an edit of the same
+    program on the same store: a daemon keeps one across its passes. Per
+    extension it holds the annotation-group hashes at the boundary, every
+    function's content hash and canonical tables, and every root merged
+    from a valid store slot, in replay form (what a load hands the
+    merge). *)
+
+val carry : unit -> carry
+(** An empty carry: the first run that uses it probes everything. *)
+
 val run :
   ?options:options ->
   ?jobs:int ->
   ?cache:Summary_store.t ->
+  ?carry:carry ->
   Supergraph.t ->
   Sm.t list ->
   result
@@ -178,7 +190,28 @@ val run :
     Reports stay byte-identical to an uncached run at any [jobs].
     Per-function summaries are persisted as the invalidation ledger — a
     leaf edit flips exactly the leaf and its transitive callers to stale
-    — with hit/stale/absent counts in the store's stats. *)
+    — with hit/stale/absent counts in the store's stats.
+
+    [carry] (ignored without [cache]) makes a run over an edit of the
+    last run's program probe only what the edit can reach. A function is
+    {e dirty} when its definition is new or not physically the last
+    run's, when its callee list changed, or when every function is (the
+    declarations hash changed); at one extension also when its
+    annotation-group hash at the boundary differs from the last run's at
+    the same boundary, or when its canonical run raised there, or when
+    the misc group hash changed (then all are); and every transitive
+    caller of a dirty function is dirty. Only dirty functions are probed,
+    in the usual order; a clean function's content hash and canonical
+    tables are the last run's. A clean root merges its last output
+    without a key or a load, and counts as replayed (and in
+    [roots_reused]); a root the last run degraded, or that was no root
+    then, is loaded as usual. Every key a skipped probe or load would
+    have built equals the one it built last time, so the result, the
+    store and its [roots_replayed], [roots_recomputed],
+    [fns_recomputed], [sums_unchanged], [roots_salvaged] and
+    [keys_computed] counts equal those of a run that probes everything;
+    [fn_hits], [fn_stale] and [fn_absent] count the probes made. The
+    carry is updated in place, and emptied if the run raises. *)
 
 val run_function :
   ?options:options -> Supergraph.t -> Sm.sm_inst -> fname:string -> result

@@ -5,6 +5,7 @@ type stats = {
   mutable fn_stale : int;
   mutable fn_absent : int;
   mutable roots_replayed : int;
+  mutable roots_reused : int;
   mutable roots_recomputed : int;
   mutable fns_recomputed : int;
   mutable sums_unchanged : int;
@@ -153,6 +154,7 @@ let create ~dir ?(persist = true) ?(memory = false) ~ext_keys () =
         fn_stale = 0;
         fn_absent = 0;
         roots_replayed = 0;
+        roots_reused = 0;
         roots_recomputed = 0;
         fns_recomputed = 0;
         sums_unchanged = 0;
@@ -197,6 +199,7 @@ let reset_stats t =
   s.fn_stale <- 0;
   s.fn_absent <- 0;
   s.roots_replayed <- 0;
+  s.roots_reused <- 0;
   s.roots_recomputed <- 0;
   s.fns_recomputed <- 0;
   s.sums_unchanged <- 0;

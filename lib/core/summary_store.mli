@@ -46,7 +46,14 @@ type stats = {
   mutable fn_hits : int;  (** function-summary entries still valid *)
   mutable fn_stale : int;  (** present but key changed *)
   mutable fn_absent : int;
+      (** these three count the probes made: a daemon pass probes only
+          the functions its edit can reach ([Engine.carry]), so their sum
+          is the number of functions it probed *)
   mutable roots_replayed : int;
+  mutable roots_reused : int;
+      (** replayed roots a daemon pass merged from what its last pass
+          decided, without a probe or a load ([Engine.carry]); they count
+          in [roots_replayed] too *)
   mutable roots_recomputed : int;
   mutable fns_recomputed : int;
       (** functions whose summary the cutoff pass had to recompute *)

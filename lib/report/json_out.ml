@@ -7,19 +7,35 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+(* [s] escaped onto [buf]. A run of characters that need no escape is
+   copied whole: a serve reply's diagnostics are one long string. *)
+let add_escaped buf s =
+  let n = String.length s in
+  let rec go plain i =
+    if i = n then Buffer.add_substring buf s plain (n - plain)
+    else
+      match s.[i] with
+      | ('"' | '\\') as c ->
+          Buffer.add_substring buf s plain (i - plain);
+          Buffer.add_char buf '\\';
+          Buffer.add_char buf c;
+          go (i + 1) (i + 1)
+      | c when c < ' ' ->
+          Buffer.add_substring buf s plain (i - plain);
+          Buffer.add_string buf
+            (match c with
+            | '\n' -> "\\n"
+            | '\r' -> "\\r"
+            | '\t' -> "\\t"
+            | c -> Printf.sprintf "\\u%04x" (Char.code c));
+          go (i + 1) (i + 1)
+      | _ -> go plain (i + 1)
+  in
+  go 0 0
+
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  add_escaped buf s;
   Buffer.contents buf
 
 let rec write buf = function
@@ -32,7 +48,7 @@ let rec write buf = function
       else Buffer.add_string buf (Printf.sprintf "%g" f)
   | Str s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
+      add_escaped buf s;
       Buffer.add_char buf '"'
   | Arr items ->
       Buffer.add_char buf '[';

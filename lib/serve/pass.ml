@@ -18,10 +18,23 @@ type t = {
   (* the last pass's supergraph: the next one keeps what its unchanged
      definitions derived (CFGs, body hashes, positions) *)
   mutable sg : Supergraph.t option;
+  (* what the last pass's engine run decided, beside that supergraph: the
+     next run probes only what the edit can reach. Only a store that keeps
+     its entries between runs has slots left to trust. *)
+  carry : Engine.carry option;
 }
 
 let create cfg =
-  { cfg; watch = Watch.create cfg.c_files; asts = Hashtbl.create 64; sg = None }
+  {
+    cfg;
+    watch = Watch.create cfg.c_files;
+    asts = Hashtbl.create 64;
+    sg = None;
+    carry =
+      (match cfg.c_store with
+      | Some s when Summary_store.in_memory s -> Some (Engine.carry ())
+      | _ -> None);
+  }
 let watch t = t.watch
 
 type out = {
@@ -73,7 +86,8 @@ let run t =
   Option.iter Summary_store.reset_stats cfg.c_store;
   let alloc0 = Gc.allocated_bytes () in
   let result =
-    Engine.run ~options:cfg.c_options ~jobs:cfg.c_jobs ?cache:cfg.c_store sg cfg.c_exts
+    Engine.run ~options:cfg.c_options ~jobs:cfg.c_jobs ?cache:cfg.c_store ?carry:t.carry sg
+      cfg.c_exts
   in
   let alloc1 = Gc.allocated_bytes () in
   let t3 = Unix.gettimeofday () in

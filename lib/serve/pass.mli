@@ -6,7 +6,9 @@
     snapshot (re-parsing only files whose contents changed since the
     last pass), builds the supergraph over the last pass's (so unchanged
     definitions keep their CFGs, body hashes and annotation positions;
-    {!Supergraph.build}), runs the engine, warns about degraded roots and
+    {!Supergraph.build}), runs the engine (over a store that keeps its
+    entries, with what the last run decided, so it probes only what the
+    edit can reach; {!Engine.carry}), warns about degraded roots and
     about files that changed on disk while it ran, and ranks the reports.
     A batch run is one pass with nothing carried. *)
 

@@ -13,6 +13,9 @@ type check_out = {
   o_reports : int;
   o_rechecked : bool;
   o_recheck_s : float;
+  o_load_s : float;
+  o_graph_s : float;
+  o_analysis_s : float;
   o_warnings : string list;
   o_degraded : int;
   o_drifted : string list;
@@ -51,19 +54,18 @@ let create cfg =
           last_recheck_s = 0.;
         }
 
-(* One full warm re-check: revalidate disk snapshots, then the analysis
-   pass batch check runs (re-parsing only changed files, over the
-   memory-backed store), rendered as a cold [check --format json] would
-   print it. Every Diag warning the pass emits — including ones raised on
-   worker domains — is captured into this request's reply instead of a
-   shared stderr. *)
-let recheck t =
+(* One full warm re-check over the just revalidated disk snapshots
+   ([missing] are the files that vanished): the analysis pass batch check
+   runs (re-parsing only changed files, over the memory-backed store),
+   rendered as a cold [check --format json] would print it. Every Diag
+   warning the pass emits — including ones raised on worker domains — is
+   captured into this request's reply instead of a shared stderr. *)
+let recheck t ~missing =
   let warnings = ref [] in
   Diag.with_sink
     (fun line -> warnings := line :: !warnings)
     (fun () ->
       let t0 = Unix.gettimeofday () in
-      let _changed, missing = Watch.revalidate (Pass.watch t.pass) in
       List.iter
         (fun p -> Diag.warnf "%s: vanished from disk; analysing last good snapshot" p)
         missing;
@@ -82,6 +84,9 @@ let recheck t =
           o_reports = n;
           o_rechecked = true;
           o_recheck_s = dt;
+          o_load_s = p.Pass.load_s;
+          o_graph_s = p.Pass.graph_s;
+          o_analysis_s = p.Pass.analysis_s;
           o_warnings = List.rev !warnings;
           o_degraded = List.length p.Pass.result.Engine.degraded;
           o_drifted = p.Pass.drifted;
@@ -95,14 +100,21 @@ let check t =
      the analysed snapshots: re-stat and re-hash before serving it, so an
      edit that never announced itself via didChange still forces a
      re-check (the stale-snapshot bug batch mode had) *)
-  let changed, _missing = Watch.revalidate (Pass.watch t.pass) in
+  let changed, missing = Watch.revalidate (Pass.watch t.pass) in
   if changed <> [] then t.dirty <- true;
   match t.last with
   | Some o when not t.dirty ->
       (* the result stands as computed: its warnings and degraded roots
          still describe it (it drifted nothing, or it would be dirty) *)
-      { o with o_rechecked = false; o_recheck_s = 0. }
-  | _ -> recheck t
+      {
+        o with
+        o_rechecked = false;
+        o_recheck_s = 0.;
+        o_load_s = 0.;
+        o_graph_s = 0.;
+        o_analysis_s = 0.;
+      }
+  | _ -> recheck t ~missing
 
 (* ------------------------------------------------------------------ *)
 (* Replies                                                             *)
@@ -128,6 +140,9 @@ let diagnostics_reply t (o : check_out) =
        ("event", Str "diagnostics");
        ("rechecked", Bool o.o_rechecked);
        ("recheck_s", Float o.o_recheck_s);
+       ("load_s", Float o.o_load_s);
+       ("graph_s", Float o.o_graph_s);
+       ("analysis_s", Float o.o_analysis_s);
        ("reports", Int o.o_reports);
        ("degraded", Int o.o_degraded);
        ("drifted", Arr (List.map (fun p -> Str p) o.o_drifted));
@@ -157,7 +172,11 @@ let stats_reply t =
           ("fn_hits", Int st.Summary_store.fn_hits);
           ("fn_stale", Int st.Summary_store.fn_stale);
           ("fn_absent", Int st.Summary_store.fn_absent);
+          ( "fns_probed",
+            Int (st.Summary_store.fn_hits + st.Summary_store.fn_stale + st.Summary_store.fn_absent)
+          );
           ("roots_replayed", Int st.Summary_store.roots_replayed);
+          ("roots_reused", Int st.Summary_store.roots_reused);
           ("roots_recomputed", Int st.Summary_store.roots_recomputed);
           ("fns_recomputed", Int st.Summary_store.fns_recomputed);
           ("keys_computed", Int st.Summary_store.keys_computed);

@@ -10,7 +10,9 @@
     entry key is compared by its inputs without a digest). Each re-check
     is the analysis pass batch [check] runs ({!Pass.run}): a one-file
     edit re-fingerprints and re-parses only that file and drives
-    [Engine.run] through the early-cutoff machinery. So the diagnostics
+    [Engine.run] through the early-cutoff machinery, probing only the
+    functions the edit can reach ({!Engine.carry}; the [stats] reply's
+    [fns_probed] and [roots_reused]). So the diagnostics
     and warnings a re-check replies with are, by construction, what a
     cold [xgcc check --format json] of the same tree prints on stdout
     and stderr; the test suite and CI assert it.
@@ -43,6 +45,11 @@ type check_out = {
   o_reports : int;
   o_rechecked : bool;  (** false: served from the last clean result *)
   o_recheck_s : float;
+  o_load_s : float;  (** the re-check's preprocessing and parsing *)
+  o_graph_s : float;  (** its CFGs and supergraph *)
+  o_analysis_s : float;
+      (** its engine run; these three, like [o_recheck_s], are 0 in a reply
+          served from the last clean result *)
   o_warnings : string list;
       (** the captured Diag lines of the re-check this reply reports: a
           reply served from the last clean result repeats that result's

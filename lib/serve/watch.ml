@@ -36,18 +36,20 @@ let create paths =
 
 let files t = Array.to_list t.files
 
-(* Do contents with fingerprint [fp] differ from the snapshot's (which
-   has none when the file could not be read)? *)
-let differs f fp = f.w_error <> None || not (String.equal fp f.w_fp)
+(* Do contents [src] differ from the snapshot's (which has none when the
+   file could not be read)? Compared as bytes: a re-check reads every
+   file, and most are unchanged, so no digest is taken for them. *)
+let differs f src = f.w_error <> None || not (String.equal src f.w_src)
 
 (* Install new contents; true when they differ from the snapshot's. *)
 let update f src =
-  let fp = fp_of src in
-  let changed = differs f fp in
-  f.w_src <- src;
-  f.w_fp <- fp;
-  f.w_error <- None;
-  changed
+  differs f src
+  && begin
+       f.w_src <- src;
+       f.w_fp <- fp_of src;
+       f.w_error <- None;
+       true
+     end
 
 let find t path = Hashtbl.find_opt t.by_path path
 
@@ -94,7 +96,7 @@ let drifted t =
     (fun f ->
       if not f.w_overlay then
         match read_file f.w_path with
-        | src -> if differs f (fp_of src) then out := f.w_path :: !out
+        | src -> if differs f src then out := f.w_path :: !out
         | exception Sys_error _ -> if f.w_error = None then out := f.w_path :: !out)
     t.files;
   List.rev !out

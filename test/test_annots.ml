@@ -63,11 +63,7 @@ let composed_v2 =
 let composed () =
   [ metal tagger_src; Free_checker.checker (); metal reader_src ]
 
-let temp_dir () =
-  let f = Filename.temp_file "xgcc_test_annots" "" in
-  Sys.remove f;
-  Sys.mkdir f 0o755;
-  f
+let temp_dir () = Temp.dir "xgcc_test_annots"
 
 let store_over dir =
   Summary_store.create ~dir

@@ -6,11 +6,7 @@
 
 let t = Alcotest.test_case
 
-let temp_dir () =
-  let f = Filename.temp_file "xgcc_test_cache" "" in
-  Sys.remove f;
-  Sys.mkdir f 0o755;
-  f
+let temp_dir () = Temp.dir "xgcc_test_cache"
 
 let free () = [ Free_checker.checker () ]
 

@@ -71,7 +71,7 @@ let suite =
     t "emit/read files (pass 1 / pass 2)" `Quick (fun () ->
         let src = "int g(int *p) { kfree(p); return *p; }" in
         let tu = Cparse.parse_tunit ~file:"g.c" src in
-        let path = Filename.temp_file "mc_ast" ".mcast" in
+        let path = Temp.file "mc_ast" ".mcast" in
         Cast_io.emit_file path tu;
         let tu2 =
           match Cast_io.read_file path with Ok tu -> tu | Error e -> Alcotest.fail e

@@ -7,18 +7,21 @@
    is what a cold [xgcc check --format json] prints. Whatever a re-check
    carries over from the last one (ASTs, CFGs, body hashes, positions,
    memory-store entries and the inputs of their keys) can only show up
-   here as a difference. A failing script shrinks to a minimal one. *)
+   here as a difference. A failing script shrinks to a minimal one.
+   The cases after the first run the scripts with all 14 checkers,
+   compare every step with a pass that probes everything, and run
+   perfbench's edit cycle on a linked corpus. *)
 
 (* errpath tags error paths, and the checkers after it see the tags *)
 let checkers = [ "errpath"; "free"; "lock"; "null" ]
 
-let exts () =
+let exts ?(names = checkers) () =
   List.map
     (fun name ->
       match Registry.find name with
       | Some e -> (e.Registry.e_make (), Option.value e.Registry.e_source ~default:name)
       | None -> Alcotest.failf "no checker %s" name)
-    checkers
+    names
 
 let parse ~path ~source =
   match Cparse.parse_tunit ~file:path source with
@@ -26,14 +29,14 @@ let parse ~path ~source =
   | exception Clex.Lex_error (loc, msg) ->
       Error (Printf.sprintf "%s: lexical error: %s" (Srcloc.to_string loc) msg)
 
-let config ~store files =
-  let exts = exts () in
+let config ?names ?(jobs = 1) ~store files =
+  let exts = exts ?names () in
   {
     Pass.c_files = files;
     c_parse = parse;
     c_exts = List.map fst exts;
     c_options = Engine.default_options;
-    c_jobs = 1;
+    c_jobs = jobs;
     c_store =
       (if store then
          Pass.open_store ~memory:true ~cache:None ~options:Engine.default_options
@@ -42,15 +45,19 @@ let config ~store files =
     c_rank = "generic";
   }
 
-(* The oracle: one uncached -j 1 pass over the files as they are on disk. *)
-let oracle files =
+(* One pass of a fresh [Pass.t] over the files as they are on disk: its
+   diagnostics and warnings. *)
+let fresh_pass cfg =
   let warnings = ref [] in
   let p =
     Diag.with_sink
       (fun w -> warnings := w :: !warnings)
-      (fun () -> Pass.run (Pass.create (config ~store:false files)))
+      (fun () -> Pass.run (Pass.create cfg))
   in
   (Json_out.reports_to_string p.Pass.ranked, List.rev !warnings)
+
+(* The oracle: one uncached -j 1 pass. *)
+let oracle ?names files = fresh_pass (config ?names ~store:false files)
 
 (* ------------------------------------------------------------------ *)
 (* Edits                                                               *)
@@ -174,11 +181,7 @@ let apply ~step text (edit, fn) =
 (* The property                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let temp_dir () =
-  let f = Filename.temp_file "xgcc_test_differential" "" in
-  Sys.remove f;
-  Sys.mkdir f 0o755;
-  f
+let temp_dir () = Temp.dir "xgcc_test_differential"
 
 let write_file path s =
   let oc = open_out_bin path in
@@ -216,20 +219,21 @@ let reply_diagnostics r =
       | _ -> Alcotest.fail "reply without diagnostics")
   | _ -> Alcotest.fail "reply is not an object"
 
-let run_script script =
+(* Drive [script] through a daemon over [config]'s store; [agrees]
+   judges the first reply and the reply to every step, with the step's
+   text already on disk. *)
+let drive ~config ~agrees script =
   let files = corpus () in
   let paths = List.map fst files in
   let texts = Hashtbl.create 4 in
   List.iter (fun (p, s) -> Hashtbl.replace texts p s) files;
+  let cfg = config paths in
   let server =
-    match Server.create (config ~store:true paths) with
+    match Server.create cfg with
     | Ok s -> s
     | Error m -> Alcotest.fail m
   in
-  let agrees reply =
-    let diags, warnings = oracle paths in
-    String.equal diags (reply_diagnostics reply) && warnings = reply_warnings reply
-  in
+  let agrees = agrees cfg in
   let first, _ = Server.handle_request server ~more_pending:false Proto.Check in
   agrees first
   && List.for_all
@@ -246,6 +250,141 @@ let run_script script =
          agrees reply)
        (List.mapi (fun i op -> (i, op)) script)
 
+let run_script ?names script =
+  drive script
+    ~config:(fun paths -> config ?names ~store:true paths)
+    ~agrees:(fun (cfg : Pass.config) reply ->
+      let diags, warnings = oracle ?names cfg.Pass.c_files in
+      String.equal diags (reply_diagnostics reply) && warnings = reply_warnings reply)
+
+(* ------------------------------------------------------------------ *)
+(* What a daemon pass carries                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A daemon pass probes only the functions its edit can reach and merges
+   every other root's last output unprobed. The oracle is a pass that
+   probes everything: a fresh [Pass.t] (nothing carried) over a store of
+   its own that has seen the same texts. Both must give the same
+   diagnostics, warnings and store counters. *)
+
+let counters (st : Summary_store.stats) =
+  Summary_store.
+    [
+      ("roots_replayed", st.roots_replayed);
+      ("roots_recomputed", st.roots_recomputed);
+      ("fns_recomputed", st.fns_recomputed);
+      ("sums_unchanged", st.sums_unchanged);
+      ("roots_salvaged", st.roots_salvaged);
+      ("keys_computed", st.keys_computed);
+    ]
+
+let store_counters (cfg : Pass.config) = counters (Summary_store.stats (Option.get cfg.c_store))
+
+(* [agrees] for a daemon over [cfg]: the oracle runs over [own], a config
+   with a store of its own. *)
+let probes_everything ~own (cfg : Pass.config) reply =
+  let diags, warnings = fresh_pass own in
+  String.equal diags (reply_diagnostics reply)
+  && warnings = reply_warnings reply
+  && store_counters own = store_counters cfg
+
+let run_script_oracle ?names script =
+  drive script
+    ~config:(fun paths -> config ?names ~store:true paths)
+    ~agrees:(fun cfg ->
+      probes_everything ~own:(config ?names ~store:true cfg.Pass.c_files) cfg)
+
+(* perfbench's edit cycle on one file: an allocate-and-free at the top of
+   its first release helper (of its first function when it has none), a
+   dead local on the opening line of the helper's caller (of the helper
+   itself when no function of the file calls it), a trailing comment, and
+   the original text. *)
+let edit_cycle text =
+  let lines = String.split_on_char '\n' text in
+  let is_helper l =
+    is_definition l
+    && (String.starts_with ~prefix:"void " l || String.starts_with ~prefix:"static void " l)
+    && String.ends_with ~suffix:"_release" (fst (name_and_params l))
+    && snd (name_and_params l) = [ "p" ]
+  in
+  let helper, caller =
+    match List.find_opt is_helper lines with
+    | Some h ->
+        let name = fst (name_and_params h) in
+        let base = String.sub name 0 (String.length name - String.length "_release") in
+        ( h,
+          List.find_opt
+            (fun l ->
+              is_definition l
+              && String.starts_with ~prefix:"int " l
+              && String.ends_with ~suffix:") {" l
+              && fst (name_and_params l) = base)
+            lines )
+    | None -> (List.find is_definition lines, None)
+  in
+  let on target f text =
+    String.concat "\n"
+      (List.map (fun l -> if String.equal l target then f l else l)
+         (String.split_on_char '\n' text))
+  in
+  let summary l = after_brace l "int *t = kmalloc(1); kfree(t);" in
+  let dead l = after_brace l "int bench_dead = 0;" in
+  let e1 = on helper summary text in
+  let e2 = on (match caller with Some c -> c | None -> summary helper) dead e1 in
+  let e3 = e2 ^ "/* reviewed: comment-only edit */\n" in
+  [ ("summary_edit", e1); ("neutral_edit", e2); ("comment_edit", e3); ("revert", text) ]
+
+let field r k =
+  match r with
+  | Json_out.Obj fields -> List.assoc_opt k fields
+  | _ -> None
+
+(* A linked corpus whose helpers.c every root calls: an edit there can
+   reuse no root, and an edit of one linked file reuses the others'. *)
+let linked_cycles jobs () =
+  let names = Registry.names () in
+  let dir = temp_dir () in
+  let files =
+    List.map
+      (fun (name, (g : Gen.t)) ->
+        let path = Filename.concat dir name in
+        write_file path g.Gen.source;
+        (path, g.Gen.source))
+      (Gen.generate_linked ~seed:21 ~n_files:4 ~funcs_per_file:8 ~bug_rate:0.3)
+  in
+  let paths = List.map fst files in
+  let cfg = config ~names ~jobs ~store:true paths in
+  let server =
+    match Server.create cfg with Ok s -> s | Error m -> Alcotest.fail m
+  in
+  let request r = fst (Server.handle_request server ~more_pending:false r) in
+  let check_reply label reply =
+    let diags, warnings = oracle ~names paths in
+    Alcotest.(check string) (label ^ ": diagnostics") diags (reply_diagnostics reply);
+    Alcotest.(check (list string)) (label ^ ": warnings") warnings (reply_warnings reply)
+  in
+  check_reply "warm-up" (request Proto.Check);
+  let reused () =
+    match field (request Proto.Stats) "roots_reused" with
+    | Some (Json_out.Int n) -> n
+    | _ -> Alcotest.fail "stats without roots_reused"
+  in
+  let cycle file check_reused =
+    let path = Filename.concat dir file in
+    List.iter
+      (fun (kind, text) ->
+        let reply = request (Proto.Did_change { path; text = Some text }) in
+        write_file path text;
+        let label = Printf.sprintf "-j %d %s %s" jobs file kind in
+        check_reply label reply;
+        check_reused label kind (reused ()))
+      (edit_cycle (List.assoc path files))
+  in
+  cycle "helpers.c" (fun label _ n -> Alcotest.(check int) (label ^ ": roots reused") 0 n);
+  cycle "linked_2.c" (fun label kind n ->
+      if kind = "comment_edit" then
+        Alcotest.(check bool) (label ^ ": roots reused") true (n > 0))
+
 let script_gen =
   QCheck2.Gen.(
     list_size (int_range 1 5)
@@ -255,5 +394,17 @@ let suite =
   [
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 25 |])
       (QCheck2.Test.make ~name:"daemon edits equal an uncached pass" ~count:40
-         ~print:print_script script_gen run_script);
+         ~print:print_script script_gen (fun script -> run_script script));
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 28 |])
+      (QCheck2.Test.make ~name:"daemon edits equal an uncached pass, all checkers"
+         ~count:20 ~print:print_script script_gen (fun script ->
+           run_script ~names:(Registry.names ()) script));
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 29 |])
+      (QCheck2.Test.make ~name:"a daemon pass equals one that probes everything"
+         ~count:30 ~print:print_script script_gen (fun script ->
+           run_script_oracle ~names:(Registry.names ()) script));
+    Alcotest.test_case "linked edit cycles reuse only unreachable roots, -j 1" `Quick
+      (linked_cycles 1);
+    Alcotest.test_case "linked edit cycles reuse only unreachable roots, -j 2" `Quick
+      (linked_cycles 2);
   ]

@@ -11,11 +11,7 @@ let p s = Pattern.Pexpr (e s)
 
 let v_hole = [ ("v", Holes.Any_pointer) ]
 
-let temp_dir () =
-  let f = Filename.temp_file "xgcc_test_dispatch" "" in
-  Sys.remove f;
-  Sys.mkdir f 0o755;
-  f
+let temp_dir () = Temp.dir "xgcc_test_dispatch"
 
 let sg_of src = Supergraph.build [ Cparse.parse_tunit ~file:"dispatch.c" src ]
 

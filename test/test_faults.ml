@@ -259,8 +259,7 @@ let fault_position (seed, pos) =
                 (List.map (fun (file, src) -> Cparse.parse_tunit ~file src) files))
              (List.map (fun (e : Registry.entry) -> e.e_make ()) entries)))
   in
-  let dir = Filename.temp_file "xgcc_fault_position" "" in
-  Sys.remove dir;
+  let dir = Temp.dir "xgcc_fault_position" in
   let store () =
     Summary_store.create ~dir
       ~ext_keys:
@@ -344,7 +343,7 @@ let worker_tests =
 let mcast_tests =
   [
     t "corrupt .mcast yields Error, intact one round-trips" `Quick (fun () ->
-        let good = Filename.temp_file "mc_fault" ".mcast" in
+        let good = Temp.file "mc_fault" ".mcast" in
         let tu = Cparse.parse_tunit ~file:"t.c" "int f(void) { return 0; }" in
         Cast_io.emit_file good tu;
         (match Cast_io.read_file good with
@@ -355,7 +354,7 @@ let mcast_tests =
         | Error e -> Alcotest.failf "intact file rejected: %s" e);
         (* truncate the valid encoding mid-stream *)
         let full = In_channel.with_open_bin good In_channel.input_all in
-        let bad = Filename.temp_file "mc_fault_bad" ".mcast" in
+        let bad = Temp.file "mc_fault_bad" ".mcast" in
         Out_channel.with_open_bin bad (fun oc ->
             Out_channel.output_string oc
               (String.sub full 0 (String.length full / 2)));

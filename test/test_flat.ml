@@ -9,11 +9,7 @@
 
 let t = Alcotest.test_case
 
-let temp_dir () =
-  let f = Filename.temp_file "xgcc_test_flat" "" in
-  Sys.remove f;
-  Sys.mkdir f 0o755;
-  f
+let temp_dir () = Temp.dir "xgcc_test_flat"
 
 let free () = [ Free_checker.checker () ]
 let report_lines (r : Engine.result) = List.map Report.to_string r.Engine.reports

@@ -250,8 +250,8 @@ let suite =
               (rep.Report.call_depth >= 5)
         | _ -> Alcotest.fail "expected one report");
     t "check_files analyses a multi-file program from disk" `Quick (fun () ->
-        let f1 = Filename.temp_file "mc_a" ".c" in
-        let f2 = Filename.temp_file "mc_b" ".c" in
+        let f1 = Temp.file "mc_a" ".c" in
+        let f2 = Temp.file "mc_b" ".c" in
         let write path s =
           let oc = open_out path in
           output_string oc s;

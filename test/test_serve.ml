@@ -10,17 +10,7 @@ let t = Alcotest.test_case
 (* Fixtures                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "xgcc_serve_test_%d_%d" (Unix.getpid ()) !n)
-    in
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    dir
+let fresh_dir () = Temp.dir "xgcc_serve_test"
 
 let write_file path s =
   let oc = open_out_bin path in
