@@ -177,12 +177,6 @@ let acyclic_heights ?(known = fun _ -> None) t =
 
 let closure t f = Sset.elements (reachable t.callees_ [ f ])
 
-let closures t =
-  let tbl = Hashtbl.create 64 in
-  Smap.iter (fun f _ -> Hashtbl.replace tbl f (closure t f)) t.callees_;
-  fun f ->
-    match Hashtbl.find_opt tbl f with Some c -> c | None -> [ f ]
-
 (* Roots from last to first, with one claimed set: the DFS from root [i]
    claims every function of its closure not claimed yet. A function that
    is already claimed lies in a later root's closure, and so does every

@@ -39,14 +39,10 @@ val acyclic_heights : ?known:(string -> int option option) -> t -> string -> int
 val closure : t -> string -> string list
 (** One function's transitive callee closure, itself included, in sorted
     name order: the set of functions whose behaviour a traversal entered
-    at it can observe. [[f]] for an undefined name. *)
-
-val closures : t -> string -> string list
-(** [closures t] precomputes {!closure} for every defined function. The
-    persistent summary cache folds a fingerprint per closure member
-    into each cache key, so editing a member invalidates exactly the
-    member and its transitive callers. The returned lookup falls back to
-    the singleton [[f]] for undefined names. *)
+    at it can observe. [[f]] for an undefined name. The persistent
+    summary cache folds a fingerprint per closure member into each cache
+    key, so editing a member invalidates exactly the member and its
+    transitive callers. *)
 
 val release_schedule : t -> string list array
 (** [release_schedule t] assigns every defined function to the last root,

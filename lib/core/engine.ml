@@ -2554,20 +2554,12 @@ let fn_probe sg ~decls_hash ~heights f =
     pr_callees = List.filter (fun g -> not (String.equal g f)) cl;
   }
 
-let key_plan ~decls_hash sg =
-  let cg = sg.Supergraph.callgraph in
-  let heights = Callgraph.acyclic_heights cg in
-  let fns = Hashtbl.create 64 in
-  List.iter
-    (fun f -> Hashtbl.replace fns f (fn_probe sg ~decls_hash ~heights f))
-    (Callgraph.functions cg);
-  { decls_hash; fns }
-
 (* The last pass's plan brought up to [sg], in place, under the same
    declarations hash: the entries of [dirty] functions are rebuilt and
    those of [removed] ones dropped. Every other function keeps its entry:
    its body is the same, and so are its closure and height, since no
-   member of its closure is dirty. *)
+   member of its closure is dirty. A first pass builds its plan this way
+   from an empty one, with every function dirty. *)
 let update_plan plan sg ~dirty ~removed =
   List.iter (Hashtbl.remove plan.fns) removed;
   let heights =
@@ -2607,26 +2599,44 @@ let no_canon : canon = Lazy.from_val None
 let cutoff_on (o : options) =
   o.caching && o.max_nodes_per_root = 0 && o.timeout_per_root = 0.
 
+(* What a cached run decides at one extension, for the next pass to
+   trust: the annotation-group hashes at the boundary, every function's
+   content hash and canonical tables, the probed functions whose
+   canonical run raised, and each root's merged output in replay form. A
+   first pass starts from an empty record with every function and root
+   dirty; a daemon's next pass updates the last one in place ("What a
+   pass carries" below). *)
+type decided = {
+  mutable d_misc : Fingerprint.t;
+  d_groups : (string, Fingerprint.t) Hashtbl.t;
+  mutable d_rehashed : int;  (* groups the boundary's refresh re-hashed *)
+  d_content : (string, Fingerprint.t) Hashtbl.t;
+  d_canon : (string, canon) Hashtbl.t;
+  mutable d_raised : string list;
+  mutable d_roots : root_out option array;
+      (* per root, in root order: [None] for a root that left no valid
+         slot (degraded, or its task failed) *)
+}
+
 (* [probes] are the functions to probe, in [probe_order]; every other
-   function's content hash and canonical tables are already in [content]
-   and [canon] (a daemon pass carries them from the last one). [reuse i]
-   is the last output of root [i] when the edit cannot reach it, in
-   replay form; [keep], when given, hears what every other root merged
-   in replay form, or [None] when it left no valid slot. Returns the
-   probed functions whose canonical run raised. *)
-let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups ~probes ~content ~canon
-    ~reuse ~keep base (ext : Sm.t) =
+   function's content hash and canonical tables are already in [x]. A
+   root whose [root_dirty] bit is clear merges its output in [x.d_roots]
+   when it has one; every other root is loaded or computed, and what it
+   merged replaces its slot there. [x.d_raised] becomes the probed
+   functions whose canonical run raised. *)
+let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups ~probes ~root_dirty x base
+    (ext : Sm.t) =
   set_extension base ext;
   let sst = Summary_store.stats store in
   let cutoff = cutoff_on base.opts in
   (* Content hashes start at the body hashes: cycle members — neither
      probed nor stored — stay pinned there, as does every function when
-     the cutoff is off. A stored entry's summaries stay encoded in [canon]
-     until a caller needs them: usually none does, as only edited closures
-     recompute. *)
-  let content_of = Hashtbl.find content in
+     the cutoff is off. A stored entry's summaries stay encoded in
+     [d_canon] until a caller needs them: usually none does, as only
+     edited closures recompute. *)
+  let content_of = Hashtbl.find x.d_content in
   let unchanged : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let raised = ref [] in
+  x.d_raised <- [];
   (* The annotation component of a key is the hashes of the groups its
      closure can observe ({!Annot_pos}), as of this extension's boundary. *)
   let misc = Annot_pos.misc_hash groups in
@@ -2658,7 +2668,7 @@ let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups ~probes ~conten
         List.iter
           (fun g ->
             match
-              (Option.bind (Hashtbl.find_opt canon g) Lazy.force, Supergraph.cfg_of base.sg g)
+              (Option.bind (Hashtbl.find_opt x.d_canon g) Lazy.force, Supergraph.cfg_of base.sg g)
             with
             | Some (gbs, gsfx, grets), Some gcfg ->
                 let rets = Hashtbl.create (List.length grets + 1) in
@@ -2698,24 +2708,10 @@ let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups ~probes ~conten
             Array.iter (Summary.to_bin b) sfx;
             Wire.list b Wire.string rets;
             Wire.list b Report.to_bin (Report.reports scratch.collector);
-            Wire.list b
-              (fun b (rule, (e, c)) ->
-                Wire.string b rule;
-                Wire.int b e;
-                Wire.int b c)
+            Wire.list b Summary_store.counter_to_bin
               (List.sort compare
-                 (Hashtbl.fold
-                    (fun rule ec acc -> (rule, ec) :: acc)
-                    scratch.counters []));
-            Wire.list b
-              (fun b ((loc : Srcloc.t), printed, actx, occ, tags) ->
-                Wire.string b loc.file;
-                Wire.int b loc.line;
-                Wire.int b loc.col;
-                Wire.string b printed;
-                Wire.string b actx;
-                Wire.int b occ;
-                Wire.list b Wire.string tags)
+                 (Hashtbl.fold (fun rule (e, c) acc -> (rule, e, c) :: acc) scratch.counters []));
+            Wire.list b Summary_store.annot_to_bin
               (annot_delta (positioned ~ix (annot_fresh scratch)));
             Some
               (bs, sfx, rets, Fingerprint.of_string ~salt:"canon-1" (Wire.contents b)))
@@ -2726,8 +2722,8 @@ let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups ~probes ~conten
         let key = key pr_prefix pr_closure callees in
         match Summary_store.probe_fn store ~ext:ext_key ~fname:f ~key with
         | Summary_store.Hit h ->
-            Hashtbl.replace content f (Summary_store.hit_content h);
-            Hashtbl.replace canon f
+            Hashtbl.replace x.d_content f (Summary_store.hit_content h);
+            Hashtbl.replace x.d_canon f
               (lazy
                 (Option.map
                    (fun (e : Summary_store.fn_entry) -> (e.f_bs, e.f_sfx, e.f_rets))
@@ -2738,12 +2734,12 @@ let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups ~probes ~conten
             match compute_canonical f callees with
             | None ->
                 (* no slot to trust: it stays an unprobed function *)
-                Hashtbl.replace content f pr_body;
-                Hashtbl.replace canon f no_canon;
-                raised := f :: !raised
+                Hashtbl.replace x.d_content f pr_body;
+                Hashtbl.replace x.d_canon f no_canon;
+                x.d_raised <- f :: x.d_raised
             | Some (bs, sfx, rets, c) ->
-                Hashtbl.replace content f c;
-                Hashtbl.replace canon f (Lazy.from_val (Some (bs, sfx, rets)));
+                Hashtbl.replace x.d_content f c;
+                Hashtbl.replace x.d_canon f (Lazy.from_val (Some (bs, sfx, rets)));
                 (match p with
                 | Summary_store.Stale old when String.equal old c ->
                     (* the cutoff: recomputation reproduced the stored
@@ -2760,7 +2756,7 @@ let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups ~probes ~conten
   let replayed =
     Array.mapi
       (fun i r ->
-        match reuse i with
+        match if root_dirty.(i) then None else x.d_roots.(i) with
         | Some o ->
             (* its key and slot are the last pass's, so a load would
                replay this very output: it counts as one *)
@@ -2788,7 +2784,7 @@ let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups ~probes ~conten
                   replay_out e !annots)
                 (Summary_store.load_root ~valid:resolves store ~ext:ext_key ~root:r ~key:k)
             in
-            Option.iter (fun keep -> keep i o) keep;
+            x.d_roots.(i) <- o;
             o)
       roots
   in
@@ -2813,18 +2809,14 @@ let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups ~probes ~conten
         }
       in
       Summary_store.store_root store ~ext:ext_key ~key e;
-      Option.iter
-        (fun keep ->
-          keep i (Some (replay_out e (List.map (fun (_, eid, tags) -> (eid, tags)) pos))))
-        keep
+      x.d_roots.(i) <- Some (replay_out e (List.map (fun (_, eid, tags) -> (eid, tags)) pos))
     end
   in
   (* the merge is the only writer of [base.annots] in a cached run: every
      node whose tags it changes is re-hashed at the next boundary *)
   run_roots ~touched:(Annot_pos.touch groups) ~on_computed:store_computed ~pool
     base ext replayed;
-  Summary_store.flush store;
-  !raised
+  Summary_store.flush store
 
 (* ------------------------------------------------------------------ *)
 (* What a daemon pass carries                                          *)
@@ -2832,27 +2824,12 @@ let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups ~probes ~conten
 
 (* A daemon re-checks an edit of the program it checked last, over the
    same memory store, so most of what the last pass decided still holds.
-   Per extension it keeps: the annotation-group hashes at the boundary,
-   every function's content hash and canonical tables, the probed
-   functions whose canonical run raised, and each root's merged output
-   in replay form. The next pass computes which functions the edit can
-   reach (their keys may have changed) and probes only those; a root
-   outside that set merges its last output as the load it stands for.
-   INTERNALS "What a pass carries" argues why every skipped probe and
-   load would have hit. The tables are updated in place, pass after
-   pass. *)
-type decided = {
-  mutable d_misc : Fingerprint.t;
-  d_groups : (string, Fingerprint.t) Hashtbl.t;
-  mutable d_rehashed : int;  (* groups the boundary's refresh re-hashed *)
-  mutable d_content : (string, Fingerprint.t) Hashtbl.t;
-  mutable d_canon : (string, canon) Hashtbl.t;
-  mutable d_raised : string list;
-  mutable d_roots : root_out option array;
-      (* per root, in root order: [None] for a root that left no valid
-         slot (degraded, or its task failed) *)
-}
-
+   It keeps the pass's key plan and each extension's [decided]. The next
+   pass computes which functions the edit can reach (their keys may have
+   changed) and probes only those; a root outside that set merges its
+   last output as the load it stands for. INTERNALS "What a pass
+   carries" argues why every skipped probe and load would have hit. The
+   tables are updated in place, pass after pass. *)
 type carried = {
   l_store : Summary_store.t;
   l_cfgs : (string, Cfg.t) Hashtbl.t;  (* the last supergraph's *)
@@ -2965,19 +2942,19 @@ let run_cached ?options ?observe ?carry ~jobs store sg exts =
             Some l
         | _ -> None)
   in
-  (* [dirty0]: the functions the edit can reach at every extension *)
-  let dirty0, removed =
+  (* [dirty0]: the functions the edit can reach at every extension; with
+     no last pass to trust, every function, over an empty plan *)
+  let dirty0, removed, plan =
     match last with
-    | None -> (None, [])
+    | None ->
+        let d = Hashtbl.create 64 in
+        List.iter (fun f -> Hashtbl.replace d f ()) (Callgraph.functions cg);
+        (d, [], { decls_hash; fns = Hashtbl.create 64 })
     | Some l ->
         let d, removed = pass_dirty l sg in
-        (Some (l, d), removed)
+        (d, removed, l.l_plan)
   in
-  let plan =
-    match dirty0 with
-    | None -> key_plan ~decls_hash sg
-    | Some (l, dirty) -> update_plan l.l_plan sg ~dirty ~removed
-  in
+  let plan = update_plan plan sg ~dirty:dirty0 ~removed in
   (* The last pass's outputs of this pass's roots, by position: the same
      array when the roots are the same. *)
   let old_roots =
@@ -2993,7 +2970,6 @@ let run_cached ?options ?observe ?carry ~jobs store sg exts =
             roots
     | _ -> fun (x : decided) -> x.d_roots
   in
-  let all_probes = lazy (probe_order plan (Callgraph.functions cg)) in
   (* what a dirty set asks of an extension: which roots it holds, the
      functions to probe, in order, and those no probe visits, which start
      over from their body hash *)
@@ -3006,13 +2982,7 @@ let run_cached ?options ?observe ?carry ~jobs store sg exts =
         (fun f -> not (cutoff && Option.is_some (Hashtbl.find plan.fns f).pr_height))
         names )
   in
-  let work0 = lazy (Option.map (fun (_, d) -> work d) dirty0) in
-  let bodies =
-    lazy
-      (let t = Hashtbl.create 64 in
-       Hashtbl.iter (fun f p -> Hashtbl.replace t f p.pr_body) plan.fns;
-       t)
-  in
+  let work0 = lazy (work dirty0) in
   (* positions (kept with the supergraph, so a daemon's next pass reuses
      those of unchanged definitions) and annotation-group hashes, kept
      for the whole run: each merge reports the nodes it re-tags, and each
@@ -3036,98 +3006,72 @@ let run_cached ?options ?observe ?carry ~jobs store sg exts =
             Option.iter (fun f -> f (Annot_pos.current groups) rctx.annots) observe;
             let misc = Annot_pos.misc_hash groups in
             (* What this extension decides for the next pass: the last
-               pass's, updated in place, or fresh. *)
+               pass's, updated in place, or an empty record. *)
             let x =
-              Option.map
-                (fun _ ->
-                  match last with
-                  | Some l ->
-                      let x = l.l_exts.(i) in
-                      x.d_roots <- old_roots x;
-                      x
-                  | None ->
-                      {
-                        d_misc = misc;
-                        d_groups = Hashtbl.create 64;
-                        d_rehashed = 0;
-                        d_content = Hashtbl.create 1;
-                        d_canon = Hashtbl.create 1;
-                        d_raised = [];
-                        d_roots = Array.make (Array.length roots) None;
-                      })
-                carry
+              match last with
+              | Some l ->
+                  let x = l.l_exts.(i) in
+                  x.d_roots <- old_roots x;
+                  x
+              | None ->
+                  {
+                    d_misc = misc;
+                    d_groups = Hashtbl.create 64;
+                    d_rehashed = 0;
+                    d_content = Hashtbl.create 64;
+                    d_canon = Hashtbl.create 64;
+                    d_raised = [];
+                    d_roots = Array.make (Array.length roots) None;
+                  }
             in
             (* The groups whose hash differs from the last pass's at this
                boundary. None can when neither pass re-hashed a group here
                and none differed at the last boundary; then the carried
-               hashes are this boundary's too. *)
-            let regrouped =
-              Option.map
-                (fun x ->
-                  let changed =
-                    if rehashed = 0 && x.d_rehashed = 0 && not !groups_differed then []
-                    else regroup groups x.d_groups
-                  in
-                  x.d_rehashed <- rehashed;
-                  groups_differed := changed <> [];
-                  changed)
-                x
+               hashes are this boundary's too. A run given no carry keeps
+               no hashes: it has no last pass to compare them with and no
+               next pass to hand them to. *)
+            let changed =
+              if
+                Option.is_none carry
+                || (rehashed = 0 && x.d_rehashed = 0 && not !groups_differed)
+              then []
+              else regroup groups x.d_groups
             in
-            (* the functions and roots the edit can reach here, or [None]:
-               all of them *)
-            let dirty =
-              match (dirty0, x, regrouped) with
-              | Some (_, d0), Some x, Some changed when String.equal x.d_misc misc -> (
-                  match
-                    List.filter
-                      (fun f -> Callgraph.is_defined cg f && not (Hashtbl.mem d0 f))
-                      (changed @ x.d_raised)
-                  with
-                  | [] -> Lazy.force work0
-                  | seeds ->
-                      let d = Hashtbl.copy d0 in
-                      List.iter (add_callers cg d) seeds;
-                      Some (work d))
-              | _ -> None
+            x.d_rehashed <- rehashed;
+            groups_differed := changed <> [];
+            (* the functions and roots the edit can reach here: a changed
+               misc hash reaches all of them *)
+            let root_dirty, probes, unprobed =
+              match
+                List.filter
+                  (fun f -> (not (Hashtbl.mem dirty0 f)) && Callgraph.is_defined cg f)
+                  (if String.equal x.d_misc misc then changed @ x.d_raised
+                   else Callgraph.functions cg)
+              with
+              | [] -> Lazy.force work0
+              | seeds ->
+                  let d = Hashtbl.copy dirty0 in
+                  List.iter (add_callers cg d) seeds;
+                  work d
             in
-            let content, canon, probes, reuse =
-              match (dirty, x) with
-              | Some (root_dirty, probes, unprobed), Some x ->
-                  List.iter
-                    (fun f ->
-                      Hashtbl.remove x.d_content f;
-                      Hashtbl.remove x.d_canon f)
-                    removed;
-                  List.iter
-                    (fun f ->
-                      Hashtbl.replace x.d_content f (Hashtbl.find plan.fns f).pr_body;
-                      Hashtbl.replace x.d_canon f no_canon)
-                    unprobed;
-                  ( x.d_content,
-                    x.d_canon,
-                    probes,
-                    fun j -> if root_dirty.(j) then None else x.d_roots.(j) )
-              | _ ->
-                  (* everything is probed and loaded, from fresh tables *)
-                  ( Hashtbl.copy (Lazy.force bodies),
-                    Hashtbl.create 64,
-                    Lazy.force all_probes,
-                    fun _ -> None )
-            in
-            let keep = Option.map (fun x j o -> x.d_roots.(j) <- o) x in
-            let raised =
-              run_extension_cached ~pool ~store
-                ~ext_key:(Summary_store.ext_key store i)
-                ~plan ~ix ~groups ~probes ~content ~canon ~reuse ~keep rctx ext
-            in
-            Option.iter
-              (fun x ->
-                x.d_misc <- misc;
-                x.d_content <- content;
-                x.d_canon <- canon;
-                x.d_raised <- raised)
-              x;
-            x)
+            x.d_misc <- misc;
+            List.iter
+              (fun f ->
+                Hashtbl.remove x.d_content f;
+                Hashtbl.remove x.d_canon f)
+              removed;
+            List.iter
+              (fun f ->
+                Hashtbl.replace x.d_content f (Hashtbl.find plan.fns f).pr_body;
+                Hashtbl.replace x.d_canon f no_canon)
+              unprobed;
+            run_extension_cached ~pool ~store
+              ~ext_key:(Summary_store.ext_key store i)
+              ~plan ~ix ~groups ~probes ~root_dirty x rctx ext;
+            (* only a run that hands its decisions on keeps them past the
+               extension: a run without a carry would otherwise hold every
+               extension's tables and root outputs until it ends *)
+            Option.map (fun _ -> x) carry)
           exts)
   in
   Option.iter

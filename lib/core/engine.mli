@@ -136,10 +136,12 @@ type carry
     extension it holds the annotation-group hashes at the boundary, every
     function's content hash and canonical tables, and every root merged
     from a valid store slot, in replay form (what a load hands the
-    merge). *)
+    merge). Every cached run decides these as it goes; a run given no
+    carry drops each extension's as soon as that extension ends. *)
 
 val carry : unit -> carry
-(** An empty carry: the first run that uses it probes everything. *)
+(** An empty carry: the first run that uses it is a first pass, with
+    every function dirty. *)
 
 val run :
   ?options:options ->
@@ -193,10 +195,14 @@ val run :
     — with hit/stale/absent counts in the store's stats.
 
     [carry] (ignored without [cache]) makes a run over an edit of the
-    last run's program probe only what the edit can reach. A function is
-    {e dirty} when its definition is new or not physically the last
-    run's, when its callee list changed, or when every function is (the
-    declarations hash changed); at one extension also when its
+    last run's program probe only what the edit can reach. A run without
+    a usable last run (no carry, an empty one, one for another store or
+    number of extensions, or a changed declarations hash) is a first pass:
+    every function and every root is dirty, and the run goes through the
+    same code. A function is {e dirty} when its definition is new or not
+    physically the last run's, when its callee list changed, or when
+    every function is (the declarations hash changed); at one extension
+    also when its
     annotation-group hash at the boundary differs from the last run's at
     the same boundary, or when its canonical run raised there, or when
     the misc group hash changed (then all are); and every transitive

@@ -226,6 +226,14 @@ type root_entry = {
   r_stats : int list;  (** engine stat counters, in [Engine]'s field order *)
 }
 
+val counter_to_bin : Wire.writer -> string * int * int -> unit
+(** The encoding of one [r_counters] element. *)
+
+val annot_to_bin : Wire.writer -> Srcloc.t * string * string * int * string list -> unit
+(** The encoding of one [r_annots] element. The engine's canonical
+    content hash folds counters and annotation deltas in these same
+    encodings, so a change here moves persisted content hashes too. *)
+
 val load_root :
   ?valid:(root_entry -> bool) ->
   t ->

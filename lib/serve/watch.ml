@@ -115,5 +115,5 @@ let stale_roots sg changed_paths =
             match Supergraph.file_of_function sg fn with
             | Some file -> in_changed file
             | None -> false)
-          (Callgraph.closures sg.Supergraph.callgraph root))
+          (Callgraph.closure sg.Supergraph.callgraph root))
       (Supergraph.roots sg)

@@ -45,12 +45,12 @@ let call_target sg (e : Cast.expr) =
    contains it. *)
 let reference_schedule cg =
   let roots = Array.of_list (Callgraph.roots cg) in
-  let closures = Callgraph.closures cg in
+  let closure = Callgraph.closure cg in
   let slots = Array.make (Array.length roots) [] in
   List.iter
     (fun f ->
       let last = ref (-1) in
-      Array.iteri (fun i r -> if List.mem f (closures r) then last := i) roots;
+      Array.iteri (fun i r -> if List.mem f (closure r) then last := i) roots;
       if !last < 0 then Alcotest.failf "%s is in no root's closure" f;
       slots.(!last) <- f :: slots.(!last))
     (Callgraph.functions cg);
