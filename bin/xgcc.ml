@@ -589,8 +589,12 @@ let do_cache_stats dir =
       (human_bytes k.Summary_store.dk_bytes)
       (if not packs then ""
        else
-         let n = k.Summary_store.dk_files in
-         Printf.sprintf " in %d pack%s" n (if n = 1 then "" else "s"))
+         let n = k.Summary_store.dk_files and s = k.Summary_store.dk_segments in
+         Printf.sprintf " in %d pack%s (%d segment%s, %d of %d bytes superseded)" n
+           (if n = 1 then "" else "s")
+           s
+           (if s = 1 then "" else "s")
+           k.Summary_store.dk_superseded k.Summary_store.dk_bytes)
   in
   line "ast" d.Summary_store.d_ast;
   line ~packs:true "summary" d.Summary_store.d_sum;
@@ -634,8 +638,10 @@ let cache_stats_cmd =
   let dir = Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR") in
   Cmd.v
     (Cmd.info "stats"
-       ~doc:"Show a cache directory's store version, entry counts and sizes, \
-             and the counters of the last cached run")
+       ~doc:"Show a cache directory's store version, live entry counts and \
+             sizes, pack segments and the superseded bytes the next rewrite \
+             of each pack would reclaim, and the counters of the last cached \
+             run")
     Term.(const do_cache_stats $ dir)
 
 let cache_dump_cmd =
@@ -643,7 +649,7 @@ let cache_dump_cmd =
   Cmd.v
     (Cmd.info "dump"
        ~doc:"Decode binary cache files and print them: function-summary \
-             and root replay packs one line per entry, in name order \
+             and root replay packs one line per live entry, in name order \
              ($(b,fn) or $(b,root), the name and key, then the summaries or \
              the reports); AST objects (cache objects and emitted .mcast \
              files) as C")

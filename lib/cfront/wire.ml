@@ -62,6 +62,9 @@ let list b enc xs =
 
 let length = Buffer.length
 let contents = Buffer.contents
+let rec uvarint_size n = if n < 0x80 then 1 else 1 + uvarint_size (n lsr 7)
+let int_size n = uvarint_size ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
+let string_size n = uvarint_size n + n
 
 (* ------------------------------------------------------------------ *)
 (* Reader                                                              *)

@@ -39,6 +39,13 @@ val length : writer -> int
 
 val contents : writer -> string
 
+val int_size : int -> int
+(** The bytes {!int} writes for this value. *)
+
+val string_size : int -> int
+(** The bytes {!string} (or {!substring}) writes for a string of this
+    length. *)
+
 (** {1 Reading} *)
 
 type reader

@@ -3087,7 +3087,6 @@ let run_cached ?options ?observe ?carry ~jobs store sg exts =
             l_exts = Array.of_list (List.filter_map Fun.id decided);
           })
     carry;
-  Summary_store.save_last_run store;
   collect_result rctx
 
 let run ?options ?(jobs = 1) ?cache ?carry sg exts =

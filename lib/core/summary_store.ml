@@ -81,18 +81,35 @@ let same_inputs a b =
    anything. At least one of the two is always set. [inputs] are the
    inputs [key] was digested from, when a [memory] store knows them: set
    when the entry is stored, or when a probe with inputs matched a key
-   read from a pack. *)
+   read from a pack. [base] relates the slot to its name's record in the
+   first segment of the pack, which [flush] truncates back to once every
+   entry is again as recorded there: [First], the slot is that record;
+   [Shadows s], it replaces that record, [s]; [Unbased], the segment has
+   no record of the name, or nothing will be truncated. *)
 type 'v slot = {
   key : Fingerprint.t;
   mutable inputs : key option;
   content : Fingerprint.t;  (* "" for root entries *)
   mutable frame : (string * int * int) option;  (* source, offset, length *)
   mutable value : 'v option;
+  mutable base : 'v base;
 }
 
+and 'v base = First | Shadows of 'v slot | Unbased
+
+(* The pack file as an index last read or wrote it, when all of it was
+   valid segments: its inode, its length, and the end of its first
+   segment. *)
+type pack_file = { p_ino : int; p_len : int; p_first : int }
+
 (* One extension's entries of one kind: the in-memory image of its pack,
-   plus whether an entry changed since the pack was read or written. *)
-type 'v index = { slots : (string, 'v slot) Hashtbl.t; mutable dirty : bool }
+   the names stored since the pack was read or written (newest first,
+   maybe repeated), and the pack file they were read from or written to. *)
+type 'v index = {
+  slots : (string, 'v slot) Hashtbl.t;
+  mutable stored : string list;
+  mutable file : pack_file option;
+}
 
 type t = {
   dir : string;
@@ -108,8 +125,10 @@ type t = {
    salted into every extension key, so every stored entry becomes
    unreachable at once (orphaned, never misdecoded) and a cold recompute
    rebuilds the store in the new format alongside. sumstore-4: one pack
-   file per (kind, extension) instead of one file per entry. *)
-let store_version = "sumstore-4"
+   file per (kind, extension) instead of one file per entry. sumstore-5:
+   a pack is a log of digest-checked segments, and a write appends the
+   changed entries. *)
+let store_version = "sumstore-5"
 
 (* Every file the store writes is replaced atomically, its directory
    created on first use. *)
@@ -252,7 +271,7 @@ type 'v kind = {
 let fn_kind =
   {
     subdir = "sum";
-    magic = "XGSP1\n";
+    magic = "XGSP2\n";
     encode =
       (fun b e ->
         Wire.list b Wire.string e.f_rets;
@@ -302,7 +321,7 @@ let annot_of_bin r =
 let root_kind =
   {
     subdir = "root";
-    magic = "XGRP1\n";
+    magic = "XGRP2\n";
     encode =
       (fun b e ->
         Wire.list b Report.to_bin e.r_reports;
@@ -324,66 +343,122 @@ let root_kind =
 (* Packs                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* A pack is [magic | MD5 of the payload | payload], the payload an entry
-   count and then, sorted by name, one [name, key, content, body] record
-   per entry (Wire strings). Sorting makes a pack's bytes a function of its
-   entries alone, whatever order they were computed in. *)
+(* A pack is its magic followed by one or more segments, each
+   [payload length (4 bytes, big-endian) | MD5 of the payload | payload].
+   A payload is an entry count and then, sorted by name, one
+   [name, key, content, body] record per entry (Wire strings). A reader
+   takes the segments in order, a later record of a name replacing an
+   earlier one, and stops at the first segment that is short, fails its
+   digest or does not parse. A rewrite writes one segment of every entry,
+   so a rewritten pack's bytes are a function of its entries alone,
+   whatever order they were computed in. *)
 
 let pack_suffix = ".pack"
 let digest_len = 16
+let seg_header = 4 + digest_len
 
 let pack_path t kind ext =
   Filename.concat (Filename.concat t.dir kind.subdir) (ext ^ pack_suffix)
 
-(* The payload of a pack file whose magic and digest check out. A missing
-   file, bad magic, bad digest or short read is [None]: every entry of the
-   pack is then a miss. *)
-let read_pack magic path =
-  match Wire.read_file path with
-  | exception Sys_error _ -> None
-  | src ->
-      let m = String.length magic in
-      let hdr = m + digest_len in
-      let len = String.length src - hdr in
-      if
-        len >= 0
-        && String.starts_with ~prefix:magic src
-        && String.equal (String.sub src m digest_len) (Digest.substring src hdr len)
-      then Some (src, Wire.sub_reader src ~off:hdr ~len)
-      else None
+(* A file's bytes and inode, read through one descriptor so that the two
+   agree; [None] when it cannot be read. *)
+let read_pack path =
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error _ -> None
+  | fd -> (
+      let ic = Unix.in_channel_of_descr fd in
+      match
+        let st = Unix.fstat fd in
+        (really_input_string ic st.Unix.st_size, st.Unix.st_ino)
+      with
+      | pack ->
+          close_in_noerr ic;
+          Some pack
+      | exception (Unix.Unix_error _ | Sys_error _ | End_of_file) ->
+          close_in_noerr ic;
+          None)
 
-(* Header-only parse: names, keys and content hashes are decoded, bodies
-   are recorded as slices of the pack's bytes. Raises [Wire.Corrupt]. *)
-let parse_pack src r =
-  let slots = Hashtbl.create 64 in
+(* The records of one segment's payload, in order: name, key, content
+   hash, and the body as an offset and length in [src]. Raises
+   [Wire.Corrupt]. *)
+let segment_records src ~off ~len =
+  let r = Wire.sub_reader src ~off ~len in
   let n = Wire.rint r in
-  for _ = 1 to n do
-    let name = Wire.rstring r in
-    let key = Wire.rstring r in
-    let content = Wire.rstring r in
-    let off, len = Wire.rslice r in
-    Hashtbl.replace slots name
-      { key; inputs = None; content; frame = Some (src, off, len); value = None }
-  done;
+  if n < 0 then raise (Wire.Corrupt "bad entry count");
+  let records =
+    List.init n (fun _ ->
+        let name = Wire.rstring r in
+        let key = Wire.rstring r in
+        let content = Wire.rstring r in
+        let off, len = Wire.rslice r in
+        (name, key, content, off, len))
+  in
   if not (Wire.at_end r) then raise (Wire.Corrupt "trailing bytes after the last entry");
-  slots
+  records
 
-(* The index of one (kind, extension), read from its pack on first use. *)
+(* The valid segments of a pack's bytes in file order, each as its end
+   offset and its records, and the end of the valid prefix. [None] when
+   the magic does not match. *)
+let segments magic src =
+  let size = String.length src in
+  let rec go pos acc =
+    let stop () = (List.rev acc, pos) in
+    if size - pos < seg_header then stop ()
+    else
+      let len = Int32.to_int (String.get_int32_be src pos) land 0xffff_ffff in
+      let off = pos + seg_header in
+      if
+        len > size - off
+        || not (String.equal (String.sub src (pos + 4) digest_len) (Digest.substring src off len))
+      then stop ()
+      else
+        match segment_records src ~off ~len with
+        | records -> go (off + len) ((off + len, records) :: acc)
+        | exception Wire.Corrupt _ -> stop ()
+  in
+  if String.starts_with ~prefix:magic src then Some (go (String.length magic) []) else None
+
+(* The base of a slot that replaces [s]. *)
+let shadow s = match s.base with First -> Shadows s | b -> b
+
+(* The index of one (kind, extension), read from its pack on first use.
+   Entries of a pack whose first segment fails are all misses. *)
 let index t kind tbl ext =
   match Hashtbl.find_opt tbl ext with
   | Some idx -> idx
   | None ->
-      let slots =
-        match read_pack kind.magic (pack_path t kind ext) with
-        | None -> Hashtbl.create 64
-        | Some (src, r) -> (
-            match parse_pack src r with
-            | slots ->
-                t.st.packs_read <- t.st.packs_read + 1;
-                slots
-            | exception Wire.Corrupt _ -> Hashtbl.create 64)
-      in
-      let idx = { slots; dirty = false } in
+      let idx = { slots = Hashtbl.create 64; stored = []; file = None } in
+      (match read_pack (pack_path t kind ext) with
+      | None -> ()
+      | Some (src, ino) -> (
+          match segments kind.magic src with
+          | None | Some ([], _) -> ()
+          | Some ((((first, _) :: _) as segs), valid) ->
+              List.iteri
+                (fun i (_, records) ->
+                  List.iter
+                    (fun (name, key, content, off, len) ->
+                      let base =
+                        if i = 0 then First
+                        else
+                          match Hashtbl.find_opt idx.slots name with
+                          | Some s -> shadow s
+                          | None -> Unbased
+                      in
+                      Hashtbl.replace idx.slots name
+                        {
+                          key;
+                          inputs = None;
+                          content;
+                          frame = Some (src, off, len);
+                          value = None;
+                          base;
+                        })
+                    records)
+                segs;
+              t.st.packs_read <- t.st.packs_read + 1;
+              if valid = String.length src then
+                idx.file <- Some { p_ino = ino; p_len = valid; p_first = first }));
       Hashtbl.replace tbl ext idx;
       idx
 
@@ -407,20 +482,50 @@ let force kind name s =
 let put t kind tbl ext name ~key ~content v =
   let idx = index t kind tbl ext in
   let inputs = if t.memory && key.known then Some key else None in
-  Hashtbl.replace idx.slots name
-    { key = digest t key; inputs; content; frame = None; value = Some v };
-  idx.dirty <- true
-
-(* Entries read from a pack are copied as raw frames; only entries stored
-   by this process are encoded. Afterwards every slot's frame points into
-   the new payload, so a later rewrite (a memory store keeps its index)
-   copies them too. *)
-let write_pack t kind ext idx =
-  let entries =
-    List.sort
-      (fun (a, _) (b, _) -> String.compare a b)
-      (Hashtbl.fold (fun name s acc -> (name, s) :: acc) idx.slots [])
+  (* only a pack that [flush] may truncate needs the base *)
+  let base =
+    match idx.file with
+    | Some _ when t.persist_ -> (
+        match Hashtbl.find_opt idx.slots name with Some s -> shadow s | None -> Unbased)
+    | _ -> Unbased
   in
+  Hashtbl.replace idx.slots name
+    { key = digest t key; inputs; content; frame = None; value = Some v; base };
+  idx.stored <- name :: idx.stored
+
+let record_bytes ~name ~key ~content ~len =
+  Wire.string_size (String.length name) + Wire.string_size (String.length key)
+  + Wire.string_size (String.length content) + Wire.string_size len
+
+(* The length of a pack of one segment holding [n] records of [records]
+   bytes: what a rewrite of those entries writes. *)
+let compact_len kind ~n ~records = String.length kind.magic + seg_header + Wire.int_size n + records
+
+let same_frame a b =
+  match (a, b) with
+  | Some (src, off, len), Some (src', off', len') ->
+      len = len'
+      && ((src == src' && off = off')
+         ||
+         let rec go i = i = len || (src.[off + i] = src'.[off' + i] && go (i + 1)) in
+         go 0)
+  | _ -> false
+
+(* Is the slot's record (key, content hash, body bytes) its name's record
+   in the first segment? *)
+let at_base s =
+  match s.base with
+  | First -> true
+  | Shadows b ->
+      String.equal s.key b.key && String.equal s.content b.content
+      && same_frame s.frame b.frame
+  | Unbased -> false
+
+(* A segment payload of [entries], in the given order. Entries read from
+   a pack are copied as raw frames; only entries stored by this process
+   are encoded. Afterwards every slot's frame points into the payload, so
+   a later write (a memory store keeps its index) copies them too. *)
+let payload kind entries =
   let b = Wire.writer () in
   Wire.int b (List.length entries);
   let placed =
@@ -443,21 +548,119 @@ let write_pack t kind ext idx =
         (s, Wire.length b - len, len))
       entries
   in
-  let payload = Wire.contents b in
-  write_file (pack_path t kind ext) (fun oc ->
-      output_string oc kind.magic;
-      output_string oc (Digest.string payload);
-      output_string oc payload);
-  t.st.packs_written <- t.st.packs_written + 1;
-  List.iter (fun (s, off, len) -> s.frame <- Some (payload, off, len)) placed
+  let p = Wire.contents b in
+  List.iter (fun (s, off, len) -> s.frame <- Some (p, off, len)) placed;
+  p
+
+let segment_header p =
+  let h = Bytes.create seg_header in
+  Bytes.set_int32_be h 0 (Int32.of_int (String.length p));
+  Bytes.blit_string (Digest.string p) 0 h 4 digest_len;
+  Bytes.unsafe_to_string h
+
+(* Run [f] on a descriptor of [path] opened with [flags] when the file
+   is still the one [file] describes (same inode and length), and say
+   whether it was and [f] succeeded. *)
+let on_same_file path flags file f =
+  match Unix.openfile path (Unix.O_WRONLY :: Unix.O_CLOEXEC :: flags) 0 with
+  | exception Unix.Unix_error _ -> false
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          match Unix.fstat fd with
+          | st when st.Unix.st_ino = file.p_ino && st.Unix.st_size = file.p_len -> (
+              try
+                f fd;
+                true
+              with Unix.Unix_error _ -> false)
+          | _ -> false
+          | exception Unix.Unix_error _ -> false)
+
+(* Write one dirty index to its pack by exactly one of three rules:
+   1. truncate the file to its first segment when every entry is again
+      as recorded there (the revert of an edit);
+   2. append one segment of the entries stored since the pack was read or
+      written, when the file is still the one this index read or wrote
+      and the bytes it supersedes stay at most its live bytes;
+   3. otherwise rewrite the whole pack through a temp file and a rename:
+      the magic, then one segment of every entry.
+   A torn or foreign file (another run's rename) always takes rule 3, so
+   a run never truncates or appends to a file other than the one it
+   read; rule 2's bound keeps a pack at most twice its live bytes. *)
+let write_pack t kind ext idx =
+  let path = pack_path t kind ext in
+  let truncated f stored =
+    (* the stored entries first: after an edit they are the ones that
+       differ *)
+    List.for_all (fun (_, s) -> at_base s) stored
+    && Hashtbl.fold (fun _ s all -> all && at_base s) idx.slots true
+    && on_same_file path [] f (fun fd -> Unix.ftruncate fd f.p_first)
+    && begin
+         idx.file <- Some { f with p_len = f.p_first };
+         true
+       end
+  in
+  let appended f seg =
+    let n, records =
+      Hashtbl.fold
+        (fun name s (n, records) ->
+          let len = match s.frame with Some (_, _, len) -> len | None -> 0 in
+          (n + 1, records + record_bytes ~name ~key:s.key ~content:s.content ~len))
+        idx.slots (0, 0)
+    in
+    let len = f.p_len + seg_header + String.length seg in
+    let live = compact_len kind ~n ~records in
+    len - live <= live
+    && on_same_file path [ Unix.O_APPEND ] f (fun fd ->
+           let bytes = segment_header seg ^ seg in
+           ignore (Unix.write_substring fd bytes 0 (String.length bytes)))
+    && begin
+         idx.file <- Some { f with p_len = len };
+         true
+       end
+  in
+  let rewrite () =
+    let all =
+      List.sort
+        (fun (a, _) (b, _) -> String.compare a b)
+        (Hashtbl.fold (fun name s acc -> (name, s) :: acc) idx.slots [])
+    in
+    let p = payload kind all in
+    let ino = ref 0 in
+    write_file path (fun oc ->
+        output_string oc kind.magic;
+        output_string oc (segment_header p);
+        output_string oc p;
+        ino := (Unix.fstat (Unix.descr_of_out_channel oc)).Unix.st_ino);
+    let len = String.length kind.magic + seg_header + String.length p in
+    idx.file <- Some { p_ino = !ino; p_len = len; p_first = len }
+  in
+  (match idx.file with
+  | Some f ->
+      let stored =
+        List.map
+          (fun name -> (name, Hashtbl.find idx.slots name))
+          (List.sort_uniq String.compare idx.stored)
+      in
+      (* encodes the stored entries: rule 1 compares their bytes *)
+      let seg = payload kind stored in
+      if not (truncated f stored || appended f seg) then rewrite ()
+  | None -> rewrite ());
+  (* after a truncation or a rewrite every entry is its first-segment
+     record *)
+  (match idx.file with
+  | Some f when f.p_len = f.p_first -> Hashtbl.iter (fun _ s -> s.base <- First) idx.slots
+  | _ -> ());
+  t.st.packs_written <- t.st.packs_written + 1
 
 let flush t =
   let go kind tbl =
     Hashtbl.iter
       (fun ext idx ->
-        if idx.dirty then begin
+        if not (List.is_empty idx.stored) then begin
           if t.persist_ then write_pack t kind ext idx;
-          idx.dirty <- false
+          idx.stored <- []
         end)
       tbl;
     if not t.memory then Hashtbl.reset tbl
@@ -579,23 +782,60 @@ type disk_kind = {
   dk_files : int;
   dk_bytes : int;
   dk_entries : int;
+  dk_segments : int;
+  dk_superseded : int;
   dk_tmp : int;
   dk_legacy : int;
 }
 
 type disk = { d_version : string option; d_ast : disk_kind; d_sum : disk_kind; d_root : disk_kind }
 
-(* The entry count of a pack whose magic and digest hold, else 0. *)
-let pack_entries kind path =
-  match read_pack kind.magic path with
-  | Some (_, r) -> ( try Wire.rint r with Wire.Corrupt _ -> 0)
-  | None -> 0
+(* The live record of each name in a pack's valid segments, and how many
+   segments are valid; [None] when the pack cannot be read or its magic
+   does not match. *)
+let live_records kind path =
+  Option.bind (read_pack path) (fun (src, _) ->
+      Option.map
+        (fun (segs, _) ->
+          let live = Hashtbl.create 64 in
+          List.iter
+            (fun (_, records) ->
+              List.iter (fun ((name, _, _, _, _) as r) -> Hashtbl.replace live name r) records)
+            segs;
+          (src, live, List.length segs))
+        (segments kind.magic src))
+
+(* A pack's live entries, valid segments and superseded bytes: what the
+   next rewrite would drop. A pack whose first segment fails has no live
+   entry, and all of its bytes are superseded. *)
+let pack_counts kind path ~size =
+  match live_records kind path with
+  | Some (_, live, segs) when segs > 0 ->
+      let n = Hashtbl.length live in
+      let records =
+        Hashtbl.fold
+          (fun _ (name, key, content, _, len) acc -> acc + record_bytes ~name ~key ~content ~len)
+          live 0
+      in
+      (n, segs, size - compact_len kind ~n ~records)
+  | _ -> (0, 0, size)
 
 (* Files under [dir/sub]: live ones (named [*suffix], [count]ed for their
-   entries), temporary files a killed writer left behind, and per-entry
-   [*.bin] files of sumstore-3 and earlier, which nothing reads any more. *)
+   entries, segments and superseded bytes), temporary files a killed
+   writer left behind, and per-entry [*.bin] files of sumstore-3 and
+   earlier, which nothing reads any more. *)
 let scan dir sub ~suffix ~count =
-  let empty = { dk_files = 0; dk_bytes = 0; dk_entries = 0; dk_tmp = 0; dk_legacy = 0 } in
+  let empty =
+    {
+      dk_files = 0;
+      dk_bytes = 0;
+      dk_entries = 0;
+      dk_segments = 0;
+      dk_superseded = 0;
+      dk_tmp = 0;
+      dk_legacy = 0;
+    }
+  in
   let d = Filename.concat dir sub in
   match Sys.readdir d with
   | exception Sys_error _ -> empty
@@ -609,11 +849,14 @@ let scan dir sub ~suffix ~count =
               else if Filename.check_suffix f ".bin" then
                 { acc with dk_legacy = acc.dk_legacy + 1 }
               else if Filename.check_suffix f suffix then
+                let entries, segments, superseded = count path ~size:st_size in
                 {
                   acc with
                   dk_files = acc.dk_files + 1;
                   dk_bytes = acc.dk_bytes + st_size;
-                  dk_entries = acc.dk_entries + count path;
+                  dk_entries = acc.dk_entries + entries;
+                  dk_segments = acc.dk_segments + segments;
+                  dk_superseded = acc.dk_superseded + superseded;
                 }
               else acc
           | _ -> acc
@@ -621,10 +864,10 @@ let scan dir sub ~suffix ~count =
         empty names
 
 let disk_stats ~dir =
-  let packs kind = scan dir kind.subdir ~suffix:pack_suffix ~count:(pack_entries kind) in
+  let packs kind = scan dir kind.subdir ~suffix:pack_suffix ~count:(pack_counts kind) in
   {
     d_version = read_version ~dir;
-    d_ast = scan dir "ast" ~suffix:".mcast" ~count:(fun _ -> 1);
+    d_ast = scan dir "ast" ~suffix:".mcast" ~count:(fun _ ~size:_ -> (1, 0, 0));
     d_sum = packs fn_kind;
     d_root = packs root_kind;
   }
@@ -632,25 +875,35 @@ let disk_stats ~dir =
 type dump = Fn_entries of fn_entry list | Root_entries of root_entry list
 
 let dump_pack path =
-  let dump kind (src, r) =
-    match parse_pack src r with
-    | exception Wire.Corrupt m -> Error ("corrupt pack: " ^ m)
-    | slots ->
-        let names =
-          List.sort String.compare (Hashtbl.fold (fun n _ acc -> n :: acc) slots [])
-        in
-        let entries =
-          List.filter_map (fun n -> force kind n (Hashtbl.find slots n)) names
-        in
-        if List.compare_lengths entries names = 0 then Ok entries
-        else Error "corrupt entry body"
+  let dump kind (src, live, _) =
+    let names = List.sort String.compare (Hashtbl.fold (fun n _ acc -> n :: acc) live []) in
+    let entries =
+      List.filter_map
+        (fun n ->
+          let _, key, content, off, len = Hashtbl.find live n in
+          force kind n
+            {
+              key;
+              inputs = None;
+              content;
+              frame = Some (src, off, len);
+              value = None;
+              base = Unbased;
+            })
+        names
+    in
+    if List.compare_lengths entries names = 0 then Ok entries else Error "corrupt entry body"
+  in
+  let valid kind =
+    Option.bind (live_records kind path) (fun ((_, _, segs) as p) ->
+        if segs > 0 then Some p else None)
   in
   if not (Sys.file_exists path) then Error "no such file"
   else
-    match read_pack fn_kind.magic path with
+    match valid fn_kind with
     | Some p -> Result.map (fun es -> Fn_entries es) (dump fn_kind p)
     | None -> (
-        match read_pack root_kind.magic path with
+        match valid root_kind with
         | Some p -> Result.map (fun es -> Root_entries es) (dump root_kind p)
         | None -> Error "not a summary-store pack (bad magic, bad digest or truncated)")
 

@@ -26,17 +26,24 @@
       re-traversals that emit reports.
 
     Each kind keeps one {e pack} file per extension ([sum/<ext-key>.pack],
-    [root/<ext-key>.pack]): a magic string, an MD5 digest of the payload,
-    then every entry sorted by name as a header (name, key, content hash)
-    and a length-prefixed {!Wire} body. Reading a pack decodes headers
-    only; a function entry's summaries are decoded when the engine seeds a
+    [root/<ext-key>.pack]): a magic string, then one or more {e segments},
+    each a payload length, the payload's MD5 digest and the payload: every
+    entry it holds sorted by name as a header (name, key, content hash)
+    and a length-prefixed {!Wire} body. A later segment's record of a name
+    replaces an earlier one. Reading a pack decodes headers only; a
+    function entry's summaries are decoded when the engine seeds a
     recomputed caller from them, a root entry when it replays. Entries
     live in one in-memory index per (kind, extension), and {!flush} writes
-    the packs whose entries changed, copying unchanged bodies as raw bytes.
-    Writes are atomic (tmp + rename in the target directory): concurrent
-    writers race with last-rename-wins, which costs the loser's entries a
-    recompute but never yields a wrong one. A bad magic, bad digest or
-    short read makes every entry of that pack a miss, never an error. *)
+    the packs whose entries changed: it appends a segment of the changed
+    entries, truncates a pack back to its first segment when an edit is
+    reverted, and otherwise rewrites the whole pack (tmp + rename),
+    copying unchanged bodies as raw bytes. A write only ever appends to
+    or truncates the file it read; a pack another run replaced is
+    rewritten. A pack whose first segment is short, fails its digest or
+    does not parse (or whose magic is wrong) makes every entry of that
+    pack a miss; a later bad segment ends the pack there. Neither is an
+    error, and since a hit needs its key to match, any mix of segments
+    costs recomputes but never yields a wrong entry. *)
 
 type t
 
@@ -63,8 +70,10 @@ type stats = {
   mutable roots_salvaged : int;
       (** replayed roots whose closure intersects the recomputed set —
           roots that only replay because cutoff fired *)
-  mutable packs_read : int;  (** pack files read whose magic and digest held *)
-  mutable packs_written : int;  (** pack files written by {!flush} *)
+  mutable packs_read : int;  (** pack files read whose first segment held *)
+  mutable packs_written : int;
+      (** pack files written by {!flush}: appended to, truncated or
+          rewritten *)
   mutable keys_computed : int;
       (** entry keys digested ({!digest}); a probe that compares inputs
           by value digests nothing *)
@@ -158,7 +167,16 @@ val flush : t -> unit
     last written (nothing when the store does not persist), then — unless
     the store was opened with [memory] — drop the in-memory indexes.
     [Engine.run] calls it at the end of each extension's merge, so a run
-    whose entries all replayed writes no file. *)
+    whose entries all replayed writes no file. Each such pack is written
+    by exactly one of three rules: truncated to its first segment when
+    every entry's record (key, content hash, body bytes) is again the
+    one recorded there; else, when the file still has the inode and
+    length this store read or wrote and the append keeps its superseded
+    bytes at most its live bytes, appended one segment of the entries
+    stored since (one [write] on an [O_APPEND] descriptor); else
+    rewritten whole, as one segment, through a temp file and a rename.
+    A pack it writes is therefore at most twice the size a rewrite
+    would give it. *)
 
 (** {1 Function-summary entries} *)
 
@@ -254,14 +272,23 @@ val store_root : t -> ext:Fingerprint.t -> key:key -> root_entry -> unit
 val save_last_run : t -> unit
 (** Persist the run's counters to [dir/last-run] (plain ["name value"]
     lines) so a later [cache stats] can report them. No-op when
-    [persist:false]. *)
+    [persist:false]. [Engine.run] does not call it: a caller saves once,
+    after it has recorded its own counters ([Loader.record_ast_counts]
+    does both). *)
 
 val load_last_run : dir:string -> (string * int) list option
 
 type disk_kind = {
   dk_files : int;  (** pack files ([sum], [root]) or AST objects ([ast]) *)
   dk_bytes : int;  (** their total size *)
-  dk_entries : int;  (** entries inside them (0 for a pack that fails its digest) *)
+  dk_entries : int;
+      (** live entries inside them: distinct names in the valid segments
+          (none for a pack whose first segment fails) *)
+  dk_segments : int;  (** valid segments of the packs (0 for [ast]) *)
+  dk_superseded : int;
+      (** bytes the next rewrite of each pack would reclaim: superseded
+          records, extra segment headers and any torn tail (0 for [ast]);
+          [dk_bytes - dk_superseded] is what rewrites would leave *)
   dk_tmp : int;  (** [*.tmp] files a killed writer left behind *)
   dk_legacy : int;  (** per-entry [*.bin] files of sumstore-3, never read *)
 }
@@ -274,13 +301,15 @@ type disk = {
 }
 
 val disk_stats : dir:string -> disk
-(** Count files, bytes and entries per kind, decoding no entry. *)
+(** Count files, bytes, live entries, segments and superseded bytes per
+    kind, checking digests and decoding no entry body. *)
 
 type dump = Fn_entries of fn_entry list | Root_entries of root_entry list
 
 val dump_pack : string -> (dump, string) result
-(** Decode every entry of one pack file (kind recognised by magic, digest
-    checked), in name order. *)
+(** Decode the live record of every name in one pack file's valid
+    segments (kind recognised by magic, digests checked), in name order.
+    An [Error] when the first segment fails. *)
 
 val pp_dump : Format.formatter -> dump -> unit
 (** The [cache dump] rendering, one line per entry, in the given order:

@@ -33,5 +33,6 @@ val load : t -> string -> Cast.tunit
 
 val record_ast_counts : t -> Summary_store.t -> unit
 (** Copy the AST object cache's hit and miss counts into the store's
-    statistics and re-save its last-run record, so [xgcc cache stats]
-    sees them (the engine saved its own counters before). *)
+    statistics and save its last-run record, so [xgcc cache stats] sees
+    them beside the engine's counters: a [check] run's one write of
+    [DIR/last-run]. *)

@@ -70,6 +70,7 @@ let recheck t ~missing =
         (fun p -> Diag.warnf "%s: vanished from disk; analysing last good snapshot" p)
         missing;
       let p = Pass.run t.pass in
+      Option.iter Summary_store.save_last_run t.cfg.c_store;
       (* drifted files stay dirty: the next check recomputes from the
          new contents *)
       t.dirty <- p.Pass.drifted <> [];

@@ -46,8 +46,10 @@ let the_pack dir kind =
   | [ p ] -> p
   | ps -> Alcotest.failf "expected one %s pack, found %d" kind (List.length ps)
 
-(* A pack is [6-byte magic | 16-byte digest | payload]. Each of these must
-   turn every entry of the pack into a miss. *)
+(* A pack is a 6-byte magic, then segments of [4-byte payload length |
+   16-byte digest | payload]; byte 10 is the first segment's first digest
+   byte. Each of these breaks the magic or the first segment of a
+   one-segment pack, and must turn every entry of the pack into a miss. *)
 let flip i d = String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 0x01) else c) d
 
 let manglings =
@@ -58,11 +60,6 @@ let manglings =
     ("bad magic", fun d -> "XGXX1\n" ^ String.sub d 6 (String.length d - 6));
     ("sexp garbage", fun _ -> "(fn f c () ())\n");
   ]
-
-(* inode and mtime: a rewrite renames a new file into place *)
-let identity path =
-  let st = Unix.stat path in
-  (st.Unix.st_ino, st.Unix.st_mtime)
 
 (* emission-order report lines: the byte-identity contract is about output
    order, so no sorting here *)
@@ -83,6 +80,107 @@ let leaf_v2 =
   "static void leaf(int *p) { int e = 2; (void)e; kfree(p); }\n\
    int caller(int n) { int *x = kmalloc(n); leaf(x); return *x; }\n\
    int unrelated(int n) { int *y = kmalloc(n); kfree(y); return *y; }\n"
+
+
+(* [leaf_v1]'s program, with three more unrelated roots, the leaf's dead
+   constant set to [e], and the leaf freeing its argument or not:
+   toggling [frees] is a summary edit, changing [e] a neutral one. Both
+   keep every location after the leaf's own line in place, and each
+   changes a minority of the entries. *)
+let leaf_text ~e ~frees =
+  Printf.sprintf
+    "static void leaf(int *p) { int e = %d; (void)e; %s }\n\
+     int caller(int n) { int *x = kmalloc(n); leaf(x); return *x; }\n\
+     int unrelated(int n) { int *y = kmalloc(n); kfree(y); return *y; }\n\
+     int other1(int n) { int *y = kmalloc(n); kfree(y); return *y; }\n\
+     int other2(int n) { int *y = kmalloc(n); kfree(y); return *y; }\n\
+     int other3(int n) { int *y = kmalloc(n); kfree(y); return *y; }\n"
+    e (if frees then "kfree(p);" else "(void)p;")
+
+(* The end offsets of a pack's valid segments, read by the framing the
+   store writes: after the 6-byte magic, segments of [4-byte big-endian
+   payload length | MD5 of the payload | payload]. *)
+let segment_ends bytes =
+  let size = String.length bytes in
+  let rec go pos acc =
+    if size - pos < 20 then List.rev acc
+    else
+      let len = Int32.to_int (String.get_int32_be bytes pos) land 0xffff_ffff in
+      if
+        len > size - pos - 20
+        || not
+             (String.equal (String.sub bytes (pos + 4) 16) (Digest.substring bytes (pos + 20) len))
+      then List.rev acc
+      else go (pos + 20 + len) ((pos + 20 + len) :: acc)
+  in
+  go 6 []
+
+(* Is every byte of the pack part of a valid segment? *)
+let whole bytes =
+  match List.rev (segment_ends bytes) with [] -> false | last :: _ -> last = String.length bytes
+
+(* Populate a one-checker store over [v1], edit to [v2] (so the packs
+   hold a second segment), then break one pack ([sum] or [root]) in one
+   of four ways. A run over the broken store raises nothing and reports
+   what an uncached run does, and a pack it writes is whole again; the
+   run after it probes no stale or absent function and recomputes no
+   root. *)
+let framing_fault (sum, how, r1, r2) =
+  let v1 = leaf_text ~e:1 ~frees:true and v2 = leaf_text ~e:1 ~frees:false in
+  let sg = sg_of_files [ ("ff.c", v2) ] in
+  let uncached = report_lines (Engine.run sg (free ())) in
+  let dir = temp_dir () in
+  ignore (Engine.run ~cache:(store_over dir) (sg_of_files [ ("ff.c", v1) ]) (free ()));
+  ignore (Engine.run ~cache:(store_over dir) sg (free ()));
+  let pack = the_pack dir (if sum then "sum" else "root") in
+  let intact = read_bytes pack in
+  let size = String.length intact in
+  let last_start =
+    match List.rev (segment_ends intact) with
+    | _ :: prev :: _ -> prev
+    | _ -> QCheck2.Test.fail_reportf "the edit appended no segment"
+  in
+  (* odd [r1]: a byte of the last segment; even: a byte of the file *)
+  let at =
+    let from = if r1 mod 2 = 1 then last_start else 0 in
+    from + (r1 / 2 * (size - from) / 10_000)
+  in
+  let mangled, what =
+    match how with
+    | 0 -> (String.sub intact 0 at, Printf.sprintf "truncated at %d of %d" at size)
+    | 1 ->
+        let flip j c = if j = at then Char.chr (Char.code c lxor (1 + (r2 mod 255))) else c in
+        (String.mapi flip intact, Printf.sprintf "byte %d of %d flipped" at size)
+    | 2 ->
+        let st = Random.State.make [| r1 |] in
+        let n = 1 + (r2 mod 64) in
+        ( intact ^ String.init n (fun _ -> Char.chr (Random.State.int st 256)),
+          Printf.sprintf "%d random bytes appended" n )
+    | _ ->
+        ( intact ^ String.sub intact last_start (size - last_start),
+          "last segment appended again" )
+  in
+  write_bytes pack mangled;
+  let observe label =
+    let store = store_over dir in
+    match Engine.run ~cache:store sg (free ()) with
+    | exception e ->
+        QCheck2.Test.fail_reportf "%s, %s run raised %s" what label (Printexc.to_string e)
+    | r ->
+        if report_lines r <> uncached then
+          QCheck2.Test.fail_reportf "%s, %s run: reports differ from an uncached run" what label;
+        Summary_store.stats store
+  in
+  ignore (observe "broken-store");
+  let after = read_bytes pack in
+  if (not (String.equal after mangled)) && not (whole after) then
+    QCheck2.Test.fail_reportf "%s: the pack was written but is not whole" what;
+  let st = observe "next" in
+  if st.Summary_store.fn_stale + st.Summary_store.fn_absent + st.Summary_store.roots_recomputed <> 0
+  then
+    QCheck2.Test.fail_reportf "%s: next run: %d stale, %d absent, %d roots recomputed" what
+      st.Summary_store.fn_stale st.Summary_store.fn_absent st.Summary_store.roots_recomputed;
+  true
 
 let suite =
   [
@@ -543,11 +641,13 @@ let suite =
         let _ = Engine.run ~cache:(store2 dir) (sg_of_files [ ("p.c", v1) ]) (exts ()) in
         let all () = packs dir "sum" @ packs dir "root" in
         Alcotest.(check int) "one pack per kind and extension" 4 (List.length (all ()));
+        (* a write appends to a pack, truncates it or renames a new file
+           into place: each changes its length or its bytes *)
         let snapshot () =
           List.map
             (fun p ->
               match Summary_store.dump_pack p with
-              | Ok d -> (p, (identity p, Format.asprintf "%a" Summary_store.pp_dump d))
+              | Ok d -> (p, (read_bytes p, Format.asprintf "%a" Summary_store.pp_dump d))
               | Error e -> Alcotest.failf "%s: %s" p e)
             (all ())
         in
@@ -562,28 +662,31 @@ let suite =
         Alcotest.(check int) "comment edit writes no pack" 0
           (Summary_store.stats store).Summary_store.packs_written;
         List.iter2
-          (fun (p, (id, _)) (_, (id', _)) ->
-            Alcotest.(check bool) (p ^ ": inode and mtime unchanged") true (id = id'))
+          (fun (p, (bytes, _)) (_, (bytes', _)) ->
+            Alcotest.(check bool) (p ^ ": length and bytes unchanged") true
+              (String.equal bytes bytes'))
           before (snapshot ());
-        (* summary-changing: a pack is rewritten exactly when its entries
+        (* summary-changing: a pack is written exactly when its entries
            changed *)
         let store = store2 dir in
         let _ = Engine.run ~cache:store (sg_of_files [ ("p.c", v2) ]) (exts ()) in
         let after = snapshot () in
         let changed =
           List.map2
-            (fun (p, ((ino, _), entries)) (_, ((ino', _), entries')) ->
-              let rewritten = ino <> ino' in
+            (fun (p, (bytes, entries)) (_, (bytes', entries')) ->
+              let written =
+                String.length bytes <> String.length bytes' || not (String.equal bytes bytes')
+              in
               Alcotest.(check bool)
-                (p ^ ": rewritten iff its entries changed")
-                (entries <> entries') rewritten;
-              rewritten)
+                (p ^ ": written iff its entries changed")
+                (entries <> entries') written;
+              written)
             before after
         in
         Alcotest.(check int) "packs written = packs changed"
           (List.length (List.filter Fun.id changed))
           (Summary_store.stats store).Summary_store.packs_written;
-        Alcotest.(check bool) "some pack rewritten" true (List.mem true changed);
+        Alcotest.(check bool) "some pack written" true (List.mem true changed);
         Alcotest.(check bool) "some pack untouched" true (List.mem false changed));
     t "cold populates at -j 1 and -j 4 write byte-identical packs" `Quick
       (fun () ->
@@ -971,4 +1074,124 @@ let suite =
                   (counters (Summary_store.stats store)))
               edits)
           [ 1; 2 ]);
+    t "an edit appends a segment and its revert truncates back" `Quick (fun () ->
+        let v1 = leaf_text ~e:1 ~frees:true and v2 = leaf_text ~e:1 ~frees:false in
+        let dir = temp_dir () in
+        let run text =
+          let store = store_over dir in
+          ignore (Engine.run ~cache:store (sg_of_files [ ("ar.c", text) ]) (free ()));
+          (Summary_store.stats store).Summary_store.packs_written
+        in
+        ignore (run v1);
+        let populated = List.map read_bytes [ the_pack dir "sum"; the_pack dir "root" ] in
+        Alcotest.(check int) "the summary edit writes both packs" 2 (run v2);
+        List.iter2
+          (fun kind before ->
+            let after = read_bytes (the_pack dir kind) in
+            Alcotest.(check bool) (kind ^ ": the populate is a prefix") true
+              (String.starts_with ~prefix:before after);
+            Alcotest.(check int) (kind ^ ": two segments") 2 (List.length (segment_ends after));
+            Alcotest.(check bool) (kind ^ ": whole") true (whole after))
+          [ "sum"; "root" ] populated;
+        Alcotest.(check int) "the revert writes both packs" 2 (run v1);
+        List.iter2
+          (fun kind before ->
+            Alcotest.(check bool) (kind ^ ": truncated to the populate") true
+              (String.equal before (read_bytes (the_pack dir kind))))
+          [ "sum"; "root" ] populated);
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 30 |])
+      (QCheck2.Test.make ~name:"a broken pack costs recomputes, never a wrong report" ~count:40
+         ~print:(fun (sum, how, r1, r2) ->
+           Printf.sprintf "%s pack, mangling %d, %d, %d" (if sum then "sum" else "root") how r1 r2)
+         QCheck2.Gen.(quad bool (int_bound 3) (int_bound 19_999) nat)
+         framing_fault);
+    t "two stores that read one pack, then each write an edit" `Quick (fun () ->
+        let v1 = leaf_text ~e:1 ~frees:true in
+        let edits = [ leaf_text ~e:1 ~frees:false; leaf_text ~e:2 ~frees:true ] in
+        let dir = temp_dir () in
+        ignore (Engine.run ~cache:(store_over dir) (sg_of_files [ ("tw.c", v1) ]) (free ()));
+        (* both stores read every pack before either writes *)
+        let stores =
+          List.map
+            (fun _ ->
+              let store = store_over dir in
+              let ext = Summary_store.ext_key store 0 in
+              let key = Summary_store.key_of_digest "" in
+              ignore (Summary_store.probe_fn store ~ext ~fname:"leaf" ~key);
+              ignore (Summary_store.load_root store ~ext ~root:"caller" ~key);
+              store)
+            edits
+        in
+        List.iter2
+          (fun store text ->
+            let sg = sg_of_files [ ("tw.c", text) ] in
+            Alcotest.(check (list string))
+              "the writer = uncached"
+              (report_lines (Engine.run sg (free ())))
+              (report_lines (Engine.run ~cache:store sg (free ()))))
+          stores edits;
+        (* the first writer appended to both packs; the second, whose
+           neutral edit changes one summary entry and no root, found the
+           summary pack longer than it read and rewrote it *)
+        Alcotest.(check (list int))
+          "segments of the sum and root packs" [ 1; 2 ]
+          (List.map
+             (fun kind -> List.length (segment_ends (read_bytes (the_pack dir kind))))
+             [ "sum"; "root" ]);
+        List.iter
+          (fun text ->
+            let sg = sg_of_files [ ("tw.c", text) ] in
+            let store = store_over dir in
+            Alcotest.(check (list string))
+              "a third run = uncached"
+              (report_lines (Engine.run sg (free ())))
+              (report_lines (Engine.run ~cache:store sg (free ()))))
+          (v1 :: edits);
+        List.iter
+          (fun kind ->
+            Alcotest.(check bool) (kind ^ ": whole") true (whole (read_bytes (the_pack dir kind))))
+          [ "sum"; "root" ]);
+    t "alternating edits compact a pack to a fresh populate" `Quick (fun () ->
+        let dir = temp_dir () in
+        let run dir text =
+          ignore (Engine.run ~cache:(store_over dir) (sg_of_files [ ("cp.c", text) ]) (free ()))
+        in
+        run dir (leaf_text ~e:1 ~frees:true);
+        (* odd steps toggle what the leaf frees, even steps its dead
+           constant, which never returns to the populate's *)
+        let compacted = Hashtbl.create 2 in
+        let rec step k ~e ~frees segs =
+          if Hashtbl.length compacted < 2 then begin
+            if k > 20 then Alcotest.fail "no pack compacted in 20 edits";
+            let e, frees = if k mod 2 = 1 then (e, not frees) else ((e mod 8) + 2, frees) in
+            let text = leaf_text ~e ~frees in
+            run dir text;
+            let d = Summary_store.disk_stats ~dir in
+            let segs' =
+              List.map
+                (fun (kind, (dk : Summary_store.disk_kind)) ->
+                  let live = dk.dk_bytes - dk.dk_superseded in
+                  if dk.dk_bytes > 2 * live then
+                    Alcotest.failf "%s after edit %d: %d bytes for %d live" kind k dk.dk_bytes live;
+                  (kind, dk.dk_segments))
+                [ ("sum", d.d_sum); ("root", d.d_root) ]
+            in
+            List.iter2
+              (fun (kind, before) (_, now) ->
+                if before > 1 && now = 1 then begin
+                  Hashtbl.replace compacted kind ();
+                  let fresh = temp_dir () in
+                  run fresh text;
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s compacted at edit %d = a fresh populate" kind k)
+                    true
+                    (String.equal
+                       (read_bytes (the_pack fresh kind))
+                       (read_bytes (the_pack dir kind)))
+                end)
+              segs segs';
+            step (k + 1) ~e ~frees segs'
+          end
+        in
+        step 1 ~e:1 ~frees:true [ ("sum", 1); ("root", 1) ]);
   ]
