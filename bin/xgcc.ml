@@ -25,7 +25,9 @@ let load_program files = Supergraph.build (List.map (Loader.load (Loader.create 
 
 (* Each extension comes with its defining source text, which the
    persistent cache digests into its keys: editing a checker (or anything
-   earlier in the composition chain) invalidates its cached results. *)
+   earlier in the composition chain) invalidates its cached results. A
+   metal file that does not lex, parse or compile is a usage error at
+   its position. *)
 let resolve_checkers (names, metal_files) =
   let builtin =
     List.map
@@ -44,7 +46,14 @@ let resolve_checkers (names, metal_files) =
     List.concat_map
       (fun f ->
         let src = read_file f in
-        List.map (fun sm -> (sm, src)) (Metal_compile.load_file f))
+        match Metal_compile.load ~file:f src with
+        | sms -> List.map (fun sm -> (sm, src)) sms
+        | exception
+            ( Metal_parse.Metal_error (loc, msg)
+            | Metal_compile.Compile_error (loc, msg)
+            | Clex.Lex_error (loc, msg) ) ->
+            Format.eprintf "%a: %s@." Srcloc.pp loc msg;
+            exit 2)
       metal_files
   in
   match builtin @ from_files with
@@ -190,7 +199,7 @@ let do_check files exts rank_mode fmt history_db update_history options stats ()
   let store = Pass.open_store ~memory:false ~cache ~options (List.map snd exts_src) in
   let p =
     Pass.run
-      (Pass.create
+      (Pass.create ~loader
          {
            Pass.c_files = files;
            c_parse = Loader.parse loader;
@@ -610,6 +619,17 @@ let do_cache_stats dir =
   | 0 -> ()
   | n ->
       Format.printf "orphaned sumstore-3 entry files: %d (one file per entry; never read)@." n);
+  (* what the next check reads to probe only what its edit can reach *)
+  (match Unix.stat (Summary_store.carry_path ~dir) with
+  | exception Unix.Unix_error _ -> Format.printf "carry     absent@."
+  | { Unix.st_size; _ } -> (
+      match Engine.carry_file ~dir with
+      | Ok c ->
+          let n k what = Printf.sprintf "%d %s%s" k what (if k = 1 then "" else "s") in
+          Format.printf "carry     valid: %s, %s, %s  %s@." (n c.Engine.cf_units "unit")
+            (n c.Engine.cf_functions "function") (n c.Engine.cf_extensions "extension")
+            (human_bytes st_size)
+      | Error why -> Format.printf "carry     invalid (%s)  %s@." why (human_bytes st_size)));
   match Summary_store.load_last_run ~dir with
   | None -> Format.printf "last run: (none recorded)@."
   | Some kvs ->
@@ -720,11 +740,12 @@ let do_serve files exts rank () cpp jobs cache socket options =
   (* a client vanishing mid-reply must surface as EPIPE, not kill us *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let exts_src = resolve_checkers exts in
+  let loader = Loader.create ?cpp ?ast_cache:cache () in
   (* Always memory-backed: warm re-checks never read the disk store. *)
   let cfg =
     {
       Server.c_files = files;
-      c_parse = Loader.parse (Loader.create ?cpp ?ast_cache:cache ());
+      c_parse = Loader.parse loader;
       c_exts = List.map fst exts_src;
       c_options = options;
       c_jobs = jobs;
@@ -732,7 +753,7 @@ let do_serve files exts rank () cpp jobs cache socket options =
       c_rank = rank;
     }
   in
-  match Server.create cfg with
+  match Server.create ~loader cfg with
   | Error msg ->
       Format.eprintf "%s@." msg;
       exit 2

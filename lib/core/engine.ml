@@ -2510,18 +2510,20 @@ let replay_out (e : Summary_store.root_entry) annots =
 (* What the keys of every extension share, computed once per cached run. *)
 type fn_probe = {
   pr_fn : string;
-  pr_height : int option;
-      (* [None] when the closure touches a cycle: such a function is never
-         probed, and its content hash stays its body hash *)
   pr_body : Fingerprint.t;
   pr_prefix : string;  (* body hash ^ declarations hash *)
   pr_closure : string list;
   pr_callees : string list;  (* the closure less the function itself *)
 }
 
+(* [heights] holds every function's height, [None] when its closure
+   touches a cycle: such a function is never probed, and its content
+   hash stays its body hash. [fns] holds the probe entries built so far,
+   each built on first use. *)
 type key_plan = {
   decls_hash : Fingerprint.t;
-  fns : (string, fn_probe) Hashtbl.t;  (* every function of the callgraph *)
+  heights : (string, int option) Hashtbl.t;
+  fns : (string, fn_probe) Hashtbl.t;
 }
 
 (* Analysis output depends on more than function bodies: typedefs,
@@ -2540,56 +2542,73 @@ let decls_hash sg =
     sg.Supergraph.tunits;
   Fingerprint.of_string ~salt:Cast_io.cache_version (Wire.contents b)
 
-let fn_probe sg ~decls_hash ~heights f =
-  let body =
-    match Supergraph.body_hash sg f with Some h -> h | None -> Fingerprint.of_string f
-  in
-  let cl = Callgraph.closure sg.Supergraph.callgraph f in
-  {
-    pr_fn = f;
-    pr_height = heights f;
-    pr_body = body;
-    pr_prefix = body ^ decls_hash;
-    pr_closure = cl;
-    pr_callees = List.filter (fun g -> not (String.equal g f)) cl;
-  }
+let body_of sg f =
+  match Supergraph.body_hash sg f with Some h -> h | None -> Fingerprint.of_string f
+
+(* [f]'s probe entry. A function that is not dirty keeps the entry it was
+   given last: its body is the same, and so are its closure and the
+   declarations hash. *)
+let plan_entry plan sg f =
+  match Hashtbl.find plan.fns f with
+  | p -> p
+  | exception Not_found ->
+      let body = body_of sg f in
+      let cl = Callgraph.closure sg.Supergraph.callgraph f in
+      let p =
+        {
+          pr_fn = f;
+          pr_body = body;
+          pr_prefix = body ^ plan.decls_hash;
+          pr_closure = cl;
+          pr_callees = List.filter (fun g -> not (String.equal g f)) cl;
+        }
+      in
+      Hashtbl.replace plan.fns f p;
+      p
 
 (* The last pass's plan brought up to [sg], in place, under the same
-   declarations hash: the entries of [dirty] functions are rebuilt and
-   those of [removed] ones dropped. Every other function keeps its entry:
-   its body is the same, and so are its closure and height, since no
+   declarations hash: the heights of [dirty] functions are recomputed and
+   their entries dropped (the next use rebuilds them), and [removed] ones
+   are dropped. Every other function keeps its height and entry, since no
    member of its closure is dirty. A first pass builds its plan this way
    from an empty one, with every function dirty. *)
 let update_plan plan sg ~dirty ~removed =
-  List.iter (Hashtbl.remove plan.fns) removed;
   let heights =
     Callgraph.acyclic_heights sg.Supergraph.callgraph ~known:(fun f ->
-        if Hashtbl.mem dirty f then None else Some (Hashtbl.find plan.fns f).pr_height)
+        if Hashtbl.mem dirty f then None else Some (Hashtbl.find plan.heights f))
   in
-  Hashtbl.iter
-    (fun f () ->
-      Hashtbl.replace plan.fns f (fn_probe sg ~decls_hash:plan.decls_hash ~heights f))
-    dirty;
-  plan
+  let fresh = Hashtbl.fold (fun f () acc -> (f, heights f) :: acc) dirty [] in
+  List.iter
+    (fun f ->
+      Hashtbl.remove plan.heights f;
+      Hashtbl.remove plan.fns f)
+    removed;
+  List.iter
+    (fun (f, h) ->
+      Hashtbl.replace plan.heights f h;
+      Hashtbl.remove plan.fns f)
+    fresh
 
 (* The acyclic functions among [names] bottom-up, by (height, name):
    every callee's content hash exists before any caller's key needs it.
    Cycle members are never probed, and no acyclic function's closure
    holds one, so no probe waits on a cycle member's content. *)
-let probe_order plan names =
-  List.filter_map
-    (fun f ->
-      let p = Hashtbl.find plan.fns f in
-      Option.map (fun h -> (h, p)) p.pr_height)
-    names
-  |> List.sort (fun (h, p) (h', p') ->
-         match Int.compare h h' with 0 -> String.compare p.pr_fn p'.pr_fn | c -> c)
-  |> List.map snd
+let probe_order plan sg names =
+  List.filter_map (fun f -> Option.map (fun h -> (h, f)) (Hashtbl.find plan.heights f)) names
+  |> List.sort (fun (h, f) (h', f') ->
+         match Int.compare h h' with 0 -> String.compare f f' | c -> c)
+  |> List.map (fun (_, f) -> plan_entry plan sg f)
 
 (* A function's canonical tables, the seeds of recomputed callers. *)
 type canon = (Summary.t array * Summary.t array * string list) option Lazy.t
 
 let no_canon : canon = Lazy.from_val None
+
+let canon_of_hit h : canon =
+  lazy
+    (Option.map
+       (fun (e : Summary_store.fn_entry) -> (e.f_bs, e.f_sfx, e.f_rets))
+       (Summary_store.hit_entry h))
 
 (* Early cutoff needs the canonical traversal to terminate and to be
    timing-independent, so it requires the summary caches on and per-root
@@ -2599,13 +2618,21 @@ let no_canon : canon = Lazy.from_val None
 let cutoff_on (o : options) =
   o.caching && o.max_nodes_per_root = 0 && o.timeout_per_root = 0.
 
+(* What the last pass left of one root: its merged output in replay
+   form; a valid slot of the root pack, when the last pass is a carry
+   file's; or nothing (it degraded, its task failed, or it was no root
+   then). *)
+type kept = Merged of root_out | In_pack | No_slot
+
 (* What a cached run decides at one extension, for the next pass to
    trust: the annotation-group hashes at the boundary, every function's
    content hash and canonical tables, the probed functions whose
-   canonical run raised, and each root's merged output in replay form. A
-   first pass starts from an empty record with every function and root
-   dirty; a daemon's next pass updates the last one in place ("What a
-   pass carries" below). *)
+   canonical run raised, and what each root left. A first pass starts
+   from an empty record with every function and root dirty; a daemon's
+   next pass updates the last one in place ("What a pass carries"
+   below). A carry file's record holds no content hash, canonical table
+   or root output: those of a function or root that is not dirty are its
+   pack slot's, which [d_stamps] vouches for. *)
 type decided = {
   mutable d_misc : Fingerprint.t;
   d_groups : (string, Fingerprint.t) Hashtbl.t;
@@ -2613,17 +2640,20 @@ type decided = {
   d_content : (string, Fingerprint.t) Hashtbl.t;
   d_canon : (string, canon) Hashtbl.t;
   mutable d_raised : string list;
-  mutable d_roots : root_out option array;
-      (* per root, in root order: [None] for a root that left no valid
-         slot (degraded, or its task failed) *)
+  mutable d_roots : kept array;  (* per root, in root order *)
+  mutable d_stamps : string * string;
+      (* the stamps of the summary and root packs the record's slots are
+         in ({!Summary_store.stamp}); [""] when unknown *)
 }
 
-(* [probes] are the functions to probe, in [probe_order]; every other
-   function's content hash and canonical tables are already in [x]. A
-   root whose [root_dirty] bit is clear merges its output in [x.d_roots]
-   when it has one; every other root is loaded or computed, and what it
-   merged replaces its slot there. [x.d_raised] becomes the probed
-   functions whose canonical run raised. *)
+(* [probes] are the functions to probe, in [probe_order]. Every other
+   function's content hash and canonical tables are in [x], or, for a
+   carry file's, in its summary slot (its body hash when it is never
+   probed). A root whose [root_dirty] bit is clear merges what it kept
+   in [x.d_roots]: its output, or its slot's entry when the stored delta
+   resolves. Every other root is loaded or computed, and what it merged
+   replaces its slot there. [x.d_raised] becomes the probed functions
+   whose canonical run raised. *)
 let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups ~probes ~root_dirty x base
     (ext : Sm.t) =
   set_extension base ext;
@@ -2634,7 +2664,27 @@ let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups ~probes ~root_d
      the cutoff is off. A stored entry's summaries stay encoded in
      [d_canon] until a caller needs them: usually none does, as only
      edited closures recompute. *)
-  let content_of = Hashtbl.find x.d_content in
+  let content_of g =
+    match Hashtbl.find x.d_content g with
+    | c -> c
+    | exception Not_found ->
+        let c, canon =
+          match
+            if cutoff && Option.is_some (Hashtbl.find plan.heights g) then
+              Summary_store.find_fn store ~ext:ext_key ~fname:g
+            else None
+          with
+          | Some h -> (Summary_store.hit_content h, canon_of_hit h)
+          | None -> (body_of base.sg g, no_canon)
+        in
+        Hashtbl.replace x.d_content g c;
+        Hashtbl.replace x.d_canon g canon;
+        c
+  in
+  let canon_of g =
+    ignore (content_of g);
+    Lazy.force (Hashtbl.find x.d_canon g)
+  in
   let unchanged : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   x.d_raised <- [];
   (* The annotation component of a key is the hashes of the groups its
@@ -2667,9 +2717,7 @@ let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups ~probes ~root_d
         in
         List.iter
           (fun g ->
-            match
-              (Option.bind (Hashtbl.find_opt x.d_canon g) Lazy.force, Supergraph.cfg_of base.sg g)
-            with
+            match (canon_of g, Supergraph.cfg_of base.sg g) with
             | Some (gbs, gsfx, grets), Some gcfg ->
                 let rets = Hashtbl.create (List.length grets + 1) in
                 List.iter (fun k -> Hashtbl.replace rets k ()) grets;
@@ -2718,16 +2766,12 @@ let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups ~probes ~root_d
   in
   if cutoff then
     List.iter
-      (fun { pr_fn = f; pr_body; pr_prefix; pr_closure; pr_callees = callees; _ } ->
+      (fun { pr_fn = f; pr_body; pr_prefix; pr_closure; pr_callees = callees } ->
         let key = key pr_prefix pr_closure callees in
         match Summary_store.probe_fn store ~ext:ext_key ~fname:f ~key with
         | Summary_store.Hit h ->
             Hashtbl.replace x.d_content f (Summary_store.hit_content h);
-            Hashtbl.replace x.d_canon f
-              (lazy
-                (Option.map
-                   (fun (e : Summary_store.fn_entry) -> (e.f_bs, e.f_sfx, e.f_rets))
-                   (Summary_store.hit_entry h)))
+            Hashtbl.replace x.d_canon f (canon_of_hit h)
         | (Summary_store.Stale _ | Summary_store.Absent) as p -> (
             sst.Summary_store.fns_recomputed <-
               sst.Summary_store.fns_recomputed + 1;
@@ -2756,15 +2800,29 @@ let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups ~probes ~root_d
   let replayed =
     Array.mapi
       (fun i r ->
-        match if root_dirty.(i) then None else x.d_roots.(i) with
-        | Some o ->
+        let kept =
+          if root_dirty.(i) then None
+          else
+            match x.d_roots.(i) with
+            | Merged o -> Some o
+            | In_pack ->
+                (* the entry the load would replay, resolved as it would
+                   resolve it: a delta that no longer resolves makes the
+                   root dirty *)
+                Option.bind (Summary_store.find_root store ~ext:ext_key ~root:r)
+                  (fun (e : Summary_store.root_entry) ->
+                    Option.map (replay_out e) (resolve_annots ~ix e.r_annots))
+            | No_slot -> None
+        in
+        match kept with
+        | Some _ ->
             (* its key and slot are the last pass's, so a load would
                replay this very output: it counts as one *)
             sst.Summary_store.roots_replayed <- sst.Summary_store.roots_replayed + 1;
             sst.Summary_store.roots_reused <- sst.Summary_store.roots_reused + 1;
-            Some o
+            kept
         | None ->
-            let closure = (Hashtbl.find plan.fns r).pr_closure in
+            let closure = (plan_entry plan base.sg r).pr_closure in
             let k = key plan.decls_hash closure closure in
             keys.(i) <- Some k;
             let annots = ref [] in
@@ -2784,7 +2842,7 @@ let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups ~probes ~root_d
                   replay_out e !annots)
                 (Summary_store.load_root ~valid:resolves store ~ext:ext_key ~root:r ~key:k)
             in
-            x.d_roots.(i) <- o;
+            x.d_roots.(i) <- (match o with Some o -> Merged o | None -> No_slot);
             o)
       roots
   in
@@ -2809,7 +2867,8 @@ let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups ~probes ~root_d
         }
       in
       Summary_store.store_root store ~ext:ext_key ~key e;
-      x.d_roots.(i) <- Some (replay_out e (List.map (fun (_, eid, tags) -> (eid, tags)) pos))
+      x.d_roots.(i) <-
+        Merged (replay_out e (List.map (fun (_, eid, tags) -> (eid, tags)) pos))
     end
   in
   (* the merge is the only writer of [base.annots] in a cached run: every
@@ -2819,29 +2878,44 @@ let run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups ~probes ~root_d
   Summary_store.flush store
 
 (* ------------------------------------------------------------------ *)
-(* What a daemon pass carries                                          *)
+(* What a pass carries                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* A daemon re-checks an edit of the program it checked last, over the
    same memory store, so most of what the last pass decided still holds.
    It keeps the pass's key plan and each extension's [decided]. The next
    pass computes which functions the edit can reach (their keys may have
-   changed) and probes only those; a root outside that set merges its
-   last output as the load it stands for. INTERNALS "What a pass
-   carries" argues why every skipped probe and load would have hit. The
-   tables are updated in place, pass after pass. *)
+   changed) and probes only those; a root outside that set merges what
+   it kept as the load it stands for. A [--cache-dir] run does the same
+   over the carry file the run before it left beside the packs. INTERNALS
+   "What a pass carries" argues why every skipped probe and load would
+   have hit. *)
+
+(* How the dirty rule tells the last pass's functions: a daemon's last
+   supergraph and callgraph, whose unchanged definitions are physically
+   this pass's; or a carry file's record of each function's defining
+   unit (its identity, {!Cast_io.ast_fingerprint}) and callee list. *)
+type since =
+  | Last_pass of (string, Cfg.t) Hashtbl.t * Callgraph.t
+  | Carry_file of (string, Fingerprint.t * string list) Hashtbl.t
+
 type carried = {
   l_store : Summary_store.t;
-  l_cfgs : (string, Cfg.t) Hashtbl.t;  (* the last supergraph's *)
-  l_callgraph : Callgraph.t;
+  l_since : since;
   l_plan : key_plan;
   l_roots : string array;
   l_exts : decided array;
 }
 
-type carry = { mutable last : carried option }
+type carry = {
+  mutable last : carried option;
+  units : (string * Fingerprint.t) array option;
+      (* a carry file's: this run's units (path, identity), in input
+         order *)
+  mutable read : Digest.t;  (* the payload read, not written back unchanged *)
+}
 
-let carry () = { last = None }
+let carry () = { last = None; units = None; read = "" }
 
 (* Add [f] and every transitive caller of it to [dirty]. *)
 let rec add_callers cg dirty f =
@@ -2850,42 +2924,70 @@ let rec add_callers cg dirty f =
     List.iter (add_callers cg dirty) (Callgraph.callers cg f)
   end
 
+(* Each function's defining unit, by identity: the unit of the definition
+   [Supergraph.build] keeps, the first in input order. *)
+let defining_units sg units =
+  if Array.length units <> List.length sg.Supergraph.tunits then
+    invalid_arg "Engine.run: the carry's units are not the program's";
+  let tbl = Hashtbl.create 64 in
+  List.iteri
+    (fun i (tu : Cast.tunit) ->
+      List.iter
+        (function
+          | Cast.Gfun fd when not (Hashtbl.mem tbl fd.Cast.fname) ->
+              Hashtbl.replace tbl fd.Cast.fname (snd units.(i))
+          | _ -> ())
+        tu.tu_globals)
+    sg.Supergraph.tunits;
+  tbl
+
 (* The functions whose keys the edit can have changed at every extension,
-   closed over callers: a definition that is new or not physically the
-   last pass's, and one whose callee list changed ([Callgraph.callees]
-   lists only defined functions, so defining, deleting or renaming a
-   function elsewhere changes a caller whose body did not; while the
-   names stay the same, an unchanged body calls the same functions). A
-   changed declarations hash is checked by the caller: it changes every
-   key. Also returns the last pass's functions that are gone. *)
-let pass_dirty l sg =
+   closed over callers: a definition that is new or changed — not
+   physically the last pass's, or defined by a unit whose identity is
+   not the recorded one — and one whose callee list changed
+   ([Callgraph.callees] lists only defined functions, so defining,
+   deleting or renaming a function elsewhere changes a caller whose body
+   did not; while the names stay the same, an unchanged body calls the
+   same functions). A changed declarations hash is checked by the
+   caller: it changes every key. Also returns the last pass's functions
+   that are gone. [units] are a carry file's run's defining units. *)
+let pass_dirty l sg ~units =
   let cg = sg.Supergraph.callgraph in
+  let n, was, changed, callees_then =
+    match l.l_since with
+    | Last_pass (cfgs, cg') ->
+        ( Hashtbl.length cfgs,
+          Hashtbl.mem cfgs,
+          (fun f (cfg : Cfg.t) -> (Hashtbl.find cfgs f).func != cfg.func),
+          Callgraph.callees cg' )
+    | Carry_file fns ->
+        let units = Option.get units in
+        ( Hashtbl.length fns,
+          Hashtbl.mem fns,
+          (fun f _ -> not (String.equal (fst (Hashtbl.find fns f)) (Hashtbl.find units f))),
+          fun f -> match Hashtbl.find_opt fns f with Some (_, c) -> c | None -> [] )
+  in
   let dirty = Hashtbl.create 64 in
   let both = ref 0 in
   Hashtbl.iter
-    (fun f (cfg : Cfg.t) ->
-      match Hashtbl.find_opt l.l_cfgs f with
-      | Some (old : Cfg.t) ->
-          incr both;
-          if old.func != cfg.func then add_callers cg dirty f
-      | None -> add_callers cg dirty f)
+    (fun f cfg ->
+      if was f then begin
+        incr both;
+        if changed f cfg then add_callers cg dirty f
+      end
+      else add_callers cg dirty f)
     sg.Supergraph.cfgs;
-  if !both = Hashtbl.length l.l_cfgs && !both = Hashtbl.length sg.Supergraph.cfgs then
-    (dirty, [])
+  if !both = n && !both = Hashtbl.length sg.Supergraph.cfgs then (dirty, [])
   else begin
     Hashtbl.iter
       (fun f _ ->
-        if
-          not
-            (List.equal String.equal
-               (Callgraph.callees l.l_callgraph f)
-               (Callgraph.callees cg f))
-        then add_callers cg dirty f)
+        if not (List.equal String.equal (callees_then f) (Callgraph.callees cg f)) then
+          add_callers cg dirty f)
       sg.Supergraph.cfgs;
     ( dirty,
-      Hashtbl.fold
-        (fun f _ acc -> if Hashtbl.mem sg.Supergraph.cfgs f then acc else f :: acc)
-        l.l_cfgs [] )
+      List.filter
+        (fun f -> not (Hashtbl.mem sg.Supergraph.cfgs f))
+        (Hashtbl.fold (fun f _ acc -> f :: acc) l.l_plan.heights []) )
   end
 
 (* Bring [tbl] to the group hashes of this boundary, returning the
@@ -2925,6 +3027,12 @@ let run_cached ?options ?observe ?carry ~jobs store sg exts =
   let cg = sg.Supergraph.callgraph in
   let roots = Array.of_list (Supergraph.roots sg) in
   let decls_hash = decls_hash sg in
+  (* a carry file's run: each function's defining unit *)
+  let units =
+    match carry with
+    | Some { units = Some u; _ } -> Some (defining_units sg u)
+    | _ -> None
+  in
   (* The last pass's decisions leave the carry before anything runs, so a
      run that raises leaves nothing behind for the next one to trust. A
      changed declarations hash changes every key. *)
@@ -2944,18 +3052,21 @@ let run_cached ?options ?observe ?carry ~jobs store sg exts =
   in
   (* [dirty0]: the functions the edit can reach at every extension; with
      no last pass to trust, every function, over an empty plan *)
+  let all () =
+    let d = Hashtbl.create 64 in
+    List.iter (fun f -> Hashtbl.replace d f ()) (Callgraph.functions cg);
+    d
+  in
   let dirty0, removed, plan =
     match last with
     | None ->
-        let d = Hashtbl.create 64 in
-        List.iter (fun f -> Hashtbl.replace d f ()) (Callgraph.functions cg);
-        (d, [], { decls_hash; fns = Hashtbl.create 64 })
+        (all (), [], { decls_hash; heights = Hashtbl.create 64; fns = Hashtbl.create 64 })
     | Some l ->
-        let d, removed = pass_dirty l sg in
+        let d, removed = pass_dirty l sg ~units in
         (d, removed, l.l_plan)
   in
-  let plan = update_plan plan sg ~dirty:dirty0 ~removed in
-  (* The last pass's outputs of this pass's roots, by position: the same
+  update_plan plan sg ~dirty:dirty0 ~removed;
+  (* What the last pass left of this pass's roots, by position: the same
      array when the roots are the same. *)
   let old_roots =
     match last with
@@ -2966,7 +3077,8 @@ let run_cached ?options ?observe ?carry ~jobs store sg exts =
         Array.iteri (fun j r -> Hashtbl.replace at r j) l.l_roots;
         fun (x : decided) ->
           Array.map
-            (fun r -> Option.bind (Hashtbl.find_opt at r) (fun j -> x.d_roots.(j)))
+            (fun r ->
+              match Hashtbl.find_opt at r with Some j -> x.d_roots.(j) | None -> No_slot)
             roots
     | _ -> fun (x : decided) -> x.d_roots
   in
@@ -2977,12 +3089,23 @@ let run_cached ?options ?observe ?carry ~jobs store sg exts =
   let work d =
     let names = Hashtbl.fold (fun f () acc -> f :: acc) d [] in
     ( Array.map (Hashtbl.mem d) roots,
-      probe_order plan names,
+      probe_order plan sg names,
       List.filter
-        (fun f -> not (cutoff && Option.is_some (Hashtbl.find plan.fns f).pr_height))
+        (fun f -> not (cutoff && Option.is_some (Hashtbl.find plan.heights f)))
         names )
   in
-  let work0 = lazy (work dirty0) in
+  let work0 = lazy (work dirty0) and everything = lazy (work (all ())) in
+  (* A carry file's slots are trusted only while their pack's stamp is
+     the recorded one: the root pack's always, the summary pack's when
+     anything is dirty here (then a key reads clean callees' content). *)
+  let stamps_hold ext (x : decided) (root_dirty, probes, _) =
+    match last with
+    | Some { l_since = Carry_file _; _ } ->
+        String.equal (Summary_store.stamp store ~ext ~sums:false) (snd x.d_stamps)
+        && ((not (cutoff && (probes <> [] || Array.exists Fun.id root_dirty)))
+           || String.equal (Summary_store.stamp store ~ext ~sums:true) (fst x.d_stamps))
+    | _ -> true
+  in
   (* positions (kept with the supergraph, so a daemon's next pass reuses
      those of unchanged definitions) and annotation-group hashes, kept
      for the whole run: each merge reports the nodes it re-tags, and each
@@ -3005,6 +3128,7 @@ let run_cached ?options ?observe ?carry ~jobs store sg exts =
             let rehashed = Annot_pos.refresh groups in
             Option.iter (fun f -> f (Annot_pos.current groups) rctx.annots) observe;
             let misc = Annot_pos.misc_hash groups in
+            let ext_key = Summary_store.ext_key store i in
             (* What this extension decides for the next pass: the last
                pass's, updated in place, or an empty record. *)
             let x =
@@ -3021,7 +3145,8 @@ let run_cached ?options ?observe ?carry ~jobs store sg exts =
                     d_content = Hashtbl.create 64;
                     d_canon = Hashtbl.create 64;
                     d_raised = [];
-                    d_roots = Array.make (Array.length roots) None;
+                    d_roots = Array.make (Array.length roots) No_slot;
+                    d_stamps = ("", "");
                   }
             in
             (* The groups whose hash differs from the last pass's at this
@@ -3042,17 +3167,21 @@ let run_cached ?options ?observe ?carry ~jobs store sg exts =
             (* the functions and roots the edit can reach here: a changed
                misc hash reaches all of them *)
             let root_dirty, probes, unprobed =
-              match
-                List.filter
-                  (fun f -> (not (Hashtbl.mem dirty0 f)) && Callgraph.is_defined cg f)
-                  (if String.equal x.d_misc misc then changed @ x.d_raised
-                   else Callgraph.functions cg)
-              with
-              | [] -> Lazy.force work0
-              | seeds ->
-                  let d = Hashtbl.copy dirty0 in
-                  List.iter (add_callers cg d) seeds;
-                  work d
+              let w =
+                if not (String.equal x.d_misc misc) then Lazy.force everything
+                else
+                  match
+                    List.filter
+                      (fun f -> (not (Hashtbl.mem dirty0 f)) && Callgraph.is_defined cg f)
+                      (changed @ x.d_raised)
+                  with
+                  | [] -> Lazy.force work0
+                  | seeds ->
+                      let d = Hashtbl.copy dirty0 in
+                      List.iter (add_callers cg d) seeds;
+                      work d
+              in
+              if stamps_hold ext_key x w then w else Lazy.force everything
             in
             x.d_misc <- misc;
             List.iter
@@ -3062,32 +3191,248 @@ let run_cached ?options ?observe ?carry ~jobs store sg exts =
               removed;
             List.iter
               (fun f ->
-                Hashtbl.replace x.d_content f (Hashtbl.find plan.fns f).pr_body;
+                Hashtbl.replace x.d_content f (body_of sg f);
                 Hashtbl.replace x.d_canon f no_canon)
               unprobed;
-            run_extension_cached ~pool ~store
-              ~ext_key:(Summary_store.ext_key store i)
-              ~plan ~ix ~groups ~probes ~root_dirty x rctx ext;
-            (* only a run that hands its decisions on keeps them past the
-               extension: a run without a carry would otherwise hold every
-               extension's tables and root outputs until it ends *)
-            Option.map (fun _ -> x) carry)
+            run_extension_cached ~pool ~store ~ext_key ~plan ~ix ~groups ~probes ~root_dirty x
+              rctx ext;
+            (* A run that hands its decisions on keeps them past the
+               extension; a run without a carry would otherwise hold every
+               extension's tables and root outputs until it ends. A carry
+               file's keeps only what the packs do not hold, and the
+               stamps its slots are trusted by: a pack this extension
+               neither read nor wrote keeps the recorded one. *)
+            match carry with
+            | None -> None
+            | Some { units = None; _ } -> Some x
+            | Some { units = Some _; _ } ->
+                let stamp ~sums old =
+                  Option.value (Summary_store.flushed_stamp store ~ext:ext_key ~sums) ~default:old
+                in
+                x.d_stamps <- (stamp ~sums:true (fst x.d_stamps), stamp ~sums:false (snd x.d_stamps));
+                Hashtbl.reset x.d_content;
+                Hashtbl.reset x.d_canon;
+                x.d_roots <- Array.map (function Merged _ -> In_pack | k -> k) x.d_roots;
+                Some x)
           exts)
   in
   Option.iter
     (fun c ->
+      let l_since =
+        match units with
+        | None -> Last_pass (sg.Supergraph.cfgs, cg)
+        | Some units ->
+            Hashtbl.reset plan.fns;
+            let fns = Hashtbl.create 64 in
+            List.iter
+              (fun f -> Hashtbl.replace fns f (Hashtbl.find units f, Callgraph.callees cg f))
+              (Callgraph.functions cg);
+            Carry_file fns
+      in
       c.last <-
         Some
           {
             l_store = store;
-            l_cfgs = sg.Supergraph.cfgs;
-            l_callgraph = cg;
+            l_since;
             l_plan = plan;
             l_roots = roots;
             l_exts = Array.of_list (List.filter_map Fun.id decided);
           })
     carry;
   collect_result rctx
+
+(* ------------------------------------------------------------------ *)
+(* The carry file                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The payload of [DIR/carry] ({!Summary_store.read_carry}): a format
+   tag, the extension keys, the declarations hash, the units (path,
+   identity) in input order, the functions by name (defining unit, callee
+   list and height, functions as indices into this list), the roots in
+   root order, and per extension its misc hash, how many groups its
+   boundary re-hashed, its group hashes as a change to the previous
+   extension's (most boundaries re-hash none), the functions whose
+   canonical run raised, one byte per root ('1' when it left a valid
+   slot), and its two pack stamps. *)
+let carry_format = "xgcc-carry-1"
+
+let encode_carry (l : carried) units =
+  match l.l_since with
+  | Last_pass _ -> None
+  | Carry_file fns ->
+      let names = List.sort String.compare (Hashtbl.fold (fun f _ acc -> f :: acc) fns []) in
+      let index = Hashtbl.create 64 in
+      List.iteri (fun i f -> Hashtbl.replace index f i) names;
+      let unit_index = Hashtbl.create 16 in
+      Array.iteri
+        (fun i (_, fp) -> if not (Hashtbl.mem unit_index fp) then Hashtbl.replace unit_index fp i)
+        units;
+      let b = Wire.writer () in
+      let fn b f = Wire.int b (Hashtbl.find index f) in
+      let fns_in b l = Wire.list b fn (List.filter (Hashtbl.mem index) l) in
+      Wire.string b carry_format;
+      Wire.list b Wire.string (Summary_store.ext_keys l.l_store);
+      Wire.string b l.l_plan.decls_hash;
+      Wire.list b
+        (fun b (path, id) ->
+          Wire.string b path;
+          Wire.string b id)
+        (Array.to_list units);
+      Wire.list b
+        (fun b f ->
+          let u, callees = Hashtbl.find fns f in
+          Wire.string b f;
+          Wire.int b (Hashtbl.find unit_index u);
+          fns_in b callees;
+          Wire.option b Wire.int (Hashtbl.find l.l_plan.heights f))
+        names;
+      fns_in b (Array.to_list l.l_roots);
+      let prev = ref (Hashtbl.create 1) in
+      Wire.list b
+        (fun b x ->
+          let changed =
+            Hashtbl.fold
+              (fun d h acc ->
+                match (Hashtbl.find_opt !prev d, Hashtbl.find_opt index d) with
+                | Some h', _ when String.equal h h' -> acc
+                | _, Some i -> (i, h) :: acc
+                | _, None -> acc)
+              x.d_groups []
+          and gone =
+            Hashtbl.fold
+              (fun d _ acc ->
+                match Hashtbl.find_opt index d with
+                | Some i when not (Hashtbl.mem x.d_groups d) -> i :: acc
+                | _ -> acc)
+              !prev []
+          in
+          prev := x.d_groups;
+          Wire.string b x.d_misc;
+          Wire.int b x.d_rehashed;
+          Wire.list b
+            (fun b (i, h) ->
+              Wire.int b i;
+              Wire.string b h)
+            (List.sort (fun (i, _) (j, _) -> Int.compare i j) changed);
+          Wire.list b Wire.int (List.sort Int.compare gone);
+          fns_in b (List.sort String.compare x.d_raised);
+          Wire.string b
+            (String.init (Array.length x.d_roots) (fun i ->
+                 match x.d_roots.(i) with No_slot -> '0' | Merged _ | In_pack -> '1'));
+          Wire.string b (fst x.d_stamps);
+          Wire.string b (snd x.d_stamps))
+        (Array.to_list l.l_exts);
+      Some (Wire.contents b)
+
+(* A payload's fields, checked for shape only; raises [Wire.Corrupt]. *)
+let decode_carry payload =
+  let r = Wire.reader payload in
+  if not (String.equal (Wire.rstring r) carry_format) then raise (Wire.Corrupt "carry format");
+  let keys = Wire.rlist r Wire.rstring in
+  let decls_hash = Wire.rstring r in
+  let units =
+    Array.of_list
+      (Wire.rlist r (fun r ->
+           let path = Wire.rstring r in
+           (path, Wire.rstring r)))
+  in
+  let at a i = if i >= 0 && i < Array.length a then a.(i) else raise (Wire.Corrupt "index") in
+  let fns =
+    Array.of_list
+      (Wire.rlist r (fun r ->
+           let f = Wire.rstring r in
+           let u = snd (at units (Wire.rint r)) in
+           let callees = Wire.rlist r Wire.rint in
+           (f, u, callees, Wire.roption r Wire.rint)))
+  in
+  let name i =
+    let f, _, _, _ = at fns i in
+    f
+  in
+  let since = Hashtbl.create (Array.length fns) and heights = Hashtbl.create (Array.length fns) in
+  Array.iter
+    (fun (f, u, callees, h) ->
+      Hashtbl.replace since f (u, List.map name callees);
+      Hashtbl.replace heights f h)
+    fns;
+  let roots = Array.of_list (List.map name (Wire.rlist r Wire.rint)) in
+  let prev = ref (Hashtbl.create 1) in
+  let exts =
+    Wire.rlist r (fun r ->
+        let d_misc = Wire.rstring r in
+        let d_rehashed = Wire.rint r in
+        let d_groups = Hashtbl.copy !prev in
+        List.iter
+          (fun (i, h) -> Hashtbl.replace d_groups (name i) h)
+          (Wire.rlist r (fun r ->
+               let i = Wire.rint r in
+               (i, Wire.rstring r)));
+        List.iter (fun i -> Hashtbl.remove d_groups (name i)) (Wire.rlist r Wire.rint);
+        prev := d_groups;
+        let d_raised = List.map name (Wire.rlist r Wire.rint) in
+        let valid = Wire.rstring r in
+        if String.length valid <> Array.length roots then raise (Wire.Corrupt "root count");
+        let sums = Wire.rstring r in
+        let root_pack = Wire.rstring r in
+        {
+          d_misc;
+          d_groups;
+          d_rehashed;
+          d_content = Hashtbl.create 64;
+          d_canon = Hashtbl.create 64;
+          d_raised;
+          d_roots = Array.init (Array.length roots) (fun i -> if valid.[i] = '1' then In_pack else No_slot);
+          d_stamps = (sums, root_pack);
+        })
+  in
+  if not (Wire.at_end r) then raise (Wire.Corrupt "trailing bytes");
+  if List.compare_lengths exts keys <> 0 then raise (Wire.Corrupt "extension count");
+  (keys, decls_hash, units, since, heights, roots, Array.of_list exts)
+
+let read_carry store ~units =
+  let c = { last = None; units = Some (Array.of_list units); read = "" } in
+  (match Summary_store.read_carry ~dir:(Summary_store.dir store) with
+  | Error _ -> ()
+  | Ok payload -> (
+      match decode_carry payload with
+      | keys, decls_hash, _, since, heights, roots, exts
+        when List.equal String.equal keys (Summary_store.ext_keys store) ->
+          c.read <- Digest.string payload;
+          c.last <-
+            Some
+              {
+                l_store = store;
+                l_since = Carry_file since;
+                l_plan = { decls_hash; heights; fns = Hashtbl.create 64 };
+                l_roots = roots;
+                l_exts = exts;
+              }
+      | _ -> ()
+      | exception (Wire.Corrupt _ | Invalid_argument _ | Failure _) -> ()));
+  c
+
+let write_carry store c =
+  match (c.last, c.units) with
+  | Some l, Some units when l.l_store == store ->
+      Option.iter
+        (fun p ->
+          if not (String.equal (Digest.string p) c.read) then Summary_store.write_carry store p)
+        (encode_carry l units)
+  | _ -> ()
+
+type carry_file = { cf_units : int; cf_functions : int; cf_extensions : int }
+
+let carry_file ~dir =
+  Result.bind (Summary_store.read_carry ~dir) (fun payload ->
+      match decode_carry payload with
+      | _, _, units, since, _, _, exts ->
+          Ok
+            {
+              cf_units = Array.length units;
+              cf_functions = Hashtbl.length since;
+              cf_extensions = Array.length exts;
+            }
+      | exception (Wire.Corrupt msg | Invalid_argument msg | Failure msg) -> Error msg)
 
 let run ?options ?(jobs = 1) ?cache ?carry sg exts =
   match cache with

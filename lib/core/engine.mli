@@ -132,16 +132,44 @@ val options_digest : options -> string
 
 type carry
 (** What a cached run decided, for the next run over an edit of the same
-    program on the same store: a daemon keeps one across its passes. Per
-    extension it holds the annotation-group hashes at the boundary, every
-    function's content hash and canonical tables, and every root merged
-    from a valid store slot, in replay form (what a load hands the
-    merge). Every cached run decides these as it goes; a run given no
-    carry drops each extension's as soon as that extension ends. *)
+    program on the same store. Per extension it holds the
+    annotation-group hashes at the boundary, every function's content
+    hash and canonical tables, and what every root left: its output in
+    replay form (what a load hands the merge), or no valid slot. A
+    daemon keeps one in memory across its passes ({!carry}); a
+    [--cache-dir] run reads one from the file beside the packs
+    ({!read_carry}), which keeps only what the packs do not hold, and
+    writes the one it leaves ({!write_carry}). Every cached run decides
+    these as it goes; a run given no carry drops each extension's as
+    soon as that extension ends. *)
 
 val carry : unit -> carry
-(** An empty carry: the first run that uses it is a first pass, with
-    every function dirty. *)
+(** An empty in-memory carry: the first run that uses it is a first
+    pass, with every function dirty. *)
+
+val read_carry : Summary_store.t -> units:(string * Fingerprint.t) list -> carry
+(** The carry the last run over [store]'s directory left beside the packs
+    ({!Summary_store.read_carry}), for a run over a program whose units
+    have these identities (path and {!Cast_io.ast_fingerprint} of the text
+    the parser read), in the supergraph's unit order. The run tells
+    changed definitions by their defining unit's identity, reads a clean
+    function's content hash and canonical tables, and a clean root's
+    output, from their pack slots, and trusts a pack only while its stamp
+    is the one recorded. A missing, torn or foreign file, or one written
+    for other extension keys, gives an empty carry: a first pass. *)
+
+val write_carry : Summary_store.t -> carry -> unit
+(** Write what the last run given [carry] (one from {!read_carry}) left,
+    beside the packs: only when the store writes to disk, that run
+    completed, and the file would change. A run whose store does not
+    persist never writes it: the packs would not hold the entries the
+    file vouches for. *)
+
+type carry_file = { cf_units : int; cf_functions : int; cf_extensions : int }
+
+val carry_file : dir:string -> (carry_file, string) Stdlib.result
+(** What the carry file in [dir] names, checked for its digest and shape
+    only ([cache stats]); [Error] says why it is unusable. *)
 
 val run :
   ?options:options ->
@@ -199,25 +227,28 @@ val run :
     a usable last run (no carry, an empty one, one for another store or
     number of extensions, or a changed declarations hash) is a first pass:
     every function and every root is dirty, and the run goes through the
-    same code. A function is {e dirty} when its definition is new or not
-    physically the last run's, when its callee list changed, or when
-    every function is (the declarations hash changed); at one extension
-    also when its
-    annotation-group hash at the boundary differs from the last run's at
-    the same boundary, or when its canonical run raised there, or when
-    the misc group hash changed (then all are); and every transitive
-    caller of a dirty function is dirty. Only dirty functions are probed,
-    in the usual order; a clean function's content hash and canonical
-    tables are the last run's. A clean root merges its last output
-    without a key or a load, and counts as replayed (and in
-    [roots_reused]); a root the last run degraded, or that was no root
-    then, is loaded as usual. Every key a skipped probe or load would
-    have built equals the one it built last time, so the result, the
-    store and its [roots_replayed], [roots_recomputed],
-    [fns_recomputed], [sums_unchanged], [roots_salvaged] and
-    [keys_computed] counts equal those of a run that probes everything;
-    [fn_hits], [fn_stale] and [fn_absent] count the probes made. The
-    carry is updated in place, and emptied if the run raises. *)
+    same code. A function is {e dirty} when its definition is new or
+    changed (not physically the last run's in memory; defined by a unit
+    whose identity is not the recorded one for a carry file), when its
+    callee list changed, or when every function is (the declarations
+    hash changed); at one extension also when its annotation-group hash
+    at the boundary differs from the last run's at the same boundary,
+    when its canonical run raised there, when the misc group hash changed
+    (then all are), or, for a carry file, when a pack's stamp is not the
+    recorded one (then all are); and every transitive caller of a dirty
+    function is dirty. Only dirty functions are probed, in the usual
+    order; a clean function's content hash and canonical tables are the
+    last run's. A clean root merges its last output without a key or a
+    load, and counts as replayed (and in [roots_reused]); a root the
+    last run degraded, or that was no root then, is loaded as usual, and
+    so is a carry file's root whose stored delta no longer resolves.
+    Every key a skipped probe or load would have built equals the one it
+    built last time, so the result, the store and its [roots_replayed],
+    [roots_recomputed], [fns_recomputed], [sums_unchanged] and
+    [roots_salvaged] counts equal those of a run that probes everything,
+    and so does [keys_computed] over a memory store; [fn_hits],
+    [fn_stale] and [fn_absent] count the probes made. The carry is
+    updated in place, and emptied if the run raises. *)
 
 val run_function :
   ?options:options -> Supergraph.t -> Sm.sm_inst -> fname:string -> result

@@ -190,4 +190,3 @@ let compile (m : Metal_ast.t) : Sm.t =
     ~byval_restore:(has_opt "byval_restore") transitions
 
 let load ~file src = List.map compile (Metal_parse.parse ~file src)
-let load_file path = List.map compile (Metal_parse.parse_file path)

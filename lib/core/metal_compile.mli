@@ -34,6 +34,5 @@ exception Compile_error of Srcloc.t * string
 val compile : Metal_ast.t -> Sm.t
 
 val load : file:string -> string -> Sm.t list
-(** Parse and compile every [sm] in the text. *)
-
-val load_file : string -> Sm.t list
+(** Parse and compile every [sm] in the text. Raises {!Metal_parse.Metal_error},
+    {!Compile_error} or {!Clex.Lex_error}, each at a position. *)

@@ -3,6 +3,9 @@ exception Metal_error of Srcloc.t * string
 type st = { toks : Clex.token array; mutable idx : int }
 
 let cur st = st.toks.(st.idx)
+
+(* The token [k] past the current one; the last (end of input) past it. *)
+let peek st k = st.toks.(min (st.idx + k) (Array.length st.toks - 1)).Clex.tok
 let cur_tok st = (cur st).Clex.tok
 let cur_loc st = (cur st).Clex.loc
 let error st msg = raise (Metal_error (cur_loc st, msg))
@@ -59,6 +62,12 @@ let collect_braced st =
   done;
   List.rev !toks
 
+(* A C expression inside metal: a fragment that does not parse is a metal
+   error at the fragment's position. *)
+let c_expr toks =
+  try Cparse.expr_of_tokens toks
+  with Cparse.Parse_error (loc, msg) -> raise (Metal_error (loc, msg))
+
 let fragment_to_expr st (toks : Clex.token list) loc =
   (* drop a trailing semicolon: patterns are often written as statements *)
   let toks =
@@ -70,7 +79,7 @@ let fragment_to_expr st (toks : Clex.token list) loc =
   | [] -> error st "empty pattern fragment"
   | _ -> (
       let eof = { Clex.tok = Tok.EOF; loc } in
-      let e, rest = Cparse.expr_of_tokens (toks @ [ eof ]) in
+      let e, rest = c_expr (toks @ [ eof ]) in
       match rest with
       | [ { Clex.tok = Tok.EOF; _ } ] | [] -> e
       | t :: _ ->
@@ -256,7 +265,7 @@ let parse_action_block st : Metal_ast.action_stmt list =
               advance st
         done;
         let eof = { Clex.tok = Tok.EOF; loc } in
-        let e, _ = Cparse.expr_of_tokens (List.rev !toks @ [ eof ]) in
+        let e, _ = c_expr (List.rev !toks @ [ eof ]) in
         args := e :: !args;
         if accept st Tok.COMMA then arg_loop ()
       in
@@ -284,10 +293,8 @@ let parse_rule st : Metal_ast.rule =
     (* both action blocks and branch destinations start with '{'; a branch
        destination starts with the word "true" *)
     cur_tok st = Tok.LBRACE
-    && (match st.toks.(st.idx + 1).Clex.tok with
-       | Tok.IDENT w -> String.equal w "true"
-       | _ -> false)
-    && st.toks.(st.idx + 2).Clex.tok = Tok.ASSIGN
+    && (match peek st 1 with Tok.IDENT w -> String.equal w "true" | _ -> false)
+    && peek st 2 = Tok.ASSIGN
   in
   let dest, actions =
     if cur_tok st = Tok.LBRACE && not (is_branch_brace ()) then begin
@@ -336,7 +343,7 @@ let parse_sm st : Metal_ast.t =
     | Tok.RBRACE ->
         advance st;
         continue_ := false
-    | Tok.IDENT "state" when st.toks.(st.idx + 1).Clex.tok = Tok.IDENT "decl" ->
+    | Tok.IDENT "state" when peek st 1 = Tok.IDENT "decl" ->
         advance st;
         advance st;
         decls := parse_decl st ~state:true :: !decls
@@ -366,10 +373,3 @@ let parse ~file src =
     sms := parse_sm st :: !sms
   done;
   List.rev !sms
-
-let parse_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  parse ~file:path src

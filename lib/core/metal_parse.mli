@@ -3,7 +3,5 @@
 exception Metal_error of Srcloc.t * string
 
 val parse : file:string -> string -> Metal_ast.t list
-(** Parse every [sm] definition in the text. Raises {!Metal_error} (or
-    {!Cparse.Parse_error} for a malformed embedded C fragment). *)
-
-val parse_file : string -> Metal_ast.t list
+(** Parse every [sm] definition in the text. Raises {!Metal_error}, also
+    for a malformed embedded C fragment, or {!Clex.Lex_error}. *)

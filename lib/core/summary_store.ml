@@ -98,17 +98,19 @@ type 'v slot = {
 and 'v base = First | Shadows of 'v slot | Unbased
 
 (* The pack file as an index last read or wrote it, when all of it was
-   valid segments: its inode, its length, and the end of its first
-   segment. *)
-type pack_file = { p_ino : int; p_len : int; p_first : int }
+   valid segments: its inode, its length, the end of its first segment,
+   and the digests of its segments in file order. *)
+type pack_file = { p_ino : int; p_len : int; p_first : int; p_segs : Digest.t list }
 
 (* One extension's entries of one kind: the in-memory image of its pack,
    the names stored since the pack was read or written (newest first,
-   maybe repeated), and the pack file they were read from or written to. *)
+   maybe repeated), the pack file they were read from or written to, and
+   that file's stamp. *)
 type 'v index = {
   slots : (string, 'v slot) Hashtbl.t;
   mutable stored : string list;
   mutable file : pack_file option;
+  mutable stamp : string;
 }
 
 type t = {
@@ -118,6 +120,8 @@ type t = {
   ext_keys : Fingerprint.t array;
   sums : (Fingerprint.t, fn_entry index) Hashtbl.t;
   roots : (Fingerprint.t, root_entry index) Hashtbl.t;
+  flushed : (string, string) Hashtbl.t;
+      (* pack path -> stamp, for each index the last [flush] held *)
   st : stats;
 }
 
@@ -165,6 +169,7 @@ let create ~dir ?(persist = true) ?(memory = false) ~ext_keys () =
     ext_keys = Array.of_list ext_keys;
     sums = Hashtbl.create 16;
     roots = Hashtbl.create 16;
+    flushed = Hashtbl.create 4;
     st =
       {
         ast_hits = 0;
@@ -195,6 +200,8 @@ let ext_keys_of ~options_digest ~sources =
   go [] sources
 
 let ext_key t i = t.ext_keys.(i)
+let ext_keys t = Array.to_list t.ext_keys
+let dir t = t.dir
 
 (* "Accepts writes": a memory-backed store captures results even when it
    never writes them to disk, so the engine must still hand entries over. *)
@@ -250,10 +257,11 @@ let matches t (s : _ slot) k =
 
 let pp_stats ppf t =
   Format.fprintf ppf
-    "cache: ast %d hit / %d miss; summaries %d hit / %d stale / %d absent; roots %d replayed / %d recomputed; cutoff %d fns recomputed / %d summaries unchanged / %d roots salvaged; packs %d read / %d written"
+    "cache: ast %d hit / %d miss; summaries %d hit / %d stale / %d absent; roots %d replayed / %d recomputed; cutoff %d fns recomputed / %d summaries unchanged / %d roots salvaged; packs %d read / %d written; keys %d computed; roots %d reused"
     t.st.ast_hits t.st.ast_misses t.st.fn_hits t.st.fn_stale t.st.fn_absent
     t.st.roots_replayed t.st.roots_recomputed t.st.fns_recomputed
     t.st.sums_unchanged t.st.roots_salvaged t.st.packs_read t.st.packs_written
+    t.st.keys_computed t.st.roots_reused
 
 (* ------------------------------------------------------------------ *)
 (* Entry bodies                                                        *)
@@ -397,8 +405,8 @@ let segment_records src ~off ~len =
   records
 
 (* The valid segments of a pack's bytes in file order, each as its end
-   offset and its records, and the end of the valid prefix. [None] when
-   the magic does not match. *)
+   offset, its digest and its records, and the end of the valid prefix.
+   [None] when the magic does not match. *)
 let segments magic src =
   let size = String.length src in
   let rec go pos acc =
@@ -407,16 +415,19 @@ let segments magic src =
     else
       let len = Int32.to_int (String.get_int32_be src pos) land 0xffff_ffff in
       let off = pos + seg_header in
-      if
-        len > size - off
-        || not (String.equal (String.sub src (pos + 4) digest_len) (Digest.substring src off len))
-      then stop ()
+      let digest = String.sub src (pos + 4) digest_len in
+      if len > size - off || not (String.equal digest (Digest.substring src off len)) then stop ()
       else
         match segment_records src ~off ~len with
-        | records -> go (off + len) ((off + len, records) :: acc)
+        | records -> go (off + len) ((off + len, digest, records) :: acc)
         | exception Wire.Corrupt _ -> stop ()
   in
   if String.starts_with ~prefix:magic src then Some (go (String.length magic) []) else None
+
+(* A pack's stamp: its valid segments' digests and its length ([-1] for a
+   file that cannot be read). Two packs with one stamp hold the same live
+   records, since a reader decodes only the valid segments. *)
+let stamp_of digests ~len = Digest.string (String.concat "" digests ^ string_of_int len)
 
 (* The base of a slot that replaces [s]. *)
 let shadow s = match s.base with First -> Shadows s | b -> b
@@ -427,15 +438,20 @@ let index t kind tbl ext =
   match Hashtbl.find_opt tbl ext with
   | Some idx -> idx
   | None ->
-      let idx = { slots = Hashtbl.create 64; stored = []; file = None } in
+      let idx =
+        { slots = Hashtbl.create 64; stored = []; file = None; stamp = stamp_of [] ~len:(-1) }
+      in
       (match read_pack (pack_path t kind ext) with
       | None -> ()
       | Some (src, ino) -> (
+          let len = String.length src in
           match segments kind.magic src with
-          | None | Some ([], _) -> ()
-          | Some ((((first, _) :: _) as segs), valid) ->
+          | None | Some ([], _) -> idx.stamp <- stamp_of [] ~len
+          | Some ((((first, _, _) :: _) as segs), valid) ->
+              let digests = List.map (fun (_, d, _) -> d) segs in
+              idx.stamp <- stamp_of digests ~len;
               List.iteri
-                (fun i (_, records) ->
+                (fun i (_, _, records) ->
                   List.iter
                     (fun (name, key, content, off, len) ->
                       let base =
@@ -457,8 +473,8 @@ let index t kind tbl ext =
                     records)
                 segs;
               t.st.packs_read <- t.st.packs_read + 1;
-              if valid = String.length src then
-                idx.file <- Some { p_ino = ino; p_len = valid; p_first = first }));
+              if valid = len then
+                idx.file <- Some { p_ino = ino; p_len = valid; p_first = first; p_segs = digests }));
       Hashtbl.replace tbl ext idx;
       idx
 
@@ -552,15 +568,16 @@ let payload kind entries =
   List.iter (fun (s, off, len) -> s.frame <- Some (p, off, len)) placed;
   p
 
-let segment_header p =
+(* A segment's header: [p]'s length and its digest [d]. *)
+let segment_header p d =
   let h = Bytes.create seg_header in
   Bytes.set_int32_be h 0 (Int32.of_int (String.length p));
-  Bytes.blit_string (Digest.string p) 0 h 4 digest_len;
+  Bytes.blit_string d 0 h 4 digest_len;
   Bytes.unsafe_to_string h
 
 (* Run [f] on a descriptor of [path] opened with [flags] when the file
    is still the one [file] describes (same inode and length), and say
-   whether it was and [f] succeeded. *)
+   whether it was and [f] succeeded (returned true). *)
 let on_same_file path flags file f =
   match Unix.openfile path (Unix.O_WRONLY :: Unix.O_CLOEXEC :: flags) 0 with
   | exception Unix.Unix_error _ -> false
@@ -570,10 +587,7 @@ let on_same_file path flags file f =
         (fun () ->
           match Unix.fstat fd with
           | st when st.Unix.st_ino = file.p_ino && st.Unix.st_size = file.p_len -> (
-              try
-                f fd;
-                true
-              with Unix.Unix_error _ -> false)
+              try f fd with Unix.Unix_error _ -> false)
           | _ -> false
           | exception Unix.Unix_error _ -> false)
 
@@ -595,9 +609,11 @@ let write_pack t kind ext idx =
        differ *)
     List.for_all (fun (_, s) -> at_base s) stored
     && Hashtbl.fold (fun _ s all -> all && at_base s) idx.slots true
-    && on_same_file path [] f (fun fd -> Unix.ftruncate fd f.p_first)
+    && on_same_file path [] f (fun fd ->
+           Unix.ftruncate fd f.p_first;
+           true)
     && begin
-         idx.file <- Some { f with p_len = f.p_first };
+         idx.file <- Some { f with p_len = f.p_first; p_segs = [ List.hd f.p_segs ] };
          true
        end
   in
@@ -611,12 +627,13 @@ let write_pack t kind ext idx =
     in
     let len = f.p_len + seg_header + String.length seg in
     let live = compact_len kind ~n ~records in
+    let d = Digest.string seg in
     len - live <= live
     && on_same_file path [ Unix.O_APPEND ] f (fun fd ->
-           let bytes = segment_header seg ^ seg in
-           ignore (Unix.write_substring fd bytes 0 (String.length bytes)))
+           let bytes = segment_header seg d ^ seg in
+           Unix.write_substring fd bytes 0 (String.length bytes) = String.length bytes)
     && begin
-         idx.file <- Some { f with p_len = len };
+         idx.file <- Some { f with p_len = len; p_segs = f.p_segs @ [ d ] };
          true
        end
   in
@@ -627,14 +644,15 @@ let write_pack t kind ext idx =
         (Hashtbl.fold (fun name s acc -> (name, s) :: acc) idx.slots [])
     in
     let p = payload kind all in
+    let d = Digest.string p in
     let ino = ref 0 in
     write_file path (fun oc ->
         output_string oc kind.magic;
-        output_string oc (segment_header p);
+        output_string oc (segment_header p d);
         output_string oc p;
         ino := (Unix.fstat (Unix.descr_of_out_channel oc)).Unix.st_ino);
     let len = String.length kind.magic + seg_header + String.length p in
-    idx.file <- Some { p_ino = !ino; p_len = len; p_first = len }
+    idx.file <- Some { p_ino = !ino; p_len = len; p_first = len; p_segs = [ d ] }
   in
   (match idx.file with
   | Some f ->
@@ -650,23 +668,36 @@ let write_pack t kind ext idx =
   (* after a truncation or a rewrite every entry is its first-segment
      record *)
   (match idx.file with
-  | Some f when f.p_len = f.p_first -> Hashtbl.iter (fun _ s -> s.base <- First) idx.slots
-  | _ -> ());
+  | Some f ->
+      if f.p_len = f.p_first then Hashtbl.iter (fun _ s -> s.base <- First) idx.slots;
+      idx.stamp <- stamp_of f.p_segs ~len:f.p_len
+  | None -> ());
   t.st.packs_written <- t.st.packs_written + 1
 
+(* A store without [memory] drops its indexes here; the stamps they had
+   stay readable until the next flush ({!flushed_stamp}). *)
 let flush t =
+  if not t.memory then Hashtbl.reset t.flushed;
   let go kind tbl =
     Hashtbl.iter
       (fun ext idx ->
         if not (List.is_empty idx.stored) then begin
           if t.persist_ then write_pack t kind ext idx;
           idx.stored <- []
-        end)
+        end;
+        if not t.memory then Hashtbl.replace t.flushed (pack_path t kind ext) idx.stamp)
       tbl;
     if not t.memory then Hashtbl.reset tbl
   in
   go fn_kind t.sums;
   go root_kind t.roots
+
+let stamp t ~ext ~sums =
+  if sums then (index t fn_kind t.sums ext).stamp else (index t root_kind t.roots ext).stamp
+
+let flushed_stamp t ~ext ~sums =
+  Hashtbl.find_opt t.flushed
+    (if sums then pack_path t fn_kind ext else pack_path t root_kind ext)
 
 (* ------------------------------------------------------------------ *)
 (* Function-summary entries                                            *)
@@ -677,6 +708,11 @@ type probe = Hit of fn_hit | Stale of Fingerprint.t | Absent
 
 let hit_content h = h.h_slot.content
 let hit_entry h = force fn_kind h.h_name h.h_slot
+
+let find_fn t ~ext ~fname =
+  Option.map
+    (fun s -> { h_name = fname; h_slot = s })
+    (Hashtbl.find_opt (index t fn_kind t.sums ext).slots fname)
 
 let probe_fn t ~ext ~fname ~key =
   let r =
@@ -718,7 +754,43 @@ let load_root ?(valid = fun _ -> true) t ~ext ~root ~key =
   | None -> t.st.roots_recomputed <- t.st.roots_recomputed + 1);
   r
 
+let find_root t ~ext ~root =
+  Option.bind (Hashtbl.find_opt (index t root_kind t.roots ext).slots root) (force root_kind root)
+
 let store_root t ~ext ~key e = put t root_kind t.roots ext e.r_root ~key ~content:"" e
+
+(* ------------------------------------------------------------------ *)
+(* The carry file                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [DIR/carry]: a magic, the MD5 of the payload, and the payload, which
+   the engine encodes. *)
+let carry_magic = "XGCARRY1\n"
+let carry_path ~dir = Filename.concat dir "carry"
+
+let read_carry ~dir =
+  match Wire.read_file (carry_path ~dir) with
+  | exception Sys_error _ -> Error "absent"
+  | src ->
+      let head = String.length carry_magic + digest_len in
+      if not (String.starts_with ~prefix:carry_magic src) then Error "not a carry file"
+      else if String.length src < head then Error "truncated"
+      else
+        let payload = String.sub src head (String.length src - head) in
+        if String.equal (Digest.string payload) (String.sub src (String.length carry_magic) digest_len)
+        then Ok payload
+        else Error "bad digest"
+
+(* A write that fails leaves the last file, which stays sound: its stamps
+   describe the packs it was written with. *)
+let write_carry t payload =
+  if t.persist_ then
+    try
+      write_file (carry_path ~dir:t.dir) (fun oc ->
+          output_string oc carry_magic;
+          output_string oc (Digest.string payload);
+          output_string oc payload)
+    with Sys_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Last-run counters                                                   *)
@@ -799,7 +871,7 @@ let live_records kind path =
         (fun (segs, _) ->
           let live = Hashtbl.create 64 in
           List.iter
-            (fun (_, records) ->
+            (fun (_, _, records) ->
               List.iter (fun ((name, _, _, _, _) as r) -> Hashtbl.replace live name r) records)
             segs;
           (src, live, List.length segs))

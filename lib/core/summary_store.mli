@@ -106,6 +106,11 @@ val ext_keys_of : options_digest:string -> sources:string list -> Fingerprint.t 
 
 val ext_key : t -> int -> Fingerprint.t
 
+val ext_keys : t -> Fingerprint.t list
+(** Every extension key, in extension order. *)
+
+val dir : t -> string
+
 val persist : t -> bool
 (** Whether the store accepts writes — true when it writes disk entries
     {e or} captures them in memory; the engine skips building entries
@@ -130,7 +135,7 @@ val reset_stats : t -> unit
 
 val pp_stats : Format.formatter -> t -> unit
 (** One [--stats] line: AST, function-summary, root, cutoff and pack
-    counters. *)
+    counters, then the keys digested and the roots reused. *)
 
 (** {1 Entry keys} *)
 
@@ -178,6 +183,26 @@ val flush : t -> unit
     A pack it writes is therefore at most twice the size a rewrite
     would give it. *)
 
+(** {1 Pack stamps}
+
+    A pack's stamp digests the MD5 digests of its valid segments (stored
+    in it and checked on every read) and its length; a file that cannot
+    be read has a stamp of its own. Two packs with one stamp hold the
+    same live records. The engine's carry file records the stamps its
+    run left, and a later run trusts a slot it does not probe only when
+    the pack's stamp is still the recorded one. *)
+
+val stamp : t -> ext:Fingerprint.t -> sums:bool -> string
+(** The stamp of the extension's function-summary pack ([sums]) or root
+    pack as this store read or last wrote it, reading the pack when the
+    store holds no index of it. *)
+
+val flushed_stamp : t -> ext:Fingerprint.t -> sums:bool -> string option
+(** The stamp the last {!flush} left that pack with, when the store held
+    an index of it then (it read or wrote the pack since the flush
+    before); [None] otherwise, and always for a store opened with
+    [memory], which keeps its indexes. *)
+
 (** {1 Function-summary entries} *)
 
 type fn_entry = {
@@ -205,6 +230,11 @@ val probe_fn : t -> ext:Fingerprint.t -> fname:string -> key:key -> probe
     value, and no digest is built. Any other entry is compared by
     {!digest}. Both comparisons decide alike, since the digest's input
     encoding is injective. *)
+
+val find_fn : t -> ext:Fingerprint.t -> fname:string -> fn_hit option
+(** The slot [fname] holds, whatever its key, decoding no summaries and
+    counting nothing: what a carried function that is not probed reads
+    its content hash and canonical tables from. *)
 
 val hit_content : fn_hit -> Fingerprint.t
 
@@ -263,9 +293,31 @@ val load_root :
     entry that [valid] (default: always) rejects is a miss. Keys compare
     as in {!probe_fn}. *)
 
+val find_root : t -> ext:Fingerprint.t -> root:string -> root_entry option
+(** The entry [root]'s slot holds, whatever its key, decoded; [None]
+    when there is none or it does not decode. Counts nothing. *)
+
 val store_root : t -> ext:Fingerprint.t -> key:key -> root_entry -> unit
 (** The entry's [r_key] must be [digest t key]. [store_fn] and
     [store_root] update the in-memory index; {!flush} writes the pack. *)
+
+(** {1 The carry file}
+
+    [DIR/carry] holds what a [--cache-dir] run decided, for the next run
+    ({!Engine.read_carry}): a magic, the MD5 digest of the payload, and
+    the payload, whose encoding is the engine's. *)
+
+val carry_path : dir:string -> string
+
+val read_carry : dir:string -> (string, string) result
+(** The payload, its digest checked; [Error] says why there is none
+    (["absent"], ["not a carry file"], ["truncated"], ["bad digest"]). *)
+
+val write_carry : t -> string -> unit
+(** Replace the carry file with this payload atomically
+    ({!Wire.write_file}); nothing when the store does not persist. A
+    write that fails leaves the last file in place: its stamps describe
+    the packs it was written with, so it stays sound. *)
 
 (** {1 Inspection (the [cache stats] / [cache dump] CLI)} *)
 

@@ -26,6 +26,23 @@ val parse : t -> path:string -> source:string -> (Cast.tunit, string) result
     place and records {!Cast.Gskipped} stubs, which [Supergraph.build]
     warns about. *)
 
+type unit_id = {
+  u_id : Fingerprint.t option;
+      (** {!Cast_io.ast_fingerprint} of the unit's path and the text the
+          parser read (after preprocessing; a [.mcast] input's bytes),
+          computed when the loader has an AST cache: what a [--cache-dir]
+          run's carry file knows the unit by ({!Engine.read_carry}) *)
+  u_deps : (string * string option) list;
+      (** every file the preprocessor looked for to resolve an
+          [#include], in order, with its contents then ([None]: it did
+          not exist). The unit is what it was as long as they are. *)
+}
+
+val parse_unit :
+  t -> path:string -> source:string -> (Cast.tunit * unit_id, string) result
+(** {!parse}, also returning the unit's identity and the files it
+    depends on besides its own. *)
+
 val load : t -> string -> Cast.tunit
 (** Read and {!parse} one file, raising [Failure "FILE: message"] when it
     cannot be loaded: [emit], [dump-cfg], [dump-summaries] and [triage]

@@ -10,23 +10,27 @@ type config = {
 
 type t = {
   cfg : config;
+  loader : Loader.t option;
   watch : Watch.t;
   (* pass-1 AST cache: path -> (fingerprint of the source it was parsed
-     from, AST). Unchanged files keep their parsed object across passes,
-     so a daemon edit re-parses exactly one file. *)
-  asts : (string, Fingerprint.t * Cast.tunit) Hashtbl.t;
+     from, the unit's identity and dependencies, AST). Unchanged files
+     keep their parsed object across passes, so a daemon edit re-parses
+     exactly one file. *)
+  asts : (string, Fingerprint.t * Loader.unit_id * Cast.tunit) Hashtbl.t;
   (* the last pass's supergraph: the next one keeps what its unchanged
      definitions derived (CFGs, body hashes, positions) *)
   mutable sg : Supergraph.t option;
   (* what the last pass's engine run decided, beside that supergraph: the
      next run probes only what the edit can reach. Only a store that keeps
-     its entries between runs has slots left to trust. *)
+     its entries between runs has slots left to trust; a disk store's
+     runs read the carry file instead. *)
   carry : Engine.carry option;
 }
 
-let create cfg =
+let create ?loader cfg =
   {
     cfg;
+    loader;
     watch = Watch.create cfg.c_files;
     asts = Hashtbl.create 64;
     sg = None;
@@ -51,18 +55,35 @@ type out = {
   analysis_alloc : float;
 }
 
+let parse t ~path ~source =
+  match t.loader with
+  | Some l ->
+      Result.map
+        (fun (tu, (u : Loader.unit_id)) ->
+          Watch.note_deps t.watch u.Loader.u_deps;
+          (tu, u))
+        (Loader.parse_unit l ~path ~source)
+  | None ->
+      Result.map
+        (fun tu -> (tu, { Loader.u_id = None; u_deps = [] }))
+        (t.cfg.c_parse ~path ~source)
+
+(* A file's unit, its identity and its path, parsed again only when its
+   text or a file it included changed. *)
 let load t (f : Watch.file) =
   let path = f.Watch.w_path in
   let parsed =
     match (f.Watch.w_error, Hashtbl.find_opt t.asts path) with
     | Some msg, _ -> Error msg
-    | None, Some (fp, tu) when String.equal fp f.Watch.w_fp -> Ok tu
-    | None, _ -> t.cfg.c_parse ~path ~source:f.Watch.w_src
+    | None, Some (fp, u, tu)
+      when String.equal fp f.Watch.w_fp && Watch.deps_hold t.watch u.Loader.u_deps ->
+        Ok (tu, u)
+    | None, _ -> parse t ~path ~source:f.Watch.w_src
   in
   match parsed with
-  | Ok tu ->
-      Hashtbl.replace t.asts path (f.Watch.w_fp, tu);
-      Some tu
+  | Ok (tu, u) ->
+      Hashtbl.replace t.asts path (f.Watch.w_fp, u, tu);
+      Some (path, u.Loader.u_id, tu)
   | Error msg ->
       Hashtbl.remove t.asts path;
       Diag.warnf "%s: skipping entire file: %s" path msg;
@@ -74,21 +95,39 @@ let rank mode (result : Engine.result) =
   | "none" -> result.Engine.reports
   | _ -> Rank.generic_sort result.Engine.reports
 
+(* The carry a run over [store] takes: the daemon's, kept in memory; or,
+   over a disk store, the file the last run left beside the packs, when
+   every unit has an identity (the loader gives one with an AST cache,
+   as every [--cache-dir] run has). *)
+let carry_for t units =
+  match (t.carry, t.cfg.c_store) with
+  | Some c, _ -> Some c
+  | None, Some s when List.for_all (fun (_, id, _) -> Option.is_some id) units ->
+      Some
+        (Engine.read_carry s
+           ~units:(List.map (fun (path, id, _) -> (path, Option.get id)) units))
+  | None, _ -> None
+
 let run t =
   let cfg = t.cfg in
   let t0 = Unix.gettimeofday () in
   let files = Watch.files t.watch in
-  let tus = List.filter_map (load t) files in
+  let units = List.filter_map (load t) files in
+  let tus = List.map (fun (_, _, tu) -> tu) units in
   let t1 = Unix.gettimeofday () in
   let sg = Supergraph.build ?prev:t.sg tus in
   t.sg <- Some sg;
   let t2 = Unix.gettimeofday () in
   Option.iter Summary_store.reset_stats cfg.c_store;
   let alloc0 = Gc.allocated_bytes () in
+  let carry = carry_for t units in
   let result =
-    Engine.run ~options:cfg.c_options ~jobs:cfg.c_jobs ?cache:cfg.c_store ?carry:t.carry sg
-      cfg.c_exts
+    Engine.run ~options:cfg.c_options ~jobs:cfg.c_jobs ?cache:cfg.c_store ?carry sg cfg.c_exts
   in
+  (* after the run's last flush *)
+  (match (t.carry, carry, cfg.c_store) with
+  | None, Some c, Some s -> Engine.write_carry s c
+  | _ -> ());
   let alloc1 = Gc.allocated_bytes () in
   let t3 = Unix.gettimeofday () in
   List.iter

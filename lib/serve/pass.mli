@@ -10,7 +10,9 @@
     entries, with what the last run decided, so it probes only what the
     edit can reach; {!Engine.carry}), warns about degraded roots and
     about files that changed on disk while it ran, and ranks the reports.
-    A batch run is one pass with nothing carried. *)
+    A batch run is one pass with nothing carried in memory; over a disk
+    store it reads the carry file the last run left beside the packs and
+    writes the one it leaves ({!Engine.read_carry}). *)
 
 type config = {
   c_files : string list;  (** analysis inputs, in batch-run order *)
@@ -26,9 +28,15 @@ type config = {
 
 type t
 
-val create : config -> t
+val create : ?loader:Loader.t -> config -> t
 (** Snapshot the inputs ({!Watch.create}). An unreadable input is
-    recorded, not fatal: each pass skips it with a warning. *)
+    recorded, not fatal: each pass skips it with a warning.
+
+    With [loader] (the one whose {!Loader.parse} is [c_parse]) the passes
+    parse through {!Loader.parse_unit}: a unit is parsed again when a
+    header it included changed ({!Watch.revalidate} re-reads them), and
+    with an AST cache every unit has the identity a disk store's carry
+    file needs. Without it, a run over a disk store carries nothing. *)
 
 val watch : t -> Watch.t
 (** The snapshot the passes analyse: the daemon revalidates it and

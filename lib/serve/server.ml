@@ -33,8 +33,8 @@ type t = {
   mutable last_recheck_s : float;
 }
 
-let create cfg =
-  let pass = Pass.create cfg in
+let create ?loader cfg =
+  let pass = Pass.create ?loader cfg in
   let unreadable (f : Watch.file) =
     Option.map (fun msg -> f.Watch.w_path ^ ": " ^ msg) f.Watch.w_error
   in

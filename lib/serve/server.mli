@@ -60,9 +60,11 @@ type check_out = {
           are degraded with a warning and the server stays dirty *)
 }
 
-val create : config -> (t, string) result
+val create : ?loader:Loader.t -> config -> (t, string) result
 (** Read and fingerprint the corpus. Fails if any input is unreadable: a
-    daemon serving a partial tree would lie to every request. *)
+    daemon serving a partial tree would lie to every request. [loader]
+    is {!Pass.create}'s: with it, an edit of a header a unit included is
+    seen by the next [check]. *)
 
 val check : t -> check_out
 (** Re-check if anything changed since the last clean result, else

@@ -6,7 +6,13 @@ type file = {
   mutable w_error : string option;
 }
 
-type t = { files : file array; by_path : (string, file) Hashtbl.t }
+type t = {
+  files : file array;
+  by_path : (string, file) Hashtbl.t;
+  deps : (string, string option) Hashtbl.t;
+      (* the files units depend on besides their own (headers the
+         preprocessor looked for), with their contents as last seen *)
+}
 
 let read_file path =
   let ic = open_in_bin path in
@@ -29,6 +35,7 @@ let create paths =
     {
       files = Array.of_list (List.map snapshot paths);
       by_path = Hashtbl.create (List.length paths);
+      deps = Hashtbl.create 8;
     }
   in
   Array.iter (fun f -> Hashtbl.replace t.by_path f.w_path f) t.files;
@@ -53,6 +60,22 @@ let update f src =
 
 let find t path = Hashtbl.find_opt t.by_path path
 
+let read_opt path = try Some (read_file path) with Sys_error _ -> None
+
+let note_deps t deps = List.iter (fun (p, src) -> Hashtbl.replace t.deps p src) deps
+
+let deps_hold t deps =
+  List.for_all
+    (fun (p, src) ->
+      Option.equal String.equal src
+        (match Hashtbl.find_opt t.deps p with
+        | Some s -> s
+        | None ->
+            let s = read_opt p in
+            Hashtbl.replace t.deps p s;
+            s))
+    deps
+
 let set_overlay t ~path ~text =
   match find t path with
   | None -> Error (Printf.sprintf "%s: not part of the served tree" path)
@@ -72,7 +95,8 @@ let set_overlay t ~path ~text =
 (* Re-stat and re-hash every disk-backed file before a run: cheap
    insurance that a fingerprint taken at startup is not silently trusted
    forever (the stale-snapshot bug cached batch mode had). Overlay files
-   are authoritative in memory, so disk is not consulted for them. *)
+   are authoritative in memory, so disk is not consulted for them. The
+   files units depend on are re-read too, overlaid units' included. *)
 let revalidate t =
   let changed = ref [] and missing = ref [] in
   Array.iter
@@ -84,6 +108,15 @@ let revalidate t =
           | src -> if update f src then changed := f.w_path :: !changed
           | exception Sys_error _ -> missing := f.w_path :: !missing)
     t.files;
+  let deps = Hashtbl.fold (fun p src acc -> (p, src) :: acc) t.deps [] in
+  List.iter
+    (fun (p, src) ->
+      let now = read_opt p in
+      if not (Option.equal String.equal src now) then begin
+        Hashtbl.replace t.deps p now;
+        changed := p :: !changed
+      end)
+    (List.sort compare deps);
   (List.rev !changed, List.rev !missing)
 
 (* Post-run drift detection: which disk-backed files no longer match the

@@ -36,10 +36,23 @@ val set_overlay : t -> path:string -> text:string option -> (bool, string) resul
     the caller skips re-checking when they don't. Unknown paths and
     unreadable re-reads are [Error] (the previous snapshot stays). *)
 
+val note_deps : t -> (string * string option) list -> unit
+(** Record the files a unit was just parsed against besides its own
+    (the headers the preprocessor looked for, {!Loader.unit_id}), with
+    the contents it read ([None]: absent), as their snapshot. *)
+
+val deps_hold : t -> (string * string option) list -> bool
+(** Whether every such file's snapshot still has the given contents: a
+    unit parsed against them need not be parsed again. A file with no
+    snapshot yet is read now. *)
+
 val revalidate : t -> string list * string list
 (** Re-read and re-hash every disk-backed file, updating changed
-    snapshots in place. Returns [(changed, missing)] paths; missing
-    files keep their last good snapshot so the daemon keeps serving. *)
+    snapshots in place, and re-read every file {!note_deps} recorded.
+    Returns [(changed, missing)] paths, [changed] including the recorded
+    files whose contents changed (a unit that depends on one is parsed
+    again by the next pass); missing inputs keep their last good
+    snapshot so the daemon keeps serving. *)
 
 val drifted : t -> string list
 (** Disk-backed files whose on-disk contents no longer match the

@@ -10,8 +10,12 @@
    here as a difference. A failing script shrinks to a minimal one.
    The cases after the first run the scripts with all 14 checkers,
    compare every step with a pass that probes everything (over a memory
-   store, and over a disk store as [check --cache-dir] opens it), and
-   run perfbench's edit cycle on a linked corpus. *)
+   store) and with a [check --cache-dir] pass (which reads the carry file
+   its last run left), and run perfbench's edit cycle on a linked corpus.
+   The last cases check [--cache-dir] passes against passes whose carry
+   file was removed, over file additions, deletions, renames and
+   reorders, a damaged carry file, a run that stores nothing, and two
+   programs sharing one store. *)
 
 (* errpath tags error paths, and the checkers after it see the tags *)
 let checkers = [ "errpath"; "free"; "lock"; "null" ]
@@ -34,12 +38,10 @@ let parse ~path ~source =
 let memory_store sources =
   Pass.open_store ~memory:true ~cache:None ~options:Engine.default_options sources
 
-(* A [--cache-dir] store in a directory of its own, opened as [check]
-   opens it. *)
-let disk_store sources =
-  Pass.open_store ~memory:false
-    ~cache:(Some (Temp.dir "xgcc_test_differential", true))
-    ~options:Engine.default_options sources
+(* A [--cache-dir] store in [dir], opened as [check] opens it. *)
+let disk_store ?(persist = true) dir sources =
+  Pass.open_store ~memory:false ~cache:(Some (dir, persist)) ~options:Engine.default_options
+    sources
 
 (* [store] opens the store for the extensions' defining sources. *)
 let config ?names ?(jobs = 1) ~store files =
@@ -56,14 +58,22 @@ let config ?names ?(jobs = 1) ~store files =
 
 (* One pass of a fresh [Pass.t] over the files as they are on disk: its
    diagnostics and warnings. *)
-let fresh_pass cfg =
+let fresh_pass ?loader cfg =
   let warnings = ref [] in
   let p =
     Diag.with_sink
       (fun w -> warnings := w :: !warnings)
-      (fun () -> Pass.run (Pass.create cfg))
+      (fun () -> Pass.run (Pass.create ?loader cfg))
   in
   (Json_out.reports_to_string p.Pass.ranked, List.rev !warnings)
+
+(* [check --cache-dir DIR]'s pass over [files]: a disk store in [dir]
+   and the loader [check] parses through, its AST cache there too, so
+   each run of it reads the carry file the run before it left. *)
+let cache_dir_pass ?names ?persist ~dir files =
+  let loader = Loader.create ~ast_cache:(dir, Option.value persist ~default:true) () in
+  ( { (config ?names ~store:(disk_store ?persist dir) files) with Pass.c_parse = Loader.parse loader },
+    loader )
 
 (* The oracle: one uncached -j 1 pass. *)
 let oracle ?names files = fresh_pass (config ?names ~store:(fun _ -> None) files)
@@ -197,14 +207,14 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
-let corpus () =
+let corpus ?(seed = 3) () =
   let dir = temp_dir () in
   List.map
     (fun (name, (g : Gen.t)) ->
       let path = Filename.concat dir name in
       write_file path g.Gen.source;
       (path, g.Gen.source))
-    (Gen.generate_linked ~seed:3 ~n_files:2 ~funcs_per_file:3 ~bug_rate:0.5)
+    (Gen.generate_linked ~seed ~n_files:2 ~funcs_per_file:3 ~bug_rate:0.5)
 
 let print_script script =
   String.concat "; "
@@ -280,6 +290,7 @@ let run_script ?names script =
    uncached pass of the cases above stays the independent oracle of the
    output. *)
 
+(* What a pass that probes everything did too. *)
 let counters (st : Summary_store.stats) =
   Summary_store.
     [
@@ -288,31 +299,59 @@ let counters (st : Summary_store.stats) =
       ("fns_recomputed", st.fns_recomputed);
       ("sums_unchanged", st.sums_unchanged);
       ("roots_salvaged", st.roots_salvaged);
-      ("keys_computed", st.keys_computed);
     ]
 
-let store_counters (cfg : Pass.config) = counters (Summary_store.stats (Option.get cfg.c_store))
+(* What only a pass that carries the same as the daemon did too: its
+   probes and its reused roots. *)
+let carried_counters (st : Summary_store.stats) =
+  Summary_store.
+    [
+      ("fn_hits", st.fn_hits);
+      ("fn_stale", st.fn_stale);
+      ("fn_absent", st.fn_absent);
+      ("roots_reused", st.roots_reused);
+    ]
 
-(* [agrees] for a daemon over [cfg]: the oracle runs over [own], a config
-   with a store of its own. A store that does not keep its indexes in
-   memory reads its slots from packs, which hold no key inputs, so it
-   digests every key it compares: its [keys_computed] differs by
-   design. *)
-let probes_everything ~own (cfg : Pass.config) reply =
-  let diags, warnings = fresh_pass own in
-  let compared l =
-    if Summary_store.in_memory (Option.get own.c_store) then l
-    else List.remove_assoc "keys_computed" l
-  in
+let stats (cfg : Pass.config) = Summary_store.stats (Option.get cfg.c_store)
+
+(* [agrees] for a daemon over [cfg]: the oracle is a fresh pass over
+   [own], a config with a store of its own, compared on [compared]. *)
+let agrees_with ?loader ~compared ~own (cfg : Pass.config) reply =
+  let diags, warnings = fresh_pass ?loader own in
   String.equal diags (reply_diagnostics reply)
   && warnings = reply_warnings reply
-  && compared (store_counters own) = compared (store_counters cfg)
+  && compared (stats own) = compared (stats cfg)
 
-(* [store] opens the oracle's store, once per script. *)
-let run_script_oracle ?names ~store script =
+(* [oracle] makes the oracle's config (and loader) for the daemon's
+   files, once per script. *)
+let run_script_oracle ?names ~oracle ~compared script =
   drive script
     ~config:(fun paths -> config ?names ~store:memory_store paths)
-    ~agrees:(fun cfg -> probes_everything ~own:(config ?names ~store cfg.Pass.c_files) cfg)
+    ~agrees:(fun cfg ->
+      let own, loader = oracle cfg.Pass.c_files in
+      agrees_with ?loader ~compared ~own cfg)
+
+(* The oracle that probes everything: a fresh [Pass.t] over a memory
+   store that has seen the same texts. Both stores hold the inputs of
+   every key they matched, so they digest the same keys. *)
+let probes_everything ?names script =
+  run_script_oracle ?names script
+    ~oracle:(fun files -> (config ?names ~store:memory_store files, None))
+    ~compared:(fun st ->
+      ("keys_computed", st.Summary_store.keys_computed) :: counters st)
+
+(* The [--cache-dir] oracle: a fresh pass over a disk store that reads
+   the carry file the pass before it left, so it probes what the
+   daemon's edit can reach, and merges every other root from its pack
+   slot. Its slots read from packs hold no key inputs, so it digests
+   every key it compares, and its [keys_computed] differs by design;
+   every other counter is the daemon's. *)
+let cache_dir_agrees ?names script =
+  run_script_oracle ?names script
+    ~oracle:(fun files ->
+      let own, loader = cache_dir_pass ?names ~dir:(temp_dir ()) files in
+      (own, Some loader))
+    ~compared:(fun st -> counters st @ carried_counters st)
 
 (* perfbench's edit cycle on one file: an allocate-and-free at the top of
    its first release helper (of its first function when it has none), a
@@ -410,6 +449,203 @@ let script_gen =
     list_size (int_range 1 5)
       (triple (int_bound (Array.length edits - 1)) (int_bound 2) (int_bound 7)))
 
+(* ------------------------------------------------------------------ *)
+(* The carry file                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* One [check --cache-dir DIR] run over [files]: its diagnostics,
+   warnings and store counters. *)
+let cache_dir_run ?names ?persist ~dir files =
+  let cfg, loader = cache_dir_pass ?names ?persist ~dir files in
+  let diags, warnings = fresh_pass ~loader cfg in
+  (diags, warnings, stats cfg)
+
+let remove_carry dir = try Sys.remove (Summary_store.carry_path ~dir) with Sys_error _ -> ()
+
+(* Does a run with the carry file agree with a run over a store of its
+   own that has seen the same inputs but whose carry file is removed
+   first (it probes everything), and both with an uncached pass? *)
+let agrees_without_carry ?names ~with_carry ~without files =
+  remove_carry without;
+  let d, w, st = cache_dir_run ?names ~dir:with_carry files in
+  let d', w', st' = cache_dir_run ?names ~dir:without files in
+  let d0, w0 = oracle ?names files in
+  String.equal d d' && String.equal d d0 && w = w' && w = w0 && counters st = counters st'
+
+(* Steps over a program's file list: an edit of one file's text, a new
+   file that copies one (placed anywhere in the input order, so its
+   duplicate definitions may shadow the original's), a file deleted, a
+   file renamed, two neighbours swapped in the input order. *)
+type tree_op = Edit_file | Add_file | Delete_file | Rename_file | Swap_files
+
+let tree_ops = [| Edit_file; Add_file; Delete_file; Rename_file; Swap_files |]
+
+let print_tree_script ops =
+  String.concat "; "
+    (List.map
+       (fun (op, a, b, c) ->
+         Printf.sprintf "%s %d %d %d"
+           (match tree_ops.(op) with
+           | Edit_file -> "edit"
+           | Add_file -> "add"
+           | Delete_file -> "delete"
+           | Rename_file -> "rename"
+           | Swap_files -> "swap")
+           a b c)
+       ops)
+
+let tree_step ~dir ~step files (op, a, b, c) =
+  let n = List.length files in
+  let path = Filename.concat dir (Printf.sprintf "step_%d.c" step) in
+  match tree_ops.(op) with
+  | Edit_file ->
+      let target, text = List.nth files (b mod n) in
+      let text = apply ~step text (edits.(a mod Array.length edits), c) in
+      write_file target text;
+      List.map (fun (p, t) -> if p == target then (p, text) else (p, t)) files
+  | Add_file ->
+      let text = snd (List.nth files (a mod n)) ^ Printf.sprintf "/* copy %d */\n" step in
+      write_file path text;
+      let at = b mod (n + 1) in
+      List.filteri (fun i _ -> i < at) files @ ((path, text) :: List.filteri (fun i _ -> i >= at) files)
+  | Delete_file when n > 1 -> List.filteri (fun i _ -> i <> a mod n) files
+  | Rename_file ->
+      List.mapi
+        (fun i (p, t) ->
+          if i = a mod n then begin
+            write_file path t;
+            (path, t)
+          end
+          else (p, t))
+        files
+  | Swap_files when n > 1 ->
+      let i = a mod (n - 1) in
+      let arr = Array.of_list files in
+      let x = arr.(i) in
+      arr.(i) <- arr.(i + 1);
+      arr.(i + 1) <- x;
+      Array.to_list arr
+  | Delete_file | Swap_files -> files
+
+let tree_script_agrees ?names ops =
+  let dir = temp_dir () in
+  let with_carry = temp_dir () and without = temp_dir () in
+  let files =
+    ref
+      (List.map
+         (fun (p, t) ->
+           let p' = Filename.concat dir (Filename.basename p) in
+           write_file p' t;
+           (p', t))
+         (corpus ()))
+  in
+  let agrees () = agrees_without_carry ?names ~with_carry ~without (List.map fst !files) in
+  agrees ()
+  && List.for_all
+       (fun (step, op) ->
+         files := tree_step ~dir ~step !files op;
+         agrees ())
+       (List.mapi (fun i op -> (i, op)) ops)
+
+let tree_script_gen =
+  QCheck2.Gen.(
+    list_size (int_range 1 6)
+      (quad (int_bound (Array.length tree_ops - 1)) (int_bound 7) (int_bound 7) (int_bound 7)))
+
+(* A carry file that cannot be trusted: cut short, a byte flipped,
+   random bytes, another program's over the same checkers, or the
+   store's own from before its packs last changed (for the program it
+   names, whose slots an edit since undone replaced). The run over it
+   reports what an uncached run does and leaves a good file (the last
+   case's run truncates the packs back to what the old file names), and
+   the run after that reuses roots. *)
+let faults = [| "truncated"; "flipped"; "random"; "other program"; "older" |]
+
+let carry_fault (fault, k) =
+  let paths = List.map fst (corpus ()) in
+  let dir = temp_dir () in
+  let carry = Summary_store.carry_path ~dir in
+  let run () = cache_dir_run ~dir paths in
+  ignore (run ());
+  let good = read_file carry in
+  let bad =
+    match faults.(fault) with
+    | "truncated" -> String.sub good 0 (k mod String.length good)
+    | "flipped" ->
+        let b = Bytes.of_string good in
+        let i = k mod Bytes.length b in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 + (k mod 255))));
+        Bytes.to_string b
+    | "random" ->
+        let st = Random.State.make [| k |] in
+        String.init (k mod 512) (fun _ -> Char.chr (Random.State.int st 256))
+    | "other program" ->
+        let other = temp_dir () in
+        ignore (cache_dir_run ~dir:other (List.map fst (corpus ~seed:4 ())));
+        read_file (Summary_store.carry_path ~dir:other)
+    | _ ->
+        (* the packs saw an edit that was then undone, the file did not:
+           its clean slots are the edit's *)
+        let p = List.nth paths (k mod List.length paths) in
+        let text = read_file p in
+        write_file p (apply ~step:k text (Bug, k));
+        ignore (run ());
+        write_file p text;
+        good
+  in
+  write_file carry bad;
+  let diags, warnings, _ = run () in
+  let diags0, warnings0 = oracle paths in
+  let valid = Result.is_ok (Engine.carry_file ~dir) in
+  let _, _, st = run () in
+  String.equal diags diags0 && warnings = warnings0 && valid
+  && st.Summary_store.roots_reused > 0
+
+(* After an edit, a run that stores nothing recomputes the edited
+   functions and roots without storing them. It must not write the carry
+   file: one that recorded the edited program would vouch for packs that
+   still hold the entries of the program before it. *)
+let no_persist_leaves_the_carry () =
+  let names = Registry.names () in
+  let paths = List.map fst (corpus ()) in
+  let dir = temp_dir () in
+  let carry = Summary_store.carry_path ~dir in
+  ignore (cache_dir_run ~names ~dir paths);
+  let before = read_file carry in
+  let p = List.hd paths in
+  write_file p (apply ~step:0 (read_file p) (Bug, 1));
+  let expected, _ = oracle ~names paths in
+  let d, _, _ = cache_dir_run ~names ~persist:false ~dir paths in
+  Alcotest.(check string) "a run that stores nothing reports the edit" expected d;
+  Alcotest.(check string) "and leaves the carry file" before (read_file carry);
+  let d, _, st = cache_dir_run ~names ~dir paths in
+  Alcotest.(check string) "the next run reports the edit" expected d;
+  Alcotest.(check bool) "and probes what it reaches" true (st.Summary_store.fn_stale > 0)
+
+(* Two programs take turns over one cache directory, each edited between
+   its turns; each run's carry file is the other program's. *)
+let two_programs_share_a_store () =
+  let names = Registry.names () in
+  let a = List.map fst (corpus ()) and b = List.map fst (corpus ~seed:5 ()) in
+  let with_carry = temp_dir () and without = temp_dir () in
+  List.iteri
+    (fun round files ->
+      if round >= 2 then begin
+        let p = List.nth files (round mod 2) in
+        write_file p (apply ~step:round (read_file p) (edits.(round mod Array.length edits), round))
+      end;
+      Alcotest.(check bool)
+        (Printf.sprintf "round %d agrees with a run without the carry file" round)
+        true
+        (agrees_without_carry ~names ~with_carry ~without files))
+    [ a; b; a; b; a; b ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 25 |])
@@ -422,7 +658,7 @@ let suite =
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 29 |])
       (QCheck2.Test.make ~name:"a daemon pass equals one that probes everything"
          ~count:30 ~print:print_script script_gen (fun script ->
-           run_script_oracle ~names:(Registry.names ()) ~store:memory_store script));
+           probes_everything ~names:(Registry.names ()) script));
     Alcotest.test_case "linked edit cycles reuse only unreachable roots, -j 1" `Quick
       (linked_cycles 1);
     Alcotest.test_case "linked edit cycles reuse only unreachable roots, -j 2" `Quick
@@ -430,5 +666,18 @@ let suite =
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 29 |])
       (QCheck2.Test.make ~name:"a daemon pass equals a --cache-dir pass" ~count:30
          ~print:print_script script_gen (fun script ->
-           run_script_oracle ~names:(Registry.names ()) ~store:disk_store script));
+           cache_dir_agrees ~names:(Registry.names ()) script));
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 31 |])
+      (QCheck2.Test.make ~name:"a --cache-dir pass equals one without its carry file"
+         ~count:20 ~print:print_tree_script tree_script_gen (fun ops ->
+           tree_script_agrees ~names:(Registry.names ()) ops));
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 31 |])
+      (QCheck2.Test.make ~name:"an untrusted carry file costs one full run" ~count:25
+         ~print:(fun (f, k) -> Printf.sprintf "%s %d" faults.(f) k)
+         QCheck2.Gen.(pair (int_bound (Array.length faults - 1)) (int_bound 1_000_000))
+         carry_fault);
+    Alcotest.test_case "a run that stores nothing leaves the carry file" `Quick
+      no_persist_leaves_the_carry;
+    Alcotest.test_case "two programs alternate over one store" `Quick
+      two_programs_share_a_store;
   ]

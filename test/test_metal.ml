@@ -8,6 +8,107 @@ let parse_one src =
   | [ m ] -> m
   | _ -> Alcotest.fail "expected one sm"
 
+(* Token mutants of the shipped metal files. Each file is cut into
+   tokens (identifier and number runs, string and character literals, and
+   single punctuation characters, whitespace dropped) and one is mutated:
+   a token dropped, doubled, or swapped with the next, the text cut after
+   it, or a stray punctuation character put before it. Loading a mutant
+   either gives extensions or raises one of the three errors the CLI
+   reports at a position ([xgcc check -m]): never anything else. *)
+
+(* [dune test] runs in the build tree's test directory, beside its copy
+   of metal/; a run from the repository root finds them there. *)
+let metal_files =
+  lazy
+    (let dir = if Sys.file_exists "../metal" then "../metal" else "metal" in
+     List.map
+       (fun f ->
+         let path = Filename.concat dir f in
+         let ic = open_in_bin path in
+         let src =
+           Fun.protect
+             ~finally:(fun () -> close_in_noerr ic)
+             (fun () -> really_input_string ic (in_channel_length ic))
+         in
+         (path, src))
+       (List.sort String.compare
+          (List.filter
+             (fun f -> Filename.check_suffix f ".metal")
+             (Array.to_list (Sys.readdir dir)))))
+
+(* The tokens of [src] as (start, end) offsets: identifier and number
+   runs, string and character literals, single other characters. *)
+let tokens src =
+  let n = String.length src in
+  let is_word c =
+    match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false
+  in
+  let rec go i acc =
+    if i >= n then Array.of_list (List.rev acc)
+    else
+      match src.[i] with
+      | ' ' | '\t' | '\n' | '\r' -> go (i + 1) acc
+      | c when is_word c ->
+          let j = ref i in
+          while !j < n && is_word src.[!j] do incr j done;
+          go !j ((i, !j) :: acc)
+      | ('"' | '\'') as q ->
+          let j = ref (i + 1) in
+          while !j < n && src.[!j] <> q do
+            if src.[!j] = '\\' then incr j;
+            incr j
+          done;
+          let j = min n (!j + 1) in
+          go j ((i, j) :: acc)
+      | _ -> go (i + 1) ((i, i + 1) :: acc)
+  in
+  go 0 []
+
+let mutations = [| "drop"; "double"; "swap"; "cut"; "insert" |]
+let strays = [| ";"; "{"; "}"; "("; ")"; "|"; ","; "\""; "'"; "==>"; "$"; ":"; "." |]
+
+(* The text around the mutated token is kept as it was. *)
+let mutant (file, mutation, at, stray) =
+  let files = Lazy.force metal_files in
+  let path, src = List.nth files (file mod List.length files) in
+  let toks = tokens src in
+  let i = at mod Array.length toks in
+  let s, e = toks.(i) in
+  let sub a b = String.sub src a (b - a) and n = String.length src in
+  let text =
+    match mutations.(mutation) with
+    | "drop" -> sub 0 s ^ sub e n
+    | "double" -> sub 0 e ^ " " ^ sub s n
+    | "swap" when i + 1 < Array.length toks ->
+        let s', e' = toks.(i + 1) in
+        sub 0 s ^ sub s' e' ^ sub e s' ^ sub s e ^ sub e' n
+    | "cut" -> sub 0 e
+    | "insert" -> sub 0 s ^ strays.(stray) ^ sub s n
+    | _ -> src
+  in
+  (path, text)
+
+let print_mutant ((_, m, at, s) as x) =
+  let path, src = mutant x in
+  Printf.sprintf "%s: %s at token %d (%s):\n%s" path mutations.(m) at strays.(s) src
+
+let mutant_gen =
+  QCheck2.Gen.(
+    quad (int_bound 1_000)
+      (int_bound (Array.length mutations - 1))
+      (int_bound 10_000)
+      (int_bound (Array.length strays - 1)))
+
+let loads_or_fails x =
+  let path, src = mutant x in
+  match Metal_compile.load ~file:path src with
+  | _ -> true
+  | exception
+      ( Metal_parse.Metal_error (loc, _)
+      | Metal_compile.Compile_error (loc, _)
+      | Clex.Lex_error (loc, _) ) ->
+      loc.Srcloc.line >= 1
+
 let suite =
   [
     t "Figure 1 free checker parses" `Quick (fun () ->
@@ -207,4 +308,7 @@ let suite =
                 true
                 (loc >= 3 && loc <= 200))
           (Registry.all ()));
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 31 |])
+      (QCheck2.Test.make ~name:"a mangled metal file loads or fails at a position"
+         ~count:400 ~print:print_mutant mutant_gen loads_or_fails);
   ]

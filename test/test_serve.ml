@@ -560,6 +560,51 @@ let anon_comment_edit_replays () =
   let st = req server ~more_pending:false Proto.Stats in
   Alcotest.(check int) "stats carry the digest count" 0 (ifield st "keys_computed")
 
+(* Under [--cpp] a unit is what its headers make it: editing a header the
+   unit includes must reach the next [check], as a batch [check --cpp] of
+   the edited tree sees it. *)
+let header_edit_reaches_check () =
+  let dir = fresh_dir () in
+  let h = Filename.concat dir "h.h" and u = Filename.concat dir "u.c" in
+  write_file h "static void rel(int *p) { }\n";
+  write_file u
+    "#include \"h.h\"\nint f(int n) { int *p = kmalloc(n); rel(p); kfree(p); return 0; }\n";
+  let loader = Loader.create ~cpp:([], [ dir ]) () in
+  let server =
+    match
+      Server.create ~loader
+        {
+          Server.c_files = [ u ];
+          c_parse = Loader.parse loader;
+          c_exts = [ Free_checker.checker () ];
+          c_options = options;
+          c_jobs = 1;
+          c_store = Some (mk_store ~dir:(Filename.concat dir "cache") ~persist:false);
+          c_rank = "generic";
+        }
+    with
+    | Ok s -> s
+    | Error msg -> Alcotest.fail msg
+  in
+  let batch () =
+    let tu = Loader.load (Loader.create ~cpp:([], [ dir ]) ()) u in
+    let result = Engine.run ~options (Supergraph.build [ tu ]) [ Free_checker.checker () ] in
+    Json_out.reports_to_string (Rank.generic_sort result.Engine.reports)
+  in
+  let r1 = req server ~more_pending:false Proto.Check in
+  Alcotest.(check string) "no report before the edit" (batch ()) (sfield r1 "diagnostics");
+  write_file h "static void rel(int *p) { kfree(p); }\n";
+  let r2 = req server ~more_pending:false Proto.Check in
+  let expected = batch () in
+  let contains hay needle =
+    let n = String.length hay and m = String.length needle in
+    let rec go i = i + m <= n && (String.equal (String.sub hay i m) needle || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "the edited header frees p twice" true
+    (contains expected "double free of p!");
+  Alcotest.(check string) "the daemon sees the header edit" expected (sfield r2 "diagnostics")
+
 let suite =
   [
     t "json roundtrip and errors" `Quick json_roundtrip;
@@ -578,4 +623,5 @@ let suite =
     t "a served check keeps the warm-up's warnings" `Quick served_check_keeps_warnings;
     t "comment-only edit of an anonymous struct's unit replays" `Quick
       anon_comment_edit_replays;
+    t "a header edit reaches the next check under --cpp" `Quick header_edit_reaches_check;
   ]
